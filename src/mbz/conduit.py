@@ -20,7 +20,9 @@ class PacketConduit:
 
     next_ready_us() tells the engine when the next app packet becomes
     available (None when the source is exhausted); read_packet() pops it
-    once the clock has reached that time.
+    once the clock has reached that time. write_packet() delivers a
+    packet to the app; a conduit need not keep it, since the engine
+    records everything it writes in `Engine.capture`.
     """
 
     def next_ready_us(self) -> int | None:
@@ -64,9 +66,12 @@ class ReplayConduit(PacketConduit):
 
     Net-to-app events from the trace are not replayed; they are kept in
     `reference_output` so a previous run's output can be diffed against
-    this one. `speed` scales pacing and only matters under a wall clock;
-    0 means as fast as possible. Under a virtual clock the trace
-    timestamps are surfaced as-is.
+    this one. Packets the engine writes are discarded: a trace has no app
+    to deliver them to, and `Engine.capture` already records them.
+    `speed` scales pacing and only matters under a wall clock; 0 means as
+    fast as possible. Under a virtual clock the trace timestamps are
+    surfaced as-is. Raises MalformedTrace on decreasing timestamps or a
+    negative speed.
     """
 
     def __init__(self, events: list[TraceEvent], speed: float = 0.0):
@@ -78,7 +83,6 @@ class ReplayConduit(PacketConduit):
             e for e in events if e.direction == APP_TO_NET)
         self.reference_output: list[TraceEvent] = [
             e for e in events if e.direction == NET_TO_APP]
-        self.emitted: list[tuple[int, bytes]] = []
         self._scheduler: Scheduler | None = None
         self._ts0 = self._pending[0].ts_us if self._pending else 0
         self._wall_anchor_us: int | None = None  # set at the first read
@@ -111,11 +115,4 @@ class ReplayConduit(PacketConduit):
         return (self._surface_us(event.ts_us), event.packet, event.app_label)
 
     def write_packet(self, data: bytes) -> None:
-        ts = self._scheduler.now_us() if self._scheduler is not None else 0
-        self.emitted.append((ts, data))
-
-
-def replay(events: list[TraceEvent], speed: float = 0.0) -> ReplayConduit:
-    """Build a replay conduit over a trace. Raises MalformedTrace on
-    decreasing timestamps or a negative speed."""
-    return ReplayConduit(events, speed=speed)
+        pass

@@ -76,12 +76,10 @@ class EngineConfig:
 
 
 class TcpState(enum.Enum):
-    SYN_SEEN = "syn_seen"
     UPSTREAM_CONNECTING = "upstream_connecting"
     ESTABLISHED = "established"
     APP_FIN_WAIT = "app_fin_wait"          # app closed its side, upstream still open
     UPSTREAM_FIN_WAIT = "upstream_fin_wait"  # we sent FIN, waiting for the app
-    RESETTING = "resetting"
     CLOSED = "closed"
 
 
@@ -111,10 +109,6 @@ class TcpFlow:
     inject_sent: bool = False
     deferred_payload: bytes = b""
 
-    @property
-    def has_pending_data(self) -> bool:
-        return bool(self.to_app or self.to_net)
-
 
 @dataclass
 class UdpFlow:
@@ -132,31 +126,6 @@ class _SharedDatagram:
     handle: DatagramHandle
     refs: int = 0
     txid_to_key: dict[int, FlowKey] = field(default_factory=dict)
-
-
-class FlowTable:
-    """Flow map plus the budget/timeout policy knobs and counters."""
-
-    def __init__(self, config: EngineConfig):
-        self.config = config
-        self.flows: dict[FlowKey, TcpFlow | UdpFlow] = {}
-
-    def get(self, key: FlowKey):
-        return self.flows.get(key)
-
-    def put(self, flow) -> None:
-        self.flows[flow.key] = flow
-
-    def remove(self, key: FlowKey) -> None:
-        self.flows.pop(key, None)
-
-    def udp_flows_lru(self) -> list[UdpFlow]:
-        udp = [f for f in self.flows.values() if isinstance(f, UdpFlow)]
-        udp.sort(key=lambda f: (f.last_activity, str(f.key)))
-        return udp
-
-    def __len__(self) -> int:
-        return len(self.flows)
 
 
 _COUNTER_KEYS = (
@@ -183,9 +152,10 @@ class Engine:
         self.upstream = upstream
         self.host = host
         self.scheduler = scheduler
-        self.table = FlowTable(config)
+        self.flows: dict[FlowKey, TcpFlow | UdpFlow] = {}
         self.counters: dict[str, int] = {k: 0 for k in _COUNTER_KEYS}
-        self.capture: list[tuple[int, bytes]] = []  # both directions, for pcap
+        # the run's only packet record, both directions; the pcap is written from it
+        self.capture: list[tuple[int, bytes]] = []
         self.eviction_reports: list[dict] = []
         self._rng = random.Random(config.seed)
         self._dns_shared: dict[tuple[str, Addr], _SharedDatagram] = {}
@@ -247,7 +217,7 @@ class Engine:
         if self._sweep_timer is not None:
             self.scheduler.cancel(self._sweep_timer)
             self._sweep_timer = None
-        for flow in list(self.table.flows.values()):
+        for flow in list(self.flows.values()):
             if isinstance(flow, TcpFlow):
                 if flow.state is not TcpState.CLOSED:
                     self.counters["shutdown_closed"] += 1
@@ -279,18 +249,14 @@ class Engine:
         else:
             self._udp_ingress(pkt, key, app_label, data)
 
-    def _dispatch(self, kind: EventKind, key: FlowKey, app_label: str,
-                  direction: str, event: PluginEvent) -> EffectiveAction:
-        return self.host.dispatch(kind, key, app_label, direction, event)
-
     def _flow_close_event(self, key: FlowKey, app_label: str) -> None:
-        self._dispatch(EventKind.FLOW_CLOSE, key, app_label, DIR_OUT,
-                       PluginEvent(EventKind.FLOW_CLOSE))
+        self.host.dispatch(EventKind.FLOW_CLOSE, key, app_label, DIR_OUT,
+                           PluginEvent(EventKind.FLOW_CLOSE))
 
     def _control_in_event(self, flow: TcpFlow, flags: int) -> None:
         # engine-synthesized control packets are observable, not actionable
-        self._dispatch(EventKind.PACKET_IN, flow.key, flow.app_label, DIR_IN,
-                       PluginEvent(EventKind.PACKET_IN, tcp_flags=flags))
+        self.host.dispatch(EventKind.PACKET_IN, flow.key, flow.app_label, DIR_IN,
+                           PluginEvent(EventKind.PACKET_IN, tcp_flags=flags))
 
     # --------------------------------------------------------------- emit
 
@@ -329,12 +295,18 @@ class Engine:
             window=self._advertised_window(flow),
             payload=payload, options=options))
 
+    def _emit_rst(self, key: FlowKey, ack: int, seq: int = 0,
+                  flags: int = RST | ACK) -> None:
+        """Reset toward the app from outside any flow's sequence space."""
+        self._emit(make_tcp_packet(src=key.dst, dst=key.src, seq=seq, ack=ack,
+                                   flags=flags, window=0))
+
     # ----------------------------------------------------------- TCP path
 
     def _tcp_ingress(self, pkt: Packet, key: FlowKey, app_label: str,
                      raw: bytes) -> None:
         tcp: TcpHeader = pkt.transport
-        flow = self.table.get(key)
+        flow = self.flows.get(key)
         if isinstance(flow, TcpFlow) and flow.state is TcpState.CLOSED:
             # no resurrection: nothing is emitted for a closed flow
             self.counters["closed_flow_drops"] += 1
@@ -344,7 +316,7 @@ class Engine:
         kind = EventKind.FLOW_OPEN if creating else EventKind.PACKET_OUT
         event = PluginEvent(kind, payload=pkt.payload, packet=pkt,
                             tcp_flags=tcp.flags, tcp_seq=tcp.seq)
-        action = self._dispatch(kind, key, app_label, DIR_OUT, event)
+        action = self.host.dispatch(kind, key, app_label, DIR_OUT, event)
 
         block = action.block
         if block is not None:
@@ -373,12 +345,10 @@ class Engine:
         tcp: TcpHeader = pkt.transport
         if self.upstream.active_handle_count() >= self.config.socket_budget:
             self.counters["tcp_refused_budget"] += 1
-            self._emit(make_tcp_packet(
-                src=key.dst, dst=key.src, seq=0, ack=seq_add(tcp.seq, 1),
-                flags=RST | ACK, window=0))
+            self._emit_rst(key, seq_add(tcp.seq, 1))
             return
         flow = TcpFlow(
-            key=key, app_label=app_label, state=TcpState.SYN_SEEN,
+            key=key, app_label=app_label, state=TcpState.UPSTREAM_CONNECTING,
             app_isn=tcp.seq, local_isn=self._pick_isn(),
             effective_dst=redirect or key.dst,
             mss=self._clamp_mss(extract_mss(tcp.options)),
@@ -386,11 +356,10 @@ class Engine:
             last_activity=self.scheduler.now_us(),
             deferred_payload=pkt.payload,
         )
-        self.table.put(flow)
+        self.flows[key] = flow
         self.counters["tcp_flows_created"] += 1
         stream = self.upstream.open_stream(flow.effective_dst)
         flow.stream = stream
-        flow.state = TcpState.UPSTREAM_CONNECTING
         stream.set_callback(lambda ev, f=flow: self._on_stream_event(f, ev))
         self._note_budget()
 
@@ -405,13 +374,9 @@ class Engine:
         return min(advertised or 1460, max(1, self.config.mtu - 40))
 
     def _handle_dup_syn(self, flow: TcpFlow, tcp: TcpHeader) -> None:
-        if flow.state is TcpState.UPSTREAM_CONNECTING:
-            self.counters["tcp_dup_syn"] += 1  # retransmit absorbed
-        elif flow.state is TcpState.ESTABLISHED and tcp.seq == flow.app_isn:
-            self.counters["tcp_dup_syn"] += 1
+        self.counters["tcp_dup_syn"] += 1  # retransmit absorbed
+        if flow.state is TcpState.ESTABLISHED and tcp.seq == flow.app_isn:
             self._emit_syn_ack(flow)  # our SYN/ACK may have been lost
-        else:
-            self.counters["tcp_dup_syn"] += 1
 
     def _emit_syn_ack(self, flow: TcpFlow) -> None:
         inv = flow.key.invert()
@@ -440,9 +405,7 @@ class Engine:
             self._pump_flow(flow)
         elif event == EV_REFUSED:
             self.counters["tcp_refused_upstream"] += 1
-            self._emit(make_tcp_packet(
-                src=flow.key.dst, dst=flow.key.src, seq=0,
-                ack=seq_add(flow.app_isn, 1), flags=RST | ACK, window=0))
+            self._emit_rst(flow.key, seq_add(flow.app_isn, 1))
             self._close_tcp(flow, "refused")
         elif event in (EV_READABLE, EV_WRITABLE):
             self._pump_flow(flow)
@@ -539,8 +502,7 @@ class Engine:
             flow.stream.half_close()
 
     def _pump_flow(self, flow: TcpFlow) -> None:
-        if flow.state in (TcpState.CLOSED, TcpState.UPSTREAM_CONNECTING,
-                          TcpState.SYN_SEEN):
+        if flow.state in (TcpState.CLOSED, TcpState.UPSTREAM_CONNECTING):
             return
         self._flush_to_net(flow)
         stream = flow.stream
@@ -553,8 +515,8 @@ class Engine:
                 if not chunk:
                     break
                 event = PluginEvent(EventKind.PACKET_IN, payload=chunk)
-                action = self._dispatch(EventKind.PACKET_IN, flow.key,
-                                        flow.app_label, DIR_IN, event)
+                action = self.host.dispatch(EventKind.PACKET_IN, flow.key,
+                                            flow.app_label, DIR_IN, event)
                 block = action.block
                 if block is not None:
                     self.counters["blocked_packets"] += 1
@@ -615,7 +577,6 @@ class Engine:
     def _reset_flow(self, flow: TcpFlow, reason: str) -> None:
         if flow.state is TcpState.CLOSED:
             return
-        flow.state = TcpState.RESETTING
         self._emit_tcp(flow, RST | ACK)
         self.counters["tcp_flows_reset"] += 1
         self._close_tcp(flow, reason)
@@ -637,13 +598,11 @@ class Engine:
         tcp: TcpHeader = pkt.transport
         self.counters["tcp_rst_no_state"] += 1
         if tcp.has(ACK):
-            self._emit(make_tcp_packet(
-                src=key.dst, dst=key.src, seq=tcp.ack, ack=0, flags=RST, window=0))
+            self._emit_rst(key, 0, seq=tcp.ack, flags=RST)
         else:
-            ack = seq_add(tcp.seq, len(pkt.payload)
-                          + (1 if tcp.has(SYN) else 0) + (1 if tcp.has(FIN) else 0))
-            self._emit(make_tcp_packet(
-                src=key.dst, dst=key.src, seq=0, ack=ack, flags=RST | ACK, window=0))
+            self._emit_rst(key, seq_add(tcp.seq, len(pkt.payload)
+                                        + (1 if tcp.has(SYN) else 0)
+                                        + (1 if tcp.has(FIN) else 0)))
 
     def _apply_tcp_block(self, pkt: Packet, key: FlowKey, flow: TcpFlow | None,
                          block: Block, creating: bool) -> None:
@@ -655,10 +614,8 @@ class Engine:
             if flow is not None:
                 self._reset_flow(flow, "plugin")
             else:
-                ack = seq_add(tcp.seq, len(pkt.payload) + (1 if tcp.has(SYN) else 0))
-                self._emit(make_tcp_packet(
-                    src=key.dst, dst=key.src, seq=0, ack=ack,
-                    flags=RST | ACK, window=0))
+                self._emit_rst(key, seq_add(
+                    tcp.seq, len(pkt.payload) + (1 if tcp.has(SYN) else 0)))
             return
         # inject response
         if flow is None:
@@ -685,7 +642,7 @@ class Engine:
         flow.next_seq_to_app = seq_add(flow.local_isn, 1)
         flow.next_expected_from_app = seq_add(flow.app_isn, 1)
         flow.acked_by_app = flow.next_seq_to_app
-        self.table.put(flow)
+        self.flows[key] = flow
         self.counters["tcp_flows_created"] += 1
         self._emit_syn_ack(flow)
 
@@ -694,11 +651,9 @@ class Engine:
         flow.last_activity = self.scheduler.now_us()
         if tcp.has(ACK):
             self._note_app_ack(flow, tcp.ack)
-        if flow.state in (TcpState.SYN_SEEN, TcpState.UPSTREAM_CONNECTING):
+        if flow.state is TcpState.UPSTREAM_CONNECTING:
             # cannot deliver a payload before establishment; fall back to reset
-            self._emit(make_tcp_packet(
-                src=flow.key.dst, dst=flow.key.src, seq=0,
-                ack=seq_add(flow.app_isn, 1), flags=RST | ACK, window=0))
+            self._emit_rst(flow.key, seq_add(flow.app_isn, 1))
             self._close_tcp(flow, "plugin")
             self.counters["tcp_flows_reset"] += 1
             return
@@ -725,11 +680,11 @@ class Engine:
 
     def _udp_ingress(self, pkt: Packet, key: FlowKey, app_label: str,
                      raw: bytes) -> None:
-        flow = self.table.get(key)
+        flow = self.flows.get(key)
         creating = flow is None
         kind = EventKind.FLOW_OPEN if creating else EventKind.PACKET_OUT
         event = PluginEvent(kind, payload=pkt.payload, packet=pkt)
-        action = self._dispatch(kind, key, app_label, DIR_OUT, event)
+        action = self.host.dispatch(kind, key, app_label, DIR_OUT, event)
 
         block = action.block
         if block is not None:
@@ -788,12 +743,12 @@ class Engine:
         flow = UdpFlow(key=key, app_label=app_label, effective_dst=effective_dst,
                        handle=handle, last_activity=self.scheduler.now_us(),
                        is_dns=is_dns, shared_key=shared_key)
-        self.table.put(flow)
+        self.flows[key] = flow
         self.counters["udp_flows_created"] += 1
         return flow
 
     def _on_udp_datagram(self, key: FlowKey, _from_addr: Addr, data: bytes) -> None:
-        flow = self.table.get(key)
+        flow = self.flows.get(key)
         if not isinstance(flow, UdpFlow):
             self.counters["udp_inbound_unroutable"] += 1
             return
@@ -807,7 +762,7 @@ class Engine:
             return
         txid = (data[0] << 8) | data[1]
         key = shared.txid_to_key.get(txid)
-        flow = self.table.get(key) if key is not None else None
+        flow = self.flows.get(key) if key is not None else None
         if not isinstance(flow, UdpFlow):
             self.counters["udp_inbound_unroutable"] += 1
             return
@@ -816,8 +771,8 @@ class Engine:
     def _deliver_udp(self, flow: UdpFlow, data: bytes) -> None:
         flow.last_activity = self.scheduler.now_us()
         event = PluginEvent(EventKind.PACKET_IN, payload=data)
-        action = self._dispatch(EventKind.PACKET_IN, flow.key, flow.app_label,
-                                DIR_IN, event)
+        action = self.host.dispatch(EventKind.PACKET_IN, flow.key, flow.app_label,
+                                    DIR_IN, event)
         block = action.block
         if block is not None:
             self.counters["blocked_packets"] += 1
@@ -837,7 +792,7 @@ class Engine:
                     del self._dns_shared[flow.shared_key]
         else:
             flow.handle.close()
-        self.table.remove(flow.key)
+        del self.flows[flow.key]
         if reason == "idle":
             self.counters["udp_flows_evicted_idle"] += 1
         elif reason == "pressure":
@@ -852,7 +807,7 @@ class Engine:
         now = self.scheduler.now_us() if now_us is None else now_us
         evicted: list[str] = []
         removed: list[str] = []
-        for flow in list(self.table.flows.values()):
+        for flow in list(self.flows.values()):
             if isinstance(flow, UdpFlow):
                 timeout = self.config.dns_timeout_us if flow.is_dns \
                     else self.config.udp_timeout_us
@@ -860,12 +815,14 @@ class Engine:
                     self._evict_udp(flow, "idle")
                     evicted.append(str(flow.key))
             elif flow.state is TcpState.CLOSED:
-                self.table.remove(flow.key)
+                del self.flows[flow.key]
                 removed.append(str(flow.key))
 
         threshold = 0.9 * self.config.socket_budget
         if self.upstream.active_handle_count() > threshold:
-            for flow in self.table.udp_flows_lru():
+            lru = sorted((f for f in self.flows.values() if isinstance(f, UdpFlow)),
+                         key=lambda f: (f.last_activity, str(f.key)))
+            for flow in lru:
                 if self.upstream.active_handle_count() <= threshold:
                     break
                 self._evict_udp(flow, "pressure")

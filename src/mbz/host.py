@@ -287,13 +287,6 @@ class PluginHost:
     def is_enabled(self, plugin_id: str) -> bool:
         return self._by_id[plugin_id].enabled
 
-    def set_enabled(self, plugin_id: str, enabled: bool) -> None:
-        slot = self._by_id[plugin_id]
-        slot.enabled = enabled
-        if enabled:
-            slot.disabled_reason = None
-            slot.cpu_overruns = slot.mem_overruns = slot.emit_overruns = 0
-
     # -- device context ------------------------------------------------------
 
     def update_context(self, device: DeviceContext) -> None:
@@ -459,6 +452,11 @@ class PluginHost:
             pass
 
     # -- host-mediated services -------------------------------------------------
+
+    def call_later(self, delay_us: int, fn) -> None:
+        """Run `fn` on the engine's event loop after `delay_us`; timers
+        that fall due together run in the order they were set."""
+        self._scheduler.call_later(delay_us, fn)
 
     def probe_datagram(self, plugin_id: str, dst: tuple[str, int], payload: bytes,
                        on_reply, timeout_us: int | None = None) -> bool:

@@ -189,10 +189,6 @@ def flow_key_of(p: Packet) -> FlowKey:
     )
 
 
-def invert(k: FlowKey) -> FlowKey:
-    return k.invert()
-
-
 def _pseudo_header(ip: Ipv4Header, transport_len: int) -> bytes:
     return (
         _pack_addr(ip.src_addr)

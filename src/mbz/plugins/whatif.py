@@ -32,6 +32,7 @@ class _Outcome:
 
 @dataclass
 class _PendingProbe:
+    key: tuple[FlowKey, int]  # (flow, DNS id) of the original query
     qname: str
     qtype: int
     resolver: tuple[str, int]
@@ -91,15 +92,18 @@ class WhatIfPlugin(TrafficPlugin):
         msg = dnswire.parse_message(event.payload)
         if msg is None or msg.is_response:
             return None
+        pkey = (key, msg.qid)
+        if pkey in self._pending:
+            return None  # a retransmission of a query already under probe
         if self.probability <= 0 or ctx.throttle \
                 or self._rng.random() >= self.probability:
             return None
         if self._host is None or not self.alt_resolvers:
             return None
         self.sampled += 1
-        pending = _PendingProbe(qname=msg.qname, qtype=msg.qtype,
+        pending = _PendingProbe(key=pkey, qname=msg.qname, qtype=msg.qtype,
                                 resolver=key.dst, sent_at_us=ctx.now_us)
-        self._pending[(key, msg.qid)] = pending
+        self._pending[pkey] = pending
         for alt in self.alt_resolvers:
             query = dnswire.build_query(msg.qid, msg.qname, msg.qtype)
             self._host.probe_datagram(
@@ -107,11 +111,9 @@ class WhatIfPlugin(TrafficPlugin):
                 lambda reply, p=pending, a=alt: self._on_probe_reply(p, a, reply),
                 timeout_us=self.timeout_us)
         # the original resolver may never answer; close the book then
-        self._host_schedule(lambda p=pending, k=(key, msg.qid): self._on_original_timeout(k, p))
+        self._host.call_later(self.timeout_us,
+                              lambda p=pending: self._on_original_timeout(p))
         return None
-
-    def _host_schedule(self, fn) -> None:
-        self._host._scheduler.call_later(self.timeout_us, fn)
 
     def on_packet_in(self, event, ctx):
         key = ctx.key
@@ -127,7 +129,7 @@ class WhatIfPlugin(TrafficPlugin):
             answered=True, rcode=msg.rcode,
             answers=frozenset(ip for _n, _t, ip in msg.answers),
             rtt_us=ctx.now_us - pending.sent_at_us)
-        self._maybe_finish((key, msg.qid), pending)
+        self._maybe_finish(pending)
         return None
 
     # -- probe bookkeeping -------------------------------------------------------
@@ -144,20 +146,14 @@ class WhatIfPlugin(TrafficPlugin):
                 pending.alternates[alt] = _Outcome(
                     answered=True, rcode=msg.rcode,
                     answers=frozenset(ip for _n, _t, ip in msg.answers))
-        self._maybe_finish_by_obj(pending)
+        self._maybe_finish(pending)
 
-    def _on_original_timeout(self, pkey, pending: _PendingProbe) -> None:
+    def _on_original_timeout(self, pending: _PendingProbe) -> None:
         if not pending.done and not pending.original.answered:
             pending.original = _Outcome(timed_out=True)
-            self._maybe_finish(pkey, pending)
+            self._maybe_finish(pending)
 
-    def _maybe_finish_by_obj(self, pending: _PendingProbe) -> None:
-        for pkey, p in list(self._pending.items()):
-            if p is pending:
-                self._maybe_finish(pkey, p)
-                return
-
-    def _maybe_finish(self, pkey, pending: _PendingProbe) -> None:
+    def _maybe_finish(self, pending: _PendingProbe) -> None:
         if pending.done:
             return
         if len(pending.alternates) < len(self.alt_resolvers):
@@ -165,7 +161,7 @@ class WhatIfPlugin(TrafficPlugin):
         if not (pending.original.answered or pending.original.timed_out):
             return
         pending.done = True
-        del self._pending[pkey]
+        del self._pending[pending.key]
         alternates = [pending.alternates[a] for a in self.alt_resolvers]
         self.probes.append({
             "qname": pending.qname,

@@ -9,7 +9,7 @@ import yaml
 
 from .clock import Scheduler
 from .config import ParseError, PluginSpec, RunConfig
-from .conduit import ReplayConduit, replay
+from .conduit import ReplayConduit
 from .engine import Engine
 from .host import (
     Connectivity, DeviceContext, PluginDescriptor, PluginHost,
@@ -105,8 +105,7 @@ class ReplayRun:
         self.plugins = install_plugins(config, self.host, self.seed)
 
         events = load_trace_events(config)
-        self.conduit: ReplayConduit = replay(events, speed=config.speed)
-        self.conduit.bind(self.scheduler)
+        self.conduit = ReplayConduit(events, speed=config.speed).bind(self.scheduler)
         self.engine = Engine(config.engine, self.conduit, self.upstream,
                              self.host, self.scheduler)
         self._schedule_device_timeline(config.device_timeline)

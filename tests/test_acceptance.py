@@ -14,7 +14,7 @@ from helpers import AppPeer, Driver, build_engine, exchange, random_chunks
 
 from mbz import dnswire
 from mbz.clock import Scheduler
-from mbz.conduit import replay
+from mbz.conduit import ReplayConduit
 from mbz.config import load_config
 from mbz.engine import Engine, EngineConfig
 from mbz.host import (
@@ -154,9 +154,9 @@ def test_udp_lifecycle_reuse_eviction_budget():
         ("10.0.0.2", 6001), ("203.0.113.1", 9), payload=b"x")))
     engine.pump()
     engine.sweep(now_us=30_000_000)
-    assert len(engine.table) == 1  # at the timeout boundary: still alive
+    assert len(engine.flows) == 1  # at the timeout boundary: still alive
     engine.sweep(now_us=31_000_000)  # one sweep later
-    assert len(engine.table) == 0
+    assert len(engine.flows) == 0
 
     # budget safety under stress: 10,000 one-datagram flows, budget 512
     events = []
@@ -167,7 +167,7 @@ def test_udp_lifecycle_reuse_eviction_budget():
         events.append(TraceEvent(ts_us=i * 1000, direction=APP_TO_NET,
                                  app_label="stress", packet=serialize_packet(pkt)))
     sched = Scheduler()
-    conduit = replay(events).bind(sched)
+    conduit = ReplayConduit(events).bind(sched)
     upstream = SimUpstream([], sched, rng_seed=0)
     host = PluginHost(sched, upstream=upstream)
     config = EngineConfig(local_isn=1, socket_budget=512)

@@ -1,8 +1,10 @@
 """TCP proxying: handshake synthesis, data path, teardown, budget."""
 
+import pytest
 from helpers import AppPeer, Driver, build_engine, exchange
 
 from mbz.engine import EngineConfig, TcpState
+from mbz.host import Block, BlockMode, Permission, PluginDescriptor, TrafficPlugin
 from mbz.packet import (
     ACK, FIN, PSH, RST, SYN, flow_key_of, make_tcp_packet, parse_packet,
     serialize_packet,
@@ -198,11 +200,11 @@ class TestTeardown:
         peer = driver.add_peer(AppPeer(engine, APP, SRV))
         exchange(driver, peer, b"data", ending="fin")
         assert peer.fin_acked and peer.engine_fin_seen
-        key = next(iter(engine.table.flows))
-        assert engine.table.flows[key].state is TcpState.CLOSED
+        key = next(iter(engine.flows))
+        assert engine.flows[key].state is TcpState.CLOSED
         assert engine.upstream.active_handle_count() == 0
         engine.sweep()
-        assert len(engine.table) == 0
+        assert len(engine.flows) == 0
         assert engine.counters["tcp_flows_closed"] == 1
 
     def test_rst_mid_transfer_releases_within_one_sweep(self):
@@ -216,7 +218,7 @@ class TestTeardown:
         driver.drive()
         assert engine.upstream.active_handle_count() == 0
         engine.sweep()
-        assert len(engine.table) == 0
+        assert len(engine.flows) == 0
         assert engine.counters["tcp_flows_reset"] == 1
 
     def test_no_packet_emitted_for_closed_flow(self):
@@ -254,6 +256,83 @@ class TestOrphanSegments:
         pkt = parse_packet(engine.conduit.take_emitted()[0][1])
         assert pkt.transport.has(RST) and pkt.transport.has(ACK)
         assert pkt.transport.ack == 101  # FIN occupies one sequence number
+
+
+class _Blocker(TrafficPlugin):
+    """Returns fixed verdicts for flow opens and outbound segments."""
+
+    def __init__(self, on_open=None, on_out=None):
+        self.on_open = on_open
+        self.on_out = on_out
+
+    def on_flow_open(self, event, ctx):
+        return self.on_open
+
+    def on_packet_out(self, event, ctx):
+        return self.on_out
+
+
+def _blocking_engine(scripts, **verdicts):
+    engine = build_engine(scripts)
+    engine.host.register(PluginDescriptor(
+        id="blocker", name="blocker",
+        requested=Permission.OBSERVE | Permission.BLOCK_FLOW), _Blocker(**verdicts))
+    return engine
+
+
+def _seg(seq, flags, ack=0, payload=b"", src=APP, dst=SRV):
+    return serialize_packet(make_tcp_packet(
+        src, dst, seq=seq, ack=ack, flags=flags, payload=payload))
+
+
+BLACKHOLE = ("203.0.113.9", 80)
+
+# every reset the engine builds outside a flow's own sequence space:
+# (engine factory, app segments, expected (seq, ack, flags, window))
+SYNTHESIZED_RSTS = {
+    "budget_refusal": (
+        lambda: build_engine([], EngineConfig(local_isn=5000, socket_budget=1)),
+        [_seg(1, SYN, src=("10.0.0.2", 40002), dst=BLACKHOLE),
+         _seg(777, SYN, dst=BLACKHOLE)],
+        (0, 778, RST | ACK, 0)),
+    "upstream_refusal": (
+        lambda: build_engine([RESETTER]),
+        [_seg(1000, SYN, dst=("10.2.0.1", 443))],
+        (0, 1001, RST | ACK, 0)),
+    "orphan_with_ack": (
+        lambda: build_engine([ECHO]),
+        [_seg(4242, PSH | ACK, ack=9999, payload=b"stray")],
+        (9999, 0, RST, 0)),
+    "orphan_without_ack": (
+        lambda: build_engine([ECHO]),
+        [_seg(100, FIN, payload=b"ab")],
+        (0, 103, RST | ACK, 0)),
+    "plugin_reset_on_syn": (
+        lambda: _blocking_engine([ECHO], on_open=Block(BlockMode.RESET_APP)),
+        [_seg(1000, SYN, payload=b"hi")],
+        (0, 1003, RST | ACK, 0)),
+    "inject_before_established": (
+        lambda: _blocking_engine(
+            [{"cidr": "10.1.0.1/32", "behavior": "echo", "delay_us": 5000}],
+            on_out=Block(BlockMode.INJECT_RESPONSE, b"notice")),
+        [_seg(1000, SYN), _seg(1001, PSH | ACK, payload=b"get")],
+        (0, 1001, RST | ACK, 0)),
+}
+
+
+class TestSynthesizedResets:
+    @pytest.mark.parametrize("case", sorted(SYNTHESIZED_RSTS))
+    def test_rst_fields(self, case):
+        make_engine, segments, expected = SYNTHESIZED_RSTS[case]
+        engine = make_engine()
+        for seg in segments:
+            engine.conduit.inject(seg)
+        engine.pump()
+        out = [parse_packet(d).transport for _t, d in engine.conduit.take_emitted()]
+        rsts = [t for t in out if t.has(RST)]
+        assert len(rsts) == 1, out
+        rst = rsts[0]
+        assert (rst.seq, rst.ack, rst.flags, rst.window) == expected
 
 
 class TestByteFidelityDeterminism:

@@ -96,7 +96,7 @@ class TestSweep:
         engine.pump()
         engine.scheduler.advance_to(31_000_000)
         engine.sweep()
-        assert len(engine.table) == 0
+        assert len(engine.flows) == 0
         assert engine.upstream.active_handle_count() == 0
         assert engine.counters["udp_flows_evicted_idle"] == 1
 
@@ -106,7 +106,7 @@ class TestSweep:
         engine.pump()
         engine.scheduler.advance_to(29_000_000)
         engine.sweep()
-        assert len(engine.table) == 1
+        assert len(engine.flows) == 1
 
     def test_dns_timeout_shorter_than_udp(self):
         engine = build_engine([RESOLVER, UDP_ECHO])
@@ -117,7 +117,7 @@ class TestSweep:
         engine.conduit.take_emitted()
         engine.scheduler.advance_to(11_000_000)  # 11 s idle
         engine.sweep()
-        remaining = list(engine.table.flows.values())
+        remaining = list(engine.flows.values())
         assert len(remaining) == 1
         assert not remaining[0].is_dns  # the DNS flow went first
 
@@ -146,7 +146,7 @@ class TestSweep:
         engine.sweep()
         assert engine.upstream.active_handle_count() == 1
         assert engine.counters["udp_flows_evicted_pressure"] == 1
-        flows = list(engine.table.flows.values())
+        flows = list(engine.flows.values())
         assert len(flows) == 1 and flows[0].key.protocol == 6
 
     def test_shared_dns_handle_survives_partial_eviction(self):
@@ -160,7 +160,7 @@ class TestSweep:
         engine.pump()
         engine.scheduler.advance_to(12_000_000)  # first flow 12s idle, second 4s
         engine.sweep()
-        assert len(engine.table) == 1
+        assert len(engine.flows) == 1
         assert engine.upstream.active_handle_count() == 1  # still referenced
         engine.scheduler.advance_to(30_000_000)
         engine.sweep()

@@ -206,7 +206,7 @@ class TestEngineIntegration:
         assert rst.transport.ack == 1001  # app ISN + 1
         assert engine.upstream.connections == []  # never opened upstream
         assert engine.counters["blocked_flow_opens"] == 1
-        assert len(engine.table) == 0
+        assert len(engine.flows) == 0
 
     def test_inject_notice_end_to_end(self):
         engine = build_engine([{"cidr": "10.1.0.0/16", "behavior": "echo"}],

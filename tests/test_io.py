@@ -6,7 +6,7 @@ import time
 import pytest
 
 from mbz.clock import Scheduler
-from mbz.conduit import InMemoryConduit, replay
+from mbz.conduit import InMemoryConduit, ReplayConduit
 from mbz.packet import make_udp_packet, serialize_packet
 from mbz.pcapio import (
     BadMagic, TruncatedCapture, UnsupportedLinkType, pcap_read, pcap_write,
@@ -156,7 +156,7 @@ class TestConduits:
         events = [TraceEvent(100, APP_TO_NET, "a", _pkt_bytes(0)),
                   TraceEvent(150, NET_TO_APP, "", _pkt_bytes(1)),
                   TraceEvent(200, APP_TO_NET, "b", _pkt_bytes(2))]
-        conduit = replay(events).bind(sched)
+        conduit = ReplayConduit(events).bind(sched)
         assert conduit.next_ready_us() == 100
         assert conduit.read_packet() == (100, _pkt_bytes(0), "a")
         assert conduit.read_packet() == (200, _pkt_bytes(2), "b")
@@ -164,7 +164,7 @@ class TestConduits:
         assert [e.packet for e in conduit.reference_output] == [_pkt_bytes(1)]
 
     def test_empty_trace_is_end_of_stream(self):
-        conduit = replay([]).bind(Scheduler())
+        conduit = ReplayConduit([]).bind(Scheduler())
         assert conduit.next_ready_us() is None
         assert conduit.read_packet() is None
 
@@ -173,14 +173,14 @@ class TestConduits:
                   TraceEvent(5, APP_TO_NET, "", _pkt_bytes())]
         # bypass the constructor check in TraceEvent list building
         with pytest.raises(MalformedTrace):
-            replay(events)
+            ReplayConduit(events)
 
     def test_wall_clock_pacing_gap(self):
         # two events 1 ms apart at speed 1.0 surface >= 1 ms apart
         sched = Scheduler(mode="wall")
         events = [TraceEvent(0, APP_TO_NET, "", _pkt_bytes(0)),
                   TraceEvent(1000, APP_TO_NET, "", _pkt_bytes(1))]
-        conduit = replay(events, speed=1.0).bind(sched)
+        conduit = ReplayConduit(events, speed=1.0).bind(sched)
         times = []
         while True:
             ready = conduit.next_ready_us()

@@ -10,7 +10,7 @@ from mbz.packet import (
     ACK, FIN, PSH, RST, SYN,
     BadChecksum, FlowKey, FragmentedPacket, NoTransport, OversizedPacket,
     Packet, Truncated, UnsupportedVersion,
-    extract_mss, flow_key_of, internet_checksum, invert, make_tcp_packet,
+    extract_mss, flow_key_of, internet_checksum, make_tcp_packet,
     make_udp_packet, mss_option, parse_packet, serialize_packet,
 )
 
@@ -159,7 +159,7 @@ class TestFlowKey:
 
     def test_invert_swaps(self):
         key = FlowKey(17, ("10.0.0.2", 5353), ("8.8.8.8", 53))
-        assert invert(key) == FlowKey(17, ("8.8.8.8", 53), ("10.0.0.2", 5353))
+        assert key.invert() == FlowKey(17, ("8.8.8.8", 53), ("10.0.0.2", 5353))
 
     def test_icmp_has_no_transport(self):
         pkt = make_udp_packet(("1.1.1.1", 0), ("2.2.2.2", 0))
@@ -175,7 +175,7 @@ class TestFlowKey:
                                st.integers(0, 65535))))
     def test_invert_is_involution(self, parts):
         key = FlowKey(*parts)
-        assert invert(invert(key)) == key
+        assert key.invert().invert() == key
 
 
 class TestMss:

@@ -1,8 +1,10 @@
 """Runner wiring: ingestion paths, device timeline, engine edge counters."""
 
+import hashlib
 import json
 from pathlib import Path
 
+import pytest
 from helpers import build_engine
 
 from mbz.config import load_config
@@ -45,6 +47,31 @@ class TestIngestion:
         assert loaded["counters"] == report["counters"]
 
 
+# sha256 of the capture each committed config writes; a change to the
+# wire bytes must update these on purpose
+PINNED_PCAPS = {
+    "golden/config.yaml":
+        "58bb1563af0bab2377d04b33718400a2cf105a7135e24cfcabbfb3f79ad54ec1",
+    "golden/config_deny.yaml":
+        "6203d4638ca59fb45c4bb796afc045d05de7f5ad1d534da99f264ede26d54f65",
+    "golden/config_rewrite.yaml":
+        "83a99dd44061eebbc963279f60fed6e73a11e2c9b76b603f9d8aa8999c961727",
+    "snitch/config.yaml":
+        "1ccd3728203cce1f9c79efb64b83f280161408b8a59a99975cedb9cb0b942b8c",
+}
+
+
+class TestPinnedCaptures:
+    @pytest.mark.parametrize("config_name", sorted(PINNED_PCAPS))
+    def test_capture_matches_pinned_digest(self, tmp_path, config_name):
+        config = load_config(DATA / config_name)
+        config.report_path = tmp_path / "report.json"
+        run = ReplayRun(config)
+        pcap = tmp_path / "out.pcap"
+        write_outputs(run, run.execute(), out_pcap=pcap)
+        assert hashlib.sha256(pcap.read_bytes()).hexdigest() == PINNED_PCAPS[config_name]
+
+
 class TestSnitchPassivity:
     def test_snitch_only_output_identical_to_no_plugin_run(self, tmp_path):
         # with only the snitch installed, engine output over a trace is
@@ -62,7 +89,7 @@ class TestSnitchPassivity:
         def emitted(cfg):
             run = ReplayRun(load_config(tmp_path / cfg))
             run.execute()
-            return run.conduit.emitted
+            return run.engine.capture
 
         assert emitted("bare.yaml") == emitted("snitch.yaml")
 

@@ -113,6 +113,25 @@ class TestScriptedScenarios:
         assert plugin.probes[0]["divergence"] == DIVERGENCE_TIMEOUT
 
 
+    def test_retransmitted_query_probed_once(self):
+        # the same query (same source port and DNS id) sent again before
+        # the original resolver's timeout is a retransmission, not a new
+        # sample; a second probe under the same key used to be closed by
+        # the first one's timeout and then crash the run
+        engine, plugin = setup([
+            resolver_script("9.9.9.9/32", {"example.com": ["1.1.1.1"]}),
+        ])
+        for at_us in (0, 1_000_000):
+            engine.conduit.inject(serialize_packet(make_udp_packet(
+                ("10.0.0.2", 50000), ORIGINAL,
+                payload=dnswire.build_query(1, "example.com"))), at_us=at_us)
+        engine.run()
+        assert plugin.sampled == 1
+        assert len(plugin.probes) == 1
+        assert plugin.probes[0]["original"]["timed_out"] is True
+        assert plugin.probes[0]["divergence"] == DIVERGENCE_TIMEOUT
+
+
 class TestSamplingAndPassivity:
     def test_probability_zero_never_probes(self):
         engine, plugin = setup([
