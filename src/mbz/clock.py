@@ -16,13 +16,12 @@ WALL = "wall"
 
 
 class _Entry:
-    __slots__ = ("at_us", "seq", "fn", "kind", "cancelled")
+    __slots__ = ("at_us", "seq", "fn", "cancelled")
 
-    def __init__(self, at_us: int, seq: int, fn, kind: str):
+    def __init__(self, at_us: int, seq: int, fn):
         self.at_us = at_us
         self.seq = seq
         self.fn = fn
-        self.kind = kind
         self.cancelled = False
 
     def __lt__(self, other: "_Entry") -> bool:
@@ -40,8 +39,7 @@ class Scheduler:
         self._now_us = origin_us
         self._heap: list[_Entry] = []
         self._seq = 0
-        self._live = 0  # non-cancelled entries, by kind
-        self._live_by_kind: dict[str, int] = {}
+        self._live = 0  # non-cancelled entries
         if mode == WALL:
             self._wall_origin_ns = time.perf_counter_ns() - origin_us * 1000
 
@@ -50,30 +48,24 @@ class Scheduler:
             return (time.perf_counter_ns() - self._wall_origin_ns) // 1000
         return self._now_us
 
-    def call_at(self, at_us: int, fn, kind: str = "event") -> _Entry:
-        entry = _Entry(max(at_us, self.now_us()), self._seq, fn, kind)
+    def call_at(self, at_us: int, fn) -> _Entry:
+        entry = _Entry(max(at_us, self.now_us()), self._seq, fn)
         self._seq += 1
         heapq.heappush(self._heap, entry)
         self._live += 1
-        self._live_by_kind[kind] = self._live_by_kind.get(kind, 0) + 1
         return entry
 
-    def call_later(self, delay_us: int, fn, kind: str = "event") -> _Entry:
-        return self.call_at(self.now_us() + max(0, delay_us), fn, kind)
+    def call_later(self, delay_us: int, fn) -> _Entry:
+        return self.call_at(self.now_us() + max(0, delay_us), fn)
 
     def cancel(self, entry: _Entry) -> None:
         if not entry.cancelled:
             entry.cancel()
             self._live -= 1
-            self._live_by_kind[entry.kind] -= 1
 
-    def pending(self, exclude_kinds: tuple[str, ...] = ()) -> int:
-        """Count of live scheduled entries, optionally excluding kinds
-        (e.g. periodic sweeps when deciding whether a run has drained)."""
-        n = self._live
-        for kind in exclude_kinds:
-            n -= self._live_by_kind.get(kind, 0)
-        return n
+    def pending(self) -> int:
+        """Count of live scheduled entries."""
+        return self._live
 
     def peek_us(self) -> int | None:
         """Timestamp of the earliest live entry, or None."""
@@ -96,13 +88,12 @@ class Scheduler:
         else:
             self._now_us = max(self._now_us, entry.at_us)
         self._live -= 1
-        self._live_by_kind[entry.kind] -= 1
         entry.fn()
         return True
 
-    def run_until_idle(self, exclude_kinds: tuple[str, ...] = ()) -> None:
-        """Step until nothing but excluded-kind entries remain."""
-        while self.pending(exclude_kinds) > 0:
+    def run_until_idle(self) -> None:
+        """Step until nothing is scheduled."""
+        while self.pending() > 0:
             self.step()
 
     def advance_to(self, at_us: int) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 
 from .clock import Scheduler
-from .trace import APP_TO_NET, NET_TO_APP, MalformedTrace, TraceEvent, check_monotonic
+from .trace import APP_TO_NET, NET_TO_APP, TraceEvent, check_monotonic
 
 
 class PacketConduit:
@@ -68,51 +68,25 @@ class ReplayConduit(PacketConduit):
     `reference_output` so a previous run's output can be diffed against
     this one. Packets the engine writes are discarded: a trace has no app
     to deliver them to, and `Engine.capture` already records them.
-    `speed` scales pacing and only matters under a wall clock; 0 means as
-    fast as possible. Under a virtual clock the trace timestamps are
-    surfaced as-is. Raises MalformedTrace on decreasing timestamps or a
-    negative speed.
+    Replay runs on a virtual clock, so the trace timestamps are surfaced
+    as-is. Raises MalformedTrace on decreasing timestamps.
     """
 
-    def __init__(self, events: list[TraceEvent], speed: float = 0.0):
-        if speed < 0:
-            raise MalformedTrace(f"bad speed {speed}")
+    def __init__(self, events: list[TraceEvent]):
         check_monotonic(events)
-        self.speed = speed
         self._pending: deque[TraceEvent] = deque(
             e for e in events if e.direction == APP_TO_NET)
         self.reference_output: list[TraceEvent] = [
             e for e in events if e.direction == NET_TO_APP]
-        self._scheduler: Scheduler | None = None
-        self._ts0 = self._pending[0].ts_us if self._pending else 0
-        self._wall_anchor_us: int | None = None  # set at the first read
-
-    def bind(self, scheduler: Scheduler) -> "ReplayConduit":
-        self._scheduler = scheduler
-        return self
-
-    def _surface_us(self, ts_us: int) -> int:
-        if self._scheduler is not None and self._scheduler.mode == "wall":
-            # pace relative to the first read so setup time never erodes
-            # the inter-packet gaps
-            if self.speed <= 0 or self._wall_anchor_us is None:
-                return 0
-            return self._wall_anchor_us + int((ts_us - self._ts0) / self.speed)
-        return ts_us
 
     def next_ready_us(self) -> int | None:
-        if not self._pending:
-            return None
-        return self._surface_us(self._pending[0].ts_us)
+        return self._pending[0].ts_us if self._pending else None
 
     def read_packet(self) -> tuple[int, bytes, str] | None:
         if not self._pending:
             return None
         event = self._pending.popleft()
-        if self._scheduler is not None and self._scheduler.mode == "wall" \
-                and self._wall_anchor_us is None:
-            self._wall_anchor_us = self._scheduler.now_us()
-        return (self._surface_us(event.ts_us), event.packet, event.app_label)
+        return (event.ts_us, event.packet, event.app_label)
 
     def write_packet(self, data: bytes) -> None:
         pass

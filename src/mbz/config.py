@@ -67,10 +67,8 @@ class RunConfig:
     trace_path: Path | None
     pcap_path: Path | None
     scripts_path: Path | None
-    speed: float
     device_timeline: list[dict]
     low_battery_throttle: int | None
-    probe_timeout_us: int
     report_path: Path | None
     report_formats: list[str]
     out_pcap: Path | None
@@ -192,7 +190,7 @@ def load_config(path: str | Path) -> RunConfig:
     engine.seed = int(raw.get("seed", 0))
 
     io = raw.get("io") or {}
-    _require_keys(io, {"trace", "pcap", "scripts", "speed", "device_timeline"}, "io")
+    _require_keys(io, {"trace", "pcap", "scripts", "device_timeline"}, "io")
     trace_path = _existing(base, io["trace"], "trace") if "trace" in io else None
     pcap_path = _existing(base, io["pcap"], "pcap") if "pcap" in io else None
     if trace_path and pcap_path:
@@ -204,7 +202,7 @@ def load_config(path: str | Path) -> RunConfig:
                       f"io.device_timeline[{i}]")
 
     host_obj = raw.get("host") or {}
-    _require_keys(host_obj, {"low_battery_throttle", "probe_timeout_s"}, "host")
+    _require_keys(host_obj, {"low_battery_throttle"}, "host")
 
     plugins = [_plugin_from(p, base, i)
                for i, p in enumerate(raw.get("plugins") or [])]
@@ -229,10 +227,8 @@ def load_config(path: str | Path) -> RunConfig:
         trace_path=trace_path,
         pcap_path=pcap_path,
         scripts_path=scripts_path,
-        speed=float(io.get("speed", 0.0)),
         device_timeline=timeline,
         low_battery_throttle=host_obj.get("low_battery_throttle"),
-        probe_timeout_us=int(float(host_obj.get("probe_timeout_s", 2.0)) * 1e6),
         report_path=(base / report["path"]) if "path" in report else None,
         report_formats=formats,
         out_pcap=(base / report["pcap"]) if "pcap" in report else None,

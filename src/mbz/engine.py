@@ -78,8 +78,6 @@ class EngineConfig:
 class TcpState(enum.Enum):
     UPSTREAM_CONNECTING = "upstream_connecting"
     ESTABLISHED = "established"
-    APP_FIN_WAIT = "app_fin_wait"          # app closed its side, upstream still open
-    UPSTREAM_FIN_WAIT = "upstream_fin_wait"  # we sent FIN, waiting for the app
     CLOSED = "closed"
 
 
@@ -96,6 +94,7 @@ class TcpFlow:
     next_seq_to_app: int = 0
     next_expected_from_app: int = 0
     acked_by_app: int = 0
+    # None on an open flow that a plugin's notice answers in the upstream's place
     stream: StreamHandle | None = None
     to_app: bytearray = field(default_factory=bytearray)
     to_net: bytearray = field(default_factory=bytearray)
@@ -104,9 +103,7 @@ class TcpFlow:
     fin_sent: bool = False
     fin_acked: bool = False
     upstream_eof: bool = False
-    local_only: bool = False
-    inject_pending: bytes = b""
-    inject_sent: bool = False
+    notice: bytes | None = None  # a plugin's answer, sent on the app's next segment
     deferred_payload: bytes = b""
 
 
@@ -117,15 +114,28 @@ class UdpFlow:
     effective_dst: Addr
     handle: DatagramHandle
     last_activity: int
-    is_dns: bool
-    shared_key: tuple[str, Addr] | None = None
+    shared_key: tuple[str, Addr] | None = None  # set for DNS flows
 
 
 @dataclass
 class _SharedDatagram:
+    """One upstream socket for the DNS flows from one app address to one
+    resolver. Each query goes out under an id no other query on the
+    socket holds, so its answer finds its flow: `ids` maps the id on the
+    wire to (flow key, the app's id) until the answer comes back or the
+    flow is evicted, which bounds it to the 65536 ids."""
     handle: DatagramHandle
     refs: int = 0
-    txid_to_key: dict[int, FlowKey] = field(default_factory=dict)
+    ids: dict[int, tuple[FlowKey, int]] = field(default_factory=dict)
+
+    def claim_id(self, key: FlowKey, app_id: int) -> int | None:
+        """The app's own id if free (or already this query's), else the
+        next free one; None when every id awaits an answer."""
+        for n in range(0x10000):
+            wire_id = (app_id + n) & 0xFFFF
+            if self.ids.setdefault(wire_id, (key, app_id)) == (key, app_id):
+                return wire_id
+        return None
 
 
 _COUNTER_KEYS = (
@@ -141,6 +151,11 @@ _COUNTER_KEYS = (
     "emit_oversized_dropped",
     "closed_flow_drops", "shutdown_closed", "budget_high_water",
 )
+
+
+# the counter each close reason adds to; any other reason is a reset
+_CLOSE_COUNTERS = {"teardown": "tcp_flows_closed", "shutdown": "shutdown_closed",
+                   "refused": "tcp_refused_upstream"}
 
 
 class Engine:
@@ -159,7 +174,7 @@ class Engine:
         self.eviction_reports: list[dict] = []
         self._rng = random.Random(config.seed)
         self._dns_shared: dict[tuple[str, Addr], _SharedDatagram] = {}
-        self._sweep_timer = None
+        self._tick_timer = None
         self._mss_to_app = min(1460, config.mtu - 40)
 
     # ------------------------------------------------------------------ run
@@ -169,10 +184,10 @@ class Engine:
         drain and shut down. Returns the counters."""
         if self.scheduler.mode != "virtual":
             raise ConfigError("run() requires a virtual clock; use pump() under wall time")
-        self._schedule_sweep()
+        self._schedule_tick()
         while True:
             t_pkt = self.conduit.next_ready_us()
-            if t_pkt is None and self.scheduler.pending(exclude_kinds=("sweep",)) == 0:
+            if t_pkt is None and self._pending_work() == 0:
                 break
             t_evt = self.scheduler.peek_us()
             if t_pkt is not None and (t_evt is None or t_pkt <= t_evt):
@@ -192,18 +207,22 @@ class Engine:
                 ts, data, label = self.conduit.read_packet()
                 self.on_app_packet(ts, data, label)
                 continue
-            if self.scheduler.pending(exclude_kinds=("sweep",)) > 0:
+            if self._pending_work() > 0:
                 self.scheduler.step()
                 continue
             break
 
-    def _schedule_sweep(self) -> None:
+    def _pending_work(self) -> int:
+        """Scheduled entries other than the engine's own periodic tick."""
+        return self.scheduler.pending() - (self._tick_timer is not None)
+
+    def _schedule_tick(self) -> None:
+        """Every sweep interval: the plugin governor's tick, then a sweep."""
         def tick():
+            self.host.governor_tick()
             self.sweep()
-            self._sweep_timer = self.scheduler.call_later(
-                self.config.sweep_interval_us, tick, kind="sweep")
-        self._sweep_timer = self.scheduler.call_later(
-            self.config.sweep_interval_us, tick, kind="sweep")
+            self._tick_timer = self.scheduler.call_later(self.config.sweep_interval_us, tick)
+        self._tick_timer = self.scheduler.call_later(self.config.sweep_interval_us, tick)
 
     def _drain_and_shutdown(self) -> None:
         # let inactivity timeouts run their course, then close what's left
@@ -214,14 +233,12 @@ class Engine:
             if t is None or t > horizon:
                 break
             self.scheduler.step()
-        if self._sweep_timer is not None:
-            self.scheduler.cancel(self._sweep_timer)
-            self._sweep_timer = None
+        if self._tick_timer is not None:
+            self.scheduler.cancel(self._tick_timer)
+            self._tick_timer = None
         for flow in list(self.flows.values()):
             if isinstance(flow, TcpFlow):
-                if flow.state is not TcpState.CLOSED:
-                    self.counters["shutdown_closed"] += 1
-                    self._close_tcp(flow, "shutdown")
+                self._close_tcp(flow, "shutdown")
             else:
                 self._evict_udp(flow, "shutdown")
         self.sweep()
@@ -238,7 +255,6 @@ class Engine:
         except PacketError:
             self.counters["parse_errors"] += 1
             return
-        pkt.captured_at = ts_us
         try:
             key = flow_key_of(pkt)
         except NoTransport:
@@ -320,7 +336,7 @@ class Engine:
 
         block = action.block
         if block is not None:
-            self._apply_tcp_block(pkt, key, flow, block, creating)
+            self._apply_tcp_block(pkt, key, app_label, flow, block, creating)
             return
         self._record_forwarded(pkt, raw, action)
 
@@ -341,9 +357,11 @@ class Engine:
         self._handle_tcp_segment(flow, pkt, action.payload)
 
     def _handle_syn(self, pkt: Packet, key: FlowKey, app_label: str,
-                    redirect: Addr | None) -> None:
+                    redirect: Addr | None, notice: bytes | None = None) -> None:
+        """Open a flow toward upstream, or, given a plugin's notice, a flow
+        that answers with the notice and needs no upstream handle."""
         tcp: TcpHeader = pkt.transport
-        if self.upstream.active_handle_count() >= self.config.socket_budget:
+        if notice is None and self.upstream.active_handle_count() >= self.config.socket_budget:
             self.counters["tcp_refused_budget"] += 1
             self._emit_rst(key, seq_add(tcp.seq, 1))
             return
@@ -354,10 +372,13 @@ class Engine:
             mss=self._clamp_mss(extract_mss(tcp.options)),
             app_window=tcp.window,
             last_activity=self.scheduler.now_us(),
-            deferred_payload=pkt.payload,
+            deferred_payload=pkt.payload, notice=notice,
         )
         self.flows[key] = flow
         self.counters["tcp_flows_created"] += 1
+        if notice is not None:
+            self._establish(flow)
+            return
         stream = self.upstream.open_stream(flow.effective_dst)
         flow.stream = stream
         stream.set_callback(lambda ev, f=flow: self._on_stream_event(f, ev))
@@ -375,7 +396,8 @@ class Engine:
 
     def _handle_dup_syn(self, flow: TcpFlow, tcp: TcpHeader) -> None:
         self.counters["tcp_dup_syn"] += 1  # retransmit absorbed
-        if flow.state is TcpState.ESTABLISHED and tcp.seq == flow.app_isn:
+        if flow.state is TcpState.ESTABLISHED and not (flow.app_fin_seen or flow.fin_sent) \
+                and tcp.seq == flow.app_isn:
             self._emit_syn_ack(flow)  # our SYN/ACK may have been lost
 
     def _emit_syn_ack(self, flow: TcpFlow) -> None:
@@ -391,20 +413,9 @@ class Engine:
             return
         flow.last_activity = self.scheduler.now_us()
         if event == EV_CONNECTED:
-            if flow.state is not TcpState.UPSTREAM_CONNECTING:
-                return
-            flow.state = TcpState.ESTABLISHED
-            flow.next_seq_to_app = seq_add(flow.local_isn, 1)
-            flow.next_expected_from_app = seq_add(flow.app_isn, 1)
-            flow.acked_by_app = flow.next_seq_to_app
-            self._emit_syn_ack(flow)
-            self._control_in_event(flow, SYN | ACK)
-            if flow.deferred_payload:
-                deferred, flow.deferred_payload = flow.deferred_payload, b""
-                self._accept_app_bytes(flow, deferred)
-            self._pump_flow(flow)
+            if flow.state is TcpState.UPSTREAM_CONNECTING:
+                self._establish(flow)
         elif event == EV_REFUSED:
-            self.counters["tcp_refused_upstream"] += 1
             self._emit_rst(flow.key, seq_add(flow.app_isn, 1))
             self._close_tcp(flow, "refused")
         elif event in (EV_READABLE, EV_WRITABLE):
@@ -415,6 +426,20 @@ class Engine:
         elif event == EV_RESET:
             self._reset_flow(flow, "upstream_reset")
 
+    def _establish(self, flow: TcpFlow) -> None:
+        """Answer the app's SYN once the flow has somewhere to go: a
+        connected upstream, or a plugin's notice in its place."""
+        flow.state = TcpState.ESTABLISHED
+        flow.next_seq_to_app = seq_add(flow.local_isn, 1)
+        flow.next_expected_from_app = seq_add(flow.app_isn, 1)
+        flow.acked_by_app = flow.next_seq_to_app
+        self._emit_syn_ack(flow)
+        self._control_in_event(flow, SYN | ACK)
+        if flow.deferred_payload:
+            deferred, flow.deferred_payload = flow.deferred_payload, b""
+            self._accept_app_bytes(flow, deferred)
+        self._pump_flow(flow)
+
     def _handle_tcp_segment(self, flow: TcpFlow, pkt: Packet,
                             effective_payload: bytes) -> None:
         tcp: TcpHeader = pkt.transport
@@ -422,7 +447,6 @@ class Engine:
         flow.app_window = tcp.window
 
         if tcp.has(RST):
-            self.counters["tcp_flows_reset"] += 1
             self._close_tcp(flow, "reset_by_app")
             return
 
@@ -432,6 +456,9 @@ class Engine:
                     flow.app_isn, 1 + len(flow.deferred_payload)):
                 flow.deferred_payload += pkt.payload
             return
+
+        if flow.notice is not None:
+            self._answer_with_notice(flow)
 
         if tcp.has(ACK):
             self._note_app_ack(flow, tcp.ack)
@@ -448,19 +475,15 @@ class Engine:
                 self._emit_tcp(flow, ACK)  # duplicate ACK, app will retransmit
 
         if tcp.has(FIN):
-            fin_seq = seq_add(tcp.seq, len(pkt.payload))
-            if flow.app_fin_seen:
-                self._emit_tcp(flow, ACK)
-            elif fin_seq == flow.next_expected_from_app:
+            if not flow.app_fin_seen \
+                    and seq_add(tcp.seq, len(pkt.payload)) == flow.next_expected_from_app:
                 flow.app_fin_seen = True
                 flow.next_expected_from_app = seq_add(flow.next_expected_from_app, 1)
                 self._emit_tcp(flow, ACK)
                 if flow.stream is not None and not flow.to_net:
                     flow.stream.half_close()
-                if flow.state is TcpState.ESTABLISHED:
-                    flow.state = TcpState.APP_FIN_WAIT
             else:
-                self._emit_tcp(flow, ACK)  # out-of-order FIN
+                self._emit_tcp(flow, ACK)  # a repeated or out-of-order FIN
 
         self._pump_flow(flow)
 
@@ -477,18 +500,14 @@ class Engine:
         """In-order app payload: queue toward upstream and ACK it. The ACK
         covers the original bytes even if a plugin rewrote them."""
         advance = len(payload) if original_len is None else original_len
-        if not flow.local_only \
-                and len(flow.to_net) + len(payload) > self.config.buffer_capacity:
-            # backpressure: withhold ACK advancement, app will retransmit
-            self.counters["tcp_backpressure_stalls"] += 1
-            self._emit_tcp(flow, ACK)
-            return
+        if flow.stream is not None:  # a notice flow drops what the app sends
+            if len(flow.to_net) + len(payload) > self.config.buffer_capacity:
+                # backpressure: withhold ACK advancement, app will retransmit
+                self.counters["tcp_backpressure_stalls"] += 1
+                self._emit_tcp(flow, ACK)
+                return
+            flow.to_net.extend(payload)
         flow.next_expected_from_app = seq_add(flow.next_expected_from_app, advance)
-        if flow.local_only:
-            self._emit_tcp(flow, ACK)
-            self._serve_injection(flow)
-            return
-        flow.to_net.extend(payload)
         self._emit_tcp(flow, ACK)
         self._flush_to_net(flow)
 
@@ -551,39 +570,24 @@ class Engine:
         self._emit_tcp(flow, FIN | ACK)
         flow.fin_sent = True
         flow.next_seq_to_app = seq_add(flow.next_seq_to_app, 1)
-        if flow.state in (TcpState.ESTABLISHED, TcpState.UPSTREAM_FIN_WAIT):
-            flow.state = TcpState.UPSTREAM_FIN_WAIT
         self._control_in_event(flow, FIN | ACK)
 
     def _maybe_finish(self, flow: TcpFlow) -> None:
         if flow.state is TcpState.CLOSED:
             return
         if flow.app_fin_seen and flow.fin_sent and flow.fin_acked:
-            self.counters["tcp_flows_closed"] += 1
             self._close_tcp(flow, "teardown")
-
-    def _serve_injection(self, flow: TcpFlow) -> None:
-        if flow.inject_sent or not flow.inject_pending:
-            return
-        flow.inject_sent = True
-        data = flow.inject_pending
-        mss = flow.mss
-        for i in range(0, len(data), mss):
-            self._emit_tcp(flow, PSH | ACK, payload=data[i:i + mss])
-            flow.next_seq_to_app = seq_add(flow.next_seq_to_app, len(data[i:i + mss]))
-        self._send_fin(flow)
-        self.counters["injected_responses"] += 1
 
     def _reset_flow(self, flow: TcpFlow, reason: str) -> None:
         if flow.state is TcpState.CLOSED:
             return
         self._emit_tcp(flow, RST | ACK)
-        self.counters["tcp_flows_reset"] += 1
         self._close_tcp(flow, reason)
 
     def _close_tcp(self, flow: TcpFlow, reason: str) -> None:
         if flow.state is TcpState.CLOSED:
             return
+        self.counters[_CLOSE_COUNTERS.get(reason, "tcp_flows_reset")] += 1
         if flow.stream is not None:
             flow.stream.close()
             flow.stream = None
@@ -604,8 +608,8 @@ class Engine:
                                         + (1 if tcp.has(SYN) else 0)
                                         + (1 if tcp.has(FIN) else 0)))
 
-    def _apply_tcp_block(self, pkt: Packet, key: FlowKey, flow: TcpFlow | None,
-                         block: Block, creating: bool) -> None:
+    def _apply_tcp_block(self, pkt: Packet, key: FlowKey, app_label: str,
+                         flow: TcpFlow | None, block: Block, creating: bool) -> None:
         tcp: TcpHeader = pkt.transport
         self.counters["blocked_flow_opens" if creating else "blocked_packets"] += 1
         if block.mode is BlockMode.DROP_SILENT:
@@ -618,63 +622,35 @@ class Engine:
                     tcp.seq, len(pkt.payload) + (1 if tcp.has(SYN) else 0)))
             return
         # inject response
-        if flow is None:
-            if not (tcp.has(SYN) and not tcp.has(ACK)):
-                self._rst_for_orphan(pkt, key)
-                return
-            self._open_local_only(pkt, key, block.response)
-            return
-        self._inject_on_flow(flow, pkt, block.response)
+        if flow is not None:
+            self._inject_on_flow(flow, pkt, block.response)
+        elif creating:
+            self._handle_syn(pkt, key, app_label, None, notice=block.response)
+        else:
+            self._rst_for_orphan(pkt, key)
 
-    def _open_local_only(self, pkt: Packet, key: FlowKey, response: bytes) -> None:
-        """Locally terminated flow used to deliver a notice: handshake is
-        synthesized without ever opening an upstream handle."""
-        tcp: TcpHeader = pkt.transport
-        flow = TcpFlow(
-            key=key, app_label="", state=TcpState.ESTABLISHED,
-            app_isn=tcp.seq, local_isn=self._pick_isn(),
-            effective_dst=key.dst,
-            mss=self._clamp_mss(extract_mss(tcp.options)),
-            app_window=tcp.window,
-            last_activity=self.scheduler.now_us(),
-            local_only=True, inject_pending=response,
-        )
-        flow.next_seq_to_app = seq_add(flow.local_isn, 1)
-        flow.next_expected_from_app = seq_add(flow.app_isn, 1)
-        flow.acked_by_app = flow.next_seq_to_app
-        self.flows[key] = flow
-        self.counters["tcp_flows_created"] += 1
-        self._emit_syn_ack(flow)
-
-    def _inject_on_flow(self, flow: TcpFlow, pkt: Packet, response: bytes) -> None:
-        tcp: TcpHeader = pkt.transport
-        flow.last_activity = self.scheduler.now_us()
-        if tcp.has(ACK):
-            self._note_app_ack(flow, tcp.ack)
+    def _inject_on_flow(self, flow: TcpFlow, pkt: Packet, notice: bytes) -> None:
         if flow.state is TcpState.UPSTREAM_CONNECTING:
             # cannot deliver a payload before establishment; fall back to reset
             self._emit_rst(flow.key, seq_add(flow.app_isn, 1))
             self._close_tcp(flow, "plugin")
-            self.counters["tcp_flows_reset"] += 1
             return
-        if pkt.payload and tcp.seq == flow.next_expected_from_app:
-            flow.next_expected_from_app = seq_add(
-                flow.next_expected_from_app, len(pkt.payload))
-        self._emit_tcp(flow, ACK)
-        if not flow.inject_sent:
-            flow.inject_pending = flow.inject_pending or response
-            if flow.stream is not None:
-                flow.stream.close()
-                flow.stream = None
-                flow.local_only = True
-            self._serve_injection(flow)
-        if tcp.has(FIN) and not flow.app_fin_seen:
-            fin_seq = seq_add(tcp.seq, len(pkt.payload))
-            if fin_seq == flow.next_expected_from_app:
-                flow.app_fin_seen = True
-                flow.next_expected_from_app = seq_add(flow.next_expected_from_app, 1)
-                self._emit_tcp(flow, ACK)
-        self._maybe_finish(flow)
+        if flow.stream is not None:  # the first notice on this flow replaces its upstream
+            flow.notice = notice
+        self._handle_tcp_segment(flow, pkt, pkt.payload)
+
+    def _answer_with_notice(self, flow: TcpFlow) -> None:
+        """The notice takes the upstream's place: the app receives it and
+        then a FIN, as if the upstream had answered and closed, and what
+        the app sends from now on is dropped."""
+        if flow.stream is not None:
+            flow.stream.close()
+            flow.stream = None
+        flow.to_net.clear()
+        flow.to_app[:] = flow.notice
+        flow.notice = None
+        flow.upstream_eof = True
+        self.counters["injected_responses"] += 1
 
     # ----------------------------------------------------------- UDP path
 
@@ -709,9 +685,12 @@ class Engine:
 
         flow.last_activity = self.scheduler.now_us()
         payload = action.payload
-        if flow.is_dns and len(payload) >= 2 and flow.shared_key is not None:
-            txid = (payload[0] << 8) | payload[1]
-            self._dns_shared[flow.shared_key].txid_to_key[txid] = key
+        if flow.shared_key is not None and len(payload) >= 2:
+            wire_id = self._dns_shared[flow.shared_key].claim_id(
+                key, int.from_bytes(payload[:2], "big"))
+            if wire_id is None:
+                return  # no id left on the shared socket: drop, as a full queue would
+            payload = wire_id.to_bytes(2, "big") + payload[2:]
         flow.handle.send_to(flow.effective_dst, payload)
 
     def _open_udp_flow(self, key: FlowKey, app_label: str,
@@ -742,7 +721,7 @@ class Engine:
                     lambda addr, data, k=key: self._on_udp_datagram(k, addr, data))
         flow = UdpFlow(key=key, app_label=app_label, effective_dst=effective_dst,
                        handle=handle, last_activity=self.scheduler.now_us(),
-                       is_dns=is_dns, shared_key=shared_key)
+                       shared_key=shared_key)
         self.flows[key] = flow
         self.counters["udp_flows_created"] += 1
         return flow
@@ -760,13 +739,12 @@ class Engine:
         if shared is None or len(data) < 2:
             self.counters["udp_inbound_unroutable"] += 1
             return
-        txid = (data[0] << 8) | data[1]
-        key = shared.txid_to_key.get(txid)
-        flow = self.flows.get(key) if key is not None else None
+        holder = shared.ids.pop(int.from_bytes(data[:2], "big"), None)
+        flow = self.flows.get(holder[0]) if holder is not None else None
         if not isinstance(flow, UdpFlow):
             self.counters["udp_inbound_unroutable"] += 1
             return
-        self._deliver_udp(flow, data)
+        self._deliver_udp(flow, holder[1].to_bytes(2, "big") + data[2:])
 
     def _deliver_udp(self, flow: UdpFlow, data: bytes) -> None:
         flow.last_activity = self.scheduler.now_us()
@@ -790,6 +768,8 @@ class Engine:
                 if shared.refs <= 0:
                     shared.handle.close()
                     del self._dns_shared[flow.shared_key]
+                else:
+                    shared.ids = {i: h for i, h in shared.ids.items() if h[0] != flow.key}
         else:
             flow.handle.close()
         del self.flows[flow.key]
@@ -809,7 +789,7 @@ class Engine:
         removed: list[str] = []
         for flow in list(self.flows.values()):
             if isinstance(flow, UdpFlow):
-                timeout = self.config.dns_timeout_us if flow.is_dns \
+                timeout = self.config.dns_timeout_us if flow.shared_key is not None \
                     else self.config.udp_timeout_us
                 if now - flow.last_activity > timeout:
                     self._evict_udp(flow, "idle")

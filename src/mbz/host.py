@@ -250,13 +250,11 @@ class PluginHost:
         upstream: UpstreamNetwork | None = None,
         cpu_clock=None,
         low_battery_threshold: int | None = None,
-        probe_timeout_us: int = 2_000_000,
     ):
         self._scheduler = scheduler
         self._upstream = upstream
         self._cpu_clock = cpu_clock or time.perf_counter_ns
         self._low_battery_threshold = low_battery_threshold
-        self._probe_timeout_us = probe_timeout_us
         self._slots: list[_PluginSlot] = []
         self._by_id: dict[str, _PluginSlot] = {}
         self.device = DeviceContext()
@@ -459,7 +457,7 @@ class PluginHost:
         self._scheduler.call_later(delay_us, fn)
 
     def probe_datagram(self, plugin_id: str, dst: tuple[str, int], payload: bytes,
-                       on_reply, timeout_us: int | None = None) -> bool:
+                       on_reply, timeout_us: int) -> bool:
         """Send a plugin-originated datagram probe and deliver the reply
         (or None on timeout) back as an event. Requires InjectPackets."""
         slot = self._by_id[plugin_id]
@@ -487,9 +485,7 @@ class PluginHost:
 
         handle.set_callback(lambda _addr, data: finish(data))
         handle.send_to(dst, payload)
-        self._scheduler.call_later(
-            timeout_us if timeout_us is not None else self._probe_timeout_us,
-            lambda: finish(None))
+        self._scheduler.call_later(timeout_us, lambda: finish(None))
         return True
 
     def export_off_device(self, plugin_id: str, n_bytes: int) -> bool:

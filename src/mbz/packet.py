@@ -8,7 +8,7 @@ formats. IPv4 only: version != 4 and fragments are rejected up front.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 PROTO_TCP = 6
 PROTO_UDP = 17
@@ -145,7 +145,6 @@ class Packet:
     ip: Ipv4Header
     transport: TcpHeader | UdpHeader | None
     payload: bytes = b""
-    captured_at: int = field(default=0, compare=False)  # microseconds
 
     @property
     def is_tcp(self) -> bool:

@@ -100,16 +100,14 @@ class ReplayRun:
                                     self.scheduler, rng_seed=self.seed)
         self.host = PluginHost(
             self.scheduler, upstream=self.upstream,
-            low_battery_threshold=config.low_battery_throttle,
-            probe_timeout_us=config.probe_timeout_us)
+            low_battery_threshold=config.low_battery_throttle)
         self.plugins = install_plugins(config, self.host, self.seed)
 
         events = load_trace_events(config)
-        self.conduit = ReplayConduit(events, speed=config.speed).bind(self.scheduler)
+        self.conduit = ReplayConduit(events)
         self.engine = Engine(config.engine, self.conduit, self.upstream,
                              self.host, self.scheduler)
         self._schedule_device_timeline(config.device_timeline)
-        self._schedule_governor()
 
     def _schedule_device_timeline(self, timeline: list[dict]) -> None:
         for entry in timeline:
@@ -118,14 +116,6 @@ class ReplayRun:
                 battery_percent=int(entry.get("battery_percent", 100)))
             self.scheduler.call_at(int(entry.get("at_us", 0)),
                                    lambda d=device: self.host.update_context(d))
-
-    def _schedule_governor(self) -> None:
-        def tick():
-            self.host.governor_tick()
-            self.scheduler.call_later(
-                self.config.engine.sweep_interval_us, tick, kind="sweep")
-        self.scheduler.call_later(
-            self.config.engine.sweep_interval_us, tick, kind="sweep")
 
     def execute(self) -> dict:
         self.engine.run()

@@ -167,7 +167,7 @@ def test_udp_lifecycle_reuse_eviction_budget():
         events.append(TraceEvent(ts_us=i * 1000, direction=APP_TO_NET,
                                  app_label="stress", packet=serialize_packet(pkt)))
     sched = Scheduler()
-    conduit = ReplayConduit(events).bind(sched)
+    conduit = ReplayConduit(events)
     upstream = SimUpstream([], sched, rng_seed=0)
     host = PluginHost(sched, upstream=upstream)
     config = EngineConfig(local_isn=1, socket_budget=512)

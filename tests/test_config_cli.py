@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from mbz.cli import main
 from mbz.config import (
@@ -14,6 +15,7 @@ from mbz.report import (
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+README = DATA.parent / "README.md"
 
 
 def write_min_config(tmp_path: Path, extra: str = "", plugins: str = "plugins: []\n") -> Path:
@@ -33,6 +35,18 @@ class TestLoadConfig:
         assert config.engine.local_isn == 5000
         assert config.plugins == []
         assert config.engine.mtu == 1500  # defaults in place
+
+    def test_readme_example_loads(self, tmp_path):
+        # every key the README documents must pass the strict loader
+        example = README.read_text(encoding="utf-8").split("```yaml\n", 1)[1].split("```")[0]
+        raw = yaml.safe_load(example)
+        files = [raw["io"][k] for k in ("trace", "pcap", "scripts") if k in raw["io"]]
+        files += [p[k] for p in raw["plugins"] for k in ("org_map", "rules") if k in p]
+        for name in files:
+            (tmp_path / name).write_text("")
+        (tmp_path / "config.yaml").write_text(example)
+        config = load_config(tmp_path / "config.yaml")
+        assert [p.id for p in config.plugins] == [p["id"] for p in raw["plugins"]]
 
     def test_unknown_key_rejected(self, tmp_path):
         (tmp_path / "trace.jsonl").write_text("")

@@ -4,7 +4,9 @@ import pytest
 from helpers import AppPeer, Driver, build_engine, exchange
 
 from mbz.engine import EngineConfig, TcpState
-from mbz.host import Block, BlockMode, Permission, PluginDescriptor, TrafficPlugin
+from mbz.host import (
+    Block, BlockMode, Modify, Permission, PluginDescriptor, TrafficPlugin,
+)
 from mbz.packet import (
     ACK, FIN, PSH, RST, SYN, flow_key_of, make_tcp_packet, parse_packet,
     serialize_packet,
@@ -344,3 +346,159 @@ class TestByteFidelityDeterminism:
             exchange(driver, peer, b"hello world", chunks=[3, 8], ending="fin")
             return [serialize_packet(p) for p in peer.packets_seen]
         assert run() == run()
+
+
+class _Verdicts(TrafficPlugin):
+    """Verdicts computed from each event: on outbound app segments and
+    on inbound upstream chunks (not the engine's own control packets)."""
+
+    def __init__(self, out=None, inbound=None):
+        self.out = out or (lambda payload: None)
+        self.inbound = inbound or (lambda payload: None)
+
+    def on_packet_out(self, event, ctx):
+        return self.out(event.payload)
+
+    def on_packet_in(self, event, ctx):
+        return self.inbound(event.payload) if event.tcp_flags is None else None
+
+
+def _verdict_peer(scripts, **verdicts):
+    engine = build_engine(scripts)
+    engine.host.register(PluginDescriptor(
+        id="verdicts", name="verdicts",
+        requested=Permission.OBSERVE | Permission.BLOCK_FLOW | Permission.MODIFY_PAYLOAD),
+        _Verdicts(**verdicts))
+    driver = Driver(engine)
+    peer = driver.add_peer(AppPeer(engine, APP, SRV, isn=1000))
+    peer.syn()
+    driver.drive()
+    assert peer.established
+    return engine, driver, peer
+
+
+def _wire(packets):
+    return [(p.transport.flags, p.transport.seq, p.transport.ack, p.payload)
+            for p in packets]
+
+
+def _syn_acks(peer):
+    return [p for p in peer.packets_seen if p.transport.flags & (SYN | ACK) == SYN | ACK]
+
+
+class TestDuplicateSynOnOpenFlow:
+    def test_syn_ack_resent_while_open(self):
+        engine = build_engine([ECHO])
+        driver = Driver(engine)
+        peer = driver.add_peer(AppPeer(engine, APP, SRV, isn=1000))
+        peer.syn()
+        driver.drive()
+        peer.syn()  # the app lost our SYN/ACK and retransmits its SYN
+        driver.drive()
+        assert [(p.transport.seq, p.transport.ack) for p in _syn_acks(peer)] \
+            == [(5000, 1001)] * 2
+        assert engine.counters["tcp_dup_syn"] == 1
+
+    def test_no_syn_ack_after_app_fin(self):
+        engine = build_engine(
+            [{"cidr": "10.1.0.1/32", "behavior": "echo", "delay_us": 5000}])
+        driver = Driver(engine)
+        peer = driver.add_peer(AppPeer(engine, APP, SRV, isn=1000))
+        peer.syn()
+        driver.drive()
+        peer.fin()
+        peer.syn()  # arrives before the upstream answers the half-close
+        driver.drive()
+        assert len(_syn_acks(peer)) == 1
+        assert engine.counters["tcp_dup_syn"] == 1
+
+    def test_no_syn_ack_after_engine_fin(self):
+        engine = build_engine(
+            [{"cidr": "10.1.0.1/32", "behavior": "static", "response": "bye"}])
+        driver = Driver(engine)
+        peer = driver.add_peer(AppPeer(engine, APP, SRV, isn=1000))
+        peer.syn()
+        driver.drive()
+        peer.send(b"hi")
+        driver.drive()
+        assert peer.engine_fin_seen and not peer.fin_sent
+        peer.syn()
+        driver.drive()
+        assert len(_syn_acks(peer)) == 1
+        assert engine.counters["tcp_dup_syn"] == 1
+
+    def test_notice_flow_resends_syn_ack_until_notice_sent(self):
+        engine = _blocking_engine([], on_open=Block(BlockMode.INJECT_RESPONSE, b"notice"))
+        for seg in (_seg(1000, SYN), _seg(1000, SYN), _seg(1001, ACK, ack=5001)):
+            engine.conduit.inject(seg)  # the second SYN: our first SYN/ACK was lost
+            engine.pump()
+        out = [parse_packet(d) for _t, d in engine.conduit.take_emitted()]
+        # the notice goes out with the app's next segment, then a FIN
+        assert _wire(out) == [
+            (SYN | ACK, 5000, 1001, b""), (SYN | ACK, 5000, 1001, b""),
+            (PSH | ACK, 5001, 1001, b"notice"), (FIN | ACK, 5007, 1001, b"")]
+        assert engine.upstream.connections == []
+        assert engine.counters["injected_responses"] == 1
+
+
+class TestVerdictsOnOpenFlow:
+    def test_outbound_reset_resets_app_and_releases_upstream(self):
+        engine, driver, peer = _verdict_peer(
+            [ECHO], out=lambda p: Block(BlockMode.RESET_APP) if p == b"bad" else None)
+        peer.send(b"bad")
+        driver.drive()
+        assert _wire(peer.packets_seen[1:]) == [(RST | ACK, 5001, 1001, b"")]
+        assert peer.reset_seen
+        assert engine.upstream.active_handle_count() == 0
+        assert bytes(engine.upstream.transcripts[0].received) == b""
+        assert engine.counters["tcp_flows_reset"] == 1
+        assert engine.counters["blocked_packets"] == 1
+
+    def test_inbound_reset_resets_app_and_releases_upstream(self):
+        engine, driver, peer = _verdict_peer(
+            [ECHO], inbound=lambda p: Block(BlockMode.RESET_APP))
+        peer.send(b"ping")
+        driver.drive()
+        assert _wire(peer.packets_seen[1:]) == [
+            (ACK, 5001, 1005, b""), (RST | ACK, 5001, 1005, b"")]
+        assert peer.received == b""
+        assert engine.upstream.active_handle_count() == 0
+        assert engine.counters["tcp_flows_reset"] == 1
+        assert engine.counters["blocked_packets"] == 1
+
+    def test_inbound_chunk_dropped_silently(self):
+        engine, driver, peer = _verdict_peer(
+            [ECHO], inbound=lambda p: Block(BlockMode.DROP_SILENT) if p == b"drop" else None)
+        peer.send(b"drop")
+        driver.drive()
+        peer.send(b"keep")
+        driver.drive()
+        assert bytes(peer.received) == b"keep"
+        assert engine.counters["blocked_packets"] == 1
+        assert engine.upstream.active_handle_count() == 1
+
+    def test_inbound_chunk_modified(self):
+        engine, driver, peer = _verdict_peer(
+            [ECHO], inbound=lambda p: Modify(p.upper()))
+        peer.send(b"hello")
+        driver.drive()
+        assert bytes(peer.received) == b"HELLO"
+        assert engine.counters["modified_packets"] == 1
+
+    def test_mid_flow_notice_releases_upstream(self):
+        engine, driver, peer = _verdict_peer(
+            [ECHO], out=lambda p: Block(BlockMode.INJECT_RESPONSE, b"notice\n")
+            if p.startswith(b"GET") else None)
+        peer.send(b"GET /")
+        driver.drive()
+        assert engine.upstream.active_handle_count() == 0
+        assert bytes(engine.upstream.transcripts[0].received) == b""
+        assert bytes(peer.received) == b"notice\n"
+        peer.fin()
+        driver.drive()
+        assert _wire(peer.packets_seen[1:]) == [
+            (ACK, 5001, 1006, b""), (PSH | ACK, 5001, 1006, b"notice\n"),
+            (FIN | ACK, 5008, 1006, b""), (ACK, 5009, 1007, b"")]
+        assert peer.fin_acked
+        assert engine.counters["injected_responses"] == 1
+        assert engine.counters["tcp_flows_closed"] == 1

@@ -4,6 +4,7 @@ from helpers import build_engine
 
 from mbz import dnswire
 from mbz.engine import EngineConfig
+from mbz.host import Block, BlockMode, Modify, Permission, PluginDescriptor, TrafficPlugin
 from mbz.packet import make_udp_packet, parse_packet, serialize_packet
 
 RESOLVER = {"cidr": "8.8.8.8/32", "ports": [53], "behavior": "dns",
@@ -119,7 +120,7 @@ class TestSweep:
         engine.sweep()
         remaining = list(engine.flows.values())
         assert len(remaining) == 1
-        assert not remaining[0].is_dns  # the DNS flow went first
+        assert remaining[0].shared_key is None  # the DNS flow went first
 
     def test_pressure_evicts_lru_first(self):
         engine = build_engine([], EngineConfig(local_isn=1, socket_budget=10))
@@ -165,3 +166,76 @@ class TestSweep:
         engine.scheduler.advance_to(30_000_000)
         engine.sweep()
         assert engine.upstream.active_handle_count() == 0
+
+
+class TestDnsIdCollision:
+    def test_same_id_from_two_ports_each_answered(self):
+        engine = build_engine([RESOLVER])
+        inject_udp(engine, ("10.0.0.2", 50000), ("8.8.8.8", 53),
+                   dnswire.build_query(7, "example.com"))
+        inject_udp(engine, ("10.0.0.2", 50001), ("8.8.8.8", 53),
+                   dnswire.build_query(7, "other.net"))
+        engine.pump()
+        assert engine.upstream.active_handle_count() == 1
+        out = [parse_packet(d) for _t, d in engine.conduit.take_emitted()]
+        answers = {p.transport.dst_port: dnswire.parse_message(p.payload) for p in out}
+        assert sorted(answers) == [50000, 50001]
+        assert [m.qid for m in answers.values()] == [7, 7]
+        assert answers[50000].answers[0][2] == "93.184.216.34"
+        assert answers[50001].answers[0][2] == "203.0.113.7"
+        assert engine.counters["udp_inbound_unroutable"] == 0
+        assert [s.ids for s in engine._dns_shared.values()] == [{}]  # answered ids freed
+
+    def test_id_map_bounded(self):
+        silent = ("203.0.113.53", 53)  # no script: queries are never answered
+        engine = build_engine([])
+        inject_udp(engine, ("10.0.0.2", 50000), silent, dnswire.build_query(1, "a.example"))
+        engine.pump()
+        engine.scheduler.advance_to(8_000_000)
+        inject_udp(engine, ("10.0.0.2", 50001), silent, dnswire.build_query(1, "b.example"))
+        engine.pump()
+        shared = engine._dns_shared[("10.0.0.2", silent)]
+        assert sorted(shared.ids) == [1, 2]
+        engine.scheduler.advance_to(12_000_000)
+        engine.sweep()  # evicts the first flow; the second still holds the socket
+        assert [k.src[1] for k, _app_id in shared.ids.values()] == [50001]
+        # every id awaiting an answer: a further query is dropped, not sent
+        holder = next(iter(shared.ids.values()))
+        shared.ids.update((i, holder) for i in range(0x10000))
+        sent = len(engine.upstream.datagram_log)
+        inject_udp(engine, ("10.0.0.2", 50002), silent, dnswire.build_query(9, "c.example"))
+        engine.pump()
+        assert len(engine.upstream.datagram_log) == sent
+        assert len(shared.ids) == 0x10000
+
+
+class _InboundVerdict(TrafficPlugin):
+    def __init__(self, verdict):
+        self.verdict = verdict
+
+    def on_packet_in(self, event, ctx):
+        return self.verdict
+
+
+def _udp_engine_with(verdict):
+    engine = build_engine([UDP_ECHO])
+    engine.host.register(PluginDescriptor(
+        id="in", name="in",
+        requested=Permission.OBSERVE | Permission.BLOCK_FLOW | Permission.MODIFY_PAYLOAD),
+        _InboundVerdict(verdict))
+    inject_udp(engine, ("10.0.0.2", 6001), ("10.3.0.1", 7), b"marco")
+    engine.pump()
+    return engine, [parse_packet(d) for _t, d in engine.conduit.take_emitted()]
+
+
+class TestInboundVerdicts:
+    def test_inbound_block_drops_reply(self):
+        engine, out = _udp_engine_with(Block(BlockMode.DROP_SILENT))
+        assert out == []
+        assert engine.counters["blocked_packets"] == 1
+        assert len(engine.flows) == 1
+
+    def test_inbound_modify_rewrites_reply(self):
+        engine, out = _udp_engine_with(Modify(b"polo"))
+        assert [p.payload for p in out] == [b"polo"]
+        assert engine.counters["modified_packets"] == 1

@@ -228,6 +228,34 @@ class TestEngineIntegration:
         assert peer.fin_acked
         assert engine.counters["injected_responses"] == 1
 
+    def test_inject_notice_packet_sequence(self):
+        # the notice flow runs the ordinary TCP path: the app's ACK-only
+        # segments get no bare ACK back
+        engine = build_engine([], EngineConfig(local_isn=5000))
+        install_firewall(engine, BANK_RULES)
+        driver = Driver(engine)
+        peer = driver.add_peer(AppPeer(engine, ("10.0.0.2", 4001),
+                                       ("10.1.2.9", 80), isn=1000, app_label="bankapp"))
+        peer.syn()
+        driver.drive()
+        peer.send(b"GET /\r\n")
+        driver.drive()
+        peer.fin()
+        driver.drive()
+        # (flags, seq, ack, payload); every window is full: the request is dropped
+        assert {p.transport.window for p in peer.packets_seen} == {65535}
+        assert [(p.transport.flags, p.transport.seq, p.transport.ack, p.payload)
+                for p in peer.packets_seen] == [
+            (SYN | ACK, 5000, 1001, b""),
+            (PSH | ACK, 5001, 1001, b"use https\n"),
+            (FIN | ACK, 5011, 1001, b""),
+            (ACK, 5012, 1008, b""),
+            (ACK, 5012, 1009, b""),
+        ]
+        assert peer.fin_acked
+        assert engine.counters["tcp_flows_closed"] == 1
+        assert engine.upstream.active_handle_count() == 0
+
     def test_switch_redirects_upstream_only(self):
         engine = build_engine([{"cidr": "10.5.5.5/32", "behavior": "static",
                                 "response": "from-redirect"}],
