@@ -636,6 +636,10 @@ class Engine:
             self._close_tcp(flow, "plugin")
             return
         if flow.stream is not None:  # the first notice on this flow replaces its upstream
+            if flow.fin_sent:
+                # our FIN already ended the stream to the app; nothing may follow it
+                self._reset_flow(flow, "plugin")
+                return
             flow.notice = notice
         self._handle_tcp_segment(flow, pkt, pkt.payload)
 

@@ -69,19 +69,22 @@ class NoTransport(PacketError):
     """Packet carries no TCP or UDP transport."""
 
 
-def internet_checksum(data: bytes) -> int:
-    """One's-complement of the one's-complement 16-bit word sum.
+def internet_checksum(data: bytes, start: int = 0) -> int:
+    """One's-complement of the one's-complement 16-bit word sum of `data`
+    plus `start`, a sum of words already taken (a pseudo-header).
 
     Odd-length input is padded with a zero octet. Returns a value in
     [0, 0xFFFF]; folding a buffer that already contains its own correct
     checksum yields 0.
     """
-    if len(data) % 2:
-        data = data + b"\x00"
-    total = sum(struct.unpack("!%dH" % (len(data) // 2), data))
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+    # The buffer read as one integer is its word sum modulo 0xFFFF, since
+    # 2**16 == 1 (mod 0xFFFF) (RFC 1071 section 2). End-around carries
+    # fold a nonzero sum into [1, 0xFFFF], so a multiple of 0xFFFF folds
+    # to 0xFFFF and only a zero sum folds to 0.
+    total = (int.from_bytes(data, "big") << 8 * (len(data) & 1)) + start
+    if total == 0:
+        return 0xFFFF
+    return 0xFFFF - (total % 0xFFFF or 0xFFFF)
 
 
 def _pack_addr(addr: str) -> bytes:
@@ -188,14 +191,6 @@ def flow_key_of(p: Packet) -> FlowKey:
     )
 
 
-def _pseudo_header(ip: Ipv4Header, transport_len: int) -> bytes:
-    return (
-        _pack_addr(ip.src_addr)
-        + _pack_addr(ip.dst_addr)
-        + struct.pack("!BBH", 0, ip.protocol, transport_len)
-    )
-
-
 def parse_packet(data: bytes) -> Packet:
     """Parse raw IPv4 bytes into a Packet.
 
@@ -237,6 +232,8 @@ def parse_packet(data: bytes) -> Packet:
         options=bytes(data[20:ihl]),
     )
     rest = data[ihl:]
+    # pseudo-header word sum: both addresses, straight from the header bytes
+    addr_sum = int.from_bytes(data[12:20], "big") + proto
 
     transport: TcpHeader | UdpHeader | None = None
     payload: bytes
@@ -256,7 +253,7 @@ def parse_packet(data: bytes) -> Packet:
             checksum=cksum, urgent_ptr=urgent, options=bytes(rest[20:offset]),
         )
         payload = bytes(rest[offset:])
-        if internet_checksum(_pseudo_header(ip, len(rest)) + rest) != 0:
+        if internet_checksum(rest, addr_sum + len(rest)) != 0:
             checksum_error = "TCP checksum mismatch"
     elif proto == PROTO_UDP:
         if len(rest) < 8:
@@ -267,7 +264,7 @@ def parse_packet(data: bytes) -> Packet:
         transport = UdpHeader(src_port=sport, dst_port=dport, length=length, checksum=cksum)
         payload = bytes(rest[8:length])
         # checksum 0 means "not computed" and is accepted
-        if cksum != 0 and internet_checksum(_pseudo_header(ip, length) + rest[:length]) != 0:
+        if cksum != 0 and internet_checksum(rest[:length], addr_sum + length) != 0:
             checksum_error = "UDP checksum mismatch"
     else:
         payload = bytes(rest)
@@ -291,6 +288,9 @@ def serialize_packet(p: Packet, mtu: int = DEFAULT_MTU) -> bytes:
     ihl = 20 + len(ip_options)
     if ihl > 60:
         raise PacketError(f"IPv4 header length {ihl} exceeds 60")
+    src_raw = _pack_addr(ip.src_addr)
+    dst_raw = _pack_addr(ip.dst_addr)
+    addr_sum = int.from_bytes(src_raw + dst_raw, "big") + ip.protocol
 
     if isinstance(p.transport, TcpHeader):
         t = p.transport
@@ -307,7 +307,7 @@ def serialize_packet(p: Packet, mtu: int = DEFAULT_MTU) -> bytes:
         total = ihl + len(seg)
         if total > mtu:
             raise OversizedPacket(f"{total} bytes exceeds MTU {mtu}")
-        cksum = internet_checksum(_pseudo_header(ip, len(seg)) + seg)
+        cksum = internet_checksum(seg, addr_sum + len(seg))
         seg = seg[:16] + struct.pack("!H", cksum) + seg[18:]
     elif isinstance(p.transport, UdpHeader):
         t = p.transport
@@ -316,7 +316,7 @@ def serialize_packet(p: Packet, mtu: int = DEFAULT_MTU) -> bytes:
         total = ihl + len(seg)
         if total > mtu:
             raise OversizedPacket(f"{total} bytes exceeds MTU {mtu}")
-        cksum = internet_checksum(_pseudo_header(ip, length) + seg)
+        cksum = internet_checksum(seg, addr_sum + length)
         if cksum == 0:
             cksum = 0xFFFF  # transmitted zero means "no checksum"
         seg = seg[:6] + struct.pack("!H", cksum) + seg[8:]
@@ -329,7 +329,7 @@ def serialize_packet(p: Packet, mtu: int = DEFAULT_MTU) -> bytes:
     hdr = struct.pack(
         _IPV4_FMT, (4 << 4) | (ihl // 4), ip.dscp_ecn, total,
         ip.identification, ip.flags_fragment, ip.ttl, ip.protocol, 0,
-        _pack_addr(ip.src_addr), _pack_addr(ip.dst_addr),
+        src_raw, dst_raw,
     ) + ip_options
     hdr = hdr[:10] + struct.pack("!H", internet_checksum(hdr)) + hdr[12:]
     return hdr + seg

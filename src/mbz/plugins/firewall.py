@@ -120,7 +120,10 @@ class FirewallRule:
         else:
             raise FirewallRuleError(f"bad action {action!r}")
 
-    def matches(self, ctx: PluginContext, domain: str) -> bool:
+    def matches(self, ctx: PluginContext, domain: str,
+                dst_ip: ipaddress.IPv4Address | None) -> bool:
+        """`domain` is lower-case without a trailing dot; `dst_ip` is the
+        parsed destination, None when it is not an IPv4 address."""
         key = ctx.key
         if key is None:
             return False
@@ -131,16 +134,12 @@ class FirewallRule:
         if not fnmatch.fnmatchcase(ctx.app_label, self.app):
             return False
         if self.dst_suffix is not None:
-            domain = domain.lower().rstrip(".")
             if not domain:
                 return False
             if domain != self.dst_suffix[1:] and not domain.endswith(self.dst_suffix):
                 return False
         if self.dst_network is not None:
-            try:
-                if ipaddress.IPv4Address(key.dst[0]) not in self.dst_network:
-                    return False
-            except ValueError:
+            if dst_ip is None or dst_ip not in self.dst_network:
                 return False
         return True
 
@@ -154,6 +153,7 @@ class FirewallPlugin(TrafficPlugin):
         self.rules = rules
         self.default_allow = default_allow
         self.tracker = DomainTracker()
+        self._any_cidr = any(rule.dst_network is not None for rule in rules)
 
     def on_flow_open(self, event, ctx):
         self.tracker.observe_out(event, ctx)
@@ -169,9 +169,17 @@ class FirewallPlugin(TrafficPlugin):
 
     def _evaluate(self, event: PluginEvent, ctx: PluginContext,
                   outbound: bool) -> Verdict | None:
-        domain = self.tracker.domain_for(ctx.key) if ctx.key else ""
+        # per-event inputs of the rules, worked out once for all of them
+        domain, dst_ip = "", None
+        if ctx.key is not None:
+            domain = self.tracker.domain_for(ctx.key).lower().rstrip(".")
+            if self._any_cidr:
+                try:
+                    dst_ip = ipaddress.IPv4Address(ctx.key.dst[0])
+                except ValueError:
+                    pass
         for rule in self.rules:
-            if not rule.matches(ctx, domain):
+            if not rule.matches(ctx, domain, dst_ip):
                 continue
             return self._apply(rule, event, ctx, outbound)
         if self.default_allow:

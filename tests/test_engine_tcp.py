@@ -502,3 +502,22 @@ class TestVerdictsOnOpenFlow:
         assert peer.fin_acked
         assert engine.counters["injected_responses"] == 1
         assert engine.counters["tcp_flows_closed"] == 1
+
+    def test_notice_after_engine_fin_resets(self):
+        # the upstream answered and closed, so our FIN is out before the
+        # plugin blocks the app's next segment with a notice
+        engine, driver, peer = _verdict_peer(
+            [{"cidr": "10.1.0.1/32", "behavior": "static", "response": "bye"}],
+            out=lambda p: Block(BlockMode.INJECT_RESPONSE, b"notice\n")
+            if p.startswith(b"GET") else None)
+        peer.send(b"hi")
+        driver.drive()
+        assert peer.engine_fin_seen
+        peer.send(b"GET /")
+        driver.drive()
+        assert _wire(peer.packets_seen[-1:]) == [(RST | ACK, 5005, 1003, b"")]
+        assert peer.reset_seen
+        assert bytes(peer.received) == b"bye"
+        assert engine.upstream.active_handle_count() == 0
+        assert engine.counters["injected_responses"] == 0
+        assert engine.counters["tcp_flows_reset"] == 1

@@ -90,6 +90,41 @@ class TestRuleMatching:
             evaluate(fw, FlowKey(6, ("10.0.0.2", 1), ("192.0.2.77", 80))), Block)
         assert evaluate(fw, FlowKey(6, ("10.0.0.2", 1), ("192.0.3.77", 80))) is None
 
+    def test_domain_case_and_trailing_dot_ignored_by_every_rule(self):
+        fw = FirewallPlugin(rules_from_list([
+            {"match": {"dst": ".other.example"}, "action": {"deny": "silent"}},
+            {"match": {"dst": "192.0.2.0/24"}, "action": {"deny": "silent"}},
+            {"match": {"dst": "mail.example.com"}, "action": {"deny": "reset"}},
+        ]))
+        fw.tracker.ip_to_name["10.1.1.1"] = "Mail.Example.COM."
+        fw.tracker.ip_to_name["10.1.1.2"] = "MAIL.example.com"
+        fw.tracker.ip_to_name["10.1.1.3"] = "."
+        for dst, expected in (("10.1.1.1", Block(BlockMode.RESET_APP)),
+                              ("10.1.1.2", Block(BlockMode.RESET_APP)),
+                              ("10.1.1.3", None)):
+            assert evaluate(fw, FlowKey(6, ("10.0.0.2", 1), (dst, 80))) == expected
+
+    def test_destination_parsed_once_per_event(self, monkeypatch):
+        import ipaddress
+        parsed = []
+
+        class CountingAddress(ipaddress.IPv4Address):
+            def __init__(self, address):
+                parsed.append(address)
+                super().__init__(address)
+
+        cidr_rules = [{"match": {"dst": f"192.0.{i}.0/24"}, "action": {"deny": "silent"}}
+                      for i in range(5)]
+        with_cidr = FirewallPlugin(rules_from_list(cidr_rules))
+        without_cidr = FirewallPlugin(rules_from_list(
+            [{"match": {"dst": ".example.com"}, "action": {"deny": "silent"}}] * 5))
+        monkeypatch.setattr(ipaddress, "IPv4Address", CountingAddress)
+        key = FlowKey(6, ("10.0.0.2", 1), ("192.0.4.9", 80))
+        assert evaluate(with_cidr, key) == Block(BlockMode.DROP_SILENT)
+        assert parsed == ["192.0.4.9"]
+        assert evaluate(without_cidr, key) is None
+        assert parsed == ["192.0.4.9"]
+
     def test_default_deny_mode(self):
         fw = FirewallPlugin([], default_allow=False)
         verdict = evaluate(fw, FlowKey(6, ("10.0.0.2", 1), ("192.0.2.1", 80)))

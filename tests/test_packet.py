@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mbz.packet import (
     ACK, FIN, PSH, RST, SYN,
     BadChecksum, FlowKey, FragmentedPacket, NoTransport, OversizedPacket,
-    Packet, Truncated, UnsupportedVersion,
+    Packet, PacketError, TcpHeader, Truncated, UnsupportedVersion,
     extract_mss, flow_key_of, internet_checksum, make_tcp_packet,
     make_udp_packet, mss_option, parse_packet, serialize_packet,
 )
@@ -225,3 +225,126 @@ class TestRoundTrip:
     def test_flow_key_total_and_deterministic(self, pkt):
         parsed = parse_packet(serialize_packet(pkt))
         assert flow_key_of(parsed) == flow_key_of(parsed)
+
+
+# Reference codec, written the plain way: every word unpacked into a tuple
+# and summed, and a pseudo-header buffer packed from the dotted quads. The
+# codec's integer fold must match it byte for byte.
+
+def struct_checksum(data: bytes) -> int:
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = sum(struct.unpack("!%dH" % (len(data) // 2), data))
+    while total > 0xFFFF:
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+def _oracle_addr(addr: str) -> bytes:
+    return bytes(int(p) for p in addr.split("."))
+
+
+def _oracle_pseudo(ip, transport_len: int) -> bytes:
+    return (_oracle_addr(ip.src_addr) + _oracle_addr(ip.dst_addr)
+            + struct.pack("!BBH", 0, ip.protocol, transport_len))
+
+
+def serialize_oracle(p: Packet) -> bytes:
+    ip = p.ip
+    ip_options = ip.options
+    if len(ip_options) % 4:
+        ip_options = ip_options + b"\x00" * (4 - len(ip_options) % 4)
+    ihl = 20 + len(ip_options)
+    if isinstance(p.transport, TcpHeader):
+        t = p.transport
+        opts = t.options
+        if len(opts) % 4:
+            opts = opts + b"\x00" * (4 - len(opts) % 4)
+        offset = 20 + len(opts)
+        seg = struct.pack(
+            "!HHIIBBHHH", t.src_port, t.dst_port, t.seq & 0xFFFFFFFF,
+            t.ack & 0xFFFFFFFF, (offset // 4) << 4, t.flags & 0x3F, t.window, 0,
+            t.urgent_ptr,
+        ) + opts + p.payload
+        cksum = struct_checksum(_oracle_pseudo(ip, len(seg)) + seg)
+        seg = seg[:16] + struct.pack("!H", cksum) + seg[18:]
+    else:
+        t = p.transport
+        length = 8 + len(p.payload)
+        seg = struct.pack("!HHHH", t.src_port, t.dst_port, length, 0) + p.payload
+        cksum = struct_checksum(_oracle_pseudo(ip, length) + seg) or 0xFFFF
+        seg = seg[:6] + struct.pack("!H", cksum) + seg[8:]
+    hdr = struct.pack(
+        "!BBHHHBBH4s4s", (4 << 4) | (ihl // 4), ip.dscp_ecn, ihl + len(seg),
+        ip.identification, ip.flags_fragment, ip.ttl, ip.protocol, 0,
+        _oracle_addr(ip.src_addr), _oracle_addr(ip.dst_addr),
+    ) + ip_options
+    hdr = hdr[:10] + struct.pack("!H", struct_checksum(hdr)) + hdr[12:]
+    return hdr + seg
+
+
+@st.composite
+def full_size_packets(draw):
+    """TCP and UDP packets with payloads up to a full 1460-byte segment, odd
+    lengths included, and IP/TCP options that need padding."""
+    pkt = draw(well_formed_packets())
+    pkt.payload = draw(st.binary(max_size=1460))
+    pkt.ip.identification = draw(st.integers(0, 65535))
+    pkt.ip.ttl = draw(st.integers(1, 255))
+    pkt.ip.dscp_ecn = draw(st.integers(0, 255))
+    pkt.ip.options = draw(st.sampled_from([b"", b"\x01", b"\x01\x01\x01\x01"]))
+    if pkt.is_tcp:
+        pkt.transport.options = draw(st.sampled_from([b"", b"\x01", mss_option(1400)]))
+    return pkt
+
+
+class TestCodecEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(full_size_packets())
+    def test_serialize_matches_oracle(self, pkt):
+        wire = serialize_packet(pkt, mtu=2000)
+        assert wire == serialize_oracle(pkt)
+        assert serialize_packet(parse_packet(wire), mtu=2000) == wire
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(min_size=12, max_size=12), st.binary(max_size=1480))
+    def test_start_is_a_pseudo_header_sum(self, pseudo, data):
+        start = sum(struct.unpack("!6H", pseudo))
+        assert internet_checksum(data, start) == checksum_oracle(pseudo + data)
+        assert internet_checksum(pseudo + data) == struct_checksum(pseudo + data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(full_size_packets().filter(lambda p: len(p.payload) >= 2),
+           st.integers(0, 1), st.integers(0, 10**6), st.integers(1, 255))
+    def test_flipped_payload_byte_is_a_transport_error(self, pkt, parity, pick, mask):
+        wire = bytearray(serialize_packet(pkt, mtu=2000))
+        start = len(wire) - len(pkt.payload)
+        offsets = [i for i in range(start, len(wire)) if i % 2 == parity]
+        wire[offsets[pick % len(offsets)]] ^= mask
+        with pytest.raises(BadChecksum) as exc_info:
+            parse_packet(bytes(wire))
+        assert exc_info.value.layer == "transport"
+
+    @pytest.mark.parametrize("index", [10, 11])
+    @pytest.mark.parametrize("make", [
+        lambda: make_tcp_packet(("10.0.0.2", 1), ("10.0.0.1", 80), seq=1, ack=2,
+                                flags=ACK, payload=b"odd"),
+        lambda: make_udp_packet(("10.0.0.2", 53), ("10.0.0.1", 53), payload=b"odd"),
+    ])
+    def test_flipped_ip_checksum_byte_is_an_ip_error(self, make, index):
+        wire = bytearray(serialize_packet(make()))
+        wire[index] ^= 0x01
+        with pytest.raises(BadChecksum) as exc_info:
+            parse_packet(bytes(wire))
+        assert exc_info.value.layer == "ip"
+
+    @pytest.mark.parametrize("bad", ["1.2.3", "256.1.1.1", "a.b.c.d"])
+    @pytest.mark.parametrize("make", [make_tcp_packet, make_udp_packet])
+    def test_bad_address_rejected(self, make, bad):
+        for src, dst in ((bad, "10.0.0.1"), ("10.0.0.2", bad)):
+            if make is make_tcp_packet:
+                pkt = make((src, 1), (dst, 2), seq=0, ack=0, flags=ACK)
+            else:
+                pkt = make((src, 1), (dst, 2))
+            with pytest.raises(PacketError):
+                serialize_packet(pkt)
