@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import enum
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
+from . import dnswire, tlswire
 from .clock import Scheduler
 from .packet import FlowKey, Packet
 from .upstream import UpstreamNetwork
@@ -159,12 +161,35 @@ class PluginEvent:
     """The traffic event under consideration. `payload` reflects prior
     plugins' Modify verdicts as the chain advances. `packet` is the
     parsed app packet where one exists (None for upstream byte chunks
-    and engine-synthesized control packets)."""
+    and engine-synthesized control packets).
+
+    `dns()` and `sni()` parse the current payload once for the whole
+    chain; a Modify that sets a new payload makes the next call parse
+    again. Every plugin gets the same parsed object: treat it as
+    read-only and copy what you keep."""
     kind: EventKind
     payload: bytes = b""
     packet: Packet | None = None
     tcp_flags: int | None = None
     tcp_seq: int | None = None
+    # (payload parsed, result), keyed on the payload object; plain class
+    # attributes, not fields, so building an event does not set them
+    _dns = (None, None)
+    _sni = (None, None)
+
+    def dns(self) -> dnswire.DnsMessage | None:
+        """The payload as a DNS message, or None when it is not one."""
+        payload = self.payload
+        if self._dns[0] is not payload:
+            self._dns = (payload, dnswire.parse_message(payload))
+        return self._dns[1]
+
+    def sni(self) -> str | None:
+        """The server name of a TLS ClientHello payload, else None."""
+        payload = self.payload
+        if self._sni[0] is not payload:
+            self._sni = (payload, tlswire.extract_sni(payload))
+        return self._sni[1]
 
 
 @dataclass
@@ -223,24 +248,34 @@ _CALLBACKS = {
     EventKind.FLOW_CLOSE: "on_flow_close",
 }
 
+# permission bits as plain ints: enum.Flag arithmetic runs in Python
+_OBSERVE = Permission.OBSERVE.value
+_INJECT_PACKETS = Permission.INJECT_PACKETS.value
+_EXPORT_OFF_DEVICE = Permission.EXPORT_OFF_DEVICE.value
 _VERDICT_PERMISSION = {
-    Modify: Permission.MODIFY_PAYLOAD,
-    Block: Permission.BLOCK_FLOW,
-    Redirect: Permission.REDIRECT_FLOW,
+    Modify: Permission.MODIFY_PAYLOAD.value,
+    Block: Permission.BLOCK_FLOW.value,
+    Redirect: Permission.REDIRECT_FLOW.value,
 }
+
+_EMIT_WINDOW_US = 60_000_000
 
 
 @dataclass
 class _PluginSlot:
     descriptor: PluginDescriptor
     plugin: TrafficPlugin
+    granted: int  # descriptor.requested as an int
+    callbacks: dict  # callback name -> bound method
     enabled: bool = True
     disabled_reason: str | None = None
     invocations: int = 0
     cpu_overruns: int = 0
     mem_overruns: int = 0
     emit_overruns: int = 0
-    emitted_window: list[tuple[int, int]] = field(default_factory=list)  # (ts_us, n)
+    # (ts_us, n) for the last minute, oldest first, and the sum of the n
+    emitted_window: deque = field(default_factory=deque)
+    emitted_in_window: int = 0
 
 
 class PluginHost:
@@ -271,7 +306,9 @@ class PluginHost:
             raise MalformedPermissions(
                 f"plugin {descriptor.id!r}: any permission implies observe")
         descriptor.budget.validate()
-        slot = _PluginSlot(descriptor=descriptor, plugin=plugin)
+        slot = _PluginSlot(
+            descriptor=descriptor, plugin=plugin, granted=req.value,
+            callbacks={name: getattr(plugin, name) for name in _CALLBACKS.values()})
         self._slots.append(slot)
         self._by_id[descriptor.id] = slot
         return descriptor.id
@@ -308,21 +345,28 @@ class PluginHost:
         """Invoke plugins in registration order. Modify verdicts compose;
         the first permitted Block or Redirect short-circuits. Verdicts a
         plugin lacks permission for, malformed verdicts, and callbacks
-        that raise all downgrade to Pass with a violation record."""
+        that raise all downgrade to Pass with a violation record. Each
+        callback's CPU time is metered against its plugin's budget."""
         payload = event.payload
         modified = False
+        name = _CALLBACKS[event.kind]
+        cpu_clock = self._cpu_clock
         for slot in self._slots:
-            if not slot.enabled:
-                continue
-            granted = slot.descriptor.requested
-            if not granted & Permission.OBSERVE:
+            if not slot.enabled or not slot.granted & _OBSERVE:
                 continue
             event.payload = payload
-            verdict = self._invoke(slot, event, ctx)
+            slot.invocations += 1
+            start = cpu_clock()
+            try:
+                verdict = slot.callbacks[name](event, ctx)
+            except Exception as exc:  # plugin failure must not hurt the packet path
+                self._violation(slot, "callback-error", ctx, detail=repr(exc))
+                verdict = None
+            self._meter_cpu(slot, (cpu_clock() - start) // 1000)
             if verdict is None or isinstance(verdict, Pass):
                 continue
             needed = _VERDICT_PERMISSION.get(type(verdict))
-            if needed is None or not granted & needed:
+            if needed is None or not slot.granted & needed:
                 self._violation(slot, "permission-denied", ctx, verdict)
                 continue
             if isinstance(verdict, Block) and verdict.mode is BlockMode.INJECT_RESPONSE \
@@ -340,20 +384,6 @@ class PluginHost:
     def dispatch(self, kind: EventKind, key: FlowKey | None, app_label: str,
                  direction: str, event: PluginEvent) -> EffectiveAction:
         return self.chain_apply(event, self.make_context(key, app_label, direction, kind))
-
-    def _invoke(self, slot: _PluginSlot, event: PluginEvent,
-                ctx: PluginContext) -> Verdict | None:
-        slot.invocations += 1
-        cb = getattr(slot.plugin, _CALLBACKS[event.kind])
-        start = self._cpu_clock()
-        try:
-            verdict = cb(event, ctx)
-        except Exception as exc:  # plugin failure must not hurt the packet path
-            self._violation(slot, "callback-error", ctx, detail=repr(exc))
-            verdict = None
-        elapsed_us = (self._cpu_clock() - start) // 1000
-        self.account(slot.descriptor.id, cpu_us=elapsed_us)
-        return verdict
 
     def _violation(self, slot: _PluginSlot, kind: str, ctx: PluginContext,
                    verdict: Verdict | None = None, detail: str = "") -> None:
@@ -373,39 +403,47 @@ class PluginHost:
         samples (emitted bytes on cellular for wifi-only plugins disable
         immediately)."""
         slot = self._by_id[plugin_id]
+        if cpu_us is not None:
+            self._meter_cpu(slot, cpu_us)
+        if emitted_bytes is not None and slot.enabled:
+            self._meter_emitted(slot, emitted_bytes)
+
+    def _meter_cpu(self, slot: _PluginSlot, cpu_us: int) -> None:
         if not slot.enabled:
             return
         budget = slot.descriptor.budget
-        if cpu_us is not None:
-            if cpu_us > budget.max_cpu_us_per_packet:
-                slot.cpu_overruns += 1
-                if slot.cpu_overruns > budget.violation_grace:
-                    self._disable(slot, "CpuOverrun",
-                                  f"{cpu_us}us > {budget.max_cpu_us_per_packet}us "
-                                  f"for {slot.cpu_overruns} consecutive packets")
-            else:
-                slot.cpu_overruns = 0
-        if emitted_bytes is not None:
-            now = self._scheduler.now_us()
-            slot.emitted_window.append((now, emitted_bytes))
-            rate = self._emitted_in_window(slot, now)
-            if rate > budget.max_emitted_bytes_per_min:
-                on_cellular = self.device.connectivity is Connectivity.CELLULAR
-                if slot.descriptor.wifi_only_export and on_cellular:
-                    self._disable(slot, "EmittedOverrunOnCellular",
-                                  f"{rate}B/min > {budget.max_emitted_bytes_per_min}B/min")
-                else:
-                    slot.emit_overruns += 1
-                    if slot.emit_overruns > budget.violation_grace:
-                        self._disable(slot, "EmittedOverrun",
-                                      f"{rate}B/min > {budget.max_emitted_bytes_per_min}B/min")
-            else:
-                slot.emit_overruns = 0
+        if cpu_us > budget.max_cpu_us_per_packet:
+            slot.cpu_overruns += 1
+            if slot.cpu_overruns > budget.violation_grace:
+                self._disable(slot, "CpuOverrun",
+                              f"{cpu_us}us > {budget.max_cpu_us_per_packet}us "
+                              f"for {slot.cpu_overruns} consecutive packets")
+        else:
+            slot.cpu_overruns = 0
 
-    def _emitted_in_window(self, slot: _PluginSlot, now_us: int) -> int:
-        cutoff = now_us - 60_000_000
-        slot.emitted_window = [(t, n) for t, n in slot.emitted_window if t >= cutoff]
-        return sum(n for _, n in slot.emitted_window)
+    def _meter_emitted(self, slot: _PluginSlot, n_bytes: int) -> None:
+        budget = slot.descriptor.budget
+        now = self._scheduler.now_us()
+        # scheduler time never goes back, so the oldest entries sit on the left
+        window = slot.emitted_window
+        window.append((now, n_bytes))
+        slot.emitted_in_window += n_bytes
+        cutoff = now - _EMIT_WINDOW_US
+        while window[0][0] < cutoff:
+            slot.emitted_in_window -= window.popleft()[1]
+        rate = slot.emitted_in_window
+        if rate > budget.max_emitted_bytes_per_min:
+            on_cellular = self.device.connectivity is Connectivity.CELLULAR
+            if slot.descriptor.wifi_only_export and on_cellular:
+                self._disable(slot, "EmittedOverrunOnCellular",
+                              f"{rate}B/min > {budget.max_emitted_bytes_per_min}B/min")
+            else:
+                slot.emit_overruns += 1
+                if slot.emit_overruns > budget.violation_grace:
+                    self._disable(slot, "EmittedOverrun",
+                                  f"{rate}B/min > {budget.max_emitted_bytes_per_min}B/min")
+        else:
+            slot.emit_overruns = 0
 
     def governor_tick(self, now_us: int | None = None) -> list[str]:
         """Periodic sampling of self-reported memory; returns ids of
@@ -463,7 +501,7 @@ class PluginHost:
         slot = self._by_id[plugin_id]
         if not slot.enabled:
             return False
-        if not slot.descriptor.requested & Permission.INJECT_PACKETS:
+        if not slot.granted & _INJECT_PACKETS:
             self._violation(slot, "permission-denied",
                             self.make_context(None, "", DIR_OUT, EventKind.PACKET_OUT),
                             detail="probe_datagram")
@@ -495,7 +533,7 @@ class PluginHost:
         if not slot.enabled:
             return False
         ctx = self.make_context(None, "", DIR_OUT, EventKind.PACKET_OUT)
-        if not slot.descriptor.requested & Permission.EXPORT_OFF_DEVICE:
+        if not slot.granted & _EXPORT_OFF_DEVICE:
             self._violation(slot, "permission-denied", ctx, detail="export_off_device")
             return False
         if (slot.descriptor.wifi_only_export

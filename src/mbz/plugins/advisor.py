@@ -23,7 +23,6 @@ class PathStats:
     syn_rtts_us: list[int] = field(default_factory=list)
     data_segments: int = 0
     retransmissions: int = 0
-    _seen: set = field(default_factory=set)
 
     @property
     def sample_count(self) -> int:
@@ -50,6 +49,8 @@ class AdvisorPlugin(TrafficPlugin):
         self.min_samples = min_samples
         self.paths: dict[tuple[str, int], PathStats] = {}
         self._syn_at: dict[FlowKey, int] = {}
+        # (seq, length) of each data segment of each open flow
+        self._seen: dict[FlowKey, set[tuple[int, int]]] = {}
 
     def _stats(self, key: FlowKey) -> PathStats:
         return self.paths.setdefault(key.dst, PathStats())
@@ -74,17 +75,19 @@ class AdvisorPlugin(TrafficPlugin):
                 or event.tcp_seq is None:
             return None
         stats = self._stats(key)
-        sig = (key, event.tcp_seq, len(event.payload))
-        if sig in stats._seen:
+        seen = self._seen.setdefault(key, set())
+        sig = (event.tcp_seq, len(event.payload))
+        if sig in seen:
             stats.retransmissions += 1
         else:
-            stats._seen.add(sig)
+            seen.add(sig)
         stats.data_segments += 1
         return None
 
     def on_flow_close(self, event, ctx):
         if ctx.key is not None:
             self._syn_at.pop(ctx.key, None)
+            self._seen.pop(ctx.key, None)
         return None
 
     def report(self) -> list[dict]:

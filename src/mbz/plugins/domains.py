@@ -7,7 +7,6 @@ plugin owns its own tracker instance; there is no cross-plugin state.
 
 from __future__ import annotations
 
-from .. import dnswire, tlswire
 from ..host import PluginContext, PluginEvent
 from ..packet import FlowKey
 
@@ -32,7 +31,7 @@ class DomainTracker:
             return
         if key.protocol == 6 and key.dst[1] == TLS_PORT \
                 and key not in self.sni_by_key:
-            sni = tlswire.extract_sni(event.payload)
+            sni = event.sni()
             if sni:
                 self.sni_by_key[key] = sni
 
@@ -40,7 +39,7 @@ class DomainTracker:
         key = ctx.key
         if key is None or key.protocol != 17 or key.dst[1] != 53:
             return
-        msg = dnswire.parse_message(event.payload)
+        msg = event.dns()
         if msg is None or not msg.is_response:
             return
         for _name, _rtype, ip in msg.answers:

@@ -12,8 +12,10 @@ flows opened after the name was resolved.
 from __future__ import annotations
 
 import fnmatch
+import functools
 import ipaddress
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 
 from ..host import (
     Block, BlockMode, Modify, PluginContext, PluginEvent, Redirect,
@@ -42,6 +44,12 @@ class FirewallRule:
     switch_to: tuple[str, int] | None = None
     pattern: bytes = b""
     replacement: bytes = b""
+    # the app glob compiled as fnmatch.fnmatchcase would; None for "*"
+    _app_match: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._app_match = None if self.app == "*" \
+            else re.compile(fnmatch.translate(self.app)).match
 
     @classmethod
     def from_dict(cls, obj: dict) -> "FirewallRule":
@@ -131,7 +139,7 @@ class FirewallRule:
             return False
         if self.ports is not None and key.dst[1] not in self.ports:
             return False
-        if not fnmatch.fnmatchcase(ctx.app_label, self.app):
+        if self._app_match is not None and self._app_match(ctx.app_label) is None:
             return False
         if self.dst_suffix is not None:
             if not domain:
@@ -144,6 +152,13 @@ class FirewallRule:
         return True
 
 
+def _parse_ipv4(text: str) -> ipaddress.IPv4Address | None:
+    try:
+        return ipaddress.IPv4Address(text)
+    except ValueError:
+        return None
+
+
 def rules_from_list(objs: list[dict]) -> list[FirewallRule]:
     return [FirewallRule.from_dict(o) for o in objs]
 
@@ -154,6 +169,7 @@ class FirewallPlugin(TrafficPlugin):
         self.default_allow = default_allow
         self.tracker = DomainTracker()
         self._any_cidr = any(rule.dst_network is not None for rule in rules)
+        self._parse_dst = functools.lru_cache(maxsize=4096)(_parse_ipv4)
 
     def on_flow_open(self, event, ctx):
         self.tracker.observe_out(event, ctx)
@@ -174,10 +190,7 @@ class FirewallPlugin(TrafficPlugin):
         if ctx.key is not None:
             domain = self.tracker.domain_for(ctx.key).lower().rstrip(".")
             if self._any_cidr:
-                try:
-                    dst_ip = ipaddress.IPv4Address(ctx.key.dst[0])
-                except ValueError:
-                    pass
+                dst_ip = self._parse_dst(ctx.key.dst[0])
         for rule in self.rules:
             if not rule.matches(ctx, domain, dst_ip):
                 continue

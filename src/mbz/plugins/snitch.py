@@ -144,9 +144,6 @@ class SnitchPlugin(TrafficPlugin):
 
     # -- reporting ------------------------------------------------------------
 
-    def _org_of(self, rec: SnitchRecord) -> str:
-        return self.org_map.lookup(self.tracker.domain_for(rec.key), rec.key.dst[0])
-
     def report(self) -> dict:
         """Aggregate counts; ordering is count-descending then name."""
         per_app: dict[str, dict] = {}
@@ -154,9 +151,13 @@ class SnitchPlugin(TrafficPlugin):
         third_flows: dict[str, int] = {}
         totals = {"TCP": 0, "UDP": 0, "QUIC-over-UDP": 0}
         first_party_flows = 0
+        org_of: dict[tuple[str, str], str] = {}  # (domain, address) -> org
 
         for rec in self.records.values():
-            org = self._org_of(rec)
+            where = (self.tracker.domain_for(rec.key), rec.key.dst[0])
+            org = org_of.get(where)
+            if org is None:
+                org = org_of[where] = self.org_map.lookup(*where)
             app = per_app.setdefault(rec.app_label, {
                 "requests_per_org": {}, "flows_per_org": {}, "protocols": {}})
             app["requests_per_org"][org] = \

@@ -89,7 +89,7 @@ class WhatIfPlugin(TrafficPlugin):
         key = ctx.key
         if key is None or key.protocol != 17 or key.dst[1] != 53:
             return None
-        msg = dnswire.parse_message(event.payload)
+        msg = event.dns()
         if msg is None or msg.is_response:
             return None
         pkey = (key, msg.qid)
@@ -100,16 +100,21 @@ class WhatIfPlugin(TrafficPlugin):
             return None
         if self._host is None or not self.alt_resolvers:
             return None
-        self.sampled += 1
         pending = _PendingProbe(key=pkey, qname=msg.qname, qtype=msg.qtype,
                                 resolver=key.dst, sent_at_us=ctx.now_us)
         self._pending[pkey] = pending
+        query = dnswire.build_query(msg.qid, msg.qname, msg.qtype)
         for alt in self.alt_resolvers:
-            query = dnswire.build_query(msg.qid, msg.qname, msg.qtype)
-            self._host.probe_datagram(
-                self._plugin_id, alt, query,
-                lambda reply, p=pending, a=alt: self._on_probe_reply(p, a, reply),
-                timeout_us=self.timeout_us)
+            if not self._host.probe_datagram(
+                    self._plugin_id, alt, query,
+                    lambda reply, p=pending, a=alt: self._on_probe_reply(p, a, reply),
+                    timeout_us=self.timeout_us):
+                # refused (no inject_packets, or disabled by the governor):
+                # abandon the query; replies to probes already sent find it done
+                pending.done = True
+                del self._pending[pkey]
+                return None
+        self.sampled += 1
         # the original resolver may never answer; close the book then
         self._host.call_later(self.timeout_us,
                               lambda p=pending: self._on_original_timeout(p))
@@ -119,7 +124,7 @@ class WhatIfPlugin(TrafficPlugin):
         key = ctx.key
         if key is None or key.protocol != 17 or key.dst[1] != 53:
             return None
-        msg = dnswire.parse_message(event.payload)
+        msg = event.dns()
         if msg is None or not msg.is_response:
             return None
         pending = self._pending.get((key, msg.qid))

@@ -3,7 +3,7 @@
 from helpers import AppPeer, Driver, build_engine
 
 from mbz.engine import EngineConfig
-from mbz.host import Permission, PluginDescriptor
+from mbz.host import Permission, PluginDescriptor, PluginEvent
 from mbz.plugins.advisor import (
     KEEP_TCP, WRAP_LOSS_TOLERANT, AdvisorPlugin, PathStats, recommend,
 )
@@ -101,3 +101,40 @@ class TestScriptedPaths:
             run_flows(engine, advisor, 5, dup_every=2)
             return advisor.report()
         assert run() == run()
+
+
+class TestPerFlowState:
+    ECHO = {"cidr": "10.1.0.1/32", "behavior": "echo", "delay_us": 1500}
+
+    def test_closed_flows_leave_no_state(self):
+        engine = build_engine([self.ECHO])
+        advisor = install_advisor(engine)
+        run_flows(engine, advisor, 3, dup_every=2)
+        assert engine.counters["tcp_flows_closed"] == 3
+        assert advisor._seen == {} and advisor._syn_at == {}
+        # 4 segments and 2 duplicates per flow
+        assert advisor.report()[0]["data_segments"] == 18
+        assert advisor.report()[0]["retransmissions"] == 6
+
+    def test_repeat_within_a_flow_counts_once(self):
+        from mbz.host import DeviceContext, EventKind, PluginContext
+        from mbz.packet import FlowKey
+
+        advisor = AdvisorPlugin()
+        key = FlowKey(6, ("10.0.0.2", 41000), SRV)
+
+        def ctx(kind):
+            return PluginContext(key=key, app_label="", direction="out", kind=kind,
+                                 device=DeviceContext(), now_us=0)
+
+        advisor.on_flow_open(PluginEvent(EventKind.FLOW_OPEN), ctx(EventKind.FLOW_OPEN))
+        for seq in (1, 11, 1, 21):
+            advisor.on_packet_out(
+                PluginEvent(EventKind.PACKET_OUT, payload=b"x" * 10, tcp_seq=seq),
+                ctx(EventKind.PACKET_OUT))
+        assert advisor.paths[SRV].retransmissions == 1
+        assert advisor.paths[SRV].data_segments == 4
+        assert advisor._seen == {key: {(1, 10), (11, 10), (21, 10)}}
+        advisor.on_flow_close(PluginEvent(EventKind.FLOW_CLOSE), ctx(EventKind.FLOW_CLOSE))
+        assert key not in advisor._seen and key not in advisor._syn_at
+        assert advisor.paths[SRV].retransmissions == 1

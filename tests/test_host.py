@@ -1,9 +1,12 @@
 """Plugin host: registration, chain semantics, governor, context."""
 
+import fnmatch
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mbz import dnswire, tlswire
 from mbz.clock import Scheduler
 from mbz.host import (
     Block, BlockMode, Connectivity, DeviceContext, DuplicateId, EventKind,
@@ -12,6 +15,10 @@ from mbz.host import (
     TrafficPlugin, permissions_from_names,
     DIR_IN, DIR_OUT,
 )
+from mbz.packet import FlowKey
+from mbz.plugins.firewall import FirewallPlugin, FirewallRule
+from mbz.plugins.snitch import OrgMap, SnitchPlugin
+from mbz.plugins.whatif import WhatIfPlugin
 
 OBSERVE = Permission.OBSERVE
 ALL = (Permission.OBSERVE | Permission.MODIFY_PAYLOAD | Permission.BLOCK_FLOW
@@ -322,3 +329,211 @@ class TestDeterminism:
                 out.append((action.payload, action.decided_by))
             return out
         assert run() == run()
+
+
+DNS_KEY = FlowKey(17, ("10.0.0.2", 50000), ("8.8.8.8", 53))
+TLS_KEY = FlowKey(6, ("10.0.0.2", 41000), ("93.184.216.34", 443))
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def dispatch(host, kind, key, payload=b"", direction=DIR_OUT):
+    return host.dispatch(kind, key, "app", direction, PluginEvent(kind, payload=payload))
+
+
+class RewriteDns(TrafficPlugin):
+    """Reads the DNS answer, then replaces it with another one."""
+
+    def __init__(self, replacement):
+        self.replacement = replacement
+        self.seen = []
+
+    def on_packet_in(self, event, ctx):
+        self.seen.append(event.dns().answers)
+        return Modify(self.replacement)
+
+
+class RecordDns(TrafficPlugin):
+    def __init__(self):
+        self.seen = []
+
+    def on_packet_in(self, event, ctx):
+        self.seen.append(event.dns().answers)
+
+
+class TestParseOncePerEvent:
+    def full_chain(self, host):
+        fw = reg(host, FirewallPlugin([]), "fw")
+        snitch = reg(host, SnitchPlugin(OrgMap.from_pairs([])), "snitch", perms=OBSERVE)
+        whatif = reg(host, WhatIfPlugin([("9.9.9.9", 53)], probability=1.0), "whatif")
+        return fw, snitch, whatif
+
+    def test_dns_answer_parsed_once_by_the_chain(self, monkeypatch):
+        host = make_host()
+        fw, snitch, _whatif = self.full_chain(host)
+        calls = counting(monkeypatch, dnswire, "parse_message")
+        answer = dnswire.build_response(1, "example.com", dnswire.QTYPE_A, ["93.184.216.34"])
+        dispatch(host, EventKind.PACKET_IN, DNS_KEY, answer, DIR_IN)
+        assert len(calls) == 1
+        assert fw.tracker.ip_to_name == snitch.tracker.ip_to_name \
+            == {"93.184.216.34": "example.com"}
+
+    def test_client_hello_sni_read_once_by_the_chain(self, monkeypatch):
+        host = make_host()
+        fw, snitch, _whatif = self.full_chain(host)
+        dispatch(host, EventKind.FLOW_OPEN, TLS_KEY)
+        calls = counting(monkeypatch, tlswire, "extract_sni")
+        dispatch(host, EventKind.PACKET_OUT, TLS_KEY, tlswire.build_client_hello("example.com"))
+        assert len(calls) == 1
+        assert fw.tracker.sni_by_key == snitch.tracker.sni_by_key == {TLS_KEY: "example.com"}
+
+    def test_modify_earlier_in_chain_gives_later_plugins_a_fresh_parse(self, monkeypatch):
+        host = make_host()
+        before = dnswire.build_response(1, "example.com", dnswire.QTYPE_A, ["1.1.1.1"])
+        after = dnswire.build_response(1, "example.com", dnswire.QTYPE_A, ["6.6.6.6"])
+        rewrite = reg(host, RewriteDns(after), "rewrite")
+        snitch = reg(host, SnitchPlugin(OrgMap.from_pairs([])), "snitch", perms=OBSERVE)
+        record = reg(host, RecordDns(), "record", perms=OBSERVE)
+        calls = counting(monkeypatch, dnswire, "parse_message")
+        action = dispatch(host, EventKind.PACKET_IN, DNS_KEY, before, DIR_IN)
+        assert action.payload == after
+        assert rewrite.seen == [[("example.com", dnswire.QTYPE_A, "1.1.1.1")]]
+        assert record.seen == [[("example.com", dnswire.QTYPE_A, "6.6.6.6")]]
+        assert snitch.tracker.ip_to_name == {"6.6.6.6": "example.com"}
+        assert [args[0] for args in calls] == [before, after]
+
+    def test_event_parses_are_memoised_on_the_payload(self, monkeypatch):
+        calls = counting(monkeypatch, dnswire, "parse_message")
+        query = dnswire.build_query(9, "example.com")
+        event = PluginEvent(EventKind.PACKET_OUT, payload=query)
+        assert event.dns() is event.dns()
+        assert event.dns().qname == "example.com"
+        event.payload = b"not dns"
+        assert event.dns() is None and event.dns() is None
+        assert len(calls) == 2
+        assert event.sni() is None
+
+
+class TestRegistrationTimeBinding:
+    def test_violation_records_unchanged(self):
+        sched = Scheduler()
+        host = PluginHost(sched)
+        reg(host, ScriptedPlugin(raise_exc=True), "bug")
+        reg(host, ScriptedPlugin(Block(BlockMode.RESET_APP)), "watch", perms=OBSERVE)
+        reg(host, ScriptedPlugin(Modify(b"m")), "nomod",
+            perms=OBSERVE | Permission.BLOCK_FLOW)
+        reg(host, ScriptedPlugin("not a verdict"), "odd")
+        reg(host, ScriptedPlugin(Block(BlockMode.INJECT_RESPONSE, b"n")), "inj")
+        sched.advance_to(5)
+        action = apply_out(host, direction=DIR_IN)
+        assert action.is_pass and action.payload == b"x"
+        assert host.violations == [
+            {"ts_us": 5, "plugin": "bug", "kind": "callback-error",
+             "detail": "RuntimeError('plugin bug')"},
+            {"ts_us": 5, "plugin": "watch", "kind": "permission-denied", "detail": "Block"},
+            {"ts_us": 5, "plugin": "nomod", "kind": "permission-denied", "detail": "Modify"},
+            {"ts_us": 5, "plugin": "odd", "kind": "permission-denied", "detail": "str"},
+            {"ts_us": 5, "plugin": "inj", "kind": "inject-on-inbound", "detail": "Block"},
+        ]
+
+    def test_cpu_clock_read_twice_per_callback(self):
+        clock = FakeCpuClock([])
+        host = make_host(cpu_clock=clock)
+        reg(host, ScriptedPlugin(raise_exc=True), "bug")
+        reg(host, ScriptedPlugin(Block(BlockMode.RESET_APP)), "watch", perms=OBSERVE)
+        reg(host, ScriptedPlugin(), "quiet")
+        reg(host, ScriptedPlugin(), "none", perms=Permission(0))  # never invoked
+        for _ in range(4):
+            apply_out(host)
+        assert clock.phase == 2 * 3 * 4
+        assert [host.invocation_count(p) for p in ("bug", "watch", "quiet", "none")] \
+            == [4, 4, 4, 0]
+
+    def test_cpu_overrun_metered_per_callback(self):
+        budget = ResourceBudget(max_cpu_us_per_packet=500, violation_grace=1)
+        # callbacks alternate between the two plugins: "slow" is charged
+        # every first cost, "fast" every second
+        clock = FakeCpuClock([1000, 10, 1000, 10])
+        host = make_host(cpu_clock=clock)
+        reg(host, ScriptedPlugin(), "slow", budget=budget)
+        reg(host, ScriptedPlugin(), "fast", budget=budget)
+        apply_out(host)
+        apply_out(host)
+        assert not host.is_enabled("slow") and host.is_enabled("fast")
+        assert [e["plugin"] for e in host.governor_events] == ["slow"]
+
+    def test_callbacks_are_bound_at_registration(self):
+        plugin = ScriptedPlugin(Modify(b"y"))
+        host = make_host()
+        reg(host, plugin, "p")
+        plugin.on_packet_out = lambda event, ctx: Modify(b"late")
+        assert apply_out(host).payload == b"y"
+
+
+def _window_oracle(window, now_us, n):
+    """The parent's emitted-bytes window: append, then filter the list."""
+    window = window + [(now_us, n)]
+    cutoff = now_us - 60_000_000
+    return [(t, m) for t, m in window if t >= cutoff]
+
+
+class TestEmittedWindow:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.sampled_from([0, 1, 59_999_999, 60_000_000, 60_000_001]),
+                  st.integers(0, 90_000_000)),
+        st.integers(0, 3000)), max_size=40))
+    def test_deque_matches_list_filter(self, steps):
+        limit, grace = 4000, 10 ** 9
+        sched = Scheduler()
+        host = PluginHost(sched)
+        reg(host, ScriptedPlugin(), "e", budget=ResourceBudget(
+            max_emitted_bytes_per_min=limit, violation_grace=grace))
+        slot = host._by_id["e"]
+        oracle, overruns = [], 0
+        for delta, n in steps:
+            sched.advance_to(sched.now_us() + delta)
+            host.account("e", emitted_bytes=n)
+            oracle = _window_oracle(oracle, sched.now_us(), n)
+            overruns = overruns + 1 if sum(m for _t, m in oracle) > limit else 0
+            assert list(slot.emitted_window) == oracle
+            assert slot.emitted_in_window == sum(m for _t, m in oracle)
+            assert slot.emit_overruns == overruns
+
+    def test_entry_exactly_at_cutoff_still_counts(self):
+        sched = Scheduler()
+        host = PluginHost(sched)
+        reg(host, ScriptedPlugin(), "e", budget=ResourceBudget(
+            max_emitted_bytes_per_min=100, violation_grace=5))
+        slot = host._by_id["e"]
+        host.account("e", emitted_bytes=60)
+        sched.advance_to(60_000_000)
+        host.account("e", emitted_bytes=50)  # 110 B within the minute
+        assert slot.emit_overruns == 1 and slot.emitted_in_window == 110
+        sched.advance_to(60_000_001)
+        host.account("e", emitted_bytes=0)  # the first 60 B have left
+        assert slot.emit_overruns == 0 and slot.emitted_in_window == 50
+
+
+class TestFirewallAppGlob:
+    PATTERNS = ("*", "game*", "[ab]pp", "mail", "a?c")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="abcgmeilpx?*[]. ", max_size=8))
+    def test_compiled_glob_agrees_with_fnmatchcase(self, label):
+        key = FlowKey(6, ("10.0.0.2", 1), ("192.0.2.1", 80))
+        ctx = PluginContext(key=key, app_label=label, direction=DIR_OUT,
+                            kind=EventKind.PACKET_OUT, device=DeviceContext(), now_us=0)
+        for pattern in self.PATTERNS:
+            rule = FirewallRule.from_dict({"match": {"app": pattern}})
+            assert rule.matches(ctx, "", None) == fnmatch.fnmatchcase(label, pattern), \
+                (pattern, label)

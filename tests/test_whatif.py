@@ -188,3 +188,62 @@ class TestSamplingAndPassivity:
             payload=dnswire.build_query(1, "example.com"))))
         engine.pump()
         assert plugin.sampled == 0
+
+
+class TestRefusedProbes:
+    """A probe the host refuses abandons its query: nothing stays pending."""
+
+    ALT2 = ("1.0.0.1", 53)
+    SCRIPTS = [
+        resolver_script("8.8.8.8/32", {"example.com": ["1.1.1.1"]}),
+        resolver_script("9.9.9.9/32", {"example.com": ["1.1.1.1"]}),
+        resolver_script("1.0.0.1/32", {"example.com": ["1.1.1.1"]}),
+    ]
+
+    def setup_with(self, perms, alt_resolvers, budget=None):
+        from mbz.host import ResourceBudget
+        engine = build_engine(self.SCRIPTS)
+        plugin = WhatIfPlugin(list(alt_resolvers), probability=1.0, seed=7)
+        engine.host.register(PluginDescriptor(
+            id="whatif", name="dns-whatif", requested=perms,
+            budget=budget or ResourceBudget()), plugin)
+        plugin.bind(engine.host, "whatif")
+        return engine, plugin
+
+    def test_without_inject_permission(self):
+        engine, plugin = self.setup_with(Permission.OBSERVE, [ALT])
+        for i in range(5):
+            query(engine, "example.com", qid=i, src_port=50000 + i)
+        assert plugin.sampled == 0
+        assert plugin._pending == {}
+        assert plugin.report() == {"sampled_queries": 0, "probes": []}
+        assert [v["kind"] for v in engine.host.violations] == ["permission-denied"] * 5
+
+    def test_disabled_by_emitted_bytes_budget(self):
+        from mbz.host import ResourceBudget
+        # each probe is a 29-byte query: the third one overruns for the
+        # second time in a row, past a grace of 1
+        engine, plugin = self.setup_with(
+            WHATIF_PERMS, [ALT],
+            ResourceBudget(max_emitted_bytes_per_min=40, violation_grace=1))
+        for i in range(3):
+            query(engine, "example.com", qid=i, src_port=50000 + i)
+        assert not engine.host.is_enabled("whatif")
+        assert plugin.sampled == 2
+        assert plugin._pending == {}
+        assert [p["divergence"] for p in plugin.probes] == [DIVERGENCE_NONE] * 2
+
+    def test_disabled_between_two_probes_of_one_query(self):
+        from mbz.host import ResourceBudget
+        # the second query's first probe goes out, its second is refused;
+        # the first probe's reply and the timeout find the query finished
+        engine, plugin = self.setup_with(
+            WHATIF_PERMS, [ALT, self.ALT2],
+            ResourceBudget(max_emitted_bytes_per_min=40, violation_grace=2))
+        for i in range(2):
+            query(engine, "example.com", qid=i, src_port=50000 + i)
+        assert not engine.host.is_enabled("whatif")
+        assert engine.scheduler.pending() <= 1  # only the engine's tick
+        assert plugin.sampled == 1
+        assert plugin._pending == {}
+        assert len(plugin.probes) == 1
