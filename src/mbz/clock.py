@@ -15,31 +15,17 @@ VIRTUAL = "virtual"
 WALL = "wall"
 
 
-class _Entry:
-    __slots__ = ("at_us", "seq", "fn", "cancelled")
-
-    def __init__(self, at_us: int, seq: int, fn):
-        self.at_us = at_us
-        self.seq = seq
-        self.fn = fn
-        self.cancelled = False
-
-    def __lt__(self, other: "_Entry") -> bool:
-        return (self.at_us, self.seq) < (other.at_us, other.seq)
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class Scheduler:
     def __init__(self, mode: str = VIRTUAL, origin_us: int = 0):
         if mode not in (VIRTUAL, WALL):
             raise ValueError(f"unknown clock mode {mode!r}")
         self.mode = mode
         self._now_us = origin_us
-        self._heap: list[_Entry] = []
+        # [at_us, seq, fn] lists, which heapq compares in C; seq is unique, so
+        # fn is never compared. fn becomes None once the entry ran or was cancelled.
+        self._heap: list[list] = []
         self._seq = 0
-        self._live = 0  # non-cancelled entries
+        self._live = 0  # entries still to run
         if mode == WALL:
             self._wall_origin_ns = time.perf_counter_ns() - origin_us * 1000
 
@@ -48,19 +34,20 @@ class Scheduler:
             return (time.perf_counter_ns() - self._wall_origin_ns) // 1000
         return self._now_us
 
-    def call_at(self, at_us: int, fn) -> _Entry:
-        entry = _Entry(max(at_us, self.now_us()), self._seq, fn)
+    def call_at(self, at_us: int, fn) -> list:
+        entry = [max(at_us, self.now_us()), self._seq, fn]
         self._seq += 1
         heapq.heappush(self._heap, entry)
         self._live += 1
         return entry
 
-    def call_later(self, delay_us: int, fn) -> _Entry:
+    def call_later(self, delay_us: int, fn) -> list:
         return self.call_at(self.now_us() + max(0, delay_us), fn)
 
-    def cancel(self, entry: _Entry) -> None:
-        if not entry.cancelled:
-            entry.cancel()
+    def cancel(self, entry: list) -> None:
+        """Drop an entry that has not run yet; a no-op once it has."""
+        if entry[2] is not None:
+            entry[2] = None
             self._live -= 1
 
     def pending(self) -> int:
@@ -69,26 +56,26 @@ class Scheduler:
 
     def peek_us(self) -> int | None:
         """Timestamp of the earliest live entry, or None."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2] is None:
             heapq.heappop(self._heap)
-        return self._heap[0].at_us if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Run the earliest entry. In wall mode, waits until it is due.
         Returns False if the queue is empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
+        if self.peek_us() is None:
             return False
         entry = heapq.heappop(self._heap)
+        at_us, _seq, fn = entry
         if self.mode == WALL:
-            wait_us = entry.at_us - self.now_us()
+            wait_us = at_us - self.now_us()
             if wait_us > 0:
                 time.sleep(wait_us / 1e6)
         else:
-            self._now_us = max(self._now_us, entry.at_us)
+            self._now_us = max(self._now_us, at_us)
+        entry[2] = None
         self._live -= 1
-        entry.fn()
+        fn()
         return True
 
     def run_until_idle(self) -> None:

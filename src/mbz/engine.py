@@ -18,10 +18,7 @@ from dataclasses import dataclass, field
 
 from .clock import Scheduler
 from .conduit import PacketConduit
-from .host import (
-    Block, BlockMode, EffectiveAction, EventKind, PluginEvent, PluginHost,
-    DIR_IN, DIR_OUT,
-)
+from .host import Block, BlockMode, EffectiveAction, EventKind, PluginHost
 from .packet import (
     ACK, FIN, PSH, RST, SYN, BadChecksum, FlowKey, NoTransport,
     OversizedPacket, Packet, PacketError, PROTO_TCP, PROTO_UDP, TcpHeader,
@@ -265,14 +262,43 @@ class Engine:
         else:
             self._udp_ingress(pkt, key, app_label, data)
 
-    def _flow_close_event(self, key: FlowKey, app_label: str) -> None:
-        self.host.dispatch(EventKind.FLOW_CLOSE, key, app_label, DIR_OUT,
-                           PluginEvent(EventKind.FLOW_CLOSE))
+    def _offer_out(self, pkt: Packet, key: FlowKey, app_label: str, raw: bytes,
+                   flow: TcpFlow | UdpFlow | None, creating: bool) -> EffectiveAction:
+        """Run the chain over an app packet: FLOW_OPEN when it opens a
+        flow, else PACKET_OUT. Counts a block; otherwise records the packet
+        as forwarded and counts a redirect, honoured only on an open."""
+        kind = EventKind.FLOW_OPEN if creating else EventKind.PACKET_OUT
+        tcp_flags = tcp_seq = None
+        if pkt.is_tcp:
+            tcp_flags, tcp_seq = pkt.transport.flags, pkt.transport.seq
+        action = self.host.dispatch(kind, key, app_label, pkt.payload, pkt, tcp_flags, tcp_seq)
+        if action.block is not None:
+            self.counters["blocked_flow_opens" if creating else "blocked_packets"] += 1
+            return action
+        if action.modified:
+            self.counters["modified_packets"] += 1
+            rebuilt = Packet(ip=pkt.ip, transport=pkt.transport, payload=action.payload)
+            try:
+                raw = serialize_packet(rebuilt, mtu=self.config.mtu)
+            except OversizedPacket:
+                raw = None  # forwarded upstream anyway; just not capturable
+        if raw is not None:
+            self.capture.append((self.scheduler.now_us(), raw))
+        if action.redirect is not None:
+            if creating:
+                self.counters["redirected_flows"] += 1
+            elif flow is not None:
+                self.counters["redirects_ignored"] += 1
+        return action
 
-    def _control_in_event(self, flow: TcpFlow, flags: int) -> None:
-        # engine-synthesized control packets are observable, not actionable
-        self.host.dispatch(EventKind.PACKET_IN, flow.key, flow.app_label, DIR_IN,
-                           PluginEvent(EventKind.PACKET_IN, tcp_flags=flags))
+    def _offer_in(self, flow: TcpFlow | UdpFlow, payload: bytes) -> EffectiveAction:
+        """Run the chain over bytes from upstream; counts a block or a rewrite."""
+        action = self.host.dispatch(EventKind.PACKET_IN, flow.key, flow.app_label, payload)
+        if action.block is not None:
+            self.counters["blocked_packets"] += 1
+        elif action.modified:
+            self.counters["modified_packets"] += 1
+        return action
 
     # --------------------------------------------------------------- emit
 
@@ -285,18 +311,6 @@ class Engine:
             return
         self.conduit.write_packet(data)
         self.capture.append((self.scheduler.now_us(), data))
-
-    def _record_forwarded(self, pkt: Packet, raw: bytes, action: EffectiveAction) -> None:
-        if action.modified:
-            self.counters["modified_packets"] += 1
-            rebuilt = Packet(ip=pkt.ip, transport=pkt.transport, payload=action.payload)
-            try:
-                wire = serialize_packet(rebuilt, mtu=self.config.mtu)
-            except OversizedPacket:
-                return  # forwarded upstream anyway; just not capturable
-            self.capture.append((self.scheduler.now_us(), wire))
-        else:
-            self.capture.append((self.scheduler.now_us(), raw))
 
     def _advertised_window(self, flow: TcpFlow) -> int:
         # reflects spare receive capacity for app payload (the to_net queue)
@@ -329,32 +343,17 @@ class Engine:
             return
         syn_only = tcp.has(SYN) and not tcp.has(ACK)
         creating = flow is None and syn_only
-        kind = EventKind.FLOW_OPEN if creating else EventKind.PACKET_OUT
-        event = PluginEvent(kind, payload=pkt.payload, packet=pkt,
-                            tcp_flags=tcp.flags, tcp_seq=tcp.seq)
-        action = self.host.dispatch(kind, key, app_label, DIR_OUT, event)
-
-        block = action.block
-        if block is not None:
-            self._apply_tcp_block(pkt, key, app_label, flow, block, creating)
-            return
-        self._record_forwarded(pkt, raw, action)
-
-        if flow is None:
-            if syn_only:
-                redirect = action.redirect.dst if action.redirect else None
-                if action.redirect:
-                    self.counters["redirected_flows"] += 1
-                self._handle_syn(pkt, key, app_label, redirect)
-            else:
-                self._rst_for_orphan(pkt, key)
-            return
-        if action.redirect is not None:
-            self.counters["redirects_ignored"] += 1
-        if syn_only:
+        action = self._offer_out(pkt, key, app_label, raw, flow, creating)
+        if action.block is not None:
+            self._apply_tcp_block(pkt, key, app_label, flow, action.block, creating)
+        elif creating:
+            self._handle_syn(pkt, key, app_label, action.redirect and action.redirect.dst)
+        elif flow is None:
+            self._rst_for_orphan(pkt, key)
+        elif syn_only:
             self._handle_dup_syn(flow, tcp)
-            return
-        self._handle_tcp_segment(flow, pkt, action.payload)
+        else:
+            self._handle_tcp_segment(flow, pkt, action.payload)
 
     def _handle_syn(self, pkt: Packet, key: FlowKey, app_label: str,
                     redirect: Addr | None, notice: bytes | None = None) -> None:
@@ -434,7 +433,8 @@ class Engine:
         flow.next_expected_from_app = seq_add(flow.app_isn, 1)
         flow.acked_by_app = flow.next_seq_to_app
         self._emit_syn_ack(flow)
-        self._control_in_event(flow, SYN | ACK)
+        # the engine's own control packets are observable, not actionable
+        self.host.dispatch(EventKind.PACKET_IN, flow.key, flow.app_label, tcp_flags=SYN | ACK)
         if flow.deferred_payload:
             deferred, flow.deferred_payload = flow.deferred_payload, b""
             self._accept_app_bytes(flow, deferred)
@@ -533,19 +533,13 @@ class Engine:
                 chunk = stream.recv(space)
                 if not chunk:
                     break
-                event = PluginEvent(EventKind.PACKET_IN, payload=chunk)
-                action = self.host.dispatch(EventKind.PACKET_IN, flow.key,
-                                            flow.app_label, DIR_IN, event)
+                action = self._offer_in(flow, chunk)
                 block = action.block
-                if block is not None:
-                    self.counters["blocked_packets"] += 1
-                    if block.mode is BlockMode.RESET_APP:
-                        self._reset_flow(flow, "plugin")
-                        return
-                    continue  # silently dropped chunk
-                flow.to_app.extend(action.payload)
-                if action.modified:
-                    self.counters["modified_packets"] += 1
+                if block is None:
+                    flow.to_app.extend(action.payload)
+                elif block.mode is BlockMode.RESET_APP:
+                    self._reset_flow(flow, "plugin")
+                    return
         self._send_data_to_app(flow)
         if flow.upstream_eof and not flow.to_app and not flow.fin_sent \
                 and (stream is None or (not stream.readable_bytes() and stream.at_eof())):
@@ -570,7 +564,7 @@ class Engine:
         self._emit_tcp(flow, FIN | ACK)
         flow.fin_sent = True
         flow.next_seq_to_app = seq_add(flow.next_seq_to_app, 1)
-        self._control_in_event(flow, FIN | ACK)
+        self.host.dispatch(EventKind.PACKET_IN, flow.key, flow.app_label, tcp_flags=FIN | ACK)
 
     def _maybe_finish(self, flow: TcpFlow) -> None:
         if flow.state is TcpState.CLOSED:
@@ -594,7 +588,7 @@ class Engine:
         flow.state = TcpState.CLOSED
         flow.to_app.clear()
         flow.to_net.clear()
-        self._flow_close_event(flow.key, flow.app_label)
+        self.host.dispatch(EventKind.FLOW_CLOSE, flow.key, flow.app_label)
 
     def _rst_for_orphan(self, pkt: Packet, key: FlowKey) -> None:
         """Standard endpoint behavior: a segment with no matching state
@@ -611,7 +605,6 @@ class Engine:
     def _apply_tcp_block(self, pkt: Packet, key: FlowKey, app_label: str,
                          flow: TcpFlow | None, block: Block, creating: bool) -> None:
         tcp: TcpHeader = pkt.transport
-        self.counters["blocked_flow_opens" if creating else "blocked_packets"] += 1
         if block.mode is BlockMode.DROP_SILENT:
             return
         if block.mode is BlockMode.RESET_APP:
@@ -661,31 +654,19 @@ class Engine:
     def _udp_ingress(self, pkt: Packet, key: FlowKey, app_label: str,
                      raw: bytes) -> None:
         flow = self.flows.get(key)
-        creating = flow is None
-        kind = EventKind.FLOW_OPEN if creating else EventKind.PACKET_OUT
-        event = PluginEvent(kind, payload=pkt.payload, packet=pkt)
-        action = self.host.dispatch(kind, key, app_label, DIR_OUT, event)
-
+        action = self._offer_out(pkt, key, app_label, raw, flow, flow is None)
         block = action.block
         if block is not None:
-            self.counters["blocked_flow_opens" if creating else "blocked_packets"] += 1
             if block.mode is BlockMode.INJECT_RESPONSE:
                 inv = key.invert()
                 self._emit(make_udp_packet(src=inv.src, dst=inv.dst,
                                            payload=block.response))
                 self.counters["injected_responses"] += 1
             return
-        self._record_forwarded(pkt, raw, action)
-
         if flow is None:
-            redirect = action.redirect.dst if action.redirect else None
-            if action.redirect:
-                self.counters["redirected_flows"] += 1
-            flow = self._open_udp_flow(key, app_label, redirect)
+            flow = self._open_udp_flow(key, app_label, action.redirect and action.redirect.dst)
             if flow is None:
                 return
-        elif action.redirect is not None:
-            self.counters["redirects_ignored"] += 1
 
         flow.last_activity = self.scheduler.now_us()
         payload = action.payload
@@ -752,15 +733,9 @@ class Engine:
 
     def _deliver_udp(self, flow: UdpFlow, data: bytes) -> None:
         flow.last_activity = self.scheduler.now_us()
-        event = PluginEvent(EventKind.PACKET_IN, payload=data)
-        action = self.host.dispatch(EventKind.PACKET_IN, flow.key, flow.app_label,
-                                    DIR_IN, event)
-        block = action.block
-        if block is not None:
-            self.counters["blocked_packets"] += 1
+        action = self._offer_in(flow, data)
+        if action.block is not None:
             return
-        if action.modified:
-            self.counters["modified_packets"] += 1
         inv = flow.key.invert()
         self._emit(make_udp_packet(src=inv.src, dst=inv.dst, payload=action.payload))
 
@@ -781,7 +756,7 @@ class Engine:
             self.counters["udp_flows_evicted_idle"] += 1
         elif reason == "pressure":
             self.counters["udp_flows_evicted_pressure"] += 1
-        self._flow_close_event(flow.key, flow.app_label)
+        self.host.dispatch(EventKind.FLOW_CLOSE, flow.key, flow.app_label)
 
     # --------------------------------------------------------------- sweep
 

@@ -331,25 +331,25 @@ class PluginHost:
         return (self._low_battery_threshold is not None
                 and self.device.battery_percent < self._low_battery_threshold)
 
-    def make_context(self, key: FlowKey | None, app_label: str, direction: str,
-                     kind: EventKind) -> PluginContext:
-        return PluginContext(
-            key=key, app_label=app_label, direction=direction, kind=kind,
-            device=self.device, now_us=self._scheduler.now_us(),
-            throttle=self._throttled(),
-        )
-
     # -- the chain -----------------------------------------------------------
 
-    def chain_apply(self, event: PluginEvent, ctx: PluginContext) -> EffectiveAction:
-        """Invoke plugins in registration order. Modify verdicts compose;
-        the first permitted Block or Redirect short-circuits. Verdicts a
-        plugin lacks permission for, malformed verdicts, and callbacks
-        that raise all downgrade to Pass with a violation record. Each
-        callback's CPU time is metered against its plugin's budget."""
-        payload = event.payload
+    def dispatch(self, kind: EventKind, key: FlowKey | None, app_label: str,
+                 payload: bytes = b"", packet: Packet | None = None,
+                 tcp_flags: int | None = None, tcp_seq: int | None = None) -> EffectiveAction:
+        """Offer one event to the plugins in registration order, with a
+        context whose direction is `in` for PACKET_IN and `out` otherwise.
+        Modify verdicts compose; the first permitted Block or Redirect
+        short-circuits. Verdicts a plugin lacks permission for, malformed
+        verdicts, and callbacks that raise all downgrade to Pass with a
+        violation record. Each callback's CPU time is metered against its
+        plugin's budget."""
+        direction = DIR_IN if kind is EventKind.PACKET_IN else DIR_OUT
+        now = self._scheduler.now_us()
+        event = PluginEvent(kind, payload, packet, tcp_flags, tcp_seq)
+        ctx = PluginContext(key=key, app_label=app_label, direction=direction, kind=kind,
+                            device=self.device, now_us=now, throttle=self._throttled())
         modified = False
-        name = _CALLBACKS[event.kind]
+        name = _CALLBACKS[kind]
         cpu_clock = self._cpu_clock
         for slot in self._slots:
             if not slot.enabled or not slot.granted & _OBSERVE:
@@ -360,18 +360,18 @@ class PluginHost:
             try:
                 verdict = slot.callbacks[name](event, ctx)
             except Exception as exc:  # plugin failure must not hurt the packet path
-                self._violation(slot, "callback-error", ctx, detail=repr(exc))
+                self._violation(slot, "callback-error", now, detail=repr(exc))
                 verdict = None
             self._meter_cpu(slot, (cpu_clock() - start) // 1000)
             if verdict is None or isinstance(verdict, Pass):
                 continue
             needed = _VERDICT_PERMISSION.get(type(verdict))
             if needed is None or not slot.granted & needed:
-                self._violation(slot, "permission-denied", ctx, verdict)
+                self._violation(slot, "permission-denied", now, verdict)
                 continue
             if isinstance(verdict, Block) and verdict.mode is BlockMode.INJECT_RESPONSE \
-                    and ctx.direction != DIR_OUT:
-                self._violation(slot, "inject-on-inbound", ctx, verdict)
+                    and direction == DIR_IN:
+                self._violation(slot, "inject-on-inbound", now, verdict)
                 continue
             if isinstance(verdict, Modify):
                 payload = verdict.payload
@@ -381,14 +381,10 @@ class PluginHost:
                                    modified=modified, decided_by=slot.descriptor.id)
         return EffectiveAction(verdict=PASS, payload=payload, modified=modified)
 
-    def dispatch(self, kind: EventKind, key: FlowKey | None, app_label: str,
-                 direction: str, event: PluginEvent) -> EffectiveAction:
-        return self.chain_apply(event, self.make_context(key, app_label, direction, kind))
-
-    def _violation(self, slot: _PluginSlot, kind: str, ctx: PluginContext,
+    def _violation(self, slot: _PluginSlot, kind: str, now_us: int,
                    verdict: Verdict | None = None, detail: str = "") -> None:
         self.violations.append({
-            "ts_us": ctx.now_us,
+            "ts_us": now_us,
             "plugin": slot.descriptor.id,
             "kind": kind,
             "detail": detail or (type(verdict).__name__ if verdict else ""),
@@ -481,7 +477,9 @@ class PluginHost:
             "kind": "disabled",
             "detail": f"{reason}: {detail}",
         })
-        ctx = self.make_context(None, "", DIR_OUT, EventKind.FLOW_CLOSE)
+        ctx = PluginContext(key=None, app_label="", direction=DIR_OUT,
+                            kind=EventKind.FLOW_CLOSE, device=self.device, now_us=now,
+                            throttle=self._throttled())
         try:
             slot.plugin.finalize(ctx)
         except Exception:
@@ -502,13 +500,12 @@ class PluginHost:
         if not slot.enabled:
             return False
         if not slot.granted & _INJECT_PACKETS:
-            self._violation(slot, "permission-denied",
-                            self.make_context(None, "", DIR_OUT, EventKind.PACKET_OUT),
+            self._violation(slot, "permission-denied", self._scheduler.now_us(),
                             detail="probe_datagram")
             return False
         if self._upstream is None:
             return False
-        self.account(plugin_id, emitted_bytes=len(payload))
+        self._meter_emitted(slot, len(payload))
         if not slot.enabled:
             return False
         handle = self._upstream.open_datagram()
@@ -532,16 +529,16 @@ class PluginHost:
         slot = self._by_id[plugin_id]
         if not slot.enabled:
             return False
-        ctx = self.make_context(None, "", DIR_OUT, EventKind.PACKET_OUT)
         if not slot.granted & _EXPORT_OFF_DEVICE:
-            self._violation(slot, "permission-denied", ctx, detail="export_off_device")
+            self._violation(slot, "permission-denied", self._scheduler.now_us(),
+                            detail="export_off_device")
             return False
         if (slot.descriptor.wifi_only_export
                 and self.device.connectivity is Connectivity.CELLULAR):
-            self._violation(slot, "export-suspended-on-cellular", ctx,
+            self._violation(slot, "export-suspended-on-cellular", self._scheduler.now_us(),
                             detail=f"{n_bytes}B")
             return False
-        self.account(plugin_id, emitted_bytes=n_bytes)
+        self._meter_emitted(slot, n_bytes)
         return slot.enabled
 
     # -- reporting ----------------------------------------------------------------

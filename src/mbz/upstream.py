@@ -120,10 +120,7 @@ class StreamTranscript:
     dst: Addr
     received: bytearray = field(default_factory=bytearray)  # endpoint got these
     sent: bytearray = field(default_factory=bytearray)      # endpoint emitted these
-    connected: bool = False
-    refused: bool = False
     saw_eof: bool = False
-    closed: bool = False
 
 
 class UpstreamNetwork:
@@ -177,12 +174,10 @@ class DatagramHandle:
 class _SimStream(StreamHandle):
     def __init__(self, net: "SimUpstream", dst: Addr, script: SimEndpointScript | None):
         self._net = net
-        self._dst = dst
         self._script = script
         self._cb = None
         self._to_engine = bytearray()
         self._eof_pending = False
-        self._eof_delivered = False
         self._engine_half_closed = False
         self._endpoint_closed_write = False
         self._static_responded = False
@@ -234,7 +229,6 @@ class _SimStream(StreamHandle):
     def close(self) -> None:
         if not self.closed:
             self.closed = True
-            self.transcript.closed = True
             self._net._release()
 
     # -- simulated endpoint side ------------------------------------------
@@ -243,21 +237,13 @@ class _SimStream(StreamHandle):
         script = self._script
         if script is None or script.behavior == BEHAVIOR_BLACKHOLE:
             return  # connect never completes
-        if script.behavior == BEHAVIOR_RESET:
-            self._net._later(script, lambda: self._emit(EV_REFUSED, refused=True))
-        elif script.behavior == BEHAVIOR_DNS:
-            # DNS endpoints speak UDP only
-            self._net._later(script, lambda: self._emit(EV_REFUSED, refused=True))
-        else:
-            self._net._later(script, lambda: self._emit(EV_CONNECTED, connected=True))
+        # DNS endpoints speak UDP only, so a stream to one is refused too
+        refused = script.behavior in (BEHAVIOR_RESET, BEHAVIOR_DNS)
+        self._net._later(script, lambda: self._emit(EV_REFUSED if refused else EV_CONNECTED))
 
-    def _emit(self, event: str, connected: bool = False, refused: bool = False) -> None:
+    def _emit(self, event: str) -> None:
         if self.closed:
             return
-        if connected:
-            self.transcript.connected = True
-        if refused:
-            self.transcript.refused = True
         if self._cb is not None:
             self._cb(event)
 
@@ -302,10 +288,9 @@ class _SimStream(StreamHandle):
         self._emit(EV_READABLE)
 
     def _deliver_eof(self) -> None:
-        if self.closed or self._eof_delivered:
+        if self.closed:
             return
         self._eof_pending = True
-        self._eof_delivered = True
         self._emit(EV_EOF)
 
 

@@ -19,7 +19,7 @@ from mbz.config import load_config
 from mbz.engine import Engine, EngineConfig
 from mbz.host import (
     Block, BlockMode, EventKind, Modify, Permission, PluginContext,
-    PluginDescriptor, PluginEvent, PluginHost, ResourceBudget, TrafficPlugin,
+    PluginDescriptor, PluginHost, ResourceBudget, TrafficPlugin,
 )
 from mbz.bench import run_bench
 from mbz.packet import (
@@ -231,9 +231,7 @@ def test_plugin_governance_and_quiescence():
                   Tail())
 
     def fire():
-        event = PluginEvent(EventKind.PACKET_OUT, payload=b"p")
-        ctx = host.make_context(None, "app", "out", EventKind.PACKET_OUT)
-        return host.chain_apply(event, ctx)
+        return host.dispatch(EventKind.PACKET_OUT, None, "app", b"p")
 
     action = fire()
     # downgrade: Overreacher's block became a violation, not an action

@@ -28,9 +28,8 @@ UDP_KEY = FlowKey(PROTO_UDP, APP, UDP_SRV)
 
 SCRIPTS = [
     {"cidr": "10.1.0.1/32", "behavior": "echo"},
-    {"cidr": "10.1.0.9/32", "behavior": "static", "response": "moved"},
     {"cidr": "10.3.0.1/32", "behavior": "echo"},
-    {"cidr": "10.3.1.1/32", "behavior": "static", "response": "moved"},
+    {"cidr": "10.9.0.1/32", "behavior": "static", "response": "moved"},  # redirect target
 ]
 
 VERDICTS = {
@@ -39,10 +38,8 @@ VERDICTS = {
     "drop_silent": Block(BlockMode.DROP_SILENT),
     "reset_app": Block(BlockMode.RESET_APP),
     "inject_response": Block(BlockMode.INJECT_RESPONSE, b"notice"),
-    "redirect": None,  # per site: the redirect target matches the protocol
+    "redirect": Redirect(("10.9.0.1", 7)),
 }
-TCP_REDIRECT = Redirect(("10.1.0.9", 80))
-UDP_REDIRECT = Redirect(("10.3.1.1", 7))
 
 
 def _tcp(seq, flags, ack=0, payload=b"", src=APP, dst=SRV):
@@ -101,14 +98,11 @@ def _flags(n):
 def run_case(site, verdict_name):
     """(counters, packets written to the app, packets captured)."""
     budget, packets, hit = SITES[site]
-    verdict = VERDICTS[verdict_name]
-    if verdict_name == "redirect":
-        verdict = UDP_REDIRECT if site.startswith("udp") else TCP_REDIRECT
     engine = build_engine(SCRIPTS, EngineConfig(local_isn=5000, socket_budget=budget))
     engine.host.register(PluginDescriptor(
         id="site", name="site",
         requested=Permission.OBSERVE | Permission.MODIFY_PAYLOAD | Permission.BLOCK_FLOW
-        | Permission.REDIRECT_FLOW), _OneVerdict(hit, verdict))
+        | Permission.REDIRECT_FLOW), _OneVerdict(hit, VERDICTS[verdict_name]))
     written = []
     for data in packets:
         engine.conduit.inject(data)

@@ -13,7 +13,7 @@ from mbz.host import (
     MalformedPermissions, Modify, Pass, Permission, PluginContext,
     PluginDescriptor, PluginEvent, PluginHost, Redirect, ResourceBudget,
     TrafficPlugin, permissions_from_names,
-    DIR_IN, DIR_OUT,
+    DIR_OUT,
 )
 from mbz.packet import FlowKey
 from mbz.plugins.firewall import FirewallPlugin, FirewallRule
@@ -27,7 +27,7 @@ ALL = (Permission.OBSERVE | Permission.MODIFY_PAYLOAD | Permission.BLOCK_FLOW
 
 
 class ScriptedPlugin(TrafficPlugin):
-    """Returns a fixed verdict for packet_out events."""
+    """Returns a fixed verdict for packet events in either direction."""
 
     def __init__(self, verdict=None, raise_exc=False):
         self.verdict = verdict
@@ -39,6 +39,20 @@ class ScriptedPlugin(TrafficPlugin):
         if self.raise_exc:
             raise RuntimeError("plugin bug")
         return self.verdict
+
+    on_packet_in = on_packet_out
+
+
+class RecordContext(TrafficPlugin):
+    """Keeps the (event, context) of every callback."""
+
+    def __init__(self):
+        self.seen = []
+
+    def _record(self, event, ctx):
+        self.seen.append((event, ctx))
+
+    on_flow_open = on_packet_out = on_packet_in = on_flow_close = _record
 
 
 def make_host(**kw):
@@ -52,14 +66,8 @@ def reg(host, plugin, pid="p", perms=ALL, budget=None, wifi_only=False):
     return plugin
 
 
-def out_event(payload=b"x"):
-    return PluginEvent(EventKind.PACKET_OUT, payload=payload)
-
-
-def apply_out(host, payload=b"x", direction=DIR_OUT):
-    event = out_event(payload)
-    ctx = host.make_context(None, "app", direction, EventKind.PACKET_OUT)
-    return host.chain_apply(event, ctx)
+def apply_out(host, payload=b"x"):
+    return host.dispatch(EventKind.PACKET_OUT, None, "app", payload)
 
 
 class TestRegistration:
@@ -136,7 +144,7 @@ class TestChain:
     def test_inject_response_invalid_on_inbound(self):
         host = make_host()
         reg(host, ScriptedPlugin(Block(BlockMode.INJECT_RESPONSE, b"no")), "inj")
-        action = apply_out(host, direction=DIR_IN)
+        action = host.dispatch(EventKind.PACKET_IN, None, "app", b"x")
         assert action.is_pass
         assert host.violations[0]["kind"] == "inject-on-inbound"
 
@@ -278,11 +286,26 @@ class TestGovernor:
 class TestContextAndServices:
     def test_context_switch_takes_effect(self):
         host = make_host()
-        ctx1 = host.make_context(None, "a", DIR_OUT, EventKind.PACKET_OUT)
-        assert ctx1.device.connectivity is Connectivity.WIFI
+        rec = reg(host, RecordContext(), "rec", perms=OBSERVE)
+        apply_out(host)
         host.update_context(DeviceContext(connectivity=Connectivity.CELLULAR))
-        ctx2 = host.make_context(None, "a", DIR_OUT, EventKind.PACKET_OUT)
-        assert ctx2.device.connectivity is Connectivity.CELLULAR
+        apply_out(host)
+        assert [ctx.device.connectivity for _event, ctx in rec.seen] \
+            == [Connectivity.WIFI, Connectivity.CELLULAR]
+
+    def test_direction_is_in_for_packet_in_only(self):
+        host = make_host()
+        rec = reg(host, RecordContext(), "rec", perms=OBSERVE)
+        for kind in EventKind:
+            host.dispatch(kind, TLS_KEY, "app", b"p")
+        assert [(event.kind, ctx.kind, ctx.direction) for event, ctx in rec.seen] == [
+            (EventKind.FLOW_OPEN, EventKind.FLOW_OPEN, "out"),
+            (EventKind.PACKET_OUT, EventKind.PACKET_OUT, "out"),
+            (EventKind.PACKET_IN, EventKind.PACKET_IN, "in"),
+            (EventKind.FLOW_CLOSE, EventKind.FLOW_CLOSE, "out"),
+        ]
+        assert all(ctx.key == TLS_KEY and ctx.app_label == "app" and event.payload == b"p"
+                   for event, ctx in rec.seen)
 
     def test_low_battery_throttle_hint(self):
         # policy table: throttle iff a threshold is configured and battery
@@ -293,9 +316,10 @@ class TestContextAndServices:
         ]
         for threshold, battery, expected in cases:
             host = make_host(low_battery_threshold=threshold)
+            rec = reg(host, RecordContext(), "rec", perms=OBSERVE)
             host.update_context(DeviceContext(battery_percent=battery))
-            ctx = host.make_context(None, "", DIR_OUT, EventKind.PACKET_OUT)
-            assert ctx.throttle is expected, (threshold, battery)
+            apply_out(host)
+            assert rec.seen[0][1].throttle is expected, (threshold, battery)
 
     def test_export_suspended_on_cellular_for_wifi_only(self):
         host = make_host()
@@ -346,10 +370,6 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def dispatch(host, kind, key, payload=b"", direction=DIR_OUT):
-    return host.dispatch(kind, key, "app", direction, PluginEvent(kind, payload=payload))
-
-
 class RewriteDns(TrafficPlugin):
     """Reads the DNS answer, then replaces it with another one."""
 
@@ -382,7 +402,7 @@ class TestParseOncePerEvent:
         fw, snitch, _whatif = self.full_chain(host)
         calls = counting(monkeypatch, dnswire, "parse_message")
         answer = dnswire.build_response(1, "example.com", dnswire.QTYPE_A, ["93.184.216.34"])
-        dispatch(host, EventKind.PACKET_IN, DNS_KEY, answer, DIR_IN)
+        host.dispatch(EventKind.PACKET_IN, DNS_KEY, "app", answer)
         assert len(calls) == 1
         assert fw.tracker.ip_to_name == snitch.tracker.ip_to_name \
             == {"93.184.216.34": "example.com"}
@@ -390,9 +410,10 @@ class TestParseOncePerEvent:
     def test_client_hello_sni_read_once_by_the_chain(self, monkeypatch):
         host = make_host()
         fw, snitch, _whatif = self.full_chain(host)
-        dispatch(host, EventKind.FLOW_OPEN, TLS_KEY)
+        host.dispatch(EventKind.FLOW_OPEN, TLS_KEY, "app")
         calls = counting(monkeypatch, tlswire, "extract_sni")
-        dispatch(host, EventKind.PACKET_OUT, TLS_KEY, tlswire.build_client_hello("example.com"))
+        host.dispatch(EventKind.PACKET_OUT, TLS_KEY, "app",
+                      tlswire.build_client_hello("example.com"))
         assert len(calls) == 1
         assert fw.tracker.sni_by_key == snitch.tracker.sni_by_key == {TLS_KEY: "example.com"}
 
@@ -404,7 +425,7 @@ class TestParseOncePerEvent:
         snitch = reg(host, SnitchPlugin(OrgMap.from_pairs([])), "snitch", perms=OBSERVE)
         record = reg(host, RecordDns(), "record", perms=OBSERVE)
         calls = counting(monkeypatch, dnswire, "parse_message")
-        action = dispatch(host, EventKind.PACKET_IN, DNS_KEY, before, DIR_IN)
+        action = host.dispatch(EventKind.PACKET_IN, DNS_KEY, "app", before)
         assert action.payload == after
         assert rewrite.seen == [[("example.com", dnswire.QTYPE_A, "1.1.1.1")]]
         assert record.seen == [[("example.com", dnswire.QTYPE_A, "6.6.6.6")]]
@@ -434,7 +455,7 @@ class TestRegistrationTimeBinding:
         reg(host, ScriptedPlugin("not a verdict"), "odd")
         reg(host, ScriptedPlugin(Block(BlockMode.INJECT_RESPONSE, b"n")), "inj")
         sched.advance_to(5)
-        action = apply_out(host, direction=DIR_IN)
+        action = host.dispatch(EventKind.PACKET_IN, None, "app", b"x")
         assert action.is_pass and action.payload == b"x"
         assert host.violations == [
             {"ts_us": 5, "plugin": "bug", "kind": "callback-error",
