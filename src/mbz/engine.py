@@ -101,7 +101,10 @@ class TcpFlow:
     fin_acked: bool = False
     upstream_eof: bool = False
     notice: bytes | None = None  # a plugin's answer, sent on the app's next segment
+    # app bytes that came before our SYN/ACK, as the chain left them, and
+    # how many bytes the app sent for them (what the ACK covers)
     deferred_payload: bytes = b""
+    deferred_app_len: int = 0
 
 
 @dataclass
@@ -347,7 +350,8 @@ class Engine:
         if action.block is not None:
             self._apply_tcp_block(pkt, key, app_label, flow, action.block, creating)
         elif creating:
-            self._handle_syn(pkt, key, app_label, action.redirect and action.redirect.dst)
+            self._handle_syn(pkt, key, app_label, action.payload,
+                             action.redirect and action.redirect.dst)
         elif flow is None:
             self._rst_for_orphan(pkt, key)
         elif syn_only:
@@ -355,7 +359,7 @@ class Engine:
         else:
             self._handle_tcp_segment(flow, pkt, action.payload)
 
-    def _handle_syn(self, pkt: Packet, key: FlowKey, app_label: str,
+    def _handle_syn(self, pkt: Packet, key: FlowKey, app_label: str, payload: bytes,
                     redirect: Addr | None, notice: bytes | None = None) -> None:
         """Open a flow toward upstream, or, given a plugin's notice, a flow
         that answers with the notice and needs no upstream handle."""
@@ -371,7 +375,8 @@ class Engine:
             mss=self._clamp_mss(extract_mss(tcp.options)),
             app_window=tcp.window,
             last_activity=self.scheduler.now_us(),
-            deferred_payload=pkt.payload, notice=notice,
+            deferred_payload=payload if pkt.payload else b"",
+            deferred_app_len=len(pkt.payload), notice=notice,
         )
         self.flows[key] = flow
         self.counters["tcp_flows_created"] += 1
@@ -435,9 +440,10 @@ class Engine:
         self._emit_syn_ack(flow)
         # the engine's own control packets are observable, not actionable
         self.host.dispatch(EventKind.PACKET_IN, flow.key, flow.app_label, tcp_flags=SYN | ACK)
-        if flow.deferred_payload:
-            deferred, flow.deferred_payload = flow.deferred_payload, b""
-            self._accept_app_bytes(flow, deferred)
+        if flow.deferred_app_len:
+            deferred, sent = flow.deferred_payload, flow.deferred_app_len
+            flow.deferred_payload, flow.deferred_app_len = b"", 0
+            self._accept_app_bytes(flow, deferred, original_len=sent)
         self._pump_flow(flow)
 
     def _handle_tcp_segment(self, flow: TcpFlow, pkt: Packet,
@@ -452,9 +458,9 @@ class Engine:
 
         if flow.state is TcpState.UPSTREAM_CONNECTING:
             # data racing ahead of our SYN/ACK; defer in order, drop the rest
-            if pkt.payload and tcp.seq == seq_add(
-                    flow.app_isn, 1 + len(flow.deferred_payload)):
-                flow.deferred_payload += pkt.payload
+            if pkt.payload and tcp.seq == seq_add(flow.app_isn, 1 + flow.deferred_app_len):
+                flow.deferred_payload += effective_payload
+                flow.deferred_app_len += len(pkt.payload)
             return
 
         if flow.notice is not None:
@@ -618,7 +624,7 @@ class Engine:
         if flow is not None:
             self._inject_on_flow(flow, pkt, block.response)
         elif creating:
-            self._handle_syn(pkt, key, app_label, None, notice=block.response)
+            self._handle_syn(pkt, key, app_label, pkt.payload, None, notice=block.response)
         else:
             self._rst_for_orphan(pkt, key)
 

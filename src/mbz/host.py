@@ -13,6 +13,7 @@ import enum
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import dnswire, tlswire
 from .clock import Scheduler
@@ -144,8 +145,7 @@ DIR_OUT = "out"
 DIR_IN = "in"
 
 
-@dataclass(frozen=True)
-class PluginContext:
+class PluginContext(NamedTuple):
     """Immutable per-invocation snapshot."""
     key: FlowKey | None
     app_label: str
@@ -215,7 +215,8 @@ class EffectiveAction:
 
 
 class TrafficPlugin:
-    """Base class for plugins; override the callbacks you need.
+    """Base class for plugins; override the callbacks you need. The host
+    never calls a callback inherited unchanged from this class.
 
     Callbacks return a Verdict or None (None means Pass). They must be
     bounded-time and must not block on I/O; asynchronous work goes
@@ -261,12 +262,22 @@ _VERDICT_PERMISSION = {
 _EMIT_WINDOW_US = 60_000_000
 
 
+def _overridden(plugin: TrafficPlugin, name: str):
+    """The plugin's bound callback `name`, or None when it is the
+    TrafficPlugin no-op. Looked up on the instance, so an instance
+    attribute or a wrapper set on the class counts as an override."""
+    callback = getattr(plugin, name)
+    if getattr(callback, "__func__", None) is getattr(TrafficPlugin, name):
+        return None
+    return callback
+
+
 @dataclass
 class _PluginSlot:
     descriptor: PluginDescriptor
     plugin: TrafficPlugin
     granted: int  # descriptor.requested as an int
-    callbacks: dict  # callback name -> bound method
+    callbacks: dict  # callback name -> bound method, None if not overridden
     enabled: bool = True
     disabled_reason: str | None = None
     invocations: int = 0
@@ -292,6 +303,8 @@ class PluginHost:
         self._low_battery_threshold = low_battery_threshold
         self._slots: list[_PluginSlot] = []
         self._by_id: dict[str, _PluginSlot] = {}
+        # callback names some registered plugin overrides
+        self._subscribed: set[str] = set()
         self.device = DeviceContext()
         self.violations: list[dict] = []
         self.governor_events: list[dict] = []
@@ -306,10 +319,11 @@ class PluginHost:
             raise MalformedPermissions(
                 f"plugin {descriptor.id!r}: any permission implies observe")
         descriptor.budget.validate()
-        slot = _PluginSlot(
-            descriptor=descriptor, plugin=plugin, granted=req.value,
-            callbacks={name: getattr(plugin, name) for name in _CALLBACKS.values()})
+        callbacks = {name: _overridden(plugin, name) for name in _CALLBACKS.values()}
+        slot = _PluginSlot(descriptor=descriptor, plugin=plugin, granted=req.value,
+                           callbacks=callbacks)
         self._slots.append(slot)
+        self._subscribed.update(name for name, cb in callbacks.items() if cb is not None)
         self._by_id[descriptor.id] = slot
         return descriptor.id
 
@@ -340,25 +354,41 @@ class PluginHost:
         context whose direction is `in` for PACKET_IN and `out` otherwise.
         Modify verdicts compose; the first permitted Block or Redirect
         short-circuits. Verdicts a plugin lacks permission for, malformed
-        verdicts, and callbacks that raise all downgrade to Pass with a
-        violation record. Each callback's CPU time is metered against its
-        plugin's budget."""
-        direction = DIR_IN if kind is EventKind.PACKET_IN else DIR_OUT
-        now = self._scheduler.now_us()
-        event = PluginEvent(kind, payload, packet, tcp_flags, tcp_seq)
-        ctx = PluginContext(key=key, app_label=app_label, direction=direction, kind=kind,
-                            device=self.device, now_us=now, throttle=self._throttled())
-        modified = False
+        verdicts, callbacks that raise, and Redirect or an injected
+        response on PACKET_IN all downgrade to Pass with a violation
+        record. Each callback's CPU time is metered against its plugin's
+        budget.
+
+        Every enabled observing plugin counts an invocation, but only the
+        callbacks a plugin overrides run, and the event and its context
+        are built only when one does."""
         name = _CALLBACKS[kind]
+        if name not in self._subscribed:
+            for slot in self._slots:
+                if slot.enabled and slot.granted & _OBSERVE:
+                    slot.invocations += 1
+            return EffectiveAction(PASS, payload)
+        ctx = None
+        modified = False
         cpu_clock = self._cpu_clock
         for slot in self._slots:
             if not slot.enabled or not slot.granted & _OBSERVE:
                 continue
-            event.payload = payload
             slot.invocations += 1
+            callback = slot.callbacks[name]
+            if callback is None:
+                continue
+            if ctx is None:
+                now = self._scheduler.now_us()
+                event = PluginEvent(kind, payload, packet, tcp_flags, tcp_seq)
+                ctx = PluginContext(key, app_label,
+                                    DIR_IN if kind is EventKind.PACKET_IN else DIR_OUT,
+                                    kind, self.device, now, self._throttled())
+            else:
+                event.payload = payload
             start = cpu_clock()
             try:
-                verdict = slot.callbacks[name](event, ctx)
+                verdict = callback(event, ctx)
             except Exception as exc:  # plugin failure must not hurt the packet path
                 self._violation(slot, "callback-error", now, detail=repr(exc))
                 verdict = None
@@ -369,14 +399,19 @@ class PluginHost:
             if needed is None or not slot.granted & needed:
                 self._violation(slot, "permission-denied", now, verdict)
                 continue
-            if isinstance(verdict, Block) and verdict.mode is BlockMode.INJECT_RESPONSE \
-                    and direction == DIR_IN:
-                self._violation(slot, "inject-on-inbound", now, verdict)
-                continue
             if isinstance(verdict, Modify):
                 payload = verdict.payload
                 modified = True
                 continue
+            if kind is EventKind.PACKET_IN:
+                # bytes from upstream can be neither sent elsewhere nor answered
+                # in the upstream's place; the verdict past Redirect is a Block
+                if isinstance(verdict, Redirect):
+                    self._violation(slot, "redirect-on-inbound", now, verdict)
+                    continue
+                if verdict.mode is BlockMode.INJECT_RESPONSE:
+                    self._violation(slot, "inject-on-inbound", now, verdict)
+                    continue
             return EffectiveAction(verdict=verdict, payload=payload,
                                    modified=modified, decided_by=slot.descriptor.id)
         return EffectiveAction(verdict=PASS, payload=payload, modified=modified)

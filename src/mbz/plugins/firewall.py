@@ -213,7 +213,8 @@ class FirewallPlugin(TrafficPlugin):
                 return Block(BlockMode.RESET_APP)
             return Block(BlockMode.INJECT_RESPONSE, rule.notice)
         if rule.action == "switch":
-            return Redirect(rule.switch_to)
+            # only a flow's way out can be switched; its replies pass
+            return Redirect(rule.switch_to) if outbound else None
         # rewrite: outbound payloads only
         if outbound and rule.pattern in event.payload:
             return Modify(event.payload.replace(rule.pattern, rule.replacement))

@@ -3,6 +3,7 @@
 from helpers import AppPeer, Driver, build_engine
 
 from mbz.engine import EngineConfig, seq_add, seq_diff
+from mbz.host import EventKind, Modify, Permission, PluginDescriptor, TrafficPlugin
 from mbz.packet import (
     ACK, PSH, SYN, make_tcp_packet, make_udp_packet, mss_option, parse_packet,
     serialize_packet,
@@ -120,3 +121,53 @@ class TestWindowEdges:
         engine.conduit.inject(serialize_packet(syn))
         engine.pump()
         assert bytes(engine.upstream.transcripts[0].received) == b"fast"
+
+
+class Rewrite(TrafficPlugin):
+    """Rewrites app payloads found in `table`, on opens and later packets."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def on_flow_open(self, event, ctx):
+        if event.payload in self.table:
+            return Modify(self.table[event.payload])
+        return None
+
+    on_packet_out = on_flow_open
+
+
+class TestRewritesBeforeEstablishment:
+    APP, SRV = ("10.0.0.2", 40000), ("10.1.0.1", 80)
+
+    def engine_with(self, table, delay_us=0):
+        engine = build_engine([{"cidr": "10.1.0.1/32", "behavior": "echo",
+                                "delay_us": delay_us}], EngineConfig(local_isn=5000))
+        engine.host.register(PluginDescriptor(
+            id="rw", name="rw",
+            requested=Permission.OBSERVE | Permission.MODIFY_PAYLOAD), Rewrite(table))
+        return engine
+
+    def acks_to_app(self, engine):
+        return [parse_packet(d).transport.ack for _t, d in engine.conduit.take_emitted()]
+
+    def test_modify_on_syn_payload_reaches_upstream(self):
+        engine = self.engine_with({b"hi": b"REWRITTEN"})
+        engine.conduit.inject(serialize_packet(make_tcp_packet(
+            self.APP, self.SRV, seq=1000, ack=0, flags=SYN, payload=b"hi")))
+        engine.pump()
+        assert bytes(engine.upstream.transcripts[0].received) == b"REWRITTEN"
+        assert engine.counters["modified_packets"] == 1
+        assert 1003 in self.acks_to_app(engine)  # the app's two bytes, not nine
+
+    def test_modify_on_data_racing_the_syn_ack_reaches_upstream(self):
+        engine = self.engine_with({b"early": b"REWRITTEN-EARLY"}, delay_us=5000)
+        for seq, flags, payload in ((1000, SYN, b""), (1001, PSH | ACK, b"early"),
+                                    (1006, PSH | ACK, b"more")):
+            engine.conduit.inject(serialize_packet(make_tcp_packet(
+                self.APP, self.SRV, seq=seq, ack=0, flags=flags, payload=payload)))
+        engine.pump()
+        # the second segment follows the app's five bytes, not the rewrite's fifteen
+        assert bytes(engine.upstream.transcripts[0].received) == b"REWRITTEN-EARLYmore"
+        assert engine.counters["modified_packets"] == 1
+        assert 1010 in self.acks_to_app(engine)

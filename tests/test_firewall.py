@@ -19,6 +19,7 @@ from mbz.packet import (
 from mbz.plugins.firewall import (
     FirewallPlugin, FirewallRule, FirewallRuleError, rules_from_list,
 )
+from mbz.plugins.snitch import OrgMap, SnitchPlugin
 
 FW_PERMS = (Permission.OBSERVE | Permission.BLOCK_FLOW
             | Permission.REDIRECT_FLOW | Permission.MODIFY_PAYLOAD)
@@ -306,6 +307,33 @@ class TestEngineIntegration:
         peer.send(b"hi")
         driver.drive()
         assert bytes(peer.received) == b"from-redirect"
+        assert engine.counters["redirected_flows"] == 1
+
+    def test_switched_flow_replies_reach_the_plugins_behind(self):
+        class InboundSnitch(SnitchPlugin):
+            def on_packet_in(self, event, ctx):
+                if event.payload:
+                    self.inbound.append(event.payload)
+                return super().on_packet_in(event, ctx)
+
+        engine = build_engine([{"cidr": "10.5.5.5/32", "behavior": "static",
+                                "response": "from-redirect"}],
+                              EngineConfig(local_isn=5000))
+        install_firewall(engine, [
+            {"match": {"dst": "10.1.2.0/24"}, "action": {"switch": "10.5.5.5:8080"}}])
+        snitch = InboundSnitch(OrgMap.from_pairs([]))
+        snitch.inbound = []
+        engine.host.register(PluginDescriptor(
+            id="snitch", name="snitch", requested=Permission.OBSERVE), snitch)
+        driver = Driver(engine)
+        peer = driver.add_peer(AppPeer(engine, ("10.0.0.2", 4001), ("10.1.2.9", 80)))
+        peer.syn()
+        driver.drive()
+        peer.send(b"hi")
+        driver.drive()
+        assert bytes(peer.received) == b"from-redirect"
+        assert snitch.inbound == [b"from-redirect"]
+        assert engine.host.violations == []
         assert engine.counters["redirected_flows"] == 1
 
     def test_udp_inject_notice(self):

@@ -1,21 +1,24 @@
 """Plugin host: registration, chain semantics, governor, context."""
 
 import fnmatch
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mbz import dnswire, tlswire
+from mbz import host as host_module
 from mbz.clock import Scheduler
 from mbz.host import (
     Block, BlockMode, Connectivity, DeviceContext, DuplicateId, EventKind,
     MalformedPermissions, Modify, Pass, Permission, PluginContext,
     PluginDescriptor, PluginEvent, PluginHost, Redirect, ResourceBudget,
     TrafficPlugin, permissions_from_names,
-    DIR_OUT,
+    DIR_IN, DIR_OUT, EffectiveAction,
 )
 from mbz.packet import FlowKey
+from mbz.plugins.advisor import AdvisorPlugin
 from mbz.plugins.firewall import FirewallPlugin, FirewallRule
 from mbz.plugins.snitch import OrgMap, SnitchPlugin
 from mbz.plugins.whatif import WhatIfPlugin
@@ -147,6 +150,17 @@ class TestChain:
         action = host.dispatch(EventKind.PACKET_IN, None, "app", b"x")
         assert action.is_pass
         assert host.violations[0]["kind"] == "inject-on-inbound"
+
+    def test_redirect_invalid_on_inbound_and_chain_continues(self):
+        host = make_host()
+        reg(host, ScriptedPlugin(Redirect(("10.9.9.9", 80))), "switch")
+        rec = reg(host, RecordContext(), "rec", perms=OBSERVE)
+        action = host.dispatch(EventKind.PACKET_IN, None, "app", b"reply")
+        assert action.is_pass and action.payload == b"reply"
+        assert [(v["plugin"], v["kind"], v["detail"]) for v in host.violations] \
+            == [("switch", "redirect-on-inbound", "Redirect")]
+        assert [event.payload for event, _ctx in rec.seen] == [b"reply"]
+        assert host.invocation_count("rec") == 1
 
     def test_all_three_plugin_verdict_permutations(self):
         # oracle: first Block/Redirect in chain order wins; Modify composes
@@ -558,3 +572,245 @@ class TestFirewallAppGlob:
             rule = FirewallRule.from_dict({"match": {"app": pattern}})
             assert rule.matches(ctx, "", None) == fnmatch.fnmatchcase(label, pattern), \
                 (pattern, label)
+
+
+CALLBACK_OF = {
+    EventKind.FLOW_OPEN: "on_flow_open",
+    EventKind.PACKET_OUT: "on_packet_out",
+    EventKind.PACKET_IN: "on_packet_in",
+    EventKind.FLOW_CLOSE: "on_flow_close",
+}
+
+
+class CloseOnly(TrafficPlugin):
+    def __init__(self):
+        self.closed = []
+
+    def on_flow_close(self, event, ctx):
+        self.closed.append(ctx.kind)
+
+
+class CallEverySlot(PluginHost):
+    """The chain loop before subscriber tables, as the oracle: it builds
+    the event and the context up front and calls every callback of every
+    enabled observing plugin, inherited no-ops included. Redirect on
+    PACKET_IN is downgraded as in the host under test."""
+
+    def dispatch(self, kind, key, app_label, payload=b"", packet=None,
+                 tcp_flags=None, tcp_seq=None):
+        direction = DIR_IN if kind is EventKind.PACKET_IN else DIR_OUT
+        now = self._scheduler.now_us()
+        event = PluginEvent(kind, payload, packet, tcp_flags, tcp_seq)
+        ctx = PluginContext(key=key, app_label=app_label, direction=direction, kind=kind,
+                            device=self.device, now_us=now, throttle=self._throttled())
+        modified = False
+        permission = {Modify: Permission.MODIFY_PAYLOAD, Block: Permission.BLOCK_FLOW,
+                      Redirect: Permission.REDIRECT_FLOW}
+        for slot in self._slots:
+            if not slot.enabled or not slot.granted & OBSERVE.value:
+                continue
+            event.payload = payload
+            slot.invocations += 1
+            start = self._cpu_clock()
+            try:
+                verdict = getattr(slot.plugin, CALLBACK_OF[kind])(event, ctx)
+            except Exception as exc:
+                self._violation(slot, "callback-error", now, detail=repr(exc))
+                verdict = None
+            self._meter_cpu(slot, (self._cpu_clock() - start) // 1000)
+            if verdict is None or isinstance(verdict, Pass):
+                continue
+            needed = permission.get(type(verdict))
+            if needed is None or not slot.granted & needed.value:
+                self._violation(slot, "permission-denied", now, verdict)
+                continue
+            if direction == DIR_IN and isinstance(verdict, Block) \
+                    and verdict.mode is BlockMode.INJECT_RESPONSE:
+                self._violation(slot, "inject-on-inbound", now, verdict)
+                continue
+            if direction == DIR_IN and isinstance(verdict, Redirect):
+                self._violation(slot, "redirect-on-inbound", now, verdict)
+                continue
+            if isinstance(verdict, Modify):
+                payload = verdict.payload
+                modified = True
+                continue
+            return EffectiveAction(verdict=verdict, payload=payload,
+                                   modified=modified, decided_by=slot.descriptor.id)
+        return EffectiveAction(verdict=Pass(), payload=payload, modified=modified)
+
+
+GEN_VERDICTS = [
+    None, Pass(), Modify(b"m"), Block(BlockMode.DROP_SILENT), Block(BlockMode.RESET_APP),
+    Block(BlockMode.INJECT_RESPONSE, b"n"), Redirect(("10.9.9.9", 80)), "not a verdict",
+]
+GEN_PERMS = [Permission.MODIFY_PAYLOAD, Permission.BLOCK_FLOW, Permission.REDIRECT_FLOW,
+             Permission.INJECT_PACKETS]
+
+
+def subset_of(items):
+    """Each item kept with even odds (st.sets favours small sets)."""
+    return st.tuples(*[st.booleans()] * len(items)).map(
+        lambda keep: {item for item, kept in zip(items, keep) if kept})
+
+
+plugin_specs = st.fixed_dictionaries({
+    "overrides": subset_of(list(CALLBACK_OF.values())),
+    "verdicts": st.fixed_dictionaries(
+        {name: st.sampled_from(GEN_VERDICTS) for name in CALLBACK_OF.values()}),
+    "raises": st.integers(0, 4).map(lambda n: n == 0),
+    # None (one in five): no permission at all, so never offered an event
+    "perms": st.integers(0, 4).flatmap(
+        lambda n: subset_of(GEN_PERMS) if n else st.none()),
+})
+chain_steps = st.lists(
+    st.tuples(st.just("event"), st.sampled_from(list(EventKind)))
+    | st.tuples(st.just("disable"), st.integers(0, 3)),
+    max_size=12)
+
+
+def _generated_callback(self, event, ctx, name):
+    self.log.append((self.pid, name, event.payload))
+    if self.raises:
+        raise RuntimeError(f"{self.pid} {name}")
+    verdict = self.verdicts[name]
+    if isinstance(verdict, Modify):  # distinct per plugin, so order shows
+        verdict = Modify(f"{self.pid}:{event.payload.decode()}".encode())
+    return verdict
+
+
+def build_generated(host, specs, log):
+    """Register one generated plugin per spec; each overridden callback
+    logs (plugin, callback, payload seen) and answers its verdict."""
+    for i, spec in enumerate(specs):
+        methods = {name: functools.partialmethod(_generated_callback, name=name)
+                   for name in spec["overrides"]}
+        plugin = type("Generated", (TrafficPlugin,), methods)()
+        plugin.pid, plugin.raises, plugin.verdicts = f"g{i}", spec["raises"], spec["verdicts"]
+        plugin.log = log
+        perms = Permission(0) if spec["perms"] is None else OBSERVE
+        for perm in spec["perms"] or ():
+            perms |= perm
+        reg(host, plugin, plugin.pid, perms=perms,
+            budget=ResourceBudget(max_cpu_us_per_packet=1, violation_grace=1))
+
+
+class TestSubscriberTables:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(plugin_specs, max_size=4), chain_steps)
+    def test_same_outcome_as_calling_every_slot(self, specs, steps):
+        hosts, logs = [], []
+        for cls in (PluginHost, CallEverySlot):
+            log = []
+            host = cls(Scheduler(), cpu_clock=lambda: 0)
+            build_generated(host, specs, log)
+            hosts.append(host)
+            logs.append(log)
+        for step, arg in steps:
+            if step == "disable":
+                if arg < len(specs):
+                    for host in hosts:  # two overruns past a grace of one
+                        host.account(f"g{arg}", cpu_us=10)
+                        host.account(f"g{arg}", cpu_us=10)
+                continue
+            got, want = (host.dispatch(arg, TLS_KEY, "app", b"p") for host in hosts)
+            assert got == want, (arg, specs)
+            assert logs[0] == logs[1]
+            assert hosts[0].plugin_states() == hosts[1].plugin_states()
+            assert hosts[0].violations == hosts[1].violations
+
+    def test_flow_close_only_plugin_sees_flow_close_only(self):
+        host = make_host()
+        plugin = reg(host, CloseOnly(), "close", perms=OBSERVE)
+        for kind in EventKind:
+            host.dispatch(kind, TLS_KEY, "app", b"p")
+        assert plugin.closed == [EventKind.FLOW_CLOSE]
+        assert host.invocation_count("close") == 4  # every offered event counts
+
+    def test_cpu_clock_read_only_around_overridden_callbacks(self):
+        clock = FakeCpuClock([])
+        host = make_host(cpu_clock=clock)
+        reg(host, CloseOnly(), "close", perms=OBSERVE)
+        reg(host, TrafficPlugin(), "nothing", perms=OBSERVE)
+        for kind in (EventKind.FLOW_OPEN, EventKind.PACKET_OUT, EventKind.PACKET_IN):
+            action = host.dispatch(kind, TLS_KEY, "app", b"p")
+            assert action.is_pass and action.payload == b"p" and not action.modified
+        assert clock.phase == 0  # no subscriber: nothing called, nothing metered
+        host.dispatch(EventKind.FLOW_CLOSE, TLS_KEY, "app")
+        assert clock.phase == 2  # around the one overridden callback only
+        assert [host.invocation_count(p) for p in ("close", "nothing")] == [4, 4]
+
+    def test_no_subscriber_builds_no_event_or_context(self, monkeypatch):
+        events = counting(monkeypatch, host_module, "PluginEvent")
+        contexts = counting(monkeypatch, host_module, "PluginContext")
+        host = make_host()
+        reg(host, CloseOnly(), "close", perms=OBSERVE)
+        reg(host, CloseOnly(), "close2", perms=OBSERVE)
+        host.dispatch(EventKind.PACKET_OUT, TLS_KEY, "app", b"p")
+        assert (len(events), len(contexts)) == (0, 0)
+        host.dispatch(EventKind.FLOW_CLOSE, TLS_KEY, "app")
+        assert (len(events), len(contexts)) == (1, 1)  # once for both plugins
+
+    def test_unoverridden_callback_does_not_reset_cpu_overruns(self):
+        # consecutive overruns count only callbacks the plugin runs
+        budget = ResourceBudget(max_cpu_us_per_packet=500, violation_grace=1)
+        now_ns = [0]
+
+        class SlowClose(CloseOnly):
+            def on_flow_close(self, event, ctx):
+                now_ns[0] += 1_000_000  # 1000 us per close
+
+        host = make_host(cpu_clock=lambda: now_ns[0])
+        reg(host, SlowClose(), "close", budget=budget)
+        host.dispatch(EventKind.FLOW_CLOSE, TLS_KEY, "app")
+        host.dispatch(EventKind.PACKET_OUT, TLS_KEY, "app", b"p")
+        host.dispatch(EventKind.FLOW_CLOSE, TLS_KEY, "app")
+        assert not host.is_enabled("close")
+
+    def test_instance_attribute_before_register_is_honoured(self):
+        host = make_host()
+        plugin = TrafficPlugin()
+        plugin.on_packet_out = lambda event, ctx: Modify(b"instance")
+        reg(host, plugin, "inst")
+        assert apply_out(host).payload == b"instance"
+
+    def test_class_wrapper_counts_as_override(self, monkeypatch):
+        # a tracer wraps each callback on the plugin class, inherited or not
+        calls = []
+        original = FirewallPlugin.on_flow_close
+
+        def wrapped(*args, **kwargs):
+            calls.append(args[2].kind)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(FirewallPlugin, "on_flow_close", wrapped)
+        host = make_host()
+        reg(host, FirewallPlugin([]), "fw")
+        host.dispatch(EventKind.FLOW_CLOSE, TLS_KEY, "app")
+        assert calls == [EventKind.FLOW_CLOSE]
+
+    def test_context_keyword_construction_and_immutability(self):
+        ctx = PluginContext(key=TLS_KEY, app_label="app", direction=DIR_OUT,
+                            kind=EventKind.PACKET_OUT, device=DeviceContext(), now_us=7)
+        assert (ctx.key, ctx.app_label, ctx.now_us, ctx.throttle) == (TLS_KEY, "app", 7, False)
+        with pytest.raises(AttributeError):
+            ctx.now_us = 8
+
+    def test_builtin_plugin_subscriptions_pinned(self):
+        everything_but_close = {EventKind.FLOW_OPEN, EventKind.PACKET_OUT, EventKind.PACKET_IN}
+        expected = {
+            "fw": (FirewallPlugin([]), everything_but_close),
+            "snitch": (SnitchPlugin(OrgMap.from_pairs([])), everything_but_close),
+            "whatif": (WhatIfPlugin([("9.9.9.9", 53)]), everything_but_close),
+            "advisor": (AdvisorPlugin(), set(EventKind)),
+        }
+        for pid, (plugin, kinds) in expected.items():
+            clock = FakeCpuClock([])
+            host = make_host(cpu_clock=clock)
+            reg(host, plugin, pid)
+            called = set()
+            for kind in EventKind:
+                before = clock.phase
+                host.dispatch(kind, None, "app")
+                if clock.phase != before:
+                    called.add(kind)
+            assert called == kinds, pid
