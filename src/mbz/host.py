@@ -303,8 +303,6 @@ class PluginHost:
         self._low_battery_threshold = low_battery_threshold
         self._slots: list[_PluginSlot] = []
         self._by_id: dict[str, _PluginSlot] = {}
-        # callback names some registered plugin overrides
-        self._subscribed: set[str] = set()
         self.device = DeviceContext()
         self.violations: list[dict] = []
         self.governor_events: list[dict] = []
@@ -323,7 +321,6 @@ class PluginHost:
         slot = _PluginSlot(descriptor=descriptor, plugin=plugin, granted=req.value,
                            callbacks=callbacks)
         self._slots.append(slot)
-        self._subscribed.update(name for name, cb in callbacks.items() if cb is not None)
         self._by_id[descriptor.id] = slot
         return descriptor.id
 
@@ -363,11 +360,6 @@ class PluginHost:
         callbacks a plugin overrides run, and the event and its context
         are built only when one does."""
         name = _CALLBACKS[kind]
-        if name not in self._subscribed:
-            for slot in self._slots:
-                if slot.enabled and slot.granted & _OBSERVE:
-                    slot.invocations += 1
-            return EffectiveAction(PASS, payload)
         ctx = None
         modified = False
         cpu_clock = self._cpu_clock
