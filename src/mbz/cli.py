@@ -39,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     replay = sub.add_parser("replay", help="drive a trace through the engine")
     replay.add_argument("--config", required=True)
     replay.add_argument("--out-pcap", default=None,
-                        help="capture forwarded and emitted packets")
+                        help="write the app packets the plugin chain passed "
+                             "and the packets the engine wrote toward the app")
     replay.add_argument("--seed", type=int, default=None)
 
     run = sub.add_parser("run", help="run against a live packet conduit")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 
 from .clock import Scheduler
-from .trace import APP_TO_NET, NET_TO_APP, TraceEvent, check_monotonic
+from .trace import APP_TO_NET, TraceEvent, check_monotonic
 
 
 class PacketConduit:
@@ -64,10 +64,9 @@ class InMemoryConduit(PacketConduit):
 class ReplayConduit(PacketConduit):
     """Replays the app-to-net half of a trace in timestamp order.
 
-    Net-to-app events from the trace are not replayed; they are kept in
-    `reference_output` so a previous run's output can be diffed against
-    this one. Packets the engine writes are discarded: a trace has no app
-    to deliver them to, and `Engine.capture` already records them.
+    Net-to-app events from the trace are skipped. Packets the engine
+    writes are discarded: a trace has no app to deliver them to, and
+    `Engine.capture` already records them.
     Replay runs on a virtual clock, so the trace timestamps are surfaced
     as-is. Raises MalformedTrace on decreasing timestamps.
     """
@@ -76,8 +75,6 @@ class ReplayConduit(PacketConduit):
         check_monotonic(events)
         self._pending: deque[TraceEvent] = deque(
             e for e in events if e.direction == APP_TO_NET)
-        self.reference_output: list[TraceEvent] = [
-            e for e in events if e.direction == NET_TO_APP]
 
     def next_ready_us(self) -> int | None:
         return self._pending[0].ts_us if self._pending else None

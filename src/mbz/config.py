@@ -8,7 +8,7 @@ file's directory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -72,7 +72,6 @@ class RunConfig:
     report_path: Path | None
     report_formats: list[str]
     out_pcap: Path | None
-    base_dir: Path = field(default_factory=Path)
 
 
 def _require_keys(obj: dict, known: set[str], where: str) -> None:
@@ -232,5 +231,4 @@ def load_config(path: str | Path) -> RunConfig:
         report_path=(base / report["path"]) if "path" in report else None,
         report_formats=formats,
         out_pcap=(base / report["pcap"]) if "pcap" in report else None,
-        base_dir=base,
     )

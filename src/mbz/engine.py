@@ -169,7 +169,9 @@ class Engine:
         self.scheduler = scheduler
         self.flows: dict[FlowKey, TcpFlow | UdpFlow] = {}
         self.counters: dict[str, int] = {k: 0 for k in _COUNTER_KEYS}
-        # the run's only packet record, both directions; the pcap is written from it
+        # the run's only packet record and the pcap's source: every app packet
+        # the chain passed (even one the engine then refuses or answers itself)
+        # and every packet the engine wrote toward the app
         self.capture: list[tuple[int, bytes]] = []
         self.eviction_reports: list[dict] = []
         self._rng = random.Random(config.seed)
@@ -269,12 +271,13 @@ class Engine:
                    flow: TcpFlow | UdpFlow | None, creating: bool) -> EffectiveAction:
         """Run the chain over an app packet: FLOW_OPEN when it opens a
         flow, else PACKET_OUT. Counts a block; otherwise records the packet
-        as forwarded and counts a redirect, honoured only on an open."""
+        in the capture, even one the engine then refuses or answers with an
+        RST, and counts a redirect, honoured only on an open."""
         kind = EventKind.FLOW_OPEN if creating else EventKind.PACKET_OUT
         tcp_flags = tcp_seq = None
         if pkt.is_tcp:
             tcp_flags, tcp_seq = pkt.transport.flags, pkt.transport.seq
-        action = self.host.dispatch(kind, key, app_label, pkt.payload, pkt, tcp_flags, tcp_seq)
+        action = self.host.dispatch(kind, key, app_label, pkt.payload, tcp_flags, tcp_seq)
         if action.block is not None:
             self.counters["blocked_flow_opens" if creating else "blocked_packets"] += 1
             return action
@@ -457,10 +460,15 @@ class Engine:
             return
 
         if flow.state is TcpState.UPSTREAM_CONNECTING:
-            # data racing ahead of our SYN/ACK; defer in order, drop the rest
+            # data racing ahead of our SYN/ACK: defer in order while it fits
+            # the buffer, drop the rest; the app retransmits after the SYN/ACK
             if pkt.payload and tcp.seq == seq_add(flow.app_isn, 1 + flow.deferred_app_len):
-                flow.deferred_payload += effective_payload
-                flow.deferred_app_len += len(pkt.payload)
+                if len(flow.deferred_payload) + len(effective_payload) \
+                        > self.config.buffer_capacity:
+                    self.counters["tcp_backpressure_stalls"] += 1
+                else:
+                    flow.deferred_payload += effective_payload
+                    flow.deferred_app_len += len(pkt.payload)
             return
 
         if flow.notice is not None:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import dnswire, tlswire
 from .clock import Scheduler
-from .packet import FlowKey, Packet
+from .packet import FlowKey
 from .upstream import UpstreamNetwork
 
 
@@ -159,9 +159,7 @@ class PluginContext(NamedTuple):
 @dataclass
 class PluginEvent:
     """The traffic event under consideration. `payload` reflects prior
-    plugins' Modify verdicts as the chain advances. `packet` is the
-    parsed app packet where one exists (None for upstream byte chunks
-    and engine-synthesized control packets).
+    plugins' Modify verdicts as the chain advances.
 
     `dns()` and `sni()` parse the current payload once for the whole
     chain; a Modify that sets a new payload makes the next call parse
@@ -169,7 +167,6 @@ class PluginEvent:
     read-only and copy what you keep."""
     kind: EventKind
     payload: bytes = b""
-    packet: Packet | None = None
     tcp_flags: int | None = None
     tcp_seq: int | None = None
     # (payload parsed, result), keyed on the payload object; plain class
@@ -345,8 +342,8 @@ class PluginHost:
     # -- the chain -----------------------------------------------------------
 
     def dispatch(self, kind: EventKind, key: FlowKey | None, app_label: str,
-                 payload: bytes = b"", packet: Packet | None = None,
-                 tcp_flags: int | None = None, tcp_seq: int | None = None) -> EffectiveAction:
+                 payload: bytes = b"", tcp_flags: int | None = None,
+                 tcp_seq: int | None = None) -> EffectiveAction:
         """Offer one event to the plugins in registration order, with a
         context whose direction is `in` for PACKET_IN and `out` otherwise.
         Modify verdicts compose; the first permitted Block or Redirect
@@ -372,7 +369,7 @@ class PluginHost:
                 continue
             if ctx is None:
                 now = self._scheduler.now_us()
-                event = PluginEvent(kind, payload, packet, tcp_flags, tcp_seq)
+                event = PluginEvent(kind, payload, tcp_flags, tcp_seq)
                 ctx = PluginContext(key, app_label,
                                     DIR_IN if kind is EventKind.PACKET_IN else DIR_OUT,
                                     kind, self.device, now, self._throttled())

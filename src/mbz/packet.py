@@ -107,8 +107,6 @@ class Ipv4Header:
     src_addr: str
     dst_addr: str
     protocol: int
-    version: int = 4
-    header_length: int = 20
     dscp_ecn: int = 0
     total_length: int = 0
     identification: int = 0
@@ -126,7 +124,6 @@ class TcpHeader:
     ack: int
     flags: int
     window: int
-    data_offset: int = 20
     checksum: int = 0
     urgent_ptr: int = 0
     options: bytes = b""  # opaque except MSS extraction on SYN
@@ -222,7 +219,6 @@ def parse_packet(data: bytes) -> Packet:
         src_addr=_unpack_addr(src_raw),
         dst_addr=_unpack_addr(dst_raw),
         protocol=proto,
-        header_length=ihl,
         dscp_ecn=dscp_ecn,
         total_length=total_length,
         identification=ident,
@@ -249,7 +245,7 @@ def parse_packet(data: bytes) -> Packet:
             raise Truncated(f"TCP data offset {offset} out of range")
         transport = TcpHeader(
             src_port=sport, dst_port=dport, seq=seq, ack=ack,
-            flags=flags & 0x3F, window=window, data_offset=offset,
+            flags=flags & 0x3F, window=window,
             checksum=cksum, urgent_ptr=urgent, options=bytes(rest[20:offset]),
         )
         payload = bytes(rest[offset:])

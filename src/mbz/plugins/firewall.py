@@ -160,6 +160,8 @@ def _parse_ipv4(text: str) -> ipaddress.IPv4Address | None:
 
 
 def rules_from_list(objs: list[dict]) -> list[FirewallRule]:
+    if not isinstance(objs, list) or not all(isinstance(o, dict) for o in objs):
+        raise FirewallRuleError("rules must be a list of mappings")
     return [FirewallRule.from_dict(o) for o in objs]
 
 

@@ -85,8 +85,6 @@ class SnitchRecord:
     app_label: str
     key: FlowKey
     protocol: str  # TCP | UDP | QUIC-over-UDP
-    first_seen_us: int
-    last_seen_us: int
     request_count: int = 1
     last_out_us: int = field(default=0)
 
@@ -111,7 +109,6 @@ class SnitchPlugin(TrafficPlugin):
         rec = SnitchRecord(
             app_label=ctx.app_label, key=key,
             protocol="TCP" if key.protocol == PROTO_TCP else "UDP",
-            first_seen_us=ctx.now_us, last_seen_us=ctx.now_us,
             last_out_us=ctx.now_us)
         self.records[key] = rec
         self._observe_out(event, ctx, rec, new_flow=True)
@@ -125,9 +122,6 @@ class SnitchPlugin(TrafficPlugin):
 
     def on_packet_in(self, event: PluginEvent, ctx: PluginContext):
         self.tracker.observe_in(event, ctx)
-        rec = self.records.get(ctx.key) if ctx.key else None
-        if rec is not None:
-            rec.last_seen_us = ctx.now_us
         return None
 
     def _observe_out(self, event: PluginEvent, ctx: PluginContext,
@@ -140,7 +134,6 @@ class SnitchPlugin(TrafficPlugin):
             if not new_flow and ctx.now_us - rec.last_out_us > self.burst_gap_us:
                 rec.request_count += 1
             rec.last_out_us = ctx.now_us
-        rec.last_seen_us = ctx.now_us
 
     # -- reporting ------------------------------------------------------------
 

@@ -18,7 +18,8 @@ from .pcapio import pcap_read, pcap_write
 from .plugins import (
     AdvisorPlugin, FirewallPlugin, OrgMap, SnitchPlugin, WhatIfPlugin,
 )
-from .plugins.firewall import rules_from_list
+from .plugins.firewall import FirewallRuleError, rules_from_list
+from .plugins.snitch import OrgMapError
 from .trace import APP_TO_NET, TraceEvent, read_trace
 from .upstream import SimEndpointScript, SimUpstream
 
@@ -39,7 +40,7 @@ def load_trace_events(config: RunConfig) -> list[TraceEvent]:
     raise ParseError("config has no trace or pcap input")
 
 
-def _build_plugin(spec: PluginSpec, host: PluginHost, seed: int):
+def _build_plugin(spec: PluginSpec, seed: int):
     s = spec.settings
     if spec.kind == "snitch":
         return SnitchPlugin(
@@ -73,10 +74,15 @@ _CONNECTIVITY = {
 
 def install_plugins(config: RunConfig, host: PluginHost,
                     seed: int) -> dict[str, object]:
-    """Build and register the config's plugin chain on a host."""
+    """Build and register the config's plugin chain on a host. A malformed
+    rules or org-map file is a ParseError naming the plugin and the file."""
     plugins: dict[str, object] = {}
     for spec in config.plugins:
-        plugin = _build_plugin(spec, host, seed)
+        try:
+            plugin = _build_plugin(spec, seed)
+        except (FirewallRuleError, OrgMapError, yaml.YAMLError) as exc:
+            source = spec.settings.get("rules") or spec.settings.get("org_map")
+            raise ParseError(f"plugin {spec.id!r} ({source}): {exc}") from exc
         host.register(PluginDescriptor(
             id=spec.id, name=spec.kind, requested=spec.permissions,
             budget=spec.budget, wifi_only_export=spec.wifi_only_export),

@@ -2,9 +2,9 @@
 
 One event per line: {"ts_us": int, "dir": "out"|"in", "app": str,
 "pkt_b64": base64 bytes}. "out" is app-to-network (engine input on
-replay); "in" is network-to-app (recorded engine output, kept for
-golden comparison). App attribution is carried as trace metadata and
-treated as ground truth.
+replay); "in" is network-to-app, parsed and validated but skipped on
+replay. App attribution is carried as trace metadata and treated as
+ground truth.
 """
 
 from __future__ import annotations

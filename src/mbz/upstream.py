@@ -119,7 +119,6 @@ class StreamTranscript:
     """Byte-level record of one simulated stream, for test oracles."""
     dst: Addr
     received: bytearray = field(default_factory=bytearray)  # endpoint got these
-    sent: bytearray = field(default_factory=bytearray)      # endpoint emitted these
     saw_eof: bool = False
 
 
@@ -185,7 +184,6 @@ class _SimStream(StreamHandle):
         self.closed = False
         self.transcript = StreamTranscript(dst=dst)
         net.transcripts.append(self.transcript)
-        net.connections.append(dst)
         self._start()
 
     # -- engine-facing ----------------------------------------------------
@@ -272,7 +270,6 @@ class _SimStream(StreamHandle):
             self._endpoint_close_write()
 
     def _endpoint_send(self, data: bytes) -> None:
-        self.transcript.sent.extend(data)
         if data:
             self._net._later(self._script, lambda: self._deliver(data))
 
@@ -366,7 +363,6 @@ class SimUpstream(UpstreamNetwork):
         self._rng = random.Random(rng_seed)
         self._active = 0
         self.transcripts: list[StreamTranscript] = []
-        self.connections: list[Addr] = []
         self.datagram_log: list[tuple[Addr, bytes]] = []
 
     def find_script(self, addr: Addr) -> SimEndpointScript | None:

@@ -148,6 +148,35 @@ class TestCliExitCodes:
         assert main(["replay", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rules", [
+        "- {match: {dst: 10.0.0.0/33}, action: deny}\n",
+        "- {match: {app: '*'}, action: {deny: loud}}\n",
+        "- 42\n",
+    ], ids=["cidr-33", "deny-loud", "not-a-mapping"])
+    def test_malformed_firewall_rules_exit_2(self, tmp_path, capsys, rules):
+        (tmp_path / "rules.yaml").write_text(rules)
+        cfg = write_min_config(
+            tmp_path, plugins="plugins:\n  - {id: fw1, kind: firewall, rules: rules.yaml}\n")
+        assert main(["replay", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "mbz: config error" in err and "'fw1'" in err and "rules.yaml" in err
+
+    def test_malformed_org_map_exit_2(self, tmp_path, capsys):
+        (tmp_path / "orgs.csv").write_text(".x.example,x\na,b,c\n")
+        cfg = write_min_config(
+            tmp_path, plugins="plugins:\n  - {id: sn1, kind: snitch, org_map: orgs.csv}\n")
+        assert main(["replay", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "mbz: config error" in err and "'sn1'" in err and "orgs.csv" in err
+
+    def test_rules_file_not_yaml_exit_2(self, tmp_path, capsys):
+        (tmp_path / "rules.yaml").write_text("- {match: [unclosed\n")
+        cfg = write_min_config(
+            tmp_path, plugins="plugins:\n  - {id: fw2, kind: firewall, rules: rules.yaml}\n")
+        assert main(["replay", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "mbz: config error" in err and "'fw2'" in err and "rules.yaml" in err
+
     def test_io_error_exit_3(self, tmp_path, capsys):
         (tmp_path / "trace.jsonl").write_text("this is not json\n")
         cfg = tmp_path / "config.yaml"

@@ -122,6 +122,39 @@ class TestWindowEdges:
         engine.pump()
         assert bytes(engine.upstream.transcripts[0].received) == b"fast"
 
+    def test_data_racing_a_black_holed_connect_is_bounded(self):
+        engine = build_engine([{"cidr": "10.1.0.1/32", "behavior": "blackhole"}],
+                              EngineConfig(local_isn=5000))
+        app, srv = ("10.0.0.2", 40000), ("10.1.0.1", 80)
+        engine.conduit.inject(serialize_packet(make_tcp_packet(
+            app, srv, seq=1000, ack=0, flags=SYN, options=mss_option(1460))))
+        for i in range(200):
+            engine.conduit.inject(serialize_packet(make_tcp_packet(
+                app, srv, seq=1001 + i * 1460, ack=0, flags=PSH | ACK,
+                payload=bytes([i % 251]) * 1460)))
+        engine.pump()
+        (flow,) = engine.flows.values()
+        fits = engine.config.buffer_capacity // 1460
+        assert len(flow.deferred_payload) == flow.deferred_app_len == fits * 1460
+        # the first segment past the bound stalls; the ones after it are out of order
+        assert engine.counters["tcp_backpressure_stalls"] == 1
+        assert engine.conduit.take_emitted() == []  # nothing before the SYN/ACK
+
+    def test_racing_data_over_the_bound_is_retransmitted_after_handshake(self):
+        engine = build_engine([{"cidr": "10.1.0.1/32", "behavior": "echo",
+                                "delay_us": 5000}], EngineConfig(local_isn=5000))
+        driver = Driver(engine)
+        peer = driver.add_peer(AppPeer(engine, ("10.0.0.2", 40000), ("10.1.0.1", 80)))
+        payload = bytes(range(256)) * 400  # 102,400 bytes, past the 65,536 bound
+        peer.syn()
+        peer.send(payload)  # all of it before the SYN/ACK
+        driver.drive_with_retransmits(peer)
+        assert engine.counters["tcp_backpressure_stalls"] > 0
+        peer.fin()
+        driver.drive()
+        assert bytes(engine.upstream.transcripts[0].received) == payload
+        assert bytes(peer.received) == payload
+
 
 class Rewrite(TrafficPlugin):
     """Rewrites app payloads found in `table`, on opens and later packets."""

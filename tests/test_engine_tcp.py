@@ -56,7 +56,7 @@ class TestHandshake:
         peer.syn()
         peer.syn()  # retransmit while upstream is still connecting
         driver.drive()
-        assert len(engine.upstream.connections) == 1
+        assert len(engine.upstream.transcripts) == 1
         assert engine.counters["tcp_dup_syn"] == 1
         syn_acks = [p for p in peer.packets_seen
                     if p.transport.flags & (SYN | ACK) == SYN | ACK]
@@ -437,7 +437,7 @@ class TestDuplicateSynOnOpenFlow:
         assert _wire(out) == [
             (SYN | ACK, 5000, 1001, b""), (SYN | ACK, 5000, 1001, b""),
             (PSH | ACK, 5001, 1001, b"notice"), (FIN | ACK, 5007, 1001, b"")]
-        assert engine.upstream.connections == []
+        assert [t.dst for t in engine.upstream.transcripts] == []
         assert engine.counters["injected_responses"] == 1
 
 

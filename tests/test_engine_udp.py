@@ -186,6 +186,23 @@ class TestDnsIdCollision:
         assert engine.counters["udp_inbound_unroutable"] == 0
         assert [s.ids for s in engine._dns_shared.values()] == [{}]  # answered ids freed
 
+    def test_duplicate_query_answered_once(self):
+        # the app repeats a query (one flow, one id) before the answer is back:
+        # both go out under the one wire id, the first answer frees it, and
+        # the second answer has no holder left
+        engine = build_engine([dict(RESOLVER, delay_us=1000)])
+        query = dnswire.build_query(7, "example.com")
+        for _ in range(2):
+            inject_udp(engine, ("10.0.0.2", 50000), ("8.8.8.8", 53), query)
+        engine.pump()
+        assert len(engine.upstream.datagram_log) == 2
+        out = [parse_packet(d) for _t, d in engine.conduit.take_emitted()]
+        assert [p.transport.dst_port for p in out] == [50000]
+        answer = dnswire.parse_message(out[0].payload)
+        assert answer.qid == 7 and answer.answers[0][2] == "93.184.216.34"
+        assert engine.counters["udp_inbound_unroutable"] == 1
+        assert [s.ids for s in engine._dns_shared.values()] == [{}]
+
     def test_id_map_bounded(self):
         silent = ("203.0.113.53", 53)  # no script: queries are never answered
         engine = build_engine([])

@@ -240,7 +240,7 @@ class TestEngineIntegration:
         rst = peer.packets_seen[0]
         assert rst.transport.has(RST)
         assert rst.transport.ack == 1001  # app ISN + 1
-        assert engine.upstream.connections == []  # never opened upstream
+        assert [t.dst for t in engine.upstream.transcripts] == []  # never opened upstream
         assert engine.counters["blocked_flow_opens"] == 1
         assert len(engine.flows) == 0
 
@@ -254,7 +254,7 @@ class TestEngineIntegration:
         peer.syn()
         driver.drive()
         assert peer.established  # local-only handshake synthesized
-        assert engine.upstream.connections == []
+        assert [t.dst for t in engine.upstream.transcripts] == []
         peer.send(b"GET / HTTP/1.0\r\n\r\n")
         driver.drive()
         assert bytes(peer.received) == b"use https\n"
@@ -302,7 +302,7 @@ class TestEngineIntegration:
         peer = driver.add_peer(AppPeer(engine, ("10.0.0.2", 4001), ("10.1.2.9", 80)))
         peer.syn()
         driver.drive()
-        assert engine.upstream.connections == [("10.5.5.5", 8080)]
+        assert [t.dst for t in engine.upstream.transcripts] == [("10.5.5.5", 8080)]
         assert peer.established  # SYN/ACK still appears to come from 10.1.2.9
         peer.send(b"hi")
         driver.drive()
@@ -368,4 +368,4 @@ class TestEngineIntegration:
         peer.syn()
         driver.drive()
         assert peer.reset_seen and not peer.established
-        assert engine.upstream.connections == []
+        assert [t.dst for t in engine.upstream.transcripts] == []

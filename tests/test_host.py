@@ -596,11 +596,10 @@ class CallEverySlot(PluginHost):
     enabled observing plugin, inherited no-ops included. Redirect on
     PACKET_IN is downgraded as in the host under test."""
 
-    def dispatch(self, kind, key, app_label, payload=b"", packet=None,
-                 tcp_flags=None, tcp_seq=None):
+    def dispatch(self, kind, key, app_label, payload=b"", tcp_flags=None, tcp_seq=None):
         direction = DIR_IN if kind is EventKind.PACKET_IN else DIR_OUT
         now = self._scheduler.now_us()
-        event = PluginEvent(kind, payload, packet, tcp_flags, tcp_seq)
+        event = PluginEvent(kind, payload, tcp_flags, tcp_seq)
         ctx = PluginContext(key=key, app_label=app_label, direction=direction, kind=kind,
                             device=self.device, now_us=now, throttle=self._throttled())
         modified = False

@@ -166,7 +166,6 @@ class TestConduits:
         assert conduit.read_packet() == (100, _pkt_bytes(0), "a")
         assert conduit.read_packet() == (200, _pkt_bytes(2), "b")
         assert conduit.read_packet() is None
-        assert [e.packet for e in conduit.reference_output] == [_pkt_bytes(1)]
 
     def test_empty_trace_is_end_of_stream(self):
         conduit = ReplayConduit([])

@@ -29,11 +29,6 @@ class TestIngestion:
         report = run.execute()
         assert report["counters"]["udp_flows_created"] == 1
 
-    def test_golden_trace_reference_output_preserved(self):
-        run = ReplayRun(load_config(DATA / "golden" / "config.yaml"))
-        # the committed golden trace is app-side only
-        assert run.conduit.reference_output == []
-
     def test_outputs_written(self, tmp_path):
         config = load_config(DATA / "golden" / "config.yaml")
         config.report_path = tmp_path / "out" / "report.json"
