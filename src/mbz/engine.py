@@ -462,13 +462,20 @@ class Engine:
         if flow.state is TcpState.UPSTREAM_CONNECTING:
             # data racing ahead of our SYN/ACK: defer in order while it fits
             # the buffer, drop the rest; the app retransmits after the SYN/ACK
-            if pkt.payload and tcp.seq == seq_add(flow.app_isn, 1 + flow.deferred_app_len):
-                if len(flow.deferred_payload) + len(effective_payload) \
-                        > self.config.buffer_capacity:
-                    self.counters["tcp_backpressure_stalls"] += 1
+            if not pkt.payload:
+                return
+            expected = seq_add(flow.app_isn, 1 + flow.deferred_app_len)
+            if tcp.seq != expected:
+                if seq_diff(tcp.seq, expected) < 0:
+                    self.counters["tcp_retransmissions"] += 1
                 else:
-                    flow.deferred_payload += effective_payload
-                    flow.deferred_app_len += len(pkt.payload)
+                    self.counters["tcp_out_of_order_dropped"] += 1
+            elif len(flow.deferred_payload) + len(effective_payload) \
+                    > self.config.buffer_capacity:
+                self.counters["tcp_backpressure_stalls"] += 1
+            else:
+                flow.deferred_payload += effective_payload
+                flow.deferred_app_len += len(pkt.payload)
             return
 
         if flow.notice is not None:

@@ -6,7 +6,9 @@ another destination, and length-preserving payload Rewrite. Rules
 match on app glob, destination (domain suffix, CIDR, or any), ports,
 and protocol. Domain matching uses the same on-path attribution the
 snitch uses (DNS answers and SNI), so a rule by domain also catches
-flows opened after the name was resolved.
+flows opened after the name was resolved. The first matching rule is
+memoised per (protocol, destination, app, domain), up to 4096 entries;
+its action still runs on every packet.
 """
 
 from __future__ import annotations
@@ -128,18 +130,15 @@ class FirewallRule:
         else:
             raise FirewallRuleError(f"bad action {action!r}")
 
-    def matches(self, ctx: PluginContext, domain: str,
+    def matches(self, protocol: int, dst_port: int, app_label: str, domain: str,
                 dst_ip: ipaddress.IPv4Address | None) -> bool:
         """`domain` is lower-case without a trailing dot; `dst_ip` is the
         parsed destination, None when it is not an IPv4 address."""
-        key = ctx.key
-        if key is None:
+        if self.protocol is not None and protocol != self.protocol:
             return False
-        if self.protocol is not None and key.protocol != self.protocol:
+        if self.ports is not None and dst_port not in self.ports:
             return False
-        if self.ports is not None and key.dst[1] not in self.ports:
-            return False
-        if self._app_match is not None and self._app_match(ctx.app_label) is None:
+        if self._app_match is not None and self._app_match(app_label) is None:
             return False
         if self.dst_suffix is not None:
             if not domain:
@@ -159,6 +158,20 @@ def _parse_ipv4(text: str) -> ipaddress.IPv4Address | None:
         return None
 
 
+def _first_rule(rules: tuple[FirewallRule, ...], any_cidr: bool, protocol: int,
+                dst: tuple[str, int], app_label: str,
+                domain: str) -> FirewallRule | None:
+    """The first of `rules` matching a flow to `dst` attributed to
+    `domain`, or None. The destination is parsed only when some rule has
+    a CIDR (`any_cidr`)."""
+    domain = domain.lower().rstrip(".")
+    dst_ip = _parse_ipv4(dst[0]) if any_cidr else None
+    for rule in rules:
+        if rule.matches(protocol, dst[1], app_label, domain, dst_ip):
+            return rule
+    return None
+
+
 def rules_from_list(objs: list[dict]) -> list[FirewallRule]:
     if not isinstance(objs, list) or not all(isinstance(o, dict) for o in objs):
         raise FirewallRuleError("rules must be a list of mappings")
@@ -167,11 +180,16 @@ def rules_from_list(objs: list[dict]) -> list[FirewallRule]:
 
 class FirewallPlugin(TrafficPlugin):
     def __init__(self, rules: list[FirewallRule], default_allow: bool = True):
-        self.rules = rules
+        # frozen, so a later change to the caller's list cannot make the
+        # memoised verdicts stale
+        self.rules = tuple(rules)
         self.default_allow = default_allow
         self.tracker = DomainTracker()
-        self._any_cidr = any(rule.dst_network is not None for rule in rules)
-        self._parse_dst = functools.lru_cache(maxsize=4096)(_parse_ipv4)
+        # the first matching rule per (protocol, destination, app, domain);
+        # the partial holds no reference back to the plugin
+        self._first_match = functools.lru_cache(maxsize=4096)(functools.partial(
+            _first_rule, self.rules,
+            any(rule.dst_network is not None for rule in self.rules)))
 
     def on_flow_open(self, event, ctx):
         self.tracker.observe_out(event, ctx)
@@ -187,15 +205,10 @@ class FirewallPlugin(TrafficPlugin):
 
     def _evaluate(self, event: PluginEvent, ctx: PluginContext,
                   outbound: bool) -> Verdict | None:
-        # per-event inputs of the rules, worked out once for all of them
-        domain, dst_ip = "", None
-        if ctx.key is not None:
-            domain = self.tracker.domain_for(ctx.key).lower().rstrip(".")
-            if self._any_cidr:
-                dst_ip = self._parse_dst(ctx.key.dst[0])
-        for rule in self.rules:
-            if not rule.matches(ctx, domain, dst_ip):
-                continue
+        key = ctx.key
+        rule = None if key is None else self._first_match(
+            key.protocol, key.dst, ctx.app_label, self.tracker.domain_for(key))
+        if rule is not None:
             return self._apply(rule, event, ctx, outbound)
         if self.default_allow:
             return None

@@ -75,14 +75,17 @@ _CONNECTIVITY = {
 def install_plugins(config: RunConfig, host: PluginHost,
                     seed: int) -> dict[str, object]:
     """Build and register the config's plugin chain on a host. A malformed
-    rules or org-map file is a ParseError naming the plugin and the file."""
+    rules or org-map file, or a setting of the wrong type, is a ParseError
+    naming the plugin (and the file, if it has one)."""
     plugins: dict[str, object] = {}
     for spec in config.plugins:
         try:
             plugin = _build_plugin(spec, seed)
-        except (FirewallRuleError, OrgMapError, yaml.YAMLError) as exc:
+        except (FirewallRuleError, OrgMapError, yaml.YAMLError,
+                ValueError, TypeError, OverflowError) as exc:
             source = spec.settings.get("rules") or spec.settings.get("org_map")
-            raise ParseError(f"plugin {spec.id!r} ({source}): {exc}") from exc
+            where = f" ({source})" if source else ""
+            raise ParseError(f"plugin {spec.id!r}{where}: {exc}") from exc
         host.register(PluginDescriptor(
             id=spec.id, name=spec.kind, requested=spec.permissions,
             budget=spec.budget, wifi_only_export=spec.wifi_only_export),

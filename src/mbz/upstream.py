@@ -349,6 +349,18 @@ class _SimDatagram(DatagramHandle):
         return dnswire.build_response(msg.qid, msg.qname, msg.qtype, ips)
 
 
+_SCRIPT_CACHE_SIZE = 4096
+_UNSEEN = object()
+
+
+def _first_script(scripts: tuple[SimEndpointScript, ...],
+                  addr: Addr) -> SimEndpointScript | None:
+    for script in scripts:
+        if script.matches(addr):
+            return script
+    return None
+
+
 class SimUpstream(UpstreamNetwork):
     """Deterministic scripted upstream; unmatched destinations blackhole."""
 
@@ -358,7 +370,13 @@ class SimUpstream(UpstreamNetwork):
             for b in scripts[i + 1:]:
                 if a.overlaps(b):
                     raise OverlappingScripts(f"{a.network} and {b.network} overlap")
-        self.scripts = scripts
+        # frozen, so the cached lookups below cannot go stale
+        self.scripts = tuple(scripts)
+        # the one script serving each destination seen (scripts never
+        # overlap); a plain dict, because simulators are built often (one
+        # per connect batch in the benchmark) and creating an lru_cache
+        # costs several microseconds
+        self._script_of: dict[Addr, SimEndpointScript | None] = {}
         self._scheduler = scheduler
         self._rng = random.Random(rng_seed)
         self._active = 0
@@ -366,10 +384,13 @@ class SimUpstream(UpstreamNetwork):
         self.datagram_log: list[tuple[Addr, bytes]] = []
 
     def find_script(self, addr: Addr) -> SimEndpointScript | None:
-        for script in self.scripts:
-            if script.matches(addr):
-                return script
-        return None
+        cache = self._script_of
+        script = cache.get(addr, _UNSEEN)
+        if script is _UNSEEN:
+            if len(cache) >= _SCRIPT_CACHE_SIZE:
+                cache.clear()
+            script = cache[addr] = _first_script(self.scripts, addr)
+        return script
 
     def open_stream(self, dst: Addr) -> StreamHandle:
         self._active += 1

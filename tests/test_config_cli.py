@@ -177,6 +177,28 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "mbz: config error" in err and "'fw2'" in err and "rules.yaml" in err
 
+    @pytest.mark.parametrize("plugin", [
+        "{id: w1, kind: dns-whatif, probability: lots}",
+        "{id: w1, kind: dns-whatif, timeout_s: [2]}",
+        "{id: w1, kind: dns-whatif, timeout_s: .inf}",
+        "{id: w1, kind: protocol-advisor, min_samples: many}",
+        "{id: w1, kind: protocol-advisor, loss_rate_threshold: high}",
+    ], ids=["probability-word", "timeout-list", "timeout-inf", "min-samples-word",
+            "threshold-word"])
+    def test_non_numeric_plugin_setting_exit_2(self, tmp_path, capsys, plugin):
+        cfg = write_min_config(tmp_path, plugins=f"plugins:\n  - {plugin}\n")
+        assert main(["replay", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "mbz: config error" in err and "plugin 'w1':" in err
+
+    def test_non_numeric_snitch_gap_names_the_plugin(self, tmp_path, capsys):
+        (tmp_path / "orgs.csv").write_text(".x.example,x\n")
+        cfg = write_min_config(tmp_path, plugins=(
+            "plugins:\n  - {id: sn1, kind: snitch, org_map: orgs.csv, burst_gap_s: soon}\n"))
+        assert main(["replay", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "mbz: config error" in err and "'sn1'" in err and "soon" in err
+
     def test_io_error_exit_3(self, tmp_path, capsys):
         (tmp_path / "trace.jsonl").write_text("this is not json\n")
         cfg = tmp_path / "config.yaml"

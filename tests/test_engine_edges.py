@@ -138,7 +138,25 @@ class TestWindowEdges:
         assert len(flow.deferred_payload) == flow.deferred_app_len == fits * 1460
         # the first segment past the bound stalls; the ones after it are out of order
         assert engine.counters["tcp_backpressure_stalls"] == 1
+        assert engine.counters["tcp_out_of_order_dropped"] == 200 - fits - 1
+        assert engine.counters["tcp_retransmissions"] == 0
         assert engine.conduit.take_emitted() == []  # nothing before the SYN/ACK
+
+    def test_racing_retransmission_before_the_syn_ack_is_counted(self):
+        engine = build_engine([{"cidr": "10.1.0.1/32", "behavior": "blackhole"}],
+                              EngineConfig(local_isn=5000))
+        app, srv = ("10.0.0.2", 40000), ("10.1.0.1", 80)
+        engine.conduit.inject(serialize_packet(make_tcp_packet(
+            app, srv, seq=1000, ack=0, flags=SYN, options=mss_option(1460))))
+        for seq in (1001, 1001, 1007):  # in order, again, then past a gap
+            engine.conduit.inject(serialize_packet(make_tcp_packet(
+                app, srv, seq=seq, ack=0, flags=PSH | ACK, payload=b"abc")))
+        engine.pump()
+        (flow,) = engine.flows.values()
+        assert flow.deferred_payload == b"abc"
+        assert engine.counters["tcp_retransmissions"] == 1
+        assert engine.counters["tcp_out_of_order_dropped"] == 1
+        assert engine.counters["tcp_backpressure_stalls"] == 0
 
     def test_racing_data_over_the_bound_is_retransmitted_after_handshake(self):
         engine = build_engine([{"cidr": "10.1.0.1/32", "behavior": "echo",

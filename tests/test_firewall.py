@@ -1,12 +1,16 @@
 """Firewall rules: first-match semantics, deny modes, switch, rewrite."""
 
+import gc
+import ipaddress
 import itertools
+import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import AppPeer, Driver, build_engine
 
-from mbz import dnswire
+from mbz import dnswire, tlswire
 from mbz.engine import EngineConfig
 from mbz.host import (
     Block, BlockMode, DeviceContext, EventKind, Modify, Permission,
@@ -19,6 +23,7 @@ from mbz.packet import (
 from mbz.plugins.firewall import (
     FirewallPlugin, FirewallRule, FirewallRuleError, rules_from_list,
 )
+from mbz.plugins.domains import DomainTracker
 from mbz.plugins.snitch import OrgMap, SnitchPlugin
 
 FW_PERMS = (Permission.OBSERVE | Permission.BLOCK_FLOW
@@ -369,3 +374,152 @@ class TestEngineIntegration:
         driver.drive()
         assert peer.reset_seen and not peer.established
         assert [t.dst for t in engine.upstream.transcripts] == []
+
+
+# -- memoised first match ----------------------------------------------------
+
+def linear_scan(rules, tracker, key, app):
+    """The first-match oracle: every rule in order, nothing memoised."""
+    domain = tracker.domain_for(key).lower().rstrip(".")
+    dst_ip = ipaddress.IPv4Address(key.dst[0])
+    for rule in rules:
+        if rule.matches(key.protocol, key.dst[1], app, domain, dst_ip):
+            return rule
+    return None
+
+
+NAMES = ("a.example.com", "B.Example.COM.", "x.tracker.net", "tracker.net", "other.org")
+ADDRS = ("192.0.2.1", "192.0.2.77", "198.51.100.5", "10.1.2.3")
+APPS = ("mail", "mailer", "game1", "bank", "")
+RESOLVER = FlowKey(17, ("10.0.0.2", 50000), ("8.8.8.8", 53))
+
+rule_dicts = st.builds(
+    lambda app, dst, ports, proto, action: {
+        "match": {"app": app, "dst": dst, "ports": ports, "protocol": proto},
+        "action": action},
+    st.sampled_from(("*", "mail*", "game?", "bank", "[mb]*")),
+    st.sampled_from(("any", ".example.com", "tracker.net", "b.example.com",
+                     "192.0.2.0/24", "198.51.100.0/25", "10.0.0.0/8", "8.8.8.8/32")),
+    st.one_of(st.just("any"), st.sets(st.sampled_from((53, 80, 443)), min_size=1)
+              .map(sorted)),
+    st.sampled_from(("any", "tcp", "udp")),
+    st.one_of(
+        st.just("allow"),
+        st.sampled_from(("silent", "reset")).map(lambda m: {"deny": m}),
+        st.integers(0, 99).map(lambda i: {"deny": "inject", "notice": f"n{i}"}),
+        st.integers(1, 250).map(lambda i: {"switch": f"10.255.0.{i}:8080"}),
+        st.just({"rewrite": {"pattern": "x", "replacement": "y"}}),
+    ))
+
+flow_keys = st.builds(
+    lambda proto, sport, dst, dport: FlowKey(proto, ("10.0.0.2", sport), (dst, dport)),
+    st.sampled_from((6, 6, 17)), st.sampled_from((40000, 40001)),
+    st.sampled_from(ADDRS), st.sampled_from((53, 80, 443, 443)))
+
+# a packet on a flow, a DNS answer attributing an address to a name, or a
+# ClientHello naming a server on a flow (the attribution can come mid-flow)
+events = st.one_of(
+    st.tuples(st.just("pkt"), flow_keys, st.sampled_from(APPS),
+              st.sampled_from((EventKind.FLOW_OPEN, EventKind.PACKET_OUT,
+                               EventKind.PACKET_IN)),
+              st.sampled_from((b"", b"x", b"abc"))),
+    st.tuples(st.just("dns"), st.sampled_from(NAMES), st.sampled_from(ADDRS)),
+    st.tuples(st.just("sni"), flow_keys, st.sampled_from(APPS), st.sampled_from(NAMES)),
+)
+
+
+class TestMemoisedFirstMatch:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(rule_dicts, max_size=8), st.booleans(),
+           st.lists(events, min_size=1, max_size=40))
+    def test_cached_verdicts_equal_the_linear_scan(self, rule_objs, default_allow, evs):
+        rules = rules_from_list(rule_objs)
+        fw = FirewallPlugin(rules, default_allow=default_allow)
+        oracle_tracker = DomainTracker()
+        for ev in evs:
+            if ev[0] == "dns":
+                _tag, name, addr = ev
+                kind, key, app = EventKind.PACKET_IN, RESOLVER, ""
+                payload = dnswire.build_response(7, name, dnswire.QTYPE_A, [addr])
+            elif ev[0] == "sni":
+                _tag, key, app, name = ev
+                kind, payload = EventKind.PACKET_OUT, tlswire.build_client_hello(name)
+            else:
+                _tag, key, app, kind, payload = ev
+            outbound = kind is not EventKind.PACKET_IN
+            event = PluginEvent(kind, payload=payload)
+            ctx = make_ctx(key, app=app, kind=kind, direction="out" if outbound else "in")
+            verdict = {EventKind.FLOW_OPEN: fw.on_flow_open,
+                       EventKind.PACKET_OUT: fw.on_packet_out,
+                       EventKind.PACKET_IN: fw.on_packet_in}[kind](event, ctx)
+
+            observe = oracle_tracker.observe_out if outbound else oracle_tracker.observe_in
+            observe(PluginEvent(kind, payload=payload), ctx)
+            rule = linear_scan(rules, oracle_tracker, key, app)
+            if rule is not None:
+                expected = fw._apply(rule, event, ctx, outbound)
+            else:
+                expected = None if default_allow else Block(BlockMode.DROP_SILENT)
+            assert verdict == expected, (ev, rule)
+
+    def test_attribution_mid_flow_changes_the_verdict(self):
+        fw = FirewallPlugin(rules_from_list(
+            [{"match": {"dst": ".tracker.example"}, "action": {"deny": "reset"}}]))
+        key = FlowKey(6, ("10.0.0.2", 4001), ("10.9.1.1", 80))
+        assert evaluate(fw, key) is None
+        assert evaluate(fw, key, kind=EventKind.PACKET_OUT, payload=b"a") is None
+        answer = dnswire.build_response(5, "ads.tracker.example", dnswire.QTYPE_A,
+                                        ["10.9.1.1"])
+        fw.on_packet_in(PluginEvent(EventKind.PACKET_IN, payload=answer),
+                        make_ctx(RESOLVER, kind=EventKind.PACKET_IN, direction="in"))
+        assert evaluate(fw, key, kind=EventKind.PACKET_OUT, payload=b"b") \
+            == Block(BlockMode.RESET_APP)
+
+    def test_sni_mid_flow_changes_the_verdict(self):
+        fw = FirewallPlugin(rules_from_list(
+            [{"match": {"dst": ".tracker.example"}, "action": {"deny": "reset"}}]))
+        key = FlowKey(6, ("10.0.0.2", 4001), ("10.9.1.1", 443))
+        assert evaluate(fw, key) is None
+        hello = tlswire.build_client_hello("ads.tracker.example")
+        assert evaluate(fw, key, kind=EventKind.PACKET_OUT, payload=hello) \
+            == Block(BlockMode.RESET_APP)
+        # another flow to the same address has no SNI and no DNS answer
+        other = FlowKey(6, ("10.0.0.2", 4002), ("10.9.1.1", 443))
+        assert evaluate(fw, other) is None
+
+    def test_later_change_to_the_rule_list_does_not_change_verdicts(self):
+        rules = rules_from_list(
+            [{"match": {"dst": "192.0.2.0/24"}, "action": {"deny": "reset"}}])
+        fw = FirewallPlugin(rules)
+        allowed = FlowKey(6, ("10.0.0.2", 1), ("198.51.100.5", 80))
+        denied = FlowKey(6, ("10.0.0.2", 1), ("192.0.2.5", 80))
+        rules.insert(0, FirewallRule.from_dict({"match": {}, "action": {"deny": "silent"}}))
+        rules.pop()
+        assert evaluate(fw, allowed) is None
+        assert evaluate(fw, denied) == Block(BlockMode.RESET_APP)
+
+    def test_cache_is_bounded(self):
+        fw = FirewallPlugin(rules_from_list(
+            [{"match": {"dst": "10.0.0.0/8"}, "action": {"deny": "silent"}}]))
+        for i in range(5000):
+            key = FlowKey(6, ("10.0.0.2", 1), (f"10.{i >> 8 & 255}.{i & 255}.1", 80))
+            assert evaluate(fw, key) == Block(BlockMode.DROP_SILENT)
+        info = fw._first_match.cache_info()
+        assert info.misses == 5000 and info.currsize <= 4096
+
+    def test_a_new_flow_to_a_known_destination_hits_the_cache(self):
+        fw = FirewallPlugin(rules_from_list(MAIL_RULES))
+        for sport in range(4000, 4010):
+            evaluate(fw, FlowKey(6, ("10.0.0.2", sport), ("10.1.1.1", 993)), app="mailapp")
+        assert fw._first_match.cache_info().misses == 1
+
+    def test_cache_keeps_no_reference_to_the_plugin(self):
+        fw = FirewallPlugin(rules_from_list(MAIL_RULES))
+        evaluate(fw, FlowKey(6, ("10.0.0.2", 4001), ("10.1.1.1", 993)), app="mailapp")
+        ref = weakref.ref(fw)
+        gc.disable()
+        try:
+            del fw
+            assert ref() is None  # freed by reference counting, with no cycle
+        finally:
+            gc.enable()

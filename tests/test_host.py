@@ -570,7 +570,7 @@ class TestFirewallAppGlob:
                             kind=EventKind.PACKET_OUT, device=DeviceContext(), now_us=0)
         for pattern in self.PATTERNS:
             rule = FirewallRule.from_dict({"match": {"app": pattern}})
-            assert rule.matches(ctx, "", None) == fnmatch.fnmatchcase(label, pattern), \
+            assert rule.matches(6, 80, label, "", None) == fnmatch.fnmatchcase(label, pattern), \
                 (pattern, label)
 
 

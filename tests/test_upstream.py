@@ -1,12 +1,15 @@
 """Simulated upstream endpoint tests."""
 
+import ipaddress
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mbz import dnswire
 from mbz.clock import Scheduler
 from mbz.upstream import (
     EV_CONNECTED, EV_EOF, EV_READABLE, EV_REFUSED,
-    OverlappingScripts, SimEndpointScript, SimUpstream,
+    OverlappingScripts, SimEndpointScript, SimUpstream, _first_script,
 )
 
 
@@ -32,6 +35,42 @@ class TestScripts:
         assert net.find_script(("10.0.0.5", 80)).behavior == "echo"
         assert net.find_script(("10.0.0.5", 22)).behavior == "reset"
         assert net.find_script(("10.0.0.5", 443)) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 63), st.integers(26, 32),
+                              st.one_of(st.none(), st.sets(st.sampled_from((22, 53, 80)),
+                                                           min_size=1))),
+                    max_size=10),
+           st.lists(st.tuples(st.integers(0, 63), st.sampled_from((22, 53, 80, 443))),
+                    min_size=1, max_size=30))
+    def test_cached_lookup_equals_the_linear_scan(self, specs, probes):
+        scripts = []
+        for i, (host, prefix, ports) in enumerate(specs):
+            network = ipaddress.IPv4Network(f"10.0.0.{host}/{prefix}", strict=False)
+            candidate = script(str(network), "echo",
+                               ports=sorted(ports) if ports else "any", delay_us=i)
+            if not any(candidate.overlaps(other) for other in scripts):
+                scripts.append(candidate)
+        net, _ = make_net(scripts)
+        for host, port in probes + probes:  # the second pass hits the cache
+            addr = (f"10.0.0.{host}", port)
+            matching = [s for s in scripts if s.matches(addr)]
+            assert len(matching) <= 1
+            found = net.find_script(addr)
+            assert found is _first_script(tuple(scripts), addr)
+            assert found is (matching[0] if matching else None)
+
+    def test_later_change_to_the_script_list_is_not_seen(self):
+        scripts = [script("10.0.0.0/24", "echo")]
+        net, _ = make_net(scripts)
+        scripts[0] = script("10.0.0.0/24", "reset")
+        assert net.find_script(("10.0.0.5", 80)).behavior == "echo"
+
+    def test_script_cache_is_bounded(self):
+        net, _ = make_net([script("10.0.0.0/8", "echo")])
+        for i in range(5000):
+            assert net.find_script(("10.0.0.1", i)).behavior == "echo"
+        assert len(net._script_of) <= 4096
 
     def test_unknown_behavior_rejected(self):
         with pytest.raises(Exception):
