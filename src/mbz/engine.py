@@ -105,6 +105,12 @@ class TcpFlow:
     # how many bytes the app sent for them (what the ACK covers)
     deferred_payload: bytes = b""
     deferred_app_len: int = 0
+    # every segment the engine writes toward the app: addresses and ports
+    # inverted once, the rest set before each write
+    out: Packet = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.out = make_tcp_packet(self.key.dst, self.key.src, 0, 0, 0)
 
 
 @dataclass
@@ -115,6 +121,10 @@ class UdpFlow:
     handle: DatagramHandle
     last_activity: int
     shared_key: tuple[str, Addr] | None = None  # set for DNS flows
+    out: Packet = field(init=False, repr=False, compare=False)  # datagrams toward the app
+
+    def __post_init__(self) -> None:
+        self.out = make_udp_packet(self.key.dst, self.key.src)
 
 
 @dataclass
@@ -323,13 +333,19 @@ class Engine:
         return max(0, min(65535, self.config.buffer_capacity - len(flow.to_net)))
 
     def _emit_tcp(self, flow: TcpFlow, flags: int, payload: bytes = b"",
+                  seq: int | None = None, ack: int | None = None,
                   options: bytes = b"") -> None:
-        inv = flow.key.invert()
-        self._emit(make_tcp_packet(
-            src=inv.src, dst=inv.dst, seq=flow.next_seq_to_app,
-            ack=flow.next_expected_from_app, flags=flags,
-            window=self._advertised_window(flow),
-            payload=payload, options=options))
+        """A segment on the flow's outbound packet; seq and ack default to
+        the flow's next byte toward the app and from it."""
+        out = flow.out
+        tcp = out.transport
+        tcp.seq = flow.next_seq_to_app if seq is None else seq
+        tcp.ack = flow.next_expected_from_app if ack is None else ack
+        tcp.flags = flags
+        tcp.window = self._advertised_window(flow)
+        tcp.options = options
+        out.payload = payload
+        self._emit(out)
 
     def _emit_rst(self, key: FlowKey, ack: int, seq: int = 0,
                   flags: int = RST | ACK) -> None:
@@ -408,12 +424,8 @@ class Engine:
             self._emit_syn_ack(flow)  # our SYN/ACK may have been lost
 
     def _emit_syn_ack(self, flow: TcpFlow) -> None:
-        inv = flow.key.invert()
-        self._emit(make_tcp_packet(
-            src=inv.src, dst=inv.dst, seq=flow.local_isn,
-            ack=seq_add(flow.app_isn, 1), flags=SYN | ACK,
-            window=self._advertised_window(flow),
-            options=mss_option(self._mss_to_app)))
+        self._emit_tcp(flow, SYN | ACK, seq=flow.local_isn, ack=seq_add(flow.app_isn, 1),
+                       options=mss_option(self._mss_to_app))
 
     def _on_stream_event(self, flow: TcpFlow, event: str) -> None:
         if flow.state is TcpState.CLOSED:
@@ -574,8 +586,7 @@ class Engine:
             if allowed <= 0:
                 break
             n = min(len(flow.to_app), flow.mss, allowed)
-            payload = bytes(flow.to_app[:n])
-            self._emit_tcp(flow, PSH | ACK, payload=payload)
+            self._emit_tcp(flow, PSH | ACK, payload=flow.to_app[:n])
             flow.next_seq_to_app = seq_add(flow.next_seq_to_app, n)
             del flow.to_app[:n]
 
@@ -757,8 +768,8 @@ class Engine:
         action = self._offer_in(flow, data)
         if action.block is not None:
             return
-        inv = flow.key.invert()
-        self._emit(make_udp_packet(src=inv.src, dst=inv.dst, payload=action.payload))
+        flow.out.payload = action.payload
+        self._emit(flow.out)
 
     def _evict_udp(self, flow: UdpFlow, reason: str) -> None:
         if flow.shared_key is not None:

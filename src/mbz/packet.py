@@ -1,8 +1,9 @@
 """IPv4/TCP/UDP wire parsing, serialization, checksums, and flow keys.
 
 Everything here is a pure function over immutable-ish inputs; no I/O,
-no global state. Byte layouts are the standard network-byte-order wire
-formats. IPv4 only: version != 4 and fragments are rejected up front.
+and no global state but a bounded cache of packed addresses. Byte
+layouts are the standard network-byte-order wire formats. IPv4 only:
+version != 4 and fragments are rejected up front.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ PSH = 0x08
 ACK = 0x10
 URG = 0x20
 
-_IPV4_FMT = "!BBHHHBBH4s4s"
-_TCP_FMT = "!HHIIBBHHH"
-_UDP_FMT = "!HHHH"
+_IPV4 = struct.Struct("!BBHHHBBH4s4s")
+_TCP = struct.Struct("!HHIIBBHHH")
+_UDP = struct.Struct("!HHHH")
 
 
 class PacketError(Exception):
@@ -204,7 +205,7 @@ def parse_packet(data: bytes) -> Packet:
     if ihl < 20:
         raise Truncated(f"IPv4 header length {ihl} below minimum")
     (_, dscp_ecn, total_length, ident, flags_frag, ttl, proto, hdr_cksum,
-     src_raw, dst_raw) = struct.unpack(_IPV4_FMT, data[:20])
+     src_raw, dst_raw) = _IPV4.unpack(data[:20])
     if total_length < ihl:
         raise Truncated(f"total length {total_length} smaller than header {ihl}")
     if len(data) < total_length:
@@ -239,7 +240,7 @@ def parse_packet(data: bytes) -> Packet:
         if len(rest) < 20:
             raise Truncated("TCP header shorter than 20 bytes")
         (sport, dport, seq, ack, off_res, flags, window, cksum,
-         urgent) = struct.unpack(_TCP_FMT, rest[:20])
+         urgent) = _TCP.unpack(rest[:20])
         offset = (off_res >> 4) * 4
         if offset < 20 or offset > len(rest):
             raise Truncated(f"TCP data offset {offset} out of range")
@@ -254,7 +255,7 @@ def parse_packet(data: bytes) -> Packet:
     elif proto == PROTO_UDP:
         if len(rest) < 8:
             raise Truncated("UDP header shorter than 8 bytes")
-        sport, dport, length, cksum = struct.unpack(_UDP_FMT, rest[:8])
+        sport, dport, length, cksum = _UDP.unpack(rest[:8])
         if length < 8 or length > len(rest):
             raise Truncated(f"UDP length {length} inconsistent with {len(rest)} bytes")
         transport = UdpHeader(src_port=sport, dst_port=dport, length=length, checksum=cksum)
@@ -274,9 +275,28 @@ def parse_packet(data: bytes) -> Packet:
     return pkt
 
 
+_ADDRS: dict[str, tuple[bytes, int]] = {}
+
+
+def _addr(addr: str) -> tuple[bytes, int]:
+    """Wire bytes of a dotted-quad address and their value as one integer,
+    packed once per distinct string; the cache is emptied when full."""
+    entry = _ADDRS.get(addr)
+    if entry is None:
+        raw = _pack_addr(addr)
+        if len(_ADDRS) >= 4096:
+            _ADDRS.clear()
+        entry = _ADDRS[addr] = (raw, int.from_bytes(raw, "big"))
+    return entry
+
+
 def serialize_packet(p: Packet, mtu: int = DEFAULT_MTU) -> bytes:
     """Serialize a Packet to wire bytes with freshly computed lengths and
-    checksums; stale checksum fields in the input are ignored."""
+    checksums; stale checksum fields in the input are ignored.
+
+    Each header is packed once with its checksum in place. Word sums are
+    taken modulo 0xFFFF, as in internet_checksum, so a 32-bit field adds
+    as one integer and a header's sum comes from its field values."""
     ip = p.ip
     ip_options = ip.options
     if len(ip_options) % 4:
@@ -284,51 +304,56 @@ def serialize_packet(p: Packet, mtu: int = DEFAULT_MTU) -> bytes:
     ihl = 20 + len(ip_options)
     if ihl > 60:
         raise PacketError(f"IPv4 header length {ihl} exceeds 60")
-    src_raw = _pack_addr(ip.src_addr)
-    dst_raw = _pack_addr(ip.dst_addr)
-    addr_sum = int.from_bytes(src_raw + dst_raw, "big") + ip.protocol
+    src_raw, src_sum = _addr(ip.src_addr)
+    dst_raw, dst_sum = _addr(ip.dst_addr)
+    proto = ip.protocol
+    addr_sum = src_sum + dst_sum + proto  # the pseudo-header, less its length
+    t = p.transport
+    payload = p.payload
 
-    if isinstance(p.transport, TcpHeader):
-        t = p.transport
+    if isinstance(t, TcpHeader):
         opts = t.options
         if len(opts) % 4:
             opts = opts + b"\x00" * (4 - len(opts) % 4)
         offset = 20 + len(opts)
         if offset > 60:
             raise PacketError(f"TCP data offset {offset} exceeds 60")
-        seg = struct.pack(
-            _TCP_FMT, t.src_port, t.dst_port, t.seq & 0xFFFFFFFF, t.ack & 0xFFFFFFFF,
-            (offset // 4) << 4, t.flags & 0x3F, t.window, 0, t.urgent_ptr,
-        ) + opts + p.payload
-        total = ihl + len(seg)
-        if total > mtu:
-            raise OversizedPacket(f"{total} bytes exceeds MTU {mtu}")
-        cksum = internet_checksum(seg, addr_sum + len(seg))
-        seg = seg[:16] + struct.pack("!H", cksum) + seg[18:]
-    elif isinstance(p.transport, UdpHeader):
-        t = p.transport
-        length = 8 + len(p.payload)
-        seg = struct.pack(_UDP_FMT, t.src_port, t.dst_port, length, 0) + p.payload
-        total = ihl + len(seg)
-        if total > mtu:
-            raise OversizedPacket(f"{total} bytes exceeds MTU {mtu}")
-        cksum = internet_checksum(seg, addr_sum + length)
-        if cksum == 0:
-            cksum = 0xFFFF  # transmitted zero means "no checksum"
-        seg = seg[:6] + struct.pack("!H", cksum) + seg[8:]
+        rest = opts + payload if opts else payload
+        seq = t.seq & 0xFFFFFFFF
+        ack = t.ack & 0xFFFFFFFF
+        flags = t.flags & 0x3F
+        seg_len = offset + len(payload)
+        cksum = internet_checksum(rest, addr_sum + seg_len + t.src_port + t.dst_port
+                                  + seq + ack + (offset << 10 | flags) + t.window
+                                  + t.urgent_ptr)
+        seg_hdr = _TCP.pack(t.src_port, t.dst_port, seq, ack, offset << 2, flags,
+                            t.window, cksum, t.urgent_ptr)
+    elif isinstance(t, UdpHeader):
+        rest = payload
+        seg_len = 8 + len(payload)
+        # zero on the wire means "no checksum", so a zero sum goes out as 0xFFFF
+        cksum = internet_checksum(payload, addr_sum + 2 * seg_len + t.src_port
+                                  + t.dst_port) or 0xFFFF
+        seg_hdr = _UDP.pack(t.src_port, t.dst_port, seg_len, cksum)
     else:
-        seg = p.payload
-        total = ihl + len(seg)
-        if total > mtu:
-            raise OversizedPacket(f"{total} bytes exceeds MTU {mtu}")
+        rest = payload
+        seg_len = len(payload)
+        seg_hdr = b""
+    total = ihl + seg_len
+    if total > mtu:
+        raise OversizedPacket(f"{total} bytes exceeds MTU {mtu}")
 
-    hdr = struct.pack(
-        _IPV4_FMT, (4 << 4) | (ihl // 4), ip.dscp_ecn, total,
-        ip.identification, ip.flags_fragment, ip.ttl, ip.protocol, 0,
-        src_raw, dst_raw,
-    ) + ip_options
-    hdr = hdr[:10] + struct.pack("!H", internet_checksum(hdr)) + hdr[12:]
-    return hdr + seg
+    ver_ihl = 0x40 | ihl >> 2
+    hdr_sum = ((ver_ihl << 8 | ip.dscp_ecn) + total + ip.identification
+               + ip.flags_fragment + (ip.ttl << 8) + addr_sum)
+    if ip_options:
+        hdr_sum += int.from_bytes(ip_options, "big")
+    hdr = _IPV4.pack(ver_ihl, ip.dscp_ecn, total, ip.identification,
+                     ip.flags_fragment, ip.ttl, proto,
+                     0xFFFF - (hdr_sum % 0xFFFF or 0xFFFF), src_raw, dst_raw)
+    if ip_options:
+        hdr += ip_options
+    return hdr + seg_hdr + rest
 
 
 def extract_mss(options: bytes) -> int | None:

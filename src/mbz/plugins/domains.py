@@ -45,6 +45,10 @@ class DomainTracker:
         for _name, _rtype, ip in msg.answers:
             self.ip_to_name[ip] = msg.qname
 
+    def forget(self, key: FlowKey | None) -> None:
+        """Drop a closed flow's SNI."""
+        self.sni_by_key.pop(key, None)
+
     def domain_for(self, key: FlowKey) -> str:
         sni = self.sni_by_key.get(key)
         if sni:

@@ -203,6 +203,9 @@ class FirewallPlugin(TrafficPlugin):
         self.tracker.observe_in(event, ctx)
         return self._evaluate(event, ctx, outbound=False)
 
+    def on_flow_close(self, event, ctx):
+        self.tracker.forget(ctx.key)
+
     def _evaluate(self, event: PluginEvent, ctx: PluginContext,
                   outbound: bool) -> Verdict | None:
         key = ctx.key

@@ -16,15 +16,18 @@ from mbz.host import (
     Block, BlockMode, DeviceContext, EventKind, Modify, Permission,
     PluginContext, PluginDescriptor, PluginEvent, Redirect,
 )
+from mbz.config import load_config
 from mbz.packet import (
-    FIN, PSH, RST, SYN, ACK, FlowKey, make_udp_packet, parse_packet,
-    serialize_packet,
+    FIN, PSH, RST, SYN, ACK, FlowKey, make_tcp_packet, make_udp_packet,
+    parse_packet, serialize_packet,
 )
 from mbz.plugins.firewall import (
     FirewallPlugin, FirewallRule, FirewallRuleError, rules_from_list,
 )
 from mbz.plugins.domains import DomainTracker
 from mbz.plugins.snitch import OrgMap, SnitchPlugin
+from mbz.runner import ReplayRun, report_json_bytes
+from mbz.trace import APP_TO_NET, TraceEvent, write_trace
 
 FW_PERMS = (Permission.OBSERVE | Permission.BLOCK_FLOW
             | Permission.REDIRECT_FLOW | Permission.MODIFY_PAYLOAD)
@@ -523,3 +526,70 @@ class TestMemoisedFirstMatch:
             assert ref() is None  # freed by reference counting, with no cycle
         finally:
             gc.enable()
+
+
+def tls_echo_trace(flows, isn=1000, local_isn=5000, step_us=1000):
+    """App side of TLS flows against a zero-delay echo: each (port, dst,
+    SNI, closes) sends SYN, the ACK of the SYN/ACK and a ClientHello; a
+    flow that closes then sends FIN and the ACK of the echo and its FIN."""
+    events, t = [], 100_000
+    for port, dst, name, closes in flows:
+        src = ("10.0.0.2", port)
+        hello = tlswire.build_client_hello(name)
+        segments = [make_tcp_packet(src, dst, seq=isn, ack=0, flags=SYN),
+                    make_tcp_packet(src, dst, seq=isn + 1, ack=local_isn + 1, flags=ACK),
+                    make_tcp_packet(src, dst, seq=isn + 1, ack=local_isn + 1,
+                                    flags=PSH | ACK, payload=hello)]
+        if closes:
+            end = isn + 1 + len(hello)
+            segments += [make_tcp_packet(src, dst, seq=end, ack=local_isn + 1 + len(hello),
+                                         flags=FIN | ACK),
+                         make_tcp_packet(src, dst, seq=end + 1,
+                                         ack=local_isn + 2 + len(hello), flags=ACK)]
+        for pkt in segments:
+            t += step_us
+            events.append(TraceEvent(ts_us=t, direction=APP_TO_NET, app_label="browser",
+                                     packet=serialize_packet(pkt)))
+    return events
+
+
+class TestSniForgottenOnClose:
+    FLOWS = [(30001, ("10.1.0.1", 443), "a.good.example", True),
+             (30002, ("10.1.0.2", 443), "b.good.example", True),
+             (30003, ("10.1.0.3", 443), "ads.blocked.example", False)]
+
+    def replay(self, tmp_path):
+        write_trace(tmp_path / "trace.jsonl", tls_echo_trace(self.FLOWS))
+        (tmp_path / "scripts.yaml").write_text("- {cidr: 10.1.0.0/16, behavior: echo}\n")
+        (tmp_path / "orgs.csv").write_text(".good.example,goodorg\n")
+        (tmp_path / "rules.yaml").write_text(
+            "- {match: {dst: .blocked.example}, action: {deny: reset}}\n"
+            "- {match: {dst: .good.example, app: browser}, action: allow}\n")
+        (tmp_path / "config.yaml").write_text(
+            "engine: {local_isn: 5000}\nseed: 0\n"
+            "io: {trace: trace.jsonl, scripts: scripts.yaml}\n"
+            "plugins:\n"
+            "  - {id: fw, kind: firewall, rules: rules.yaml}\n"
+            "  - {id: snitch, kind: snitch, org_map: orgs.csv}\n")
+        run = ReplayRun(load_config(tmp_path / "config.yaml"))
+        report = run.execute()
+        return run, report_json_bytes(report), list(run.engine.capture)
+
+    def test_every_closed_flow_leaves_no_sni_and_nothing_else_changes(
+            self, tmp_path, monkeypatch):
+        run, report, capture = self.replay(tmp_path)
+        counters = run.engine.counters
+        assert counters["tcp_flows_closed"] == 2 and counters["tcp_flows_reset"] == 1
+        assert counters["blocked_packets"] == 1 and not run.engine.flows
+        assert run.plugins["fw"].tracker.sni_by_key == {}
+        # the snitch keeps the SNI of every flow it saw (the block ends the
+        # chain before it) for its report at the end of the run
+        assert len(run.plugins["snitch"].tracker.sni_by_key) == 2
+
+        # the firewall as it was before it forgot: every SNI kept for the run
+        monkeypatch.delattr(FirewallPlugin, "on_flow_close")
+        keeping, keeping_report, keeping_capture = self.replay(tmp_path)
+        assert sorted(keeping.plugins["fw"].tracker.sni_by_key.values()) == [
+            "a.good.example", "ads.blocked.example", "b.good.example"]
+        assert report == keeping_report
+        assert capture == keeping_capture

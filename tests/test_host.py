@@ -797,7 +797,7 @@ class TestSubscriberTables:
     def test_builtin_plugin_subscriptions_pinned(self):
         everything_but_close = {EventKind.FLOW_OPEN, EventKind.PACKET_OUT, EventKind.PACKET_IN}
         expected = {
-            "fw": (FirewallPlugin([]), everything_but_close),
+            "fw": (FirewallPlugin([]), set(EventKind)),
             "snitch": (SnitchPlugin(OrgMap.from_pairs([])), everything_but_close),
             "whatif": (WhatIfPlugin([("9.9.9.9", 53)]), everything_but_close),
             "advisor": (AdvisorPlugin(), set(EventKind)),
