@@ -78,7 +78,7 @@ class TcpState(enum.Enum):
     CLOSED = "closed"
 
 
-@dataclass
+@dataclass(slots=True)
 class TcpFlow:
     key: FlowKey
     app_label: str
@@ -113,7 +113,7 @@ class TcpFlow:
         self.out = make_tcp_packet(self.key.dst, self.key.src, 0, 0, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class UdpFlow:
     key: FlowKey
     app_label: str
@@ -607,7 +607,11 @@ class Engine:
     def _reset_flow(self, flow: TcpFlow, reason: str) -> None:
         if flow.state is TcpState.CLOSED:
             return
-        self._emit_tcp(flow, RST | ACK)
+        if flow.state is TcpState.UPSTREAM_CONNECTING:
+            # the app is in SYN-SENT and accepts only a reset that acks its SYN
+            self._emit_rst(flow.key, seq_add(flow.app_isn, 1))
+        else:
+            self._emit_tcp(flow, RST | ACK)
         self._close_tcp(flow, reason)
 
     def _close_tcp(self, flow: TcpFlow, reason: str) -> None:

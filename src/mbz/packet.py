@@ -1,15 +1,17 @@
 """IPv4/TCP/UDP wire parsing, serialization, checksums, and flow keys.
 
 Everything here is a pure function over immutable-ish inputs; no I/O,
-and no global state but a bounded cache of packed addresses. Byte
-layouts are the standard network-byte-order wire formats. IPv4 only:
-version != 4 and fragments are rejected up front.
+and no global state but two bounded caches: packed addresses for the
+writer and dotted-quad names for the reader. Byte layouts are the
+standard network-byte-order wire formats. IPv4 only: version != 4 and
+fragments are rejected up front.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 PROTO_TCP = 6
 PROTO_UDP = 17
@@ -31,6 +33,7 @@ ACK = 0x10
 URG = 0x20
 
 _IPV4 = struct.Struct("!BBHHHBBH4s4s")
+_IPV4_IN = struct.Struct("!BBHHHBBHII")  # the reader takes addresses as integers
 _TCP = struct.Struct("!HHIIBBHHH")
 _UDP = struct.Struct("!HHHH")
 
@@ -99,11 +102,20 @@ def _pack_addr(addr: str) -> bytes:
     return octets
 
 
-def _unpack_addr(raw: bytes) -> str:
-    return "%d.%d.%d.%d" % (raw[0], raw[1], raw[2], raw[3])
+_NAMES: dict[int, str] = {}
 
 
-@dataclass
+def _name(addr: int) -> str:
+    """Dotted quad of a 32-bit address, formatted once per distinct
+    address; the cache is emptied when full."""
+    if len(_NAMES) >= 4096:
+        _NAMES.clear()
+    name = _NAMES[addr] = "%d.%d.%d.%d" % (
+        addr >> 24, addr >> 16 & 0xFF, addr >> 8 & 0xFF, addr & 0xFF)
+    return name
+
+
+@dataclass(slots=True)
 class Ipv4Header:
     src_addr: str
     dst_addr: str
@@ -117,7 +129,7 @@ class Ipv4Header:
     options: bytes = b""  # carried opaquely, never interpreted
 
 
-@dataclass
+@dataclass(slots=True)
 class TcpHeader:
     src_port: int
     dst_port: int
@@ -133,7 +145,7 @@ class TcpHeader:
         return bool(self.flags & flag_bits)
 
 
-@dataclass
+@dataclass(slots=True)
 class UdpHeader:
     src_port: int
     dst_port: int
@@ -141,7 +153,7 @@ class UdpHeader:
     checksum: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     ip: Ipv4Header
     transport: TcpHeader | UdpHeader | None
@@ -156,10 +168,10 @@ class Packet:
         return isinstance(self.transport, UdpHeader)
 
 
-@dataclass(frozen=True, order=True)
-class FlowKey:
+class FlowKey(NamedTuple):
     """Protocol five-tuple. Oriented app->network for packets read from
-    the app-side conduit; invert() yields the reverse direction."""
+    the app-side conduit; invert() yields the reverse direction. A plain
+    tuple underneath, so hashing and comparing run in C."""
 
     protocol: int
     src: tuple[str, int]
@@ -180,13 +192,10 @@ class FlowKey:
 def flow_key_of(p: Packet) -> FlowKey:
     """Five-tuple of a TCP/UDP packet; raises NoTransport otherwise."""
     t = p.transport
+    ip = p.ip
     if t is None:
-        raise NoTransport(f"protocol {p.ip.protocol} has no TCP/UDP transport")
-    return FlowKey(
-        protocol=p.ip.protocol,
-        src=(p.ip.src_addr, t.src_port),
-        dst=(p.ip.dst_addr, t.dst_port),
-    )
+        raise NoTransport(f"protocol {ip.protocol} has no TCP/UDP transport")
+    return FlowKey(ip.protocol, (ip.src_addr, t.src_port), (ip.dst_addr, t.dst_port))
 
 
 def parse_packet(data: bytes) -> Packet:
@@ -195,7 +204,16 @@ def parse_packet(data: bytes) -> Packet:
     Structural failures raise Truncated / UnsupportedVersion /
     FragmentedPacket. Checksum mismatches raise BadChecksum *after* the
     packet has been fully parsed; the exception carries the packet.
+
+    One pass: each header is unpacked in place at its offset, and only
+    the options and the payload are copied. As in serialize_packet,
+    word sums are taken modulo 0xFFFF, so a header's share of a checksum
+    comes from its field values: the IP header needs no checksum pass,
+    and the transport checksum reads the options and payload only.
+    Bytes past `total_length` (link-layer padding) are ignored.
     """
+    if type(data) is not bytes:
+        data = bytes(data)
     if len(data) < 20:
         raise Truncated(f"{len(data)} bytes is shorter than a minimal IPv4 header")
     version = data[0] >> 4
@@ -204,71 +222,66 @@ def parse_packet(data: bytes) -> Packet:
     ihl = (data[0] & 0x0F) * 4
     if ihl < 20:
         raise Truncated(f"IPv4 header length {ihl} below minimum")
-    (_, dscp_ecn, total_length, ident, flags_frag, ttl, proto, hdr_cksum,
-     src_raw, dst_raw) = _IPV4.unpack(data[:20])
+    (ver_ihl, dscp_ecn, total_length, ident, flags_frag, ttl, proto, hdr_cksum,
+     src, dst) = _IPV4_IN.unpack_from(data)
     if total_length < ihl:
         raise Truncated(f"total length {total_length} smaller than header {ihl}")
     if len(data) < total_length:
         raise Truncated(f"{len(data)} bytes but total length declares {total_length}")
-    data = data[:total_length]  # ignore link-layer padding
-    if ihl > len(data):
-        raise Truncated("IPv4 header extends past packet end")
     if (flags_frag & IP_FLAG_MF) or (flags_frag & IP_FRAG_OFFSET_MASK):
         raise FragmentedPacket("IP fragments are not supported")
 
-    ip = Ipv4Header(
-        src_addr=_unpack_addr(src_raw),
-        dst_addr=_unpack_addr(dst_raw),
-        protocol=proto,
-        dscp_ecn=dscp_ecn,
-        total_length=total_length,
-        identification=ident,
-        flags_fragment=flags_frag,
-        ttl=ttl,
-        header_checksum=hdr_cksum,
-        options=bytes(data[20:ihl]),
-    )
-    rest = data[ihl:]
-    # pseudo-header word sum: both addresses, straight from the header bytes
-    addr_sum = int.from_bytes(data[12:20], "big") + proto
+    ip_options = data[20:ihl] if ihl > 20 else b""
+    hdr_sum = ((ver_ihl << 8 | dscp_ecn) + total_length + ident + flags_frag
+               + (ttl << 8 | proto) + hdr_cksum + src + dst)
+    if ip_options:
+        hdr_sum += int.from_bytes(ip_options, "big")
+    src_name = _NAMES.get(src) or _name(src)
+    dst_name = _NAMES.get(dst) or _name(dst)
+    ip = Ipv4Header(src_name, dst_name, proto, dscp_ecn, total_length, ident,
+                    flags_frag, ttl, hdr_cksum, ip_options)
+    seg_len = total_length - ihl
+    addr_sum = src + dst + proto  # the pseudo-header, less its length
 
     transport: TcpHeader | UdpHeader | None = None
-    payload: bytes
     checksum_error: str | None = None
 
     if proto == PROTO_TCP:
-        if len(rest) < 20:
+        if seg_len < 20:
             raise Truncated("TCP header shorter than 20 bytes")
         (sport, dport, seq, ack, off_res, flags, window, cksum,
-         urgent) = _TCP.unpack(rest[:20])
+         urgent) = _TCP.unpack_from(data, ihl)
         offset = (off_res >> 4) * 4
-        if offset < 20 or offset > len(rest):
+        if offset < 20 or offset > seg_len:
             raise Truncated(f"TCP data offset {offset} out of range")
-        transport = TcpHeader(
-            src_port=sport, dst_port=dport, seq=seq, ack=ack,
-            flags=flags & 0x3F, window=window,
-            checksum=cksum, urgent_ptr=urgent, options=bytes(rest[20:offset]),
-        )
-        payload = bytes(rest[offset:])
-        if internet_checksum(rest, addr_sum + len(rest)) != 0:
+        options = data[ihl + 20:ihl + offset] if offset > 20 else b""
+        transport = TcpHeader(sport, dport, seq, ack, flags & 0x3F, window, cksum,
+                              urgent, options)
+        payload = data[ihl + offset:total_length]
+        start = (addr_sum + seg_len + sport + dport + seq + ack + (off_res << 8 | flags)
+                 + window + cksum + urgent)
+        if options:
+            start += int.from_bytes(options, "big")
+        if internet_checksum(payload, start) != 0:
             checksum_error = "TCP checksum mismatch"
     elif proto == PROTO_UDP:
-        if len(rest) < 8:
+        if seg_len < 8:
             raise Truncated("UDP header shorter than 8 bytes")
-        sport, dport, length, cksum = _UDP.unpack(rest[:8])
-        if length < 8 or length > len(rest):
-            raise Truncated(f"UDP length {length} inconsistent with {len(rest)} bytes")
-        transport = UdpHeader(src_port=sport, dst_port=dport, length=length, checksum=cksum)
-        payload = bytes(rest[8:length])
+        sport, dport, length, cksum = _UDP.unpack_from(data, ihl)
+        if length < 8 or length > seg_len:
+            raise Truncated(f"UDP length {length} inconsistent with {seg_len} bytes")
+        transport = UdpHeader(sport, dport, length, cksum)
+        payload = data[ihl + 8:ihl + length]
         # checksum 0 means "not computed" and is accepted
-        if cksum != 0 and internet_checksum(rest[:length], addr_sum + length) != 0:
+        if cksum != 0 and internet_checksum(
+                payload, addr_sum + 2 * length + sport + dport + cksum) != 0:
             checksum_error = "UDP checksum mismatch"
     else:
-        payload = bytes(rest)
+        payload = data[ihl:total_length]
 
-    pkt = Packet(ip=ip, transport=transport, payload=payload)
+    pkt = Packet(ip, transport, payload)
 
-    if internet_checksum(data[:ihl]) != 0:
+    if hdr_sum % 0xFFFF:
         raise BadChecksum("IP header checksum mismatch", pkt, layer="ip")
     if checksum_error is not None:
         raise BadChecksum(checksum_error, pkt, layer="transport")
@@ -394,12 +407,10 @@ def make_tcp_packet(
     ttl: int = DEFAULT_TTL,
     identification: int = 0,
 ) -> Packet:
-    ip = Ipv4Header(src_addr=src[0], dst_addr=dst[0], protocol=PROTO_TCP,
-                    identification=identification, ttl=ttl)
-    tcp = TcpHeader(src_port=src[1], dst_port=dst[1], seq=seq & 0xFFFFFFFF,
-                    ack=ack & 0xFFFFFFFF, flags=flags, window=window,
-                    options=options)
-    return Packet(ip=ip, transport=tcp, payload=payload)
+    ip = Ipv4Header(src[0], dst[0], PROTO_TCP, 0, 0, identification, IP_FLAG_DF, ttl)
+    tcp = TcpHeader(src[1], dst[1], seq & 0xFFFFFFFF, ack & 0xFFFFFFFF, flags, window,
+                    0, 0, options)
+    return Packet(ip, tcp, payload)
 
 
 def make_udp_packet(
@@ -409,7 +420,5 @@ def make_udp_packet(
     ttl: int = DEFAULT_TTL,
     identification: int = 0,
 ) -> Packet:
-    ip = Ipv4Header(src_addr=src[0], dst_addr=dst[0], protocol=PROTO_UDP,
-                    identification=identification, ttl=ttl)
-    udp = UdpHeader(src_port=src[1], dst_port=dst[1], length=8 + len(payload))
-    return Packet(ip=ip, transport=udp, payload=payload)
+    ip = Ipv4Header(src[0], dst[0], PROTO_UDP, 0, 0, identification, IP_FLAG_DF, ttl)
+    return Packet(ip, UdpHeader(src[1], dst[1], 8 + len(payload)), payload)

@@ -92,11 +92,11 @@ def _connecting_flow(engine):
     return flow
 
 
-# a reset sent before the SYN/ACK carries seq 0, ack 0 and the full window,
-# the fields a flow holds before it is established
+# a reset sent before the SYN/ACK acks the app's SYN (ack 1001 for ISN
+# 1000), as an app in SYN-SENT accepts no other, with seq 0 and window 0
 RST_BEFORE_ESTABLISHED = bytes.fromhex(
     "45000028000040004006f4c4cb0071090a000002"  # 203.0.113.9 > 10.0.0.2
-    "00509c4100000000000000005014ffffcd330000")  # 80 > 40001, RST|ACK
+    "00509c4100000000000003e950140000c94a0000")  # 80 > 40001, RST|ACK
 
 
 class TestResetWhileConnecting:
