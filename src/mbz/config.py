@@ -14,7 +14,7 @@ from pathlib import Path
 import yaml
 
 from .engine import EngineConfig
-from .host import PERMISSION_NAMES, Permission, ResourceBudget, permissions_from_names
+from .host import MalformedPermissions, Permission, ResourceBudget, permissions_from_names
 
 
 class ConfigLoadError(Exception):
@@ -140,10 +140,10 @@ def _plugin_from(obj: dict, base: Path, index: int) -> PluginSpec:
     if "id" not in obj:
         raise ParseError(f"{where}: missing id")
 
-    perm_names = obj.get("permissions", DEFAULT_PERMISSIONS[kind])
-    for name in perm_names:
-        if name not in PERMISSION_NAMES:
-            raise ParseError(f"{where}: unknown permission {name!r}")
+    try:
+        permissions = permissions_from_names(obj.get("permissions", DEFAULT_PERMISSIONS[kind]))
+    except MalformedPermissions as exc:
+        raise ParseError(f"{where}: {exc}") from exc
     settings = {k: obj[k] for k in _PLUGIN_SETTING_KEYS[kind] if k in obj}
 
     if kind == "snitch":
@@ -167,7 +167,7 @@ def _plugin_from(obj: dict, base: Path, index: int) -> PluginSpec:
     return PluginSpec(
         id=str(obj["id"]),
         kind=kind,
-        permissions=permissions_from_names(list(perm_names)),
+        permissions=permissions,
         budget=_budget_from(obj.get("budget", {}), f"{where}.budget"),
         wifi_only_export=bool(obj.get("wifi_only_export", False)),
         settings=settings,

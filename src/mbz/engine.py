@@ -435,8 +435,7 @@ class Engine:
             if flow.state is TcpState.UPSTREAM_CONNECTING:
                 self._establish(flow)
         elif event == EV_REFUSED:
-            self._emit_rst(flow.key, seq_add(flow.app_isn, 1))
-            self._close_tcp(flow, "refused")
+            self._reset_flow(flow, "refused")
         elif event in (EV_READABLE, EV_WRITABLE):
             self._pump_flow(flow)
         elif event == EV_EOF:
@@ -661,8 +660,7 @@ class Engine:
     def _inject_on_flow(self, flow: TcpFlow, pkt: Packet, notice: bytes) -> None:
         if flow.state is TcpState.UPSTREAM_CONNECTING:
             # cannot deliver a payload before establishment; fall back to reset
-            self._emit_rst(flow.key, seq_add(flow.app_isn, 1))
-            self._close_tcp(flow, "plugin")
+            self._reset_flow(flow, "plugin")
             return
         if flow.stream is not None:  # the first notice on this flow replaces its upstream
             if flow.fin_sent:

@@ -199,10 +199,6 @@ class EffectiveAction:
     decided_by: str | None = None
 
     @property
-    def is_pass(self) -> bool:
-        return isinstance(self.verdict, Pass)
-
-    @property
     def block(self) -> Block | None:
         return self.verdict if isinstance(self.verdict, Block) else None
 
@@ -247,7 +243,6 @@ _CALLBACKS = {
 }
 
 # permission bits as plain ints: enum.Flag arithmetic runs in Python
-_OBSERVE = Permission.OBSERVE.value
 _INJECT_PACKETS = Permission.INJECT_PACKETS.value
 _EXPORT_OFF_DEVICE = Permission.EXPORT_OFF_DEVICE.value
 _VERDICT_PERMISSION = {
@@ -274,7 +269,6 @@ class _PluginSlot:
     descriptor: PluginDescriptor
     plugin: TrafficPlugin
     granted: int  # descriptor.requested as an int
-    callbacks: dict  # callback name -> bound method, None if not overridden
     enabled: bool = True
     disabled_reason: str | None = None
     invocations: int = 0
@@ -298,8 +292,11 @@ class PluginHost:
         self._upstream = upstream
         self._cpu_clock = cpu_clock or time.perf_counter_ns
         self._low_battery_threshold = low_battery_threshold
-        self._slots: list[_PluginSlot] = []
-        self._by_id: dict[str, _PluginSlot] = {}
+        # by id, in registration order
+        self._slots: dict[str, _PluginSlot] = {}
+        # per event kind, the enabled observing slots in registration order,
+        # each with its overridden callback for the kind or None
+        self._chains: dict[EventKind, tuple] = dict.fromkeys(_CALLBACKS, ())
         self.device = DeviceContext()
         self.violations: list[dict] = []
         self.governor_events: list[dict] = []
@@ -307,28 +304,19 @@ class PluginHost:
     # -- registration ------------------------------------------------------
 
     def register(self, descriptor: PluginDescriptor, plugin: TrafficPlugin) -> str:
-        if descriptor.id in self._by_id:
+        if descriptor.id in self._slots:
             raise DuplicateId(f"plugin id {descriptor.id!r} already registered")
         req = descriptor.requested
         if req & ~Permission.OBSERVE and not (req & Permission.OBSERVE):
             raise MalformedPermissions(
                 f"plugin {descriptor.id!r}: any permission implies observe")
         descriptor.budget.validate()
-        callbacks = {name: _overridden(plugin, name) for name in _CALLBACKS.values()}
-        slot = _PluginSlot(descriptor=descriptor, plugin=plugin, granted=req.value,
-                           callbacks=callbacks)
-        self._slots.append(slot)
-        self._by_id[descriptor.id] = slot
+        slot = _PluginSlot(descriptor=descriptor, plugin=plugin, granted=req.value)
+        self._slots[descriptor.id] = slot
+        if req & Permission.OBSERVE:
+            for kind, name in _CALLBACKS.items():
+                self._chains[kind] += ((slot, _overridden(plugin, name)),)
         return descriptor.id
-
-    def chain_order(self) -> list[str]:
-        return [s.descriptor.id for s in self._slots]
-
-    def invocation_count(self, plugin_id: str) -> int:
-        return self._by_id[plugin_id].invocations
-
-    def is_enabled(self, plugin_id: str) -> bool:
-        return self._by_id[plugin_id].enabled
 
     # -- device context ------------------------------------------------------
 
@@ -353,18 +341,16 @@ class PluginHost:
         record. Each callback's CPU time is metered against its plugin's
         budget.
 
-        Every enabled observing plugin counts an invocation, but only the
-        callbacks a plugin overrides run, and the event and its context
-        are built only when one does."""
-        name = _CALLBACKS[kind]
+        Every enabled observing plugin the event reaches counts an
+        invocation, but only the callbacks a plugin overrides run, and the
+        event and its context are built only when one does."""
         ctx = None
         modified = False
         cpu_clock = self._cpu_clock
-        for slot in self._slots:
-            if not slot.enabled or not slot.granted & _OBSERVE:
+        for slot, callback in self._chains[kind]:
+            if not slot.enabled:  # disabled earlier in this same event
                 continue
             slot.invocations += 1
-            callback = slot.callbacks[name]
             if callback is None:
                 continue
             if ctx is None:
@@ -416,18 +402,6 @@ class PluginHost:
 
     # -- resource governor -----------------------------------------------------
 
-    def account(self, plugin_id: str, cpu_us: int | None = None,
-                emitted_bytes: int | None = None) -> None:
-        """Record a usage sample; disables the plugin once a budget
-        dimension is overrun for more than violation_grace consecutive
-        samples (emitted bytes on cellular for wifi-only plugins disable
-        immediately)."""
-        slot = self._by_id[plugin_id]
-        if cpu_us is not None:
-            self._meter_cpu(slot, cpu_us)
-        if emitted_bytes is not None and slot.enabled:
-            self._meter_emitted(slot, emitted_bytes)
-
     def _meter_cpu(self, slot: _PluginSlot, cpu_us: int) -> None:
         if not slot.enabled:
             return
@@ -470,7 +444,7 @@ class PluginHost:
         plugins disabled during this tick."""
         now = self._scheduler.now_us() if now_us is None else now_us
         disabled: list[str] = []
-        for slot in self._slots:
+        for slot in self._slots.values():
             if not slot.enabled:
                 continue
             budget = slot.descriptor.budget
@@ -494,6 +468,8 @@ class PluginHost:
             return
         slot.enabled = False
         slot.disabled_reason = reason
+        self._chains = {kind: tuple(entry for entry in chain if entry[0] is not slot)
+                        for kind, chain in self._chains.items()}
         now = self._scheduler.now_us()
         self.governor_events.append({
             "ts_us": now,
@@ -520,7 +496,7 @@ class PluginHost:
                        on_reply, timeout_us: int) -> bool:
         """Send a plugin-originated datagram probe and deliver the reply
         (or None on timeout) back as an event. Requires InjectPackets."""
-        slot = self._by_id[plugin_id]
+        slot = self._slots[plugin_id]
         if not slot.enabled:
             return False
         if not slot.granted & _INJECT_PACKETS:
@@ -550,7 +526,7 @@ class PluginHost:
     def export_off_device(self, plugin_id: str, n_bytes: int) -> bool:
         """Gate a plugin's off-device export against its permission and
         the connectivity policy. Returns True when allowed."""
-        slot = self._by_id[plugin_id]
+        slot = self._slots[plugin_id]
         if not slot.enabled:
             return False
         if not slot.granted & _EXPORT_OFF_DEVICE:
@@ -575,5 +551,5 @@ class PluginHost:
                 "disabled_reason": s.disabled_reason,
                 "invocations": s.invocations,
             }
-            for s in self._slots
+            for s in self._slots.values()
         ]

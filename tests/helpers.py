@@ -34,6 +34,11 @@ def build_engine(scripts, config=None, host=None, seed=0):
     return engine
 
 
+def plugin_state(host: PluginHost, plugin_id: str) -> dict:
+    """The plugin's entry in `host.plugin_states()`."""
+    return next(s for s in host.plugin_states() if s["id"] == plugin_id)
+
+
 class AppPeer:
     """Scripted app endpoint on the far side of the conduit."""
 

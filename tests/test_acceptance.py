@@ -10,7 +10,7 @@ import random
 import time
 from pathlib import Path
 
-from helpers import AppPeer, Driver, build_engine, exchange, random_chunks
+from helpers import AppPeer, Driver, build_engine, exchange, plugin_state, random_chunks
 
 from mbz import dnswire
 from mbz.clock import Scheduler
@@ -241,22 +241,22 @@ def test_plugin_governance_and_quiescence():
     # compose then short-circuit: Mangler applied, Blocker decided, Tail skipped
     assert action.payload == b"p!"
     assert action.block is not None and action.decided_by == "block"
-    assert host.invocation_count("tail") == 0
+    assert plugin_state(host, "tail")["invocations"] == 0
 
     # disable-on-overrun: toast the mangler with 2x-budget CPU costs
     clock.cost_ns = 1_000_000  # 1000 us per callback
     for _ in range(budget.violation_grace + 1):
         fire()
-    assert not host.is_enabled("mangle")
+    assert not plugin_state(host, "mangle")["enabled"]
     assert any("CpuOverrun" in e["detail"] and e["plugin"] == "mangle"
                for e in host.governor_events)
 
     # quiescence over 10,000 subsequent events
     clock.cost_ns = 0
-    frozen = host.invocation_count("mangle")
+    frozen = plugin_state(host, "mangle")["invocations"]
     for _ in range(10_000):
         fire()
-    assert host.invocation_count("mangle") == frozen
+    assert plugin_state(host, "mangle")["invocations"] == frozen
     announce("plugin-governance (downgrade, short-circuit, overrun, quiescence)")
 
 

@@ -9,7 +9,7 @@ from mbz.packet import (
     ACK, PSH, SYN, FlowKey, PROTO_TCP, PROTO_UDP, flow_key_of, make_tcp_packet,
     make_udp_packet, parse_packet, serialize_packet,
 )
-from mbz.upstream import EV_RESET
+from mbz.upstream import EV_REFUSED, EV_RESET
 
 ECHO = {"cidr": "10.1.0.0/24", "behavior": "echo"}
 RESOLVER = {"cidr": "8.8.8.8/32", "ports": [53], "behavior": "dns",
@@ -81,6 +81,11 @@ class _ResetOnData(TrafficPlugin):
         return Block(BlockMode.RESET_APP) if event.payload else None
 
 
+class _NoticeOnData(TrafficPlugin):
+    def on_packet_out(self, event, ctx):
+        return Block(BlockMode.INJECT_RESPONSE, b"blocked") if event.payload else None
+
+
 def _connecting_flow(engine):
     """A flow whose upstream connect never completes."""
     engine.conduit.inject(serialize_packet(make_tcp_packet(
@@ -108,11 +113,27 @@ class TestResetWhileConnecting:
             RST_BEFORE_ESTABLISHED]
         assert engine.counters["tcp_flows_reset"] == 1
 
+    def test_upstream_refused(self):
+        engine = build_engine([])
+        flow = _connecting_flow(engine)
+        flow.stream._emit(EV_REFUSED)
+        assert [data for _ts, data in engine.conduit.take_emitted()] == [
+            RST_BEFORE_ESTABLISHED]
+        assert engine.counters["tcp_refused_upstream"] == 1
+        assert engine.counters["tcp_flows_reset"] == 0
+
     def test_plugin_reset_on_data_racing_the_syn_ack(self):
+        self._block_data_racing_the_syn_ack(_ResetOnData())
+
+    def test_plugin_inject_on_data_racing_the_syn_ack(self):
+        # no payload can go before the SYN/ACK, so the notice becomes a reset
+        self._block_data_racing_the_syn_ack(_NoticeOnData())
+
+    def _block_data_racing_the_syn_ack(self, plugin):
         engine = build_engine([])
         engine.host.register(PluginDescriptor(
-            id="resetter", name="resetter",
-            requested=Permission.OBSERVE | Permission.BLOCK_FLOW), _ResetOnData())
+            id="blocker", name="blocker",
+            requested=Permission.OBSERVE | Permission.BLOCK_FLOW), plugin)
         _connecting_flow(engine)
         engine.conduit.inject(serialize_packet(make_tcp_packet(
             APP, BLACKHOLE, seq=1001, ack=0, flags=PSH | ACK, payload=b"early")))
@@ -120,3 +141,4 @@ class TestResetWhileConnecting:
         assert [data for _ts, data in engine.conduit.take_emitted()] == [
             RST_BEFORE_ESTABLISHED]
         assert engine.counters["tcp_flows_reset"] == 1
+        assert engine.counters["injected_responses"] == 0

@@ -5,6 +5,7 @@ import functools
 import itertools
 
 import pytest
+from helpers import plugin_state
 from hypothesis import given, settings, strategies as st
 
 from mbz import dnswire, tlswire
@@ -22,6 +23,7 @@ from mbz.plugins.advisor import AdvisorPlugin
 from mbz.plugins.firewall import FirewallPlugin, FirewallRule
 from mbz.plugins.snitch import OrgMap, SnitchPlugin
 from mbz.plugins.whatif import WhatIfPlugin
+from mbz.upstream import SimUpstream
 
 OBSERVE = Permission.OBSERVE
 ALL = (Permission.OBSERVE | Permission.MODIFY_PAYLOAD | Permission.BLOCK_FLOW
@@ -73,6 +75,18 @@ def apply_out(host, payload=b"x"):
     return host.dispatch(EventKind.PACKET_OUT, None, "app", payload)
 
 
+def is_pass(action):
+    return isinstance(action.verdict, Pass)
+
+
+def invocations(host, pid):
+    return plugin_state(host, pid)["invocations"]
+
+
+def enabled(host, pid):
+    return plugin_state(host, pid)["enabled"]
+
+
 class TestRegistration:
     def test_duplicate_id_rejected(self):
         host = make_host()
@@ -89,7 +103,7 @@ class TestRegistration:
         host = make_host()
         for pid in ("one", "two", "three"):
             reg(host, ScriptedPlugin(), pid)
-        assert host.chain_order() == ["one", "two", "three"]
+        assert [s["id"] for s in host.plugin_states()] == ["one", "two", "three"]
 
     def test_unknown_permission_name(self):
         with pytest.raises(MalformedPermissions):
@@ -105,14 +119,14 @@ class TestRegistration:
 class TestChain:
     def test_empty_chain_passes(self):
         action = apply_out(make_host(), b"data")
-        assert action.is_pass and action.payload == b"data"
+        assert is_pass(action) and action.payload == b"data"
 
     def test_observe_only_block_downgraded_with_violation(self):
         host = make_host()
         reg(host, ScriptedPlugin(Block(BlockMode.RESET_APP)), "watch",
             perms=OBSERVE)
         action = apply_out(host)
-        assert action.is_pass
+        assert is_pass(action)
         assert len(host.violations) == 1
         assert host.violations[0]["plugin"] == "watch"
         assert host.violations[0]["kind"] == "permission-denied"
@@ -134,7 +148,7 @@ class TestChain:
         action = apply_out(host, b"x")
         assert action.block is not None and action.decided_by == "b"
         assert action.payload == b"y"  # modifications before the block stick
-        assert host.invocation_count("c") == 0
+        assert invocations(host, "c") == 0
 
     def test_exception_downgrades_to_pass(self):
         host = make_host()
@@ -148,7 +162,7 @@ class TestChain:
         host = make_host()
         reg(host, ScriptedPlugin(Block(BlockMode.INJECT_RESPONSE, b"no")), "inj")
         action = host.dispatch(EventKind.PACKET_IN, None, "app", b"x")
-        assert action.is_pass
+        assert is_pass(action)
         assert host.violations[0]["kind"] == "inject-on-inbound"
 
     def test_redirect_invalid_on_inbound_and_chain_continues(self):
@@ -156,11 +170,11 @@ class TestChain:
         reg(host, ScriptedPlugin(Redirect(("10.9.9.9", 80))), "switch")
         rec = reg(host, RecordContext(), "rec", perms=OBSERVE)
         action = host.dispatch(EventKind.PACKET_IN, None, "app", b"reply")
-        assert action.is_pass and action.payload == b"reply"
+        assert is_pass(action) and action.payload == b"reply"
         assert [(v["plugin"], v["kind"], v["detail"]) for v in host.violations] \
             == [("switch", "redirect-on-inbound", "Redirect")]
         assert [event.payload for event, _ctx in rec.seen] == [b"reply"]
-        assert host.invocation_count("rec") == 1
+        assert invocations(host, "rec") == 1
 
     def test_all_three_plugin_verdict_permutations(self):
         # oracle: first Block/Redirect in chain order wins; Modify composes
@@ -195,7 +209,7 @@ class TestChain:
             assert action.payload == payload, names
             for i in range(3):
                 expected = 1 if i < len(invoked) else 0
-                assert host.invocation_count(f"p{i}") == expected, names
+                assert invocations(host, f"p{i}") == expected, names
 
 
 class FakeCpuClock:
@@ -221,7 +235,7 @@ class TestGovernor:
         reg(host, ScriptedPlugin(), "hog", budget=budget)
         for _ in range(4):
             apply_out(host)
-        assert not host.is_enabled("hog")
+        assert not enabled(host, "hog")
         assert host.governor_events[0]["plugin"] == "hog"
         assert "CpuOverrun" in host.governor_events[0]["detail"]
 
@@ -232,7 +246,7 @@ class TestGovernor:
         reg(host, ScriptedPlugin(), "spiky", budget=budget)
         for _ in range(6):
             apply_out(host)
-        assert host.is_enabled("spiky")
+        assert enabled(host, "spiky")
 
     def test_disabled_plugin_quiescent_and_finalized_once(self):
         budget = ResourceBudget(max_cpu_us_per_packet=500, violation_grace=1)
@@ -248,11 +262,11 @@ class TestGovernor:
         reg(host, Finalizable(), "dead", budget=budget)
         for _ in range(2):
             apply_out(host)
-        assert not host.is_enabled("dead")
-        count = host.invocation_count("dead")
+        assert not enabled(host, "dead")
+        count = invocations(host, "dead")
         for _ in range(50):
             apply_out(host)
-        assert host.invocation_count("dead") == count
+        assert invocations(host, "dead") == count
         assert Finalizable.finalized == 1
 
     def test_memory_overrun_at_tick(self):
@@ -265,26 +279,29 @@ class TestGovernor:
         reg(host, Bloated(), "fat", budget=budget)
         for _ in range(3):
             host.governor_tick()
-        assert not host.is_enabled("fat")
+        assert not enabled(host, "fat")
         assert "MemOverrun" in host.governor_events[0]["detail"]
 
     def test_emitted_bytes_overrun_with_grace(self):
         budget = ResourceBudget(max_emitted_bytes_per_min=100, violation_grace=2)
         host = make_host()
         reg(host, ScriptedPlugin(), "chatty", budget=budget)
-        for _ in range(2):
-            host.account("chatty", emitted_bytes=200)
-        assert host.is_enabled("chatty")
-        host.account("chatty", emitted_bytes=200)
-        assert not host.is_enabled("chatty")
+        assert [host.export_off_device("chatty", 200) for _ in range(3)] \
+            == [True, True, False]
+        assert not enabled(host, "chatty")
+        assert "EmittedOverrun" in host.governor_events[0]["detail"]
 
     def test_cellular_wifi_only_emit_overrun_disables_immediately(self):
+        # a probe is metered on cellular too; export_off_device refuses first
         budget = ResourceBudget(max_emitted_bytes_per_min=100, violation_grace=5)
-        host = make_host()
+        sched = Scheduler()
+        upstream = SimUpstream([], sched, rng_seed=0)
+        host = PluginHost(sched, upstream=upstream)
         reg(host, ScriptedPlugin(), "exp", wifi_only=True, budget=budget)
         host.update_context(DeviceContext(connectivity=Connectivity.CELLULAR))
-        host.account("exp", emitted_bytes=500)
-        assert not host.is_enabled("exp")
+        sent = host.probe_datagram("exp", ("9.9.9.9", 53), b"q" * 500, lambda _r: None, 1000)
+        assert sent is False and upstream.active_handle_count() == 0
+        assert not enabled(host, "exp")
         assert "Cellular" in host.governor_events[0]["detail"]
 
     def test_violation_counts_never_decrease(self):
@@ -470,7 +487,7 @@ class TestRegistrationTimeBinding:
         reg(host, ScriptedPlugin(Block(BlockMode.INJECT_RESPONSE, b"n")), "inj")
         sched.advance_to(5)
         action = host.dispatch(EventKind.PACKET_IN, None, "app", b"x")
-        assert action.is_pass and action.payload == b"x"
+        assert is_pass(action) and action.payload == b"x"
         assert host.violations == [
             {"ts_us": 5, "plugin": "bug", "kind": "callback-error",
              "detail": "RuntimeError('plugin bug')"},
@@ -490,7 +507,7 @@ class TestRegistrationTimeBinding:
         for _ in range(4):
             apply_out(host)
         assert clock.phase == 2 * 3 * 4
-        assert [host.invocation_count(p) for p in ("bug", "watch", "quiet", "none")] \
+        assert [invocations(host, p) for p in ("bug", "watch", "quiet", "none")] \
             == [4, 4, 4, 0]
 
     def test_cpu_overrun_metered_per_callback(self):
@@ -503,7 +520,7 @@ class TestRegistrationTimeBinding:
         reg(host, ScriptedPlugin(), "fast", budget=budget)
         apply_out(host)
         apply_out(host)
-        assert not host.is_enabled("slow") and host.is_enabled("fast")
+        assert not enabled(host, "slow") and enabled(host, "fast")
         assert [e["plugin"] for e in host.governor_events] == ["slow"]
 
     def test_callbacks_are_bound_at_registration(self):
@@ -533,11 +550,11 @@ class TestEmittedWindow:
         host = PluginHost(sched)
         reg(host, ScriptedPlugin(), "e", budget=ResourceBudget(
             max_emitted_bytes_per_min=limit, violation_grace=grace))
-        slot = host._by_id["e"]
+        slot = host._slots["e"]
         oracle, overruns = [], 0
         for delta, n in steps:
             sched.advance_to(sched.now_us() + delta)
-            host.account("e", emitted_bytes=n)
+            assert host.export_off_device("e", n)
             oracle = _window_oracle(oracle, sched.now_us(), n)
             overruns = overruns + 1 if sum(m for _t, m in oracle) > limit else 0
             assert list(slot.emitted_window) == oracle
@@ -549,13 +566,13 @@ class TestEmittedWindow:
         host = PluginHost(sched)
         reg(host, ScriptedPlugin(), "e", budget=ResourceBudget(
             max_emitted_bytes_per_min=100, violation_grace=5))
-        slot = host._by_id["e"]
-        host.account("e", emitted_bytes=60)
+        slot = host._slots["e"]
+        host.export_off_device("e", 60)
         sched.advance_to(60_000_000)
-        host.account("e", emitted_bytes=50)  # 110 B within the minute
+        host.export_off_device("e", 50)  # 110 B within the minute
         assert slot.emit_overruns == 1 and slot.emitted_in_window == 110
         sched.advance_to(60_000_001)
-        host.account("e", emitted_bytes=0)  # the first 60 B have left
+        host.export_off_device("e", 0)  # the first 60 B have left
         assert slot.emit_overruns == 0 and slot.emitted_in_window == 50
 
 
@@ -605,7 +622,7 @@ class CallEverySlot(PluginHost):
         modified = False
         permission = {Modify: Permission.MODIFY_PAYLOAD, Block: Permission.BLOCK_FLOW,
                       Redirect: Permission.REDIRECT_FLOW}
-        for slot in self._slots:
+        for slot in self._slots.values():
             if not slot.enabled or not slot.granted & OBSERVE.value:
                 continue
             event.payload = payload
@@ -709,8 +726,9 @@ class TestSubscriberTables:
             if step == "disable":
                 if arg < len(specs):
                     for host in hosts:  # two overruns past a grace of one
-                        host.account(f"g{arg}", cpu_us=10)
-                        host.account(f"g{arg}", cpu_us=10)
+                        slot = host._slots[f"g{arg}"]
+                        host._meter_cpu(slot, 10)
+                        host._meter_cpu(slot, 10)
                 continue
             got, want = (host.dispatch(arg, TLS_KEY, "app", b"p") for host in hosts)
             assert got == want, (arg, specs)
@@ -724,7 +742,7 @@ class TestSubscriberTables:
         for kind in EventKind:
             host.dispatch(kind, TLS_KEY, "app", b"p")
         assert plugin.closed == [EventKind.FLOW_CLOSE]
-        assert host.invocation_count("close") == 4  # every offered event counts
+        assert invocations(host, "close") == 4  # every event that reaches it counts
 
     def test_cpu_clock_read_only_around_overridden_callbacks(self):
         clock = FakeCpuClock([])
@@ -733,11 +751,11 @@ class TestSubscriberTables:
         reg(host, TrafficPlugin(), "nothing", perms=OBSERVE)
         for kind in (EventKind.FLOW_OPEN, EventKind.PACKET_OUT, EventKind.PACKET_IN):
             action = host.dispatch(kind, TLS_KEY, "app", b"p")
-            assert action.is_pass and action.payload == b"p" and not action.modified
+            assert is_pass(action) and action.payload == b"p" and not action.modified
         assert clock.phase == 0  # no subscriber: nothing called, nothing metered
         host.dispatch(EventKind.FLOW_CLOSE, TLS_KEY, "app")
         assert clock.phase == 2  # around the one overridden callback only
-        assert [host.invocation_count(p) for p in ("close", "nothing")] == [4, 4]
+        assert [invocations(host, p) for p in ("close", "nothing")] == [4, 4]
 
     def test_no_subscriber_builds_no_event_or_context(self, monkeypatch):
         events = counting(monkeypatch, host_module, "PluginEvent")
@@ -764,7 +782,25 @@ class TestSubscriberTables:
         host.dispatch(EventKind.FLOW_CLOSE, TLS_KEY, "app")
         host.dispatch(EventKind.PACKET_OUT, TLS_KEY, "app", b"p")
         host.dispatch(EventKind.FLOW_CLOSE, TLS_KEY, "app")
-        assert not host.is_enabled("close")
+        assert not enabled(host, "close")
+
+    def test_plugin_disabled_earlier_in_the_event_is_skipped(self):
+        # a plugin can meter another plugin's id; a slot disabled that way
+        # mid-event neither runs nor counts the event
+        host = make_host()
+
+        class DisableNext(TrafficPlugin):
+            def on_packet_out(self, event, ctx):
+                for _ in range(2):  # two overruns past a grace of one
+                    host.export_off_device("b", 1000)
+
+        reg(host, DisableNext(), "a")
+        b = reg(host, ScriptedPlugin(), "b", budget=ResourceBudget(
+            max_emitted_bytes_per_min=100, violation_grace=1))
+        apply_out(host)
+        assert b.seen_payloads == []
+        assert [(s["id"], s["enabled"], s["invocations"]) for s in host.plugin_states()] \
+            == [("a", True, 1), ("b", False, 0)]
 
     def test_instance_attribute_before_register_is_honoured(self):
         host = make_host()

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ from mbz.pcapio import pcap_write
 from mbz.runner import ReplayRun, write_outputs
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+SRC = DATA.parent / "src"
 
 
 class TestIngestion:
@@ -65,6 +69,40 @@ class TestPinnedCaptures:
         pcap = tmp_path / "out.pcap"
         write_outputs(run, run.execute(), out_pcap=pcap)
         assert hashlib.sha256(pcap.read_bytes()).hexdigest() == PINNED_PCAPS[config_name]
+
+
+# replays each config given after the output directory into <out>/<i>/
+_REPLAY_EACH = """
+import sys
+from pathlib import Path
+from mbz.config import load_config
+from mbz.runner import ReplayRun, write_outputs
+out = Path(sys.argv[1])
+for i, name in enumerate(sys.argv[2:]):
+    config = load_config(name)
+    config.report_path = out / str(i) / "report.json"
+    run = ReplayRun(config)
+    write_outputs(run, run.execute(), out_pcap=out / str(i) / "out.pcap")
+"""
+
+
+class TestHashSeedIndependence:
+    def test_replay_bytes_do_not_depend_on_pythonhashseed(self, tmp_path):
+        # string hashing, and so set and dict-of-set order, changes with
+        # the seed; nothing in a report or a capture may follow it
+        configs = [str(DATA / name) for name in sorted(PINNED_PCAPS)]
+        outputs = {}
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-c", _REPLAY_EACH, str(tmp_path / seed),
+                            *configs], env=env, check=True)
+            outputs[seed] = [(tmp_path / seed / str(i) / "report.json").read_bytes()
+                             + (tmp_path / seed / str(i) / "out.pcap").read_bytes()
+                             for i in range(len(configs))]
+        assert all(outputs["0"])
+        for i, config in enumerate(configs):
+            assert outputs["0"][i] == outputs["1"][i], config
 
 
 class TestSnitchPassivity:

@@ -1,6 +1,6 @@
 """DNS what-if probing: sampling, divergence classification, passivity."""
 
-from helpers import build_engine
+from helpers import build_engine, plugin_state
 
 from mbz import dnswire
 from mbz.engine import EngineConfig
@@ -161,7 +161,7 @@ class TestSamplingAndPassivity:
             resolver_script("9.9.9.9/32", {"example.com": ["1.1.1.1"]}),
         ])
         query(engine, "example.com")
-        slot = engine.host._by_id["whatif"]
+        slot = engine.host._slots["whatif"]
         assert sum(n for _t, n in slot.emitted_window) > 0
 
     def test_throttle_hint_suppresses_sampling(self):
@@ -228,7 +228,7 @@ class TestRefusedProbes:
             ResourceBudget(max_emitted_bytes_per_min=40, violation_grace=1))
         for i in range(3):
             query(engine, "example.com", qid=i, src_port=50000 + i)
-        assert not engine.host.is_enabled("whatif")
+        assert not plugin_state(engine.host, "whatif")["enabled"]
         assert plugin.sampled == 2
         assert plugin._pending == {}
         assert [p["divergence"] for p in plugin.probes] == [DIVERGENCE_NONE] * 2
@@ -242,7 +242,7 @@ class TestRefusedProbes:
             ResourceBudget(max_emitted_bytes_per_min=40, violation_grace=2))
         for i in range(2):
             query(engine, "example.com", qid=i, src_port=50000 + i)
-        assert not engine.host.is_enabled("whatif")
+        assert not plugin_state(engine.host, "whatif")["enabled"]
         assert engine.scheduler.pending() <= 1  # only the engine's tick
         assert plugin.sampled == 1
         assert plugin._pending == {}
