@@ -14,7 +14,8 @@ from pathlib import Path
 import yaml
 
 from .engine import EngineConfig
-from .host import MalformedPermissions, Permission, ResourceBudget, permissions_from_names
+from .host import (Connectivity, DeviceContext, MalformedPermissions, Permission,
+                   ResourceBudget, permissions_from_names)
 
 
 class ConfigLoadError(Exception):
@@ -42,11 +43,12 @@ DEFAULT_PERMISSIONS = {
     "protocol-advisor": ["observe"],
 }
 
+# per kind, each setting's type (object: checked when the plugin is built)
 _PLUGIN_SETTING_KEYS = {
-    "snitch": {"org_map", "first_party_orgs", "burst_gap_s"},
-    "firewall": {"rules", "default_allow"},
-    "dns-whatif": {"resolvers", "probability", "timeout_s"},
-    "protocol-advisor": {"loss_rate_threshold", "min_samples"},
+    "snitch": {"org_map": str, "first_party_orgs": list, "burst_gap_s": object},
+    "firewall": {"rules": str, "default_allow": bool},
+    "dns-whatif": {"resolvers": list, "probability": object, "timeout_s": object},
+    "protocol-advisor": {"loss_rate_threshold": object, "min_samples": object},
 }
 
 
@@ -67,19 +69,36 @@ class RunConfig:
     trace_path: Path | None
     pcap_path: Path | None
     scripts_path: Path | None
-    device_timeline: list[dict]
+    device_timeline: list[tuple[int, DeviceContext]]
     low_battery_throttle: int | None
     report_path: Path | None
     report_formats: list[str]
     out_pcap: Path | None
 
 
-def _require_keys(obj: dict, known: set[str], where: str) -> None:
+def _require_keys(obj: dict, known: set[str] | dict[str, type], where: str) -> None:
+    """`obj` is a mapping with no key outside `known`; when `known` maps
+    each key to a type, a key present holds a value of that type."""
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected a mapping")
-    unknown = set(obj) - known
+    unknown = set(obj) - set(known)
     if unknown:
         raise ParseError(f"{where}: unknown key {sorted(unknown)[0]!r}")
+    for key, kind in known.items() if isinstance(known, dict) else ():
+        if key in obj and not isinstance(obj[key], kind):
+            raise ParseError(f"{where}: {key} must be {kind.__name__}, got {obj[key]!r}")
+
+
+def _convert(convert, value, where: str):
+    """`convert(value)`, or a ParseError naming `where` if that fails."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{where}: bad value {value!r} ({exc})") from None
+
+
+def _us(seconds) -> int:
+    return int(float(seconds) * 1e6)
 
 
 def _existing(base: Path, raw: str, what: str) -> Path:
@@ -89,26 +108,26 @@ def _existing(base: Path, raw: str, what: str) -> Path:
     return path
 
 
+# engine config key: (EngineConfig field, conversion)
+_ENGINE_KEYS = {
+    "mtu": ("mtu", int),
+    "socket_budget": ("socket_budget", int),
+    "udp_timeout_s": ("udp_timeout_us", _us),
+    "dns_timeout_s": ("dns_timeout_us", _us),
+    "sweep_interval_s": ("sweep_interval_us", _us),
+    "buffer_capacity": ("buffer_capacity", int),
+}
+
+
 def _engine_from(obj: dict) -> EngineConfig:
-    known = {"mtu", "socket_budget", "udp_timeout_s", "dns_timeout_s",
-             "sweep_interval_s", "buffer_capacity", "local_isn"}
-    _require_keys(obj, known, "engine")
+    _require_keys(obj, set(_ENGINE_KEYS) | {"local_isn"}, "engine")
     cfg = EngineConfig()
-    if "mtu" in obj:
-        cfg.mtu = int(obj["mtu"])
-    if "socket_budget" in obj:
-        cfg.socket_budget = int(obj["socket_budget"])
-    if "udp_timeout_s" in obj:
-        cfg.udp_timeout_us = int(float(obj["udp_timeout_s"]) * 1e6)
-    if "dns_timeout_s" in obj:
-        cfg.dns_timeout_us = int(float(obj["dns_timeout_s"]) * 1e6)
-    if "sweep_interval_s" in obj:
-        cfg.sweep_interval_us = int(float(obj["sweep_interval_s"]) * 1e6)
-    if "buffer_capacity" in obj:
-        cfg.buffer_capacity = int(obj["buffer_capacity"])
+    for key, (name, convert) in _ENGINE_KEYS.items():
+        if key in obj:
+            setattr(cfg, name, _convert(convert, obj[key], f"engine.{key}"))
     isn = obj.get("local_isn", "random")
     if isn != "random":
-        cfg.local_isn = int(isn)
+        cfg.local_isn = _convert(int, isn, "engine.local_isn")
     try:
         cfg.validate()
     except ValueError as exc:
@@ -117,10 +136,10 @@ def _engine_from(obj: dict) -> EngineConfig:
 
 
 def _budget_from(obj: dict, where: str) -> ResourceBudget:
-    known = {"max_cpu_us_per_packet", "max_mem_bytes",
-             "max_emitted_bytes_per_min", "violation_grace"}
-    _require_keys(obj, known, where)
-    budget = ResourceBudget(**{k: int(v) for k, v in obj.items()})
+    known = ("max_cpu_us_per_packet", "max_mem_bytes",
+             "max_emitted_bytes_per_min", "violation_grace")
+    _require_keys(obj, dict.fromkeys(known, int), where)
+    budget = ResourceBudget(**obj)
     try:
         budget.validate()
     except ValueError as exc:
@@ -130,7 +149,8 @@ def _budget_from(obj: dict, where: str) -> ResourceBudget:
 
 def _plugin_from(obj: dict, base: Path, index: int) -> PluginSpec:
     where = f"plugins[{index}]"
-    common = {"id", "kind", "permissions", "budget", "wifi_only_export"}
+    common = {"id": object, "kind": object, "permissions": list, "budget": object,
+              "wifi_only_export": bool}
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected a mapping")
     kind = obj.get("kind")
@@ -169,7 +189,7 @@ def _plugin_from(obj: dict, base: Path, index: int) -> PluginSpec:
         kind=kind,
         permissions=permissions,
         budget=_budget_from(obj.get("budget", {}), f"{where}.budget"),
-        wifi_only_export=bool(obj.get("wifi_only_export", False)),
+        wifi_only_export=obj.get("wifi_only_export", False),
         settings=settings,
     )
 
@@ -186,22 +206,25 @@ def load_config(path: str | Path) -> RunConfig:
 
     _require_keys(raw, {"engine", "seed", "io", "plugins", "host", "report"}, "config")
     engine = _engine_from(raw.get("engine") or {})
-    engine.seed = int(raw.get("seed", 0))
+    engine.seed = _convert(int, raw.get("seed", 0), "seed")
 
     io = raw.get("io") or {}
-    _require_keys(io, {"trace", "pcap", "scripts", "device_timeline"}, "io")
+    _require_keys(io, {"trace": str, "pcap": str, "scripts": str, "device_timeline": list}, "io")
     trace_path = _existing(base, io["trace"], "trace") if "trace" in io else None
     pcap_path = _existing(base, io["pcap"], "pcap") if "pcap" in io else None
     if trace_path and pcap_path:
         raise ParseError("io: give either trace or pcap, not both")
     scripts_path = _existing(base, io["scripts"], "scripts") if "scripts" in io else None
-    timeline = io.get("device_timeline") or []
-    for i, entry in enumerate(timeline):
-        _require_keys(entry, {"at_us", "connectivity", "battery_percent"},
-                      f"io.device_timeline[{i}]")
+    timeline = []  # (at_us, device context)
+    for i, entry in enumerate(io.get("device_timeline") or []):
+        where = f"io.device_timeline[{i}]"
+        _require_keys(entry, {"at_us": int, "connectivity": str, "battery_percent": int}, where)
+        timeline.append((entry.get("at_us", 0), _convert(lambda e: DeviceContext(
+            Connectivity(e.get("connectivity", "wifi")), e.get("battery_percent", 100)),
+            entry, where)))
 
     host_obj = raw.get("host") or {}
-    _require_keys(host_obj, {"low_battery_throttle"}, "host")
+    _require_keys(host_obj, {"low_battery_throttle": int}, "host")
 
     plugins = [_plugin_from(p, base, i)
                for i, p in enumerate(raw.get("plugins") or [])]
@@ -212,8 +235,8 @@ def load_config(path: str | Path) -> RunConfig:
         seen_ids.add(spec.id)
 
     report = raw.get("report") or {}
-    _require_keys(report, {"path", "formats", "pcap"}, "report")
-    formats = list(report.get("formats", ["json"]))
+    _require_keys(report, {"path": str, "formats": list, "pcap": str}, "report")
+    formats = report.get("formats", ["json"])
     for fmt in formats:
         if fmt not in ("json", "csv", "plotdata"):
             raise ParseError(f"report: unknown format {fmt!r}")

@@ -794,10 +794,10 @@ class Engine:
 
     # --------------------------------------------------------------- sweep
 
-    def sweep(self, now_us: int | None = None) -> dict:
+    def sweep(self) -> None:
         """Evict idle UDP flows, drop Closed TCP entries, and relieve
         descriptor pressure by evicting least-recently-active UDP flows."""
-        now = self.scheduler.now_us() if now_us is None else now_us
+        now = self.scheduler.now_us()
         evicted: list[str] = []
         removed: list[str] = []
         for flow in list(self.flows.values()):
@@ -821,10 +821,9 @@ class Engine:
                 self._evict_udp(flow, "pressure")
                 evicted.append(str(flow.key))
 
-        report = {"ts_us": now, "evicted": evicted, "removed_closed": removed}
         if evicted or removed:
-            self.eviction_reports.append(report)
-        return report
+            self.eviction_reports.append(
+                {"ts_us": now, "evicted": evicted, "removed_closed": removed})
 
     def _note_budget(self) -> None:
         active = self.upstream.active_handle_count()

@@ -4,13 +4,15 @@ Plugins are in-process callback objects invoked synchronously on the
 engine's event context, in registration order. The host enforces the
 declared permission set (a verdict beyond a plugin's grant is downgraded
 to Pass and logged), meters CPU per callback plus self-reported memory
-and emitted bytes, and disables plugins that overrun their budgets.
+and emitted bytes, and disables plugins that overrun their budgets. CPU
+is the engine's scheduler time a callback takes: real time under the
+wall clock, and zero under replay's virtual clock, so machine speed
+cannot change a replay.
 """
 
 from __future__ import annotations
 
 import enum
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -45,7 +47,7 @@ def permissions_from_names(names: list[str]) -> Permission:
     for name in names:
         try:
             perms |= PERMISSION_NAMES[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: not hashable
             raise MalformedPermissions(f"unknown permission {name!r}") from None
     return perms
 
@@ -285,12 +287,10 @@ class PluginHost:
         self,
         scheduler: Scheduler,
         upstream: UpstreamNetwork | None = None,
-        cpu_clock=None,
         low_battery_threshold: int | None = None,
     ):
         self._scheduler = scheduler
         self._upstream = upstream
-        self._cpu_clock = cpu_clock or time.perf_counter_ns
         self._low_battery_threshold = low_battery_threshold
         # by id, in registration order
         self._slots: dict[str, _PluginSlot] = {}
@@ -338,15 +338,19 @@ class PluginHost:
         short-circuits. Verdicts a plugin lacks permission for, malformed
         verdicts, callbacks that raise, and Redirect or an injected
         response on PACKET_IN all downgrade to Pass with a violation
-        record. Each callback's CPU time is metered against its plugin's
-        budget.
-
-        Every enabled observing plugin the event reaches counts an
+        record. Every enabled observing plugin the event reaches counts an
         invocation, but only the callbacks a plugin overrides run, and the
-        event and its context are built only when one does."""
+        event and its context are built only when one does.
+
+        CPU is metered on the scheduler clock, k + 1 reads for k callbacks:
+        the read that stamps the context starts the first callback's meter
+        and each callback's end read starts the next one's. So the first
+        callback also pays for building the event and context, and each
+        later one for the previous verdict's bookkeeping, about 1 us
+        against a 500 us budget."""
         ctx = None
         modified = False
-        cpu_clock = self._cpu_clock
+        clock = self._scheduler.now_us
         for slot, callback in self._chains[kind]:
             if not slot.enabled:  # disabled earlier in this same event
                 continue
@@ -354,20 +358,29 @@ class PluginHost:
             if callback is None:
                 continue
             if ctx is None:
-                now = self._scheduler.now_us()
+                now = start = clock()
                 event = PluginEvent(kind, payload, tcp_flags, tcp_seq)
                 ctx = PluginContext(key, app_label,
                                     DIR_IN if kind is EventKind.PACKET_IN else DIR_OUT,
                                     kind, self.device, now, self._throttled())
             else:
                 event.payload = payload
-            start = cpu_clock()
             try:
                 verdict = callback(event, ctx)
             except Exception as exc:  # plugin failure must not hurt the packet path
                 self._violation(slot, "callback-error", now, detail=repr(exc))
                 verdict = None
-            self._meter_cpu(slot, (cpu_clock() - start) // 1000)
+            end = clock()
+            budget = slot.descriptor.budget
+            if end - start <= budget.max_cpu_us_per_packet:
+                slot.cpu_overruns = 0
+            elif slot.enabled:  # not disabled during its own callback
+                slot.cpu_overruns += 1
+                if slot.cpu_overruns > budget.violation_grace:
+                    self._disable(slot, "CpuOverrun",
+                                  f"{end - start}us > {budget.max_cpu_us_per_packet}us "
+                                  f"for {slot.cpu_overruns} consecutive packets")
+            start = end
             if verdict is None or isinstance(verdict, Pass):
                 continue
             needed = _VERDICT_PERMISSION.get(type(verdict))
@@ -402,19 +415,6 @@ class PluginHost:
 
     # -- resource governor -----------------------------------------------------
 
-    def _meter_cpu(self, slot: _PluginSlot, cpu_us: int) -> None:
-        if not slot.enabled:
-            return
-        budget = slot.descriptor.budget
-        if cpu_us > budget.max_cpu_us_per_packet:
-            slot.cpu_overruns += 1
-            if slot.cpu_overruns > budget.violation_grace:
-                self._disable(slot, "CpuOverrun",
-                              f"{cpu_us}us > {budget.max_cpu_us_per_packet}us "
-                              f"for {slot.cpu_overruns} consecutive packets")
-        else:
-            slot.cpu_overruns = 0
-
     def _meter_emitted(self, slot: _PluginSlot, n_bytes: int) -> None:
         budget = slot.descriptor.budget
         now = self._scheduler.now_us()
@@ -439,11 +439,8 @@ class PluginHost:
         else:
             slot.emit_overruns = 0
 
-    def governor_tick(self, now_us: int | None = None) -> list[str]:
-        """Periodic sampling of self-reported memory; returns ids of
-        plugins disabled during this tick."""
-        now = self._scheduler.now_us() if now_us is None else now_us
-        disabled: list[str] = []
+    def governor_tick(self) -> None:
+        """Periodic sampling of self-reported memory."""
         for slot in self._slots.values():
             if not slot.enabled:
                 continue
@@ -458,10 +455,8 @@ class PluginHost:
                     if slot.mem_overruns > budget.violation_grace:
                         self._disable(slot, "MemOverrun",
                                       f"{mem}B > {budget.max_mem_bytes}B")
-                        disabled.append(slot.descriptor.id)
                 else:
                     slot.mem_overruns = 0
-        return disabled
 
     def _disable(self, slot: _PluginSlot, reason: str, detail: str) -> None:
         if not slot.enabled:

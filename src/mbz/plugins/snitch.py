@@ -16,7 +16,7 @@ from pathlib import Path
 
 from ..host import PluginContext, PluginEvent, TrafficPlugin
 from ..packet import FlowKey, PROTO_TCP
-from .domains import DomainTracker, looks_like_quic
+from .domains import TLS_PORT, DomainTracker, looks_like_quic
 
 UDP_BURST_GAP_US = 1_000_000
 
@@ -86,6 +86,7 @@ class SnitchRecord:
     key: FlowKey
     protocol: str  # TCP | UDP | QUIC-over-UDP
     request_count: int = 1
+    sni: str | None = None  # the flow's first TLS server name
     last_out_us: int = field(default=0)
 
 
@@ -126,9 +127,11 @@ class SnitchPlugin(TrafficPlugin):
 
     def _observe_out(self, event: PluginEvent, ctx: PluginContext,
                      rec: SnitchRecord, new_flow: bool) -> None:
-        self.tracker.observe_out(event, ctx)
         key = ctx.key
-        if key.protocol != PROTO_TCP:
+        if key.protocol == PROTO_TCP:
+            if not rec.sni and key.dst[1] == TLS_PORT and event.payload:
+                rec.sni = event.sni()
+        else:
             if looks_like_quic(key.dst[1], event.payload):
                 rec.protocol = "QUIC-over-UDP"
             if not new_flow and ctx.now_us - rec.last_out_us > self.burst_gap_us:
@@ -147,7 +150,7 @@ class SnitchPlugin(TrafficPlugin):
         org_of: dict[tuple[str, str], str] = {}  # (domain, address) -> org
 
         for rec in self.records.values():
-            where = (self.tracker.domain_for(rec.key), rec.key.dst[0])
+            where = (rec.sni or self.tracker.ip_to_name.get(rec.key.dst[0], ""), rec.key.dst[0])
             org = org_of.get(where)
             if org is None:
                 org = org_of[where] = self.org_map.lookup(*where)

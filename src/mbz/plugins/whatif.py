@@ -79,13 +79,7 @@ class WhatIfPlugin(TrafficPlugin):
 
     # -- events ---------------------------------------------------------------
 
-    def on_flow_open(self, event, ctx):
-        return self._on_out(event, ctx)
-
-    def on_packet_out(self, event, ctx):
-        return self._on_out(event, ctx)
-
-    def _on_out(self, event: PluginEvent, ctx: PluginContext):
+    def on_packet_out(self, event: PluginEvent, ctx: PluginContext):
         key = ctx.key
         if key is None or key.protocol != 17 or key.dst[1] != 53:
             return None
@@ -119,6 +113,8 @@ class WhatIfPlugin(TrafficPlugin):
         self._host.call_later(self.timeout_us,
                               lambda p=pending: self._on_original_timeout(p))
         return None
+
+    on_flow_open = on_packet_out
 
     def on_packet_in(self, event, ctx):
         key = ctx.key

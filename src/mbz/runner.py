@@ -11,9 +11,7 @@ from .clock import Scheduler
 from .config import ParseError, PluginSpec, RunConfig
 from .conduit import ReplayConduit
 from .engine import Engine
-from .host import (
-    Connectivity, DeviceContext, PluginDescriptor, PluginHost,
-)
+from .host import PluginDescriptor, PluginHost
 from .pcapio import pcap_read, pcap_write
 from .plugins import (
     AdvisorPlugin, FirewallPlugin, OrgMap, SnitchPlugin, WhatIfPlugin,
@@ -50,26 +48,18 @@ def _build_plugin(spec: PluginSpec, seed: int):
     if spec.kind == "firewall":
         rules = yaml.safe_load(Path(s["rules"]).read_text(encoding="utf-8")) or []
         return FirewallPlugin(rules_from_list(rules),
-                              default_allow=bool(s.get("default_allow", True)))
+                              default_allow=s.get("default_allow", True))
     if spec.kind == "dns-whatif":
-        plugin = WhatIfPlugin(
+        return WhatIfPlugin(
             s.get("resolvers", []),
             probability=float(s.get("probability", 0.05)),
             seed=seed,
             timeout_us=int(float(s.get("timeout_s", 2.0)) * 1e6))
-        return plugin
     if spec.kind == "protocol-advisor":
         return AdvisorPlugin(
             loss_rate_threshold=float(s.get("loss_rate_threshold", 0.02)),
             min_samples=int(s.get("min_samples", 20)))
     raise ParseError(f"unknown plugin kind {spec.kind!r}")
-
-
-_CONNECTIVITY = {
-    "wifi": Connectivity.WIFI,
-    "cellular": Connectivity.CELLULAR,
-    "none": Connectivity.NONE,
-}
 
 
 def install_plugins(config: RunConfig, host: PluginHost,
@@ -116,15 +106,8 @@ class ReplayRun:
         self.conduit = ReplayConduit(events)
         self.engine = Engine(config.engine, self.conduit, self.upstream,
                              self.host, self.scheduler)
-        self._schedule_device_timeline(config.device_timeline)
-
-    def _schedule_device_timeline(self, timeline: list[dict]) -> None:
-        for entry in timeline:
-            device = DeviceContext(
-                connectivity=_CONNECTIVITY[str(entry.get("connectivity", "wifi"))],
-                battery_percent=int(entry.get("battery_percent", 100)))
-            self.scheduler.call_at(int(entry.get("at_us", 0)),
-                                   lambda d=device: self.host.update_context(d))
+        for at_us, device in config.device_timeline:
+            self.scheduler.call_at(at_us, lambda d=device: self.host.update_context(d))
 
     def execute(self) -> dict:
         self.engine.run()

@@ -155,9 +155,11 @@ def test_udp_lifecycle_reuse_eviction_budget():
     engine.conduit.inject(serialize_packet(make_udp_packet(
         ("10.0.0.2", 6001), ("203.0.113.1", 9), payload=b"x")))
     engine.pump()
-    engine.sweep(now_us=30_000_000)
+    engine.scheduler.advance_to(30_000_000)
+    engine.sweep()
     assert len(engine.flows) == 1  # at the timeout boundary: still alive
-    engine.sweep(now_us=31_000_000)  # one sweep later
+    engine.scheduler.advance_to(31_000_000)
+    engine.sweep()  # one sweep later
     assert len(engine.flows) == 0
 
     # budget safety under stress: 10,000 one-datagram flows, budget 512
@@ -190,8 +192,11 @@ def test_plugin_governance_and_quiescence():
         def on_packet_out(self, event, ctx):
             return Block(BlockMode.RESET_APP)
 
-    class Mangler(TrafficPlugin):           # modifies, permitted
+    class Mangler(TrafficPlugin):           # modifies, permitted, at a cost
+        cost_us = 0
+
         def on_packet_out(self, event, ctx):
+            sched.advance_to(sched.now_us() + self.cost_us)
             return Modify(event.payload + b"!")
 
     class Blocker(TrafficPlugin):           # blocks, permitted
@@ -202,20 +207,9 @@ def test_plugin_governance_and_quiescence():
         def on_packet_out(self, event, ctx):
             return None
 
-    class FakeClock:
-        def __init__(self):
-            self.t = 0
-            self.phase = 0
-            self.cost_ns = 0
-
-        def __call__(self):
-            if self.phase % 2 == 1:
-                self.t += self.cost_ns
-            self.phase += 1
-            return self.t
-
-    clock = FakeClock()
-    host = PluginHost(Scheduler(), cpu_clock=clock)
+    sched = Scheduler()
+    host = PluginHost(sched)
+    mangler = Mangler()
     budget = ResourceBudget(max_cpu_us_per_packet=500, violation_grace=3)
     host.register(PluginDescriptor(id="watch", name="w",
                                    requested=Permission.OBSERVE, budget=budget),
@@ -223,7 +217,7 @@ def test_plugin_governance_and_quiescence():
     host.register(PluginDescriptor(
         id="mangle", name="m",
         requested=Permission.OBSERVE | Permission.MODIFY_PAYLOAD,
-        budget=budget), Mangler())
+        budget=budget), mangler)
     host.register(PluginDescriptor(
         id="block", name="b",
         requested=Permission.OBSERVE | Permission.BLOCK_FLOW, budget=budget),
@@ -244,7 +238,7 @@ def test_plugin_governance_and_quiescence():
     assert plugin_state(host, "tail")["invocations"] == 0
 
     # disable-on-overrun: toast the mangler with 2x-budget CPU costs
-    clock.cost_ns = 1_000_000  # 1000 us per callback
+    mangler.cost_us = 1000  # of virtual time per callback
     for _ in range(budget.violation_grace + 1):
         fire()
     assert not plugin_state(host, "mangle")["enabled"]
@@ -252,7 +246,7 @@ def test_plugin_governance_and_quiescence():
                for e in host.governor_events)
 
     # quiescence over 10,000 subsequent events
-    clock.cost_ns = 0
+    mangler.cost_us = 0
     frozen = plugin_state(host, "mangle")["invocations"]
     for _ in range(10_000):
         fire()

@@ -1,6 +1,7 @@
 """Config loading strictness, CLI exit codes, report formats."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,41 @@ class TestCliExitCodes:
         assert main(["replay", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "mbz: config error" in err and "plugin 'w1':" in err
+
+    @pytest.mark.parametrize("path, value", [
+        (("plugins", 0, "permissions"), None),
+        (("plugins", 0, "permissions"), 7),
+        (("plugins", 0, "permissions"), "observe"),
+        (("plugins", 0, "permissions"), [["observe"]]),
+        (("plugins", 0, "budget"), {"max_cpu_us_per_packet": "lots"}),
+        (("plugins", 0, "wifi_only_export"), "no"),
+        (("plugins", 0, "first_party_orgs"), "resolver"),
+        (("plugins", 1, "resolvers"), "9.9.9.9:53"),
+        (("engine", "mtu"), "lots"),
+        (("engine", "udp_timeout_s"), "lots"),
+        (("engine", "sweep_interval_s"), float("nan")),
+        (("engine", "local_isn"), "lots"),
+        (("seed",), "lots"),
+        (("io", "device_timeline"), [{"connectivity": "satellite"}]),
+        (("io", "device_timeline"), [{"battery_percent": 150}]),
+        (("io", "device_timeline"), [{"at_us": "lots"}]),
+        (("io", "device_timeline"), {"at_us": 0}),
+        (("io", "scripts"), 7),
+        (("host",), {"low_battery_throttle": "lots"}),
+        (("report",), {"formats": "json"}),
+        (("report",), {"path": 7}),
+    ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else repr(v))
+    def test_malformed_value_exit_2(self, tmp_path, capsys, path, value):
+        # each case edits one value of a copy of the golden run's config
+        shutil.copytree(DATA / "golden", tmp_path, dirs_exist_ok=True)
+        raw = yaml.safe_load((tmp_path / "config.yaml").read_text())
+        parent = raw
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+        (tmp_path / "config.yaml").write_text(yaml.safe_dump(raw))
+        assert main(["replay", "--config", str(tmp_path / "config.yaml")]) == 2
+        assert "mbz: config error" in capsys.readouterr().err
 
     def test_non_numeric_snitch_gap_names_the_plugin(self, tmp_path, capsys):
         (tmp_path / "orgs.csv").write_text(".x.example,x\n")

@@ -129,7 +129,8 @@ class TestSweep:
             inject_udp(engine, ("10.0.0.2", 7000 + i), ("203.0.113.9", 100 + i))
             engine.pump()
         assert engine.upstream.active_handle_count() == 10
-        report = engine.sweep()
+        engine.sweep()
+        report = engine.eviction_reports[-1]
         assert engine.counters["udp_flows_evicted_pressure"] >= 1
         assert engine.upstream.active_handle_count() <= 9  # 0.9 * budget
         # oldest flow (port 7000) evicted first

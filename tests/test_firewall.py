@@ -583,8 +583,12 @@ class TestSniForgottenOnClose:
         assert counters["blocked_packets"] == 1 and not run.engine.flows
         assert run.plugins["fw"].tracker.sni_by_key == {}
         # the snitch keeps the SNI of every flow it saw (the block ends the
-        # chain before it) for its report at the end of the run
-        assert len(run.plugins["snitch"].tracker.sni_by_key) == 2
+        # chain before it) in the flow's record, for its report at the end
+        # of the run, and keeps no map of its own
+        snitch = run.plugins["snitch"]
+        assert snitch.tracker.sni_by_key == {}
+        assert [rec.sni for rec in snitch.records.values()] \
+            == ["a.good.example", "b.good.example", None]
 
         # the firewall as it was before it forgot: every SNI kept for the run
         monkeypatch.delattr(FirewallPlugin, "on_flow_close")

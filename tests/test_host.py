@@ -3,6 +3,9 @@
 import fnmatch
 import functools
 import itertools
+import json
+import time
+from pathlib import Path
 
 import pytest
 from helpers import plugin_state
@@ -11,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from mbz import dnswire, tlswire
 from mbz import host as host_module
 from mbz.clock import Scheduler
+from mbz.config import load_config
 from mbz.host import (
     Block, BlockMode, Connectivity, DeviceContext, DuplicateId, EventKind,
     MalformedPermissions, Modify, Pass, Permission, PluginContext,
@@ -23,8 +27,10 @@ from mbz.plugins.advisor import AdvisorPlugin
 from mbz.plugins.firewall import FirewallPlugin, FirewallRule
 from mbz.plugins.snitch import OrgMap, SnitchPlugin
 from mbz.plugins.whatif import WhatIfPlugin
+from mbz.runner import ReplayRun, report_json_bytes
 from mbz.upstream import SimUpstream
 
+DATA = Path(__file__).resolve().parent.parent / "data"
 OBSERVE = Permission.OBSERVE
 ALL = (Permission.OBSERVE | Permission.MODIFY_PAYLOAD | Permission.BLOCK_FLOW
        | Permission.REDIRECT_FLOW | Permission.INJECT_PACKETS
@@ -212,27 +218,38 @@ class TestChain:
                 assert invocations(host, f"p{i}") == expected, names
 
 
-class FakeCpuClock:
-    """Deterministic ns clock: each callback appears to take a scripted time."""
+class Costly(ScriptedPlugin):
+    """Each packet callback costs a scripted number of microseconds of
+    scheduler time (then none): it advances the virtual clock while it runs."""
 
-    def __init__(self, costs_us):
+    def __init__(self, sched, costs_us, verdict=None):
+        super().__init__(verdict)
+        self.sched = sched
         self.costs_us = list(costs_us)
-        self.t = 0
-        self.phase = 0
 
-    def __call__(self):
-        if self.phase % 2 == 1:  # end-of-callback read
-            self.t += (self.costs_us.pop(0) if self.costs_us else 0) * 1000
-        self.phase += 1
-        return self.t
+    def on_packet_out(self, event, ctx):
+        if self.costs_us:
+            self.sched.advance_to(self.sched.now_us() + self.costs_us.pop(0))
+        return super().on_packet_out(event, ctx)
+
+    on_packet_in = on_packet_out
+
+
+class CountingScheduler(Scheduler):
+    """A scheduler that counts its clock reads."""
+    reads = 0
+
+    def now_us(self):
+        self.reads += 1
+        return super().now_us()
 
 
 class TestGovernor:
     def test_cpu_overrun_past_grace_disables(self):
         budget = ResourceBudget(max_cpu_us_per_packet=500, violation_grace=3)
-        clock = FakeCpuClock([1000] * 4)  # 2x budget for grace+1 packets
-        host = make_host(cpu_clock=clock)
-        reg(host, ScriptedPlugin(), "hog", budget=budget)
+        sched = Scheduler()
+        host = PluginHost(sched)
+        reg(host, Costly(sched, [1000] * 4), "hog", budget=budget)  # 2x budget, grace+1 times
         for _ in range(4):
             apply_out(host)
         assert not enabled(host, "hog")
@@ -241,9 +258,9 @@ class TestGovernor:
 
     def test_single_spike_within_grace_stays_enabled(self):
         budget = ResourceBudget(max_cpu_us_per_packet=500, violation_grace=3)
-        clock = FakeCpuClock([1000, 10, 1000, 10, 1000, 10])
-        host = make_host(cpu_clock=clock)
-        reg(host, ScriptedPlugin(), "spiky", budget=budget)
+        sched = Scheduler()
+        host = PluginHost(sched)
+        reg(host, Costly(sched, [1000, 10, 1000, 10, 1000, 10]), "spiky", budget=budget)
         for _ in range(6):
             apply_out(host)
         assert enabled(host, "spiky")
@@ -251,15 +268,15 @@ class TestGovernor:
     def test_disabled_plugin_quiescent_and_finalized_once(self):
         budget = ResourceBudget(max_cpu_us_per_packet=500, violation_grace=1)
 
-        class Finalizable(ScriptedPlugin):
+        class Finalizable(Costly):
             finalized = 0
 
             def finalize(self, ctx):
                 Finalizable.finalized += 1
 
-        clock = FakeCpuClock([1000] * 2 + [0] * 100)
-        host = make_host(cpu_clock=clock)
-        reg(host, Finalizable(), "dead", budget=budget)
+        sched = Scheduler()
+        host = PluginHost(sched)
+        reg(host, Finalizable(sched, [1000] * 2), "dead", budget=budget)
         for _ in range(2):
             apply_out(host)
         assert not enabled(host, "dead")
@@ -312,6 +329,53 @@ class TestGovernor:
             apply_out(host)
             counts.append(len(host.violations))
         assert counts == sorted(counts)
+
+
+class BusyPlugin(TrafficPlugin):
+    """Handles every event kind; spends `busy_us` of wall time on each."""
+
+    def __init__(self, busy_us):
+        self.busy_us = busy_us
+        self.calls = 0
+
+    def _busy(self, event, ctx):
+        self.calls += 1
+        end = time.perf_counter_ns() + self.busy_us * 1000
+        while time.perf_counter_ns() < end:
+            pass
+
+    on_flow_open = on_packet_out = on_packet_in = on_flow_close = _busy
+
+
+class TestGovernorClocks:
+    def test_wall_clock_busy_wait_disabled_after_grace(self):
+        budget = ResourceBudget(max_cpu_us_per_packet=500, violation_grace=2)
+        host = PluginHost(Scheduler(mode="wall"))
+        busy = reg(host, BusyPlugin(2000), "busy", budget=budget)
+        for _ in range(budget.violation_grace):
+            apply_out(host)
+        assert enabled(host, "busy")
+        apply_out(host)
+        assert not enabled(host, "busy") and busy.calls == budget.violation_grace + 1
+        assert "CpuOverrun" in host.governor_events[0]["detail"]
+
+    def test_replay_ignores_wall_time_spent_in_callbacks(self):
+        def replay(busy_us):
+            run = ReplayRun(load_config(DATA / "golden" / "config.yaml"))
+            plugin = BusyPlugin(busy_us)
+            run.host.register(PluginDescriptor(
+                id="busy", name="busy", requested=OBSERVE), plugin)
+            report = run.execute()
+            return plugin.calls, report_json_bytes(report), run.engine.capture
+
+        busy_calls, busy_report, busy_capture = replay(2000)
+        idle_calls, idle_report, idle_capture = replay(0)
+        assert busy_calls == idle_calls > ResourceBudget().violation_grace + 1
+        assert busy_report == idle_report and busy_capture == idle_capture
+        report = json.loads(busy_report)
+        assert report["plugins"][-1] == {"id": "busy", "enabled": True,
+                                         "disabled_reason": None, "invocations": busy_calls}
+        assert report["governor"] == []
 
 
 class TestContextAndServices:
@@ -446,7 +510,8 @@ class TestParseOncePerEvent:
         host.dispatch(EventKind.PACKET_OUT, TLS_KEY, "app",
                       tlswire.build_client_hello("example.com"))
         assert len(calls) == 1
-        assert fw.tracker.sni_by_key == snitch.tracker.sni_by_key == {TLS_KEY: "example.com"}
+        assert fw.tracker.sni_by_key == {TLS_KEY: "example.com"}
+        assert snitch.records[TLS_KEY].sni == "example.com"
 
     def test_modify_earlier_in_chain_gives_later_plugins_a_fresh_parse(self, monkeypatch):
         host = make_host()
@@ -497,31 +562,61 @@ class TestRegistrationTimeBinding:
             {"ts_us": 5, "plugin": "inj", "kind": "inject-on-inbound", "detail": "Block"},
         ]
 
-    def test_cpu_clock_read_twice_per_callback(self):
-        clock = FakeCpuClock([])
-        host = make_host(cpu_clock=clock)
+    def test_clock_read_once_per_callback_plus_one(self):
+        # k callbacks read the clock k + 1 times; a raising callback and a
+        # refused verdict read it no more often than a pass
+        sched = CountingScheduler()
+        host = PluginHost(sched)
         reg(host, ScriptedPlugin(raise_exc=True), "bug")
         reg(host, ScriptedPlugin(Block(BlockMode.RESET_APP)), "watch", perms=OBSERVE)
         reg(host, ScriptedPlugin(), "quiet")
         reg(host, ScriptedPlugin(), "none", perms=Permission(0))  # never invoked
+        reg(host, CloseOnly(), "close", perms=OBSERVE)  # invoked, never called
         for _ in range(4):
+            before = sched.reads
             apply_out(host)
-        assert clock.phase == 2 * 3 * 4
-        assert [invocations(host, p) for p in ("bug", "watch", "quiet", "none")] \
-            == [4, 4, 4, 0]
+            assert sched.reads - before == 3 + 1
+        before = sched.reads
+        host.dispatch(EventKind.FLOW_OPEN, TLS_KEY, "app")  # no subscriber
+        assert sched.reads == before
+        assert [invocations(host, p) for p in ("bug", "watch", "quiet", "none", "close")] \
+            == [5, 5, 5, 0, 5]
 
     def test_cpu_overrun_metered_per_callback(self):
         budget = ResourceBudget(max_cpu_us_per_packet=500, violation_grace=1)
-        # callbacks alternate between the two plugins: "slow" is charged
-        # every first cost, "fast" every second
-        clock = FakeCpuClock([1000, 10, 1000, 10])
-        host = make_host(cpu_clock=clock)
-        reg(host, ScriptedPlugin(), "slow", budget=budget)
-        reg(host, ScriptedPlugin(), "fast", budget=budget)
+        # one read between the two callbacks: "slow" is charged its own
+        # cost only, and "fast" starts its meter where "slow" ended
+        sched = Scheduler()
+        host = PluginHost(sched)
+        reg(host, Costly(sched, [1000, 1000]), "slow", budget=budget)
+        reg(host, Costly(sched, [10, 10]), "fast", budget=budget)
         apply_out(host)
         apply_out(host)
         assert not enabled(host, "slow") and enabled(host, "fast")
         assert [e["plugin"] for e in host.governor_events] == ["slow"]
+        assert host.governor_events[0]["detail"] \
+            == "CpuOverrun: 1000us > 500us for 2 consecutive packets"
+
+    def test_plugin_disabled_in_its_own_callback_is_not_charged_again(self):
+        # a probe past the emitted-bytes cap disables the plugin mid-callback;
+        # the same callback's CPU overrun neither counts nor disables it twice
+        sched = Scheduler()
+        host = PluginHost(sched, upstream=SimUpstream([], sched, rng_seed=0))
+
+        class ProbeThenHog(Costly):
+            def on_packet_out(self, event, ctx):
+                for _ in range(2):  # two overruns past a grace of one
+                    host.probe_datagram("p", ("9.9.9.9", 53), b"q" * 200,
+                                        lambda _r: None, 1000)
+                return super().on_packet_out(event, ctx)
+
+        reg(host, ProbeThenHog(sched, [1000]), "p", budget=ResourceBudget(
+            max_emitted_bytes_per_min=100, violation_grace=1))
+        apply_out(host)
+        slot = host._slots["p"]
+        assert (slot.enabled, slot.cpu_overruns) == (False, 0)
+        assert [e["detail"].split(":")[0] for e in host.governor_events] \
+            == ["EmittedOverrun"]
 
     def test_callbacks_are_bound_at_registration(self):
         plugin = ScriptedPlugin(Modify(b"y"))
@@ -611,7 +706,8 @@ class CallEverySlot(PluginHost):
     """The chain loop before subscriber tables, as the oracle: it builds
     the event and the context up front and calls every callback of every
     enabled observing plugin, inherited no-ops included. Redirect on
-    PACKET_IN is downgraded as in the host under test."""
+    PACKET_IN is downgraded as in the host under test. CPU is metered by
+    two clock reads around each callback the plugin overrides."""
 
     def dispatch(self, kind, key, app_label, payload=b"", tcp_flags=None, tcp_seq=None):
         direction = DIR_IN if kind is EventKind.PACKET_IN else DIR_OUT
@@ -627,13 +723,25 @@ class CallEverySlot(PluginHost):
                 continue
             event.payload = payload
             slot.invocations += 1
-            start = self._cpu_clock()
+            name = CALLBACK_OF[kind]
+            start = self._scheduler.now_us()
             try:
-                verdict = getattr(slot.plugin, CALLBACK_OF[kind])(event, ctx)
+                verdict = getattr(slot.plugin, name)(event, ctx)
             except Exception as exc:
                 self._violation(slot, "callback-error", now, detail=repr(exc))
                 verdict = None
-            self._meter_cpu(slot, (self._cpu_clock() - start) // 1000)
+            cpu_us = self._scheduler.now_us() - start
+            budget = slot.descriptor.budget
+            if getattr(type(slot.plugin), name) is getattr(TrafficPlugin, name):
+                pass  # an inherited no-op is not metered
+            elif cpu_us <= budget.max_cpu_us_per_packet:
+                slot.cpu_overruns = 0
+            else:
+                slot.cpu_overruns += 1
+                if slot.cpu_overruns > budget.violation_grace:
+                    self._disable(slot, "CpuOverrun",
+                                  f"{cpu_us}us > {budget.max_cpu_us_per_packet}us "
+                                  f"for {slot.cpu_overruns} consecutive packets")
             if verdict is None or isinstance(verdict, Pass):
                 continue
             needed = permission.get(type(verdict))
@@ -675,6 +783,9 @@ plugin_specs = st.fixed_dictionaries({
     "verdicts": st.fixed_dictionaries(
         {name: st.sampled_from(GEN_VERDICTS) for name in CALLBACK_OF.values()}),
     "raises": st.integers(0, 4).map(lambda n: n == 0),
+    # scheduler time each callback takes, against a budget of 1 us
+    "costs_us": st.fixed_dictionaries(
+        {name: st.sampled_from([0, 0, 1, 2]) for name in CALLBACK_OF.values()}),
     # None (one in five): no permission at all, so never offered an event
     "perms": st.integers(0, 4).flatmap(
         lambda n: subset_of(GEN_PERMS) if n else st.none()),
@@ -687,6 +798,7 @@ chain_steps = st.lists(
 
 def _generated_callback(self, event, ctx, name):
     self.log.append((self.pid, name, event.payload))
+    self.sched.advance_to(self.sched.now_us() + self.costs_us[name])
     if self.raises:
         raise RuntimeError(f"{self.pid} {name}")
     verdict = self.verdicts[name]
@@ -697,12 +809,15 @@ def _generated_callback(self, event, ctx, name):
 
 def build_generated(host, specs, log):
     """Register one generated plugin per spec; each overridden callback
-    logs (plugin, callback, payload seen) and answers its verdict."""
+    logs (plugin, callback, payload seen), takes its cost in scheduler
+    time and answers its verdict. `mem` is its memory estimate."""
     for i, spec in enumerate(specs):
         methods = {name: functools.partialmethod(_generated_callback, name=name)
                    for name in spec["overrides"]}
+        methods["memory_estimate"] = lambda self: self.mem
         plugin = type("Generated", (TrafficPlugin,), methods)()
         plugin.pid, plugin.raises, plugin.verdicts = f"g{i}", spec["raises"], spec["verdicts"]
+        plugin.costs_us, plugin.sched, plugin.mem = spec["costs_us"], host._scheduler, None
         plugin.log = log
         perms = Permission(0) if spec["perms"] is None else OBSERVE
         for perm in spec["perms"] or ():
@@ -718,23 +833,24 @@ class TestSubscriberTables:
         hosts, logs = [], []
         for cls in (PluginHost, CallEverySlot):
             log = []
-            host = cls(Scheduler(), cpu_clock=lambda: 0)
+            host = cls(Scheduler())
             build_generated(host, specs, log)
             hosts.append(host)
             logs.append(log)
         for step, arg in steps:
             if step == "disable":
                 if arg < len(specs):
-                    for host in hosts:  # two overruns past a grace of one
-                        slot = host._slots[f"g{arg}"]
-                        host._meter_cpu(slot, 10)
-                        host._meter_cpu(slot, 10)
+                    for host in hosts:  # two memory overruns past a grace of one
+                        host._slots[f"g{arg}"].plugin.mem = 2 ** 40
+                        host.governor_tick()
+                        host.governor_tick()
                 continue
             got, want = (host.dispatch(arg, TLS_KEY, "app", b"p") for host in hosts)
             assert got == want, (arg, specs)
             assert logs[0] == logs[1]
             assert hosts[0].plugin_states() == hosts[1].plugin_states()
             assert hosts[0].violations == hosts[1].violations
+            assert hosts[0].governor_events == hosts[1].governor_events
 
     def test_flow_close_only_plugin_sees_flow_close_only(self):
         host = make_host()
@@ -744,17 +860,17 @@ class TestSubscriberTables:
         assert plugin.closed == [EventKind.FLOW_CLOSE]
         assert invocations(host, "close") == 4  # every event that reaches it counts
 
-    def test_cpu_clock_read_only_around_overridden_callbacks(self):
-        clock = FakeCpuClock([])
-        host = make_host(cpu_clock=clock)
+    def test_clock_read_only_around_overridden_callbacks(self):
+        sched = CountingScheduler()
+        host = PluginHost(sched)
         reg(host, CloseOnly(), "close", perms=OBSERVE)
         reg(host, TrafficPlugin(), "nothing", perms=OBSERVE)
         for kind in (EventKind.FLOW_OPEN, EventKind.PACKET_OUT, EventKind.PACKET_IN):
             action = host.dispatch(kind, TLS_KEY, "app", b"p")
             assert is_pass(action) and action.payload == b"p" and not action.modified
-        assert clock.phase == 0  # no subscriber: nothing called, nothing metered
+        assert sched.reads == 0  # no subscriber: nothing called, nothing metered
         host.dispatch(EventKind.FLOW_CLOSE, TLS_KEY, "app")
-        assert clock.phase == 2  # around the one overridden callback only
+        assert sched.reads == 2  # around the one overridden callback only
         assert [invocations(host, p) for p in ("close", "nothing")] == [4, 4]
 
     def test_no_subscriber_builds_no_event_or_context(self, monkeypatch):
@@ -771,13 +887,13 @@ class TestSubscriberTables:
     def test_unoverridden_callback_does_not_reset_cpu_overruns(self):
         # consecutive overruns count only callbacks the plugin runs
         budget = ResourceBudget(max_cpu_us_per_packet=500, violation_grace=1)
-        now_ns = [0]
+        sched = Scheduler()
 
         class SlowClose(CloseOnly):
             def on_flow_close(self, event, ctx):
-                now_ns[0] += 1_000_000  # 1000 us per close
+                sched.advance_to(sched.now_us() + 1000)  # 1000 us per close
 
-        host = make_host(cpu_clock=lambda: now_ns[0])
+        host = PluginHost(sched)
         reg(host, SlowClose(), "close", budget=budget)
         host.dispatch(EventKind.FLOW_CLOSE, TLS_KEY, "app")
         host.dispatch(EventKind.PACKET_OUT, TLS_KEY, "app", b"p")
@@ -839,13 +955,13 @@ class TestSubscriberTables:
             "advisor": (AdvisorPlugin(), set(EventKind)),
         }
         for pid, (plugin, kinds) in expected.items():
-            clock = FakeCpuClock([])
-            host = make_host(cpu_clock=clock)
+            sched = CountingScheduler()
+            host = PluginHost(sched)
             reg(host, plugin, pid)
             called = set()
             for kind in EventKind:
-                before = clock.phase
+                before = sched.reads
                 host.dispatch(kind, None, "app")
-                if clock.phase != before:
+                if sched.reads != before:
                     called.add(kind)
             assert called == kinds, pid

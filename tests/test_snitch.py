@@ -173,6 +173,18 @@ class TestDomainAttribution:
         ranked = snitch.report()["third_party"]["requests_per_org"]
         assert ranked == [["sni-org", 1]]
 
+    def test_record_keeps_the_first_server_name(self):
+        snitch = SnitchPlugin(OrgMap.from_pairs([(".first.example", "first")]))
+        key = FlowKey(6, ("10.0.0.2", 6001), ("203.0.113.11", 443))
+        snitch.on_flow_open(PluginEvent(EventKind.FLOW_OPEN),
+                            make_ctx(key, kind=EventKind.FLOW_OPEN))
+        for payload in (b"not a hello", tlswire.build_client_hello("www.first.example"),
+                        tlswire.build_client_hello("www.second.example")):
+            snitch.on_packet_out(PluginEvent(EventKind.PACKET_OUT, payload=payload),
+                                 make_ctx(key))
+        assert snitch.records[key].sni == "www.first.example"
+        assert snitch.report()["third_party"]["requests_per_org"] == [["first", 1]]
+
     def test_sni_builder_round_trips(self):
         hello = tlswire.build_client_hello("a.b.example.org")
         assert tlswire.extract_sni(hello) == "a.b.example.org"
