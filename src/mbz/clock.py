@@ -27,11 +27,15 @@ class Scheduler:
         self._seq = 0
         self._live = 0  # entries still to run
         if mode == WALL:
-            self._wall_origin_ns = time.perf_counter_ns() - origin_us * 1000
+            # bound once here: the engine and the plugin governor read the
+            # clock on every packet and callback
+            wall_origin_ns = time.perf_counter_ns() - origin_us * 1000
+            perf_counter_ns = time.perf_counter_ns
+            self.now_us = lambda: (perf_counter_ns() - wall_origin_ns) // 1000
 
     def now_us(self) -> int:
-        if self.mode == WALL:
-            return (time.perf_counter_ns() - self._wall_origin_ns) // 1000
+        """Current time in microseconds (a wall-mode scheduler replaces
+        this with its own reading of the wall clock)."""
         return self._now_us
 
     def call_at(self, at_us: int, fn) -> list:

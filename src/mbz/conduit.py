@@ -82,8 +82,8 @@ class ReplayConduit(PacketConduit):
     def read_packet(self) -> tuple[int, bytes, str] | None:
         if not self._pending:
             return None
-        event = self._pending.popleft()
-        return (event.ts_us, event.packet, event.app_label)
+        ts_us, _direction, app_label, packet = self._pending.popleft()
+        return (ts_us, packet, app_label)
 
     def write_packet(self, data: bytes) -> None:
         pass

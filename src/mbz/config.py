@@ -4,6 +4,12 @@ Unknown keys are rejected outright so a typo ("speeed") fails loudly at
 load time instead of silently running with defaults. All referenced
 files must exist at load. Paths are resolved relative to the config
 file's directory.
+
+Every YAML file a run reads (this config, the upstream scripts, the
+firewall rules) goes through `load_yaml`: PyYAML's libyaml-backed
+`CSafeLoader` when PyYAML was built with it, its pure-Python
+`SafeLoader` otherwise. Both build the same objects, and a file that
+does not parse is a ParseError naming it.
 """
 
 from __future__ import annotations
@@ -32,6 +38,31 @@ class MissingFile(ConfigLoadError):
 
 class DuplicatePluginId(ConfigLoadError):
     pass
+
+
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# libyaml composes nested collections by recursing in C, so nesting tens of
+# thousands deep overflows the C stack and kills the process. Every
+# collection opens with one of these characters; a text with fewer than
+# _C_NESTING_LIMIT of them goes to YAML_LOADER, any other to SafeLoader,
+# which runs out of Python recursion instead.
+_NESTING_OPENERS = "[{-?:"
+_C_NESTING_LIMIT = 5000
+
+
+def load_yaml(path: str | Path):
+    """The objects one YAML file holds (None for an empty file)."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+        if sum(map(text.count, _NESTING_OPENERS)) < _C_NESTING_LIMIT:
+            return yaml.load(text, Loader=YAML_LOADER)
+        return yaml.load(text, Loader=yaml.SafeLoader)
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: not valid YAML: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{path}: not valid YAML: nested too deeply") from None
 
 
 PLUGIN_KINDS = ("snitch", "firewall", "dns-whatif", "protocol-advisor")
@@ -199,10 +230,7 @@ def load_config(path: str | Path) -> RunConfig:
     if not path.exists():
         raise MissingFile(f"config file not found: {path}")
     base = path.parent
-    try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-    except yaml.YAMLError as exc:
-        raise ParseError(f"not valid YAML: {exc}") from exc
+    raw = load_yaml(path) or {}
 
     _require_keys(raw, {"engine", "seed", "io", "plugins", "host", "report"}, "config")
     engine = _engine_from(raw.get("engine") or {})

@@ -5,10 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import yaml
-
 from .clock import Scheduler
-from .config import ParseError, PluginSpec, RunConfig
+from .config import ParseError, PluginSpec, RunConfig, load_yaml
 from .conduit import ReplayConduit
 from .engine import Engine
 from .host import PluginDescriptor, PluginHost
@@ -19,14 +17,26 @@ from .plugins import (
 from .plugins.firewall import FirewallRuleError, rules_from_list
 from .plugins.snitch import OrgMapError
 from .trace import APP_TO_NET, TraceEvent, read_trace
-from .upstream import SimEndpointScript, SimUpstream
+from .upstream import ScriptError, SimEndpointScript, SimUpstream
 
 
 def load_scripts(path: Path | None) -> list[SimEndpointScript]:
+    """The upstream scripts a YAML list holds; a malformed entry is a
+    ScriptError naming the file and the entry's index."""
     if path is None:
         return []
-    raw = yaml.safe_load(path.read_text(encoding="utf-8")) or []
-    return [SimEndpointScript.from_dict(obj) for obj in raw]
+    raw = load_yaml(path)
+    if raw is None:
+        return []
+    if not isinstance(raw, list):
+        raise ScriptError(f"{path}: expected a list of scripts")
+    scripts = []
+    for i, obj in enumerate(raw):
+        try:
+            scripts.append(SimEndpointScript.from_dict(obj))
+        except ScriptError as exc:
+            raise ScriptError(f"{path}: scripts[{i}]: {exc}") from None
+    return scripts
 
 
 def load_trace_events(config: RunConfig) -> list[TraceEvent]:
@@ -46,7 +56,7 @@ def _build_plugin(spec: PluginSpec, seed: int):
             first_party_orgs=set(s.get("first_party_orgs", [])),
             burst_gap_us=int(float(s.get("burst_gap_s", 1.0)) * 1e6))
     if spec.kind == "firewall":
-        rules = yaml.safe_load(Path(s["rules"]).read_text(encoding="utf-8")) or []
+        rules = load_yaml(s["rules"]) or []
         return FirewallPlugin(rules_from_list(rules),
                               default_allow=s.get("default_allow", True))
     if spec.kind == "dns-whatif":
@@ -71,7 +81,9 @@ def install_plugins(config: RunConfig, host: PluginHost,
     for spec in config.plugins:
         try:
             plugin = _build_plugin(spec, seed)
-        except (FirewallRuleError, OrgMapError, yaml.YAMLError,
+        except ParseError as exc:  # names its file already
+            raise ParseError(f"plugin {spec.id!r}: {exc}") from exc
+        except (FirewallRuleError, OrgMapError,
                 ValueError, TypeError, OverflowError) as exc:
             source = spec.settings.get("rules") or spec.settings.get("org_map")
             where = f" ({source})" if source else ""

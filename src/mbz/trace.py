@@ -5,15 +5,20 @@ One event per line: {"ts_us": int, "dir": "out"|"in", "app": str,
 replay); "in" is network-to-app, parsed and validated but skipped on
 replay. App attribution is carried as trace metadata and treated as
 ground truth.
+
+`read_trace` streams the file a line at a time and checks every line
+before it becomes an event: `ts_us` is a non-negative integer (not a
+boolean) that never decreases, `app` (default "") is a string, and
+`pkt_b64` is ASCII base64. Blank lines are skipped. Any other line,
+whatever its bytes, raises MalformedTrace naming the line.
 """
 
 from __future__ import annotations
 
 import base64
-import binascii
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 APP_TO_NET = "out"
 NET_TO_APP = "in"
@@ -23,8 +28,10 @@ class MalformedTrace(Exception):
     """Bad encoding, missing fields, or decreasing timestamps."""
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One trace line. A plain tuple underneath, so building one per line
+    costs one allocation."""
+
     ts_us: int
     direction: str  # APP_TO_NET or NET_TO_APP
     app_label: str
@@ -42,44 +49,49 @@ class TraceEvent:
         )
 
 
-def _event_from_obj(obj: dict, lineno: int) -> TraceEvent:
-    try:
-        ts_us = obj["ts_us"]
-        direction = obj["dir"]
-        app = obj.get("app", "")
-        pkt_b64 = obj["pkt_b64"]
-    except (KeyError, TypeError) as exc:
-        raise MalformedTrace(f"line {lineno}: missing field {exc}") from exc
-    if direction not in (APP_TO_NET, NET_TO_APP):
-        raise MalformedTrace(f"line {lineno}: bad direction {direction!r}")
-    if not isinstance(ts_us, int) or ts_us < 0:
-        raise MalformedTrace(f"line {lineno}: bad timestamp {ts_us!r}")
-    try:
-        packet = base64.b64decode(pkt_b64, validate=True)
-    except (binascii.Error, TypeError) as exc:
-        raise MalformedTrace(f"line {lineno}: bad packet encoding") from exc
-    return TraceEvent(ts_us=ts_us, direction=direction, app_label=app, packet=packet)
-
-
 def read_trace(path: str | Path) -> list[TraceEvent]:
     """Load a JSON-lines trace; timestamps must be non-decreasing."""
     events: list[TraceEvent] = []
-    last_ts = -1
+    append = events.append
+    loads = json.loads
+    b64decode = base64.b64decode
+    last_ts = 0
+    lineno = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedTrace(f"line {lineno}: not valid JSON") from exc
-            event = _event_from_obj(obj, lineno)
-            if event.ts_us < last_ts:
-                raise MalformedTrace(
-                    f"line {lineno}: timestamp {event.ts_us} decreases from {last_ts}")
-            last_ts = event.ts_us
-            events.append(event)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    obj = loads(line)
+                except (ValueError, RecursionError):
+                    if not line.strip():
+                        continue
+                    raise MalformedTrace(f"line {lineno}: not valid JSON") from None
+                if type(obj) is not dict:
+                    raise MalformedTrace(f"line {lineno}: not a JSON object")
+                try:
+                    ts_us = obj["ts_us"]
+                    direction = obj["dir"]
+                    pkt_b64 = obj["pkt_b64"]
+                except KeyError as exc:
+                    raise MalformedTrace(f"line {lineno}: missing field {exc}") from None
+                app = obj.get("app", "")
+                if type(ts_us) is not int or ts_us < 0:
+                    raise MalformedTrace(f"line {lineno}: bad timestamp {ts_us!r}")
+                if ts_us < last_ts:
+                    raise MalformedTrace(
+                        f"line {lineno}: timestamp {ts_us} decreases from {last_ts}")
+                if direction != APP_TO_NET and direction != NET_TO_APP:
+                    raise MalformedTrace(f"line {lineno}: bad direction {direction!r}")
+                if type(app) is not str:
+                    raise MalformedTrace(f"line {lineno}: bad app label {app!r}")
+                try:
+                    packet = b64decode(pkt_b64, validate=True)
+                except (ValueError, TypeError):
+                    raise MalformedTrace(f"line {lineno}: bad packet encoding") from None
+                last_ts = ts_us
+                append(TraceEvent(ts_us, direction, app, packet))
+        except UnicodeDecodeError:
+            raise MalformedTrace(f"line {lineno + 1} or later: not valid UTF-8") from None
     return events
 
 

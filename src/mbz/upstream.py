@@ -85,33 +85,92 @@ class SimEndpointScript:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SimEndpointScript":
+        """One script from its YAML mapping; ScriptError on any key or
+        value it cannot use."""
+        if not isinstance(obj, dict):
+            raise ScriptError(f"expected a mapping, got {obj!r}")
         known = {"cidr", "ports", "behavior", "delay_us", "jitter_us",
                  "response", "response_hex", "answers", "tamper", "recv_window"}
         unknown = set(obj) - known
         if unknown:
             raise ScriptError(f"unknown script keys {sorted(unknown)}")
         try:
-            network = ipaddress.IPv4Network(obj["cidr"])
-        except (KeyError, ValueError) as exc:
+            network = ipaddress.IPv4Network(_typed(obj.get("cidr"), str, "cidr"))
+        except ValueError as exc:
             raise ScriptError(f"bad script cidr: {exc}") from exc
         ports_val = obj.get("ports", "any")
-        ports = None if ports_val in ("any", None) else frozenset(int(p) for p in ports_val)
-        response = obj.get("response", "")
+        ports = None
+        if ports_val not in ("any", None):
+            if not (isinstance(ports_val, list)
+                    and all(type(p) is int and 0 <= p <= 0xFFFF for p in ports_val)):
+                raise ScriptError(f"ports must be 'any' or a list of port numbers, "
+                                  f"got {ports_val!r}")
+            ports = frozenset(ports_val)
+        response = _typed(obj.get("response", ""), (str, bytes), "response")
         if isinstance(response, str):
             response = response.encode("utf-8")
         if "response_hex" in obj:
-            response = bytes.fromhex(obj["response_hex"])
+            try:
+                response = bytes.fromhex(_typed(obj["response_hex"], str, "response_hex"))
+            except ValueError as exc:
+                raise ScriptError(f"bad response_hex: {exc}") from exc
+        tamper = dict(_typed(obj.get("tamper") or {}, dict, "tamper"))
+        unknown = set(tamper) - {"override", "nxdomain_to", "drop"}
+        if unknown:
+            raise ScriptError(f"unknown tamper keys {sorted(unknown)}")
+        if "override" in tamper:
+            tamper["override"] = _answer_map(tamper["override"], "tamper.override")
+        if "nxdomain_to" in tamper:
+            tamper["nxdomain_to"] = _ip_list(tamper["nxdomain_to"], "tamper.nxdomain_to")
+        if "drop" in tamper:
+            drop = _typed(tamper["drop"], list, "tamper.drop")
+            tamper["drop"] = [_typed(name, str, "tamper.drop") for name in drop]
+        recv_window = obj.get("recv_window")
         return cls(
             network=network,
             ports=ports,
             behavior=obj.get("behavior", BEHAVIOR_BLACKHOLE),
-            delay_us=int(obj.get("delay_us", 0)),
-            jitter_us=int(obj.get("jitter_us", 0)),
+            delay_us=_count(obj.get("delay_us", 0), "delay_us"),
+            jitter_us=_count(obj.get("jitter_us", 0), "jitter_us"),
             response=response,
-            answers={str(k): list(v) for k, v in (obj.get("answers") or {}).items()},
-            tamper=obj.get("tamper") or {},
-            recv_window=obj.get("recv_window"),
+            answers=_answer_map(obj.get("answers") or {}, "answers"),
+            tamper=tamper,
+            recv_window=None if recv_window is None else _count(recv_window, "recv_window"),
         )
+
+
+def _typed(value, kind, name: str):
+    if not isinstance(value, kind):
+        raise ScriptError(f"{name}: unexpected value {value!r}")
+    return value
+
+
+def _count(value, name: str) -> int:
+    if type(value) is not int or value < 0:
+        raise ScriptError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _is_ipv4(text) -> bool:
+    if not isinstance(text, str):
+        return False
+    try:
+        ipaddress.IPv4Address(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _ip_list(value, name: str) -> list[str]:
+    if not (isinstance(value, list) and all(map(_is_ipv4, value))):
+        raise ScriptError(f"{name} must be a list of IPv4 addresses, got {value!r}")
+    return list(value)
+
+
+def _answer_map(value, name: str) -> dict[str, list[str]]:
+    """{domain name: [IPv4 address, ...]}"""
+    return {str(k): _ip_list(v, f"{name}[{k!r}]")
+            for k, v in _typed(value, dict, name).items()}
 
 
 @dataclass

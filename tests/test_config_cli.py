@@ -235,6 +235,68 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "mbz: config error" in err and "'sn1'" in err and "soon" in err
 
+    @pytest.mark.parametrize("scripts", [
+        b"- {cidr: [unclosed\n",
+        b"- {cidr: 10.200.0.0/16, behavior: echo}\n- \xff\n",
+        b"{cidr: 10.200.0.0/16, behavior: echo}\n",
+        b"- 42\n",
+        b"- {cidr: 10.200.0.0/16, behavior: echo, delay_us: abc}\n",
+        b"- {cidr: 10.200.0.0/16, behavior: echo, delay_us: 1.5}\n",
+        b"- {cidr: 10.200.0.0/16, behavior: echo, jitter_us: -1}\n",
+        b"- {cidr: 10.200.0.0/16, behavior: echo, recv_window: true}\n",
+        b"- {cidr: 10.200.0.0/16, behavior: echo, ports: [x]}\n",
+        b"- {cidr: 10.200.0.0/16, behavior: echo, ports: '80'}\n",
+        b"- {cidr: 10.200.0.0/16, behavior: echo, ports: [70000]}\n",
+        b"- {cidr: 10.200.0.0/33, behavior: echo}\n",
+        b"- {behavior: echo}\n",
+        b"- {cidr: 10.200.0.0/16, behavior: teleport}\n",
+        b"- {cidr: 10.200.0.0/16, behavior: static, response: 5}\n",
+        b"- {cidr: 10.200.0.0/16, behavior: static, response_hex: zz}\n",
+        b"- {cidr: 8.8.8.8/32, behavior: dns, answers: [a.example]}\n",
+        b"- {cidr: 8.8.8.8/32, behavior: dns, answers: {a.example: 10.0.0.1}}\n",
+        b"- {cidr: 8.8.8.8/32, behavior: dns, answers: {a.example: [10.0.0.256]}}\n",
+        b"- {cidr: 8.8.8.8/32, behavior: dns, tamper: {drop: a.example}}\n",
+        b"- {cidr: 8.8.8.8/32, behavior: dns, tamper: {nxdomain_to: [x]}}\n",
+        b"- {cidr: 8.8.8.8/32, behavior: dns, tamper: {override: {a.example: [1]}}}\n",
+        b"- {cidr: 8.8.8.8/32, behavior: dns, tamper: {rewrite: []}}\n",
+    ], ids=["not-yaml", "not-utf8", "top-level-mapping", "entry-not-a-mapping",
+            "delay-word", "delay-float", "jitter-negative", "window-bool", "ports-word",
+            "ports-string", "port-out-of-range", "cidr-33", "cidr-missing",
+            "behavior-unknown", "response-int", "response-hex-odd", "answers-list",
+            "answer-not-a-list", "answer-bad-ip", "drop-string", "nxdomain-bad-ip",
+            "override-int-ip", "tamper-unknown-key"])
+    def test_malformed_scripts_exit_2(self, tmp_path, capsys, scripts):
+        # each case replaces the golden run's scripts file
+        shutil.copytree(DATA / "golden", tmp_path, dirs_exist_ok=True)
+        (tmp_path / "scripts.yaml").write_bytes(scripts)
+        assert main(["replay", "--config", str(tmp_path / "config.yaml")]) == 2
+        err = capsys.readouterr().err
+        assert "mbz: config error" in err and "scripts.yaml" in err
+
+    @pytest.mark.parametrize("line", [
+        b'{"ts_us": true, "dir": "out", "app": "", "pkt_b64": ""}',
+        b'{"ts_us": 1.5, "dir": "out", "app": "", "pkt_b64": ""}',
+        b'{"ts_us": -1, "dir": "out", "app": "", "pkt_b64": ""}',
+        b'{"ts_us": ' + b"9" * 5000 + b', "dir": "out", "app": "", "pkt_b64": ""}',
+        b'{"ts_us": 0, "dir": "out", "app": 5, "pkt_b64": ""}',
+        b'{"ts_us": 0, "dir": "out", "app": null, "pkt_b64": ""}',
+        rb'{"ts_us": 0, "dir": "out", "app": "", "pkt_b64": "\u00e9AAA"}',
+        b'{"ts_us": 0, "dir": "out", "app": "", "pkt_b64": 7}',
+        b'{"ts_us": 0, "dir": ["out"], "app": "", "pkt_b64": ""}',
+        b'{"ts_us": 0, "dir": "out", "app": ""}',
+        b'[0, "out", "", ""]',
+        b"[" * 100_000,
+        b'{"ts_us": 0, "dir": "out", "app": "\xff", "pkt_b64": ""}',
+    ], ids=["ts-bool", "ts-float", "ts-negative", "ts-5000-digits", "app-int", "app-null",
+            "pkt-non-ascii", "pkt-int", "dir-list", "pkt-missing", "not-an-object",
+            "deep-nesting", "not-utf8"])
+    def test_hostile_trace_line_exit_3(self, tmp_path, capsys, line):
+        (tmp_path / "trace.jsonl").write_bytes(line + b"\n")
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text("io: {trace: trace.jsonl}\n")
+        assert main(["replay", "--config", str(cfg)]) == 3
+        assert "mbz: i/o error: line 1" in capsys.readouterr().err
+
     def test_io_error_exit_3(self, tmp_path, capsys):
         (tmp_path / "trace.jsonl").write_text("this is not json\n")
         cfg = tmp_path / "config.yaml"

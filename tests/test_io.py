@@ -1,9 +1,13 @@
 """Scheduler, trace files, pcap, and conduit tests."""
 
+import base64
+import binascii
+import json
 import struct
 import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mbz.clock import Scheduler
 from mbz.conduit import InMemoryConduit, ReplayConduit
@@ -101,6 +105,104 @@ class TestTraceFile:
         path.write_text('{"ts_us": 0, "dir": "sideways", "app": "", "pkt_b64": ""}\n')
         with pytest.raises(MalformedTrace):
             read_trace(path)
+
+    def test_round_trip_events_are_immutable_and_hashable(self, tmp_path):
+        events = [TraceEvent(0, APP_TO_NET, "app1", _pkt_bytes(0)),
+                  TraceEvent(7, NET_TO_APP, "", b"")]
+        path = tmp_path / "t.jsonl"
+        write_trace(path, events)
+        back = read_trace(path)
+        assert back == events and all(type(e) is TraceEvent for e in back)
+        assert len({*back, *events}) == 2
+        with pytest.raises(AttributeError):
+            back[0].ts_us = 1
+        assert back[0]._fields == ("ts_us", "direction", "app_label", "packet")
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n  \n" + TraceEvent(3, APP_TO_NET, "a", b"x").to_json() + "\n\t\n")
+        assert read_trace(path) == [TraceEvent(3, APP_TO_NET, "a", b"x")]
+
+
+def _reference_decode(line: bytes):
+    """What one trace line means, written from the documented rules: a
+    list of events (empty for a blank line), or None for a malformed one."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if not text.strip():
+        return []
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(obj, dict) or not {"ts_us", "dir", "pkt_b64"} <= obj.keys():
+        return None
+    ts_us, direction, app, pkt_b64 = obj["ts_us"], obj["dir"], obj.get("app", ""), obj["pkt_b64"]
+    if isinstance(ts_us, bool) or not isinstance(ts_us, int) or ts_us < 0:
+        return None
+    if direction not in ("out", "in") or not isinstance(app, str):
+        return None
+    if not isinstance(pkt_b64, str) or not pkt_b64.isascii():
+        return None
+    try:
+        packet = base64.b64decode(pkt_b64, validate=True)
+    except binascii.Error:
+        return None
+    return [TraceEvent(ts_us, direction, app, packet)]
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+_valid_fields = st.fixed_dictionaries({
+    "ts_us": st.integers(min_value=0, max_value=2**40),
+    "dir": st.sampled_from(["out", "in"]),
+    "app": st.text(max_size=8),
+    "pkt_b64": st.binary(max_size=40).map(lambda b: base64.b64encode(b).decode("ascii")),
+})
+_field_edits = st.dictionaries(
+    st.sampled_from(["ts_us", "dir", "app", "pkt_b64", "extra"]),
+    st.none() | _json_values | st.text(alphabet="AZaz09+/= \u00e9", max_size=12), max_size=3)
+
+
+@st.composite
+def _mutated_event_lines(draw) -> bytes:
+    obj = draw(_valid_fields)
+    obj.update(draw(_field_edits))
+    for name in draw(st.sets(st.sampled_from(["ts_us", "dir", "app", "pkt_b64"]), max_size=2)):
+        obj.pop(name)
+    return json.dumps(obj, ensure_ascii=draw(st.booleans())).encode("utf-8")
+
+
+_trace_lines = (
+    _mutated_event_lines()
+    | _json_values.map(lambda v: json.dumps(v).encode("utf-8"))
+    | st.binary(max_size=60)
+).filter(lambda line: b"\n" not in line and b"\r" not in line)
+
+
+class TestHostileTraceLines:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(line=_trace_lines)
+    @example(line=b'{"ts_us": true, "dir": "out", "pkt_b64": ""}')
+    @example(line=b'{"ts_us": 0, "dir": "out", "app": null, "pkt_b64": ""}')
+    @example(line='{"ts_us": 0, "dir": "in", "pkt_b64": "\u00e9"}'.encode("utf-8"))
+    @example(line=b"[" * 100_000)
+    @example(line=b"\xff{}")
+    def test_line_decodes_as_reference_or_is_malformed(self, tmp_path, line):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(line + b"\n")
+        expected = _reference_decode(line)
+        try:
+            got = read_trace(path)
+        except MalformedTrace:
+            assert expected is None
+        else:
+            assert got == expected
 
 
 class TestPcap:
