@@ -40,7 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--config", required=True)
     replay.add_argument("--out-pcap", default=None,
                         help="write the app packets the plugin chain passed "
-                             "and the packets the engine wrote toward the app")
+                             "and the packets the engine wrote toward the app; "
+                             "the run spools them to a temporary file and "
+                             "copies it here at the end")
     replay.add_argument("--seed", type=int, default=None)
 
     run = sub.add_parser("run", help="run against a live packet conduit")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 
 from .clock import Scheduler
-from .trace import APP_TO_NET, TraceEvent, check_monotonic
+from .trace import APP_TO_NET, TraceEvent
 
 
 class PacketConduit:
@@ -21,8 +21,9 @@ class PacketConduit:
     next_ready_us() tells the engine when the next app packet becomes
     available (None when the source is exhausted); read_packet() pops it
     once the clock has reached that time. write_packet() delivers a
-    packet to the app; a conduit need not keep it, since the engine
-    records everything it writes in `Engine.capture`.
+    packet to the app; a conduit need not keep it. The engine hands
+    everything it writes to its owner's sink as well (`Engine.sink`; a
+    replay spools it to a temporary pcap file).
     """
 
     def next_ready_us(self) -> int | None:
@@ -65,14 +66,14 @@ class ReplayConduit(PacketConduit):
     """Replays the app-to-net half of a trace in timestamp order.
 
     Net-to-app events from the trace are skipped. Packets the engine
-    writes are discarded: a trace has no app to deliver them to, and
-    `Engine.capture` already records them.
+    writes are discarded: a trace has no app to deliver them to, and the
+    replay's pcap spool (`ReplayRun.capture`) already records them.
     Replay runs on a virtual clock, so the trace timestamps are surfaced
-    as-is. Raises MalformedTrace on decreasing timestamps.
+    as-is; the events must already be in timestamp order, as
+    `runner.load_trace_events` returns them.
     """
 
     def __init__(self, events: list[TraceEvent]):
-        check_monotonic(events)
         self._pending: deque[TraceEvent] = deque(
             e for e in events if e.direction == APP_TO_NET)
 

@@ -171,7 +171,7 @@ _CLOSE_COUNTERS = {"teardown": "tcp_flows_closed", "shutdown": "shutdown_closed"
 class Engine:
     def __init__(self, config: EngineConfig, conduit: PacketConduit,
                  upstream: UpstreamNetwork, host: PluginHost,
-                 scheduler: Scheduler):
+                 scheduler: Scheduler, sink=None):
         self.config = config.validate()
         self.conduit = conduit
         self.upstream = upstream
@@ -179,10 +179,11 @@ class Engine:
         self.scheduler = scheduler
         self.flows: dict[FlowKey, TcpFlow | UdpFlow] = {}
         self.counters: dict[str, int] = {k: 0 for k in _COUNTER_KEYS}
-        # the run's only packet record and the pcap's source: every app packet
-        # the chain passed (even one the engine then refuses or answers itself)
-        # and every packet the engine wrote toward the app
-        self.capture: list[tuple[int, bytes]] = []
+        # where the owner records packets, if anywhere: any object with
+        # `.append((ts_us, data))` (a replay's pcap spool, a test's list) gets
+        # every app packet the chain passed (even one the engine then refuses
+        # or answers itself) and every packet the engine wrote toward the app
+        self.sink = sink
         self.eviction_reports: list[dict] = []
         self._rng = random.Random(config.seed)
         self._dns_shared: dict[tuple[str, Addr], _SharedDatagram] = {}
@@ -281,7 +282,7 @@ class Engine:
                    flow: TcpFlow | UdpFlow | None, creating: bool) -> EffectiveAction:
         """Run the chain over an app packet: FLOW_OPEN when it opens a
         flow, else PACKET_OUT. Counts a block; otherwise records the packet
-        in the capture, even one the engine then refuses or answers with an
+        in the sink, even one the engine then refuses or answers with an
         RST, and counts a redirect, honoured only on an open."""
         kind = EventKind.FLOW_OPEN if creating else EventKind.PACKET_OUT
         tcp_flags = tcp_seq = None
@@ -298,8 +299,8 @@ class Engine:
                 raw = serialize_packet(rebuilt, mtu=self.config.mtu)
             except OversizedPacket:
                 raw = None  # forwarded upstream anyway; just not capturable
-        if raw is not None:
-            self.capture.append((self.scheduler.now_us(), raw))
+        if raw is not None and self.sink is not None:
+            self.sink.append((self.scheduler.now_us(), raw))
         if action.redirect is not None:
             if creating:
                 self.counters["redirected_flows"] += 1
@@ -326,7 +327,8 @@ class Engine:
             self.counters["emit_oversized_dropped"] += 1
             return
         self.conduit.write_packet(data)
-        self.capture.append((self.scheduler.now_us(), data))
+        if self.sink is not None:
+            self.sink.append((self.scheduler.now_us(), data))
 
     def _advertised_window(self, flow: TcpFlow) -> int:
         # reflects spare receive capacity for app payload (the to_net queue)

@@ -3,13 +3,19 @@
 Reading accepts both byte orders and link types RAW (101), IPV4 (228),
 and Ethernet (1, IPv4 frames unwrapped, others skipped). Writing always
 emits little-endian RAW captures so output files are bit-reproducible.
+
+A capture is written as it happens: a `PcapSpool` appends each record to
+an anonymous temporary file, so no packet stays in memory, and
+`pcap_write` copies the finished file to wherever it is wanted.
 """
 
 from __future__ import annotations
 
+import shutil
 import struct
+import tempfile
+import weakref
 from pathlib import Path
-from typing import Iterable
 
 PCAP_MAGIC = 0xA1B2C3D4
 LINKTYPE_ETHERNET = 1
@@ -18,6 +24,11 @@ LINKTYPE_IPV4 = 228
 
 _ETHERTYPE_IPV4 = 0x0800
 _ETHERTYPE_VLAN = 0x8100
+
+_GLOBAL_HEADER = struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535, LINKTYPE_RAW)
+# record header: seconds, microseconds, captured length, original length
+_RECORD = {"<": struct.Struct("<IIII"), ">": struct.Struct(">IIII")}
+_pack_record = _RECORD["<"].pack
 
 
 class PcapError(Exception):
@@ -79,12 +90,12 @@ def pcap_read(path: str | Path) -> list[tuple[int, bytes]]:
         raise UnsupportedLinkType(f"link type {linktype}")
 
     records: list[tuple[int, bytes]] = []
+    unpack_from = _RECORD[endian].unpack_from
     offset = 24
     while offset < len(data):
         if offset + 16 > len(data):
             raise TruncatedCapture("record header cut short", records)
-        ts_sec, ts_usec, incl_len, _orig_len = struct.unpack(
-            endian + "IIII", data[offset:offset + 16])
+        ts_sec, ts_usec, incl_len, _orig_len = unpack_from(data, offset)
         offset += 16
         if offset + incl_len > len(data):
             raise TruncatedCapture("record body cut short", records)
@@ -100,12 +111,28 @@ def pcap_read(path: str | Path) -> list[tuple[int, bytes]]:
     return records
 
 
-def pcap_write(path: str | Path, records: Iterable[tuple[int, bytes]]) -> None:
-    """Write (timestamp_us, ip_packet_bytes) records as a RAW-linktype
-    little-endian classic pcap file."""
+class PcapSpool:
+    """A RAW-linktype little-endian pcap being written to an anonymous
+    temporary file, one record per `append`. The file is closed when the
+    spool is dropped."""
+
+    def __init__(self):
+        self._file = tempfile.TemporaryFile()
+        weakref.finalize(self, self._file.close)
+        self._write = self._file.write
+        self._write(_GLOBAL_HEADER)
+
+    def append(self, record: tuple[int, bytes]) -> None:
+        """Write one (timestamp_us, ip_packet_bytes) record."""
+        ts_us, pkt = record
+        n = len(pkt)
+        self._write(_pack_record(ts_us // 1_000_000, ts_us % 1_000_000, n, n))
+        self._write(pkt)
+
+
+def pcap_write(path: str | Path, spool: PcapSpool) -> None:
+    """Copy a spool's capture so far to `path`. The spool keeps it, and
+    later appends go on after it."""
+    spool._file.seek(0)
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535, LINKTYPE_RAW))
-        for ts_us, pkt in records:
-            fh.write(struct.pack("<IIII", ts_us // 1_000_000, ts_us % 1_000_000,
-                                 len(pkt), len(pkt)))
-            fh.write(pkt)
+        shutil.copyfileobj(spool._file, fh)

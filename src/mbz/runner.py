@@ -10,13 +10,13 @@ from .config import ParseError, PluginSpec, RunConfig, load_yaml
 from .conduit import ReplayConduit
 from .engine import Engine
 from .host import PluginDescriptor, PluginHost
-from .pcapio import pcap_read, pcap_write
+from .pcapio import PcapSpool, pcap_read, pcap_write
 from .plugins import (
     AdvisorPlugin, FirewallPlugin, OrgMap, SnitchPlugin, WhatIfPlugin,
 )
 from .plugins.firewall import FirewallRuleError, rules_from_list
 from .plugins.snitch import OrgMapError
-from .trace import APP_TO_NET, TraceEvent, read_trace
+from .trace import APP_TO_NET, TraceEvent, check_monotonic, read_trace
 from .upstream import ScriptError, SimEndpointScript, SimUpstream
 
 
@@ -40,11 +40,16 @@ def load_scripts(path: Path | None) -> list[SimEndpointScript]:
 
 
 def load_trace_events(config: RunConfig) -> list[TraceEvent]:
+    """The run's input events in timestamp order. `read_trace` checks the
+    order as it reads; a pcap input whose timestamps decrease raises
+    MalformedTrace."""
     if config.trace_path is not None:
         return read_trace(config.trace_path)
     if config.pcap_path is not None:
-        return [TraceEvent(ts_us=ts, direction=APP_TO_NET, app_label="", packet=pkt)
-                for ts, pkt in pcap_read(config.pcap_path)]
+        events = [TraceEvent(ts_us=ts, direction=APP_TO_NET, app_label="", packet=pkt)
+                  for ts, pkt in pcap_read(config.pcap_path)]
+        check_monotonic(events)
+        return events
     raise ParseError("config has no trace or pcap input")
 
 
@@ -99,7 +104,12 @@ def install_plugins(config: RunConfig, host: PluginHost,
 
 
 class ReplayRun:
-    """One assembled replay: engine, host, plugins, and their wiring."""
+    """One assembled replay: engine, host, plugins, and their wiring.
+
+    The engine records its packets into `capture`, a pcap spooled to a
+    temporary file as the run goes, so `write_outputs` can still copy it
+    to a target named after `execute()`. Dropping the run closes the file.
+    """
 
     def __init__(self, config: RunConfig, seed: int | None = None):
         self.config = config
@@ -116,8 +126,9 @@ class ReplayRun:
 
         events = load_trace_events(config)
         self.conduit = ReplayConduit(events)
+        self.capture = PcapSpool()
         self.engine = Engine(config.engine, self.conduit, self.upstream,
-                             self.host, self.scheduler)
+                             self.host, self.scheduler, sink=self.capture)
         for at_us, device in config.device_timeline:
             self.scheduler.call_at(at_us, lambda d=device: self.host.update_context(d))
 
@@ -171,6 +182,6 @@ def write_outputs(run: ReplayRun, report: dict,
     if pcap_target is not None:
         pcap_target = Path(pcap_target)
         pcap_target.parent.mkdir(parents=True, exist_ok=True)
-        pcap_write(pcap_target, run.engine.capture)
+        pcap_write(pcap_target, run.capture)
         written.append(pcap_target)
     return written

@@ -19,10 +19,11 @@ from mbz.packet import (
     ACK, FIN, PSH, RST, SYN,
     flow_key_of, make_tcp_packet, mss_option, parse_packet, serialize_packet,
 )
+from mbz.pcapio import PcapSpool, pcap_read, pcap_write
 from mbz.upstream import SimEndpointScript, SimUpstream
 
 
-def build_engine(scripts, config=None, host=None, seed=0):
+def build_engine(scripts, config=None, host=None, seed=0, sink=None):
     sched = Scheduler()
     conduit = InMemoryConduit(sched)
     upstream = SimUpstream(
@@ -30,8 +31,22 @@ def build_engine(scripts, config=None, host=None, seed=0):
          for s in scripts], sched, rng_seed=seed)
     host = host or PluginHost(sched, upstream=upstream)
     config = config or EngineConfig(local_isn=5000)
-    engine = Engine(config, conduit, upstream, host, sched)
+    engine = Engine(config, conduit, upstream, host, sched, sink=sink)
     return engine
+
+
+def spool_of(records) -> PcapSpool:
+    """A pcap spool holding (timestamp_us, ip_packet_bytes) records."""
+    spool = PcapSpool()
+    for record in records:
+        spool.append(record)
+    return spool
+
+
+def written_capture(run, path) -> list[tuple[int, bytes]]:
+    """A replay's capture as `write_outputs` writes it, read back."""
+    pcap_write(path, run.capture)
+    return pcap_read(path)
 
 
 def plugin_state(host: PluginHost, plugin_id: str) -> dict:

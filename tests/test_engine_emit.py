@@ -54,7 +54,8 @@ class TestOutboundPacketPerFlow:
         assert [dnswire.parse_message(p.payload).qid for p in answers] == [9, 10]
 
     def test_capture_entries_never_change_after_a_later_emit(self):
-        engine = build_engine([ECHO])
+        final = []
+        engine = build_engine([ECHO], sink=final)
         driver = Driver(engine)
         peer = driver.add_peer(AppPeer(engine, APP, ("10.1.0.1", 80)))
         peer.syn()
@@ -63,10 +64,9 @@ class TestOutboundPacketPerFlow:
         for n in (1, 1460, 2921, 7):
             peer.send(bytes([n & 0xFF]) * n)
             driver.drive_with_retransmits(peer)
-            snapshots.append([(ts, bytes(data)) for ts, data in engine.capture])
+            snapshots.append([(ts, bytes(data)) for ts, data in final])
         peer.fin()
         driver.drive()
-        final = engine.capture
         for snapshot in snapshots:
             assert final[:len(snapshot)] == snapshot
         assert all(type(data) is bytes for _ts, data in final)

@@ -98,7 +98,9 @@ def _flags(n):
 def run_case(site, verdict_name):
     """(counters, packets written to the app, packets captured)."""
     budget, packets, hit = SITES[site]
-    engine = build_engine(SCRIPTS, EngineConfig(local_isn=5000, socket_budget=budget))
+    captured = []
+    engine = build_engine(SCRIPTS, EngineConfig(local_isn=5000, socket_budget=budget),
+                          sink=captured)
     engine.host.register(PluginDescriptor(
         id="site", name="site",
         requested=Permission.OBSERVE | Permission.MODIFY_PAYLOAD | Permission.BLOCK_FLOW
@@ -114,7 +116,7 @@ def run_case(site, verdict_name):
                 written.append((_flags(t.flags), t.seq, t.ack, pkt.payload))
             else:
                 written.append(("udp", None, None, pkt.payload))
-    return engine.counters, written, len(engine.capture)
+    return engine.counters, written, len(captured)
 
 
 # (site, verdict) -> (nonzero counters, packets written, captured)

@@ -8,7 +8,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import AppPeer, Driver, build_engine
+from helpers import AppPeer, Driver, build_engine, written_capture
 
 from mbz import dnswire, tlswire
 from mbz.engine import EngineConfig
@@ -573,7 +573,7 @@ class TestSniForgottenOnClose:
             "  - {id: snitch, kind: snitch, org_map: orgs.csv}\n")
         run = ReplayRun(load_config(tmp_path / "config.yaml"))
         report = run.execute()
-        return run, report_json_bytes(report), list(run.engine.capture)
+        return run, report_json_bytes(report), written_capture(run, tmp_path / "out.pcap")
 
     def test_every_closed_flow_leaves_no_sni_and_nothing_else_changes(
             self, tmp_path, monkeypatch):

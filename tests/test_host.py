@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from helpers import plugin_state
+from helpers import plugin_state, written_capture
 from hypothesis import given, settings, strategies as st
 
 from mbz import dnswire, tlswire
@@ -359,14 +359,15 @@ class TestGovernorClocks:
         assert not enabled(host, "busy") and busy.calls == budget.violation_grace + 1
         assert "CpuOverrun" in host.governor_events[0]["detail"]
 
-    def test_replay_ignores_wall_time_spent_in_callbacks(self):
+    def test_replay_ignores_wall_time_spent_in_callbacks(self, tmp_path):
         def replay(busy_us):
             run = ReplayRun(load_config(DATA / "golden" / "config.yaml"))
             plugin = BusyPlugin(busy_us)
             run.host.register(PluginDescriptor(
                 id="busy", name="busy", requested=OBSERVE), plugin)
             report = run.execute()
-            return plugin.calls, report_json_bytes(report), run.engine.capture
+            return (plugin.calls, report_json_bytes(report),
+                    written_capture(run, tmp_path / "out.pcap"))
 
         busy_calls, busy_report, busy_capture = replay(2000)
         idle_calls, idle_report, idle_capture = replay(0)

@@ -7,14 +7,17 @@ import struct
 import time
 
 import pytest
+from helpers import spool_of
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mbz.clock import Scheduler
 from mbz.conduit import InMemoryConduit, ReplayConduit
+from mbz.config import load_config
 from mbz.packet import make_udp_packet, serialize_packet
 from mbz.pcapio import (
-    BadMagic, TruncatedCapture, UnsupportedLinkType, pcap_read, pcap_write,
+    BadMagic, PcapSpool, TruncatedCapture, UnsupportedLinkType, pcap_read, pcap_write,
 )
+from mbz.runner import ReplayRun
 from mbz.trace import (
     APP_TO_NET, NET_TO_APP, MalformedTrace, TraceEvent, read_trace, write_trace,
 )
@@ -209,8 +212,22 @@ class TestPcap:
     def test_write_read_round_trip(self, tmp_path):
         records = [(i * 1000 + 7, _pkt_bytes(i)) for i in range(5)]
         path = tmp_path / "t.pcap"
-        pcap_write(path, records)
+        pcap_write(path, spool_of(records))
         assert pcap_read(path) == records
+
+    def test_spool_layout_and_appends_after_a_copy(self, tmp_path):
+        pkt = _pkt_bytes()
+        header = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101)
+        record = struct.pack("<IIII", 3, 250, len(pkt), len(pkt)) + pkt
+        spool = PcapSpool()
+        pcap_write(tmp_path / "empty.pcap", spool)
+        assert (tmp_path / "empty.pcap").read_bytes() == header
+        spool.append((3_000_250, pkt))
+        pcap_write(tmp_path / "one.pcap", spool)
+        spool.append((3_000_250, pkt))
+        pcap_write(tmp_path / "two.pcap", spool)
+        assert (tmp_path / "one.pcap").read_bytes() == header + record
+        assert (tmp_path / "two.pcap").read_bytes() == header + record + record
 
     def test_big_endian_accepted(self, tmp_path):
         pkt = _pkt_bytes()
@@ -250,7 +267,7 @@ class TestPcap:
     def test_truncated_last_record(self, tmp_path):
         records = [(1, _pkt_bytes(0)), (2, _pkt_bytes(1))]
         path = tmp_path / "trunc.pcap"
-        pcap_write(path, records)
+        pcap_write(path, spool_of(records))
         data = path.read_bytes()
         path.write_bytes(data[:-5])
         with pytest.raises(TruncatedCapture) as exc_info:
@@ -274,12 +291,13 @@ class TestConduits:
         assert conduit.next_ready_us() is None
         assert conduit.read_packet() is None
 
-    def test_decreasing_timestamps_rejected(self):
-        events = [TraceEvent(10, APP_TO_NET, "", _pkt_bytes()),
-                  TraceEvent(5, APP_TO_NET, "", _pkt_bytes())]
-        # bypass the constructor check in TraceEvent list building
-        with pytest.raises(MalformedTrace):
-            ReplayConduit(events)
+    def test_decreasing_pcap_timestamps_rejected(self, tmp_path):
+        # a trace file is checked as it is read; a pcap input is checked
+        # when its records become events
+        pcap_write(tmp_path / "in.pcap", spool_of([(10, _pkt_bytes()), (5, _pkt_bytes())]))
+        (tmp_path / "config.yaml").write_text("io: {pcap: in.pcap}\n")
+        with pytest.raises(MalformedTrace, match="decreases"):
+            ReplayRun(load_config(tmp_path / "config.yaml"))
 
     def test_in_memory_conduit_stamps_writes(self):
         sched = Scheduler()

@@ -1,14 +1,16 @@
 """Runner wiring: ingestion paths, device timeline, engine edge counters."""
 
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
-from helpers import build_engine
+from helpers import build_engine, spool_of, written_capture
 
 from mbz.config import load_config
 from mbz.host import Connectivity
@@ -26,7 +28,7 @@ class TestIngestion:
     def test_pcap_input_path(self, tmp_path):
         records = [(1000, serialize_packet(make_udp_packet(
             ("10.0.0.2", 6001), ("203.0.113.1", 9), payload=b"hi")))]
-        pcap_write(tmp_path / "in.pcap", records)
+        pcap_write(tmp_path / "in.pcap", spool_of(records))
         (tmp_path / "config.yaml").write_text(
             "engine: {local_isn: 5000}\nio: {pcap: in.pcap}\n")
         run = ReplayRun(load_config(tmp_path / "config.yaml"))
@@ -66,9 +68,42 @@ class TestPinnedCaptures:
         config = load_config(DATA / config_name)
         config.report_path = tmp_path / "report.json"
         run = ReplayRun(config)
-        pcap = tmp_path / "out.pcap"
-        write_outputs(run, run.execute(), out_pcap=pcap)
-        assert hashlib.sha256(pcap.read_bytes()).hexdigest() == PINNED_PCAPS[config_name]
+        report = run.execute()
+        # the spool is copied, not consumed: a second target gets the same bytes
+        for pcap in (tmp_path / "out.pcap", tmp_path / "again.pcap"):
+            write_outputs(run, report, out_pcap=pcap)
+            assert hashlib.sha256(pcap.read_bytes()).hexdigest() == PINNED_PCAPS[config_name]
+
+
+class TestCaptureSpool:
+    def replay(self, tmp_path):
+        config = load_config(DATA / "golden" / "config.yaml")
+        config.report_path = tmp_path / "report.json"
+        run = ReplayRun(config)
+        return run, run.execute()
+
+    @pytest.mark.parametrize("write", [False, True])
+    def test_dropped_run_closes_its_spool(self, tmp_path, monkeypatch, write):
+        # an unclosed file warns as it is collected; the warning, an error
+        # under this suite's filters, would surface here
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        run, report = self.replay(tmp_path)
+        if write:
+            write_outputs(run, report)
+        spool_file = run.capture._file
+        assert not spool_file.closed
+        del run, report
+        gc.collect()
+        assert spool_file.closed
+        assert unraisable == []
+
+    def test_no_pcap_without_a_target(self, tmp_path):
+        run, report = self.replay(tmp_path)
+        assert run.config.out_pcap is None
+        written = write_outputs(run, report)
+        assert not any(p.suffix == ".pcap" for p in written)
+        assert not list(tmp_path.rglob("*.pcap"))
 
 
 # replays each config given after the output directory into <out>/<i>/
@@ -122,7 +157,7 @@ class TestSnitchPassivity:
         def emitted(cfg):
             run = ReplayRun(load_config(tmp_path / cfg))
             run.execute()
-            return run.engine.capture
+            return written_capture(run, tmp_path / f"{cfg}.pcap")
 
         assert emitted("bare.yaml") == emitted("snitch.yaml")
 
@@ -150,6 +185,40 @@ class TestBenchWithPlugins:
         assert len(snitch.records) == 30  # the chain really ran
 
 
+class TestBoundedBench:
+    @staticmethod
+    def retained(engine) -> list[str]:
+        """Names of the engine's non-empty lists and deques."""
+        return [name for name, value in vars(engine).items()
+                if isinstance(value, (list, deque)) and value]
+
+    def test_engine_without_a_sink_keeps_no_packet_record(self):
+        engine = build_engine([{"cidr": "10.1.0.0/24", "behavior": "echo"}])
+        for port in range(40000, 40020):
+            engine.conduit.inject(serialize_packet(make_tcp_packet(
+                ("10.0.0.2", port), ("10.1.0.1", 80), seq=1, ack=0, flags=SYN)))
+            engine.pump()
+        assert len(engine.conduit.take_emitted()) == 20  # one SYN/ACK each
+        assert engine.sink is None
+        assert not hasattr(engine, "capture")
+        assert self.retained(engine) == []
+
+    def test_run_bench_builds_its_engine_without_a_sink(self, monkeypatch):
+        from mbz import bench
+        built = []
+
+        class Recorded(bench.Engine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(bench, "Engine", Recorded)
+        bench.run_bench(30)
+        (engine,) = built
+        assert engine.sink is None
+        assert self.retained(engine) == []
+
+
 class TestRandomIsnSeeding:
     def _config(self, tmp_path):
         from mbz.trace import APP_TO_NET, TraceEvent, write_trace
@@ -170,7 +239,7 @@ class TestRandomIsnSeeding:
         def capture(seed):
             run = ReplayRun(load_config(cfg), seed=seed)
             run.execute()
-            return run.engine.capture
+            return written_capture(run, tmp_path / f"{seed}.pcap")
 
         assert capture(7) == capture(7)
         a, b = capture(7), capture(8)
