@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import random
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .clock import Scheduler
@@ -95,7 +96,6 @@ class TcpFlow:
     stream: StreamHandle | None = None
     to_app: bytearray = field(default_factory=bytearray)
     to_net: bytearray = field(default_factory=bytearray)
-    last_activity: int = 0
     app_fin_seen: bool = False
     fin_sent: bool = False
     fin_acked: bool = False
@@ -119,8 +119,8 @@ class UdpFlow:
     app_label: str
     effective_dst: Addr
     handle: DatagramHandle
-    last_activity: int
     shared_key: tuple[str, Addr] | None = None  # set for DNS flows
+    wire_ids: set[int] = field(default_factory=set)  # DNS ids it holds on the shared socket
     out: Packet = field(init=False, repr=False, compare=False)  # datagrams toward the app
 
     def __post_init__(self) -> None:
@@ -187,6 +187,9 @@ class Engine:
         self.eviction_reports: list[dict] = []
         self._rng = random.Random(config.seed)
         self._dns_shared: dict[tuple[str, Addr], _SharedDatagram] = {}
+        # each UDP flow's last activity, oldest first: plain UDP, then DNS
+        self._activity: tuple[OrderedDict[FlowKey, int], ...] = (OrderedDict(), OrderedDict())
+        self._closed: list[TcpFlow] = []  # closed since the last sweep
         self._tick_timer = None
         self._mss_to_app = min(1460, config.mtu - 40)
 
@@ -395,7 +398,6 @@ class Engine:
             effective_dst=redirect or key.dst,
             mss=self._clamp_mss(extract_mss(tcp.options)),
             app_window=tcp.window,
-            last_activity=self.scheduler.now_us(),
             deferred_payload=payload if pkt.payload else b"",
             deferred_app_len=len(pkt.payload), notice=notice,
         )
@@ -432,7 +434,6 @@ class Engine:
     def _on_stream_event(self, flow: TcpFlow, event: str) -> None:
         if flow.state is TcpState.CLOSED:
             return
-        flow.last_activity = self.scheduler.now_us()
         if event == EV_CONNECTED:
             if flow.state is TcpState.UPSTREAM_CONNECTING:
                 self._establish(flow)
@@ -465,7 +466,6 @@ class Engine:
     def _handle_tcp_segment(self, flow: TcpFlow, pkt: Packet,
                             effective_payload: bytes) -> None:
         tcp: TcpHeader = pkt.transport
-        flow.last_activity = self.scheduler.now_us()
         flow.app_window = tcp.window
 
         if tcp.has(RST):
@@ -623,6 +623,7 @@ class Engine:
             flow.stream.close()
             flow.stream = None
         flow.state = TcpState.CLOSED
+        self._closed.append(flow)
         flow.to_app.clear()
         flow.to_net.clear()
         self.host.dispatch(EventKind.FLOW_CLOSE, flow.key, flow.app_label)
@@ -704,13 +705,14 @@ class Engine:
             if flow is None:
                 return
 
-        flow.last_activity = self.scheduler.now_us()
+        self._touch(flow)
         payload = action.payload
         if flow.shared_key is not None and len(payload) >= 2:
             wire_id = self._dns_shared[flow.shared_key].claim_id(
                 key, int.from_bytes(payload[:2], "big"))
             if wire_id is None:
                 return  # no id left on the shared socket: drop, as a full queue would
+            flow.wire_ids.add(wire_id)
             payload = wire_id.to_bytes(2, "big") + payload[2:]
         flow.handle.send_to(flow.effective_dst, payload)
 
@@ -741,8 +743,7 @@ class Engine:
                 handle.set_callback(
                     lambda addr, data, k=key: self._on_udp_datagram(k, addr, data))
         flow = UdpFlow(key=key, app_label=app_label, effective_dst=effective_dst,
-                       handle=handle, last_activity=self.scheduler.now_us(),
-                       shared_key=shared_key)
+                       handle=handle, shared_key=shared_key)
         self.flows[key] = flow
         self.counters["udp_flows_created"] += 1
         return flow
@@ -760,15 +761,22 @@ class Engine:
         if shared is None or len(data) < 2:
             self.counters["udp_inbound_unroutable"] += 1
             return
-        holder = shared.ids.pop(int.from_bytes(data[:2], "big"), None)
+        wire_id = int.from_bytes(data[:2], "big")
+        holder = shared.ids.pop(wire_id, None)
         flow = self.flows.get(holder[0]) if holder is not None else None
         if not isinstance(flow, UdpFlow):
             self.counters["udp_inbound_unroutable"] += 1
             return
+        flow.wire_ids.discard(wire_id)
         self._deliver_udp(flow, holder[1].to_bytes(2, "big") + data[2:])
 
+    def _touch(self, flow: UdpFlow) -> None:
+        order = self._activity[flow.shared_key is not None]
+        order[flow.key] = self.scheduler.now_us()
+        order.move_to_end(flow.key)
+
     def _deliver_udp(self, flow: UdpFlow, data: bytes) -> None:
-        flow.last_activity = self.scheduler.now_us()
+        self._touch(flow)
         action = self._offer_in(flow, data)
         if action.block is not None:
             return
@@ -784,10 +792,11 @@ class Engine:
                     shared.handle.close()
                     del self._dns_shared[flow.shared_key]
                 else:
-                    shared.ids = {i: h for i, h in shared.ids.items() if h[0] != flow.key}
+                    for wire_id in flow.wire_ids:
+                        del shared.ids[wire_id]
         else:
             flow.handle.close()
-        del self.flows[flow.key]
+        del self.flows[flow.key], self._activity[flow.shared_key is not None][flow.key]
         if reason == "idle":
             self.counters["udp_flows_evicted_idle"] += 1
         elif reason == "pressure":
@@ -801,27 +810,23 @@ class Engine:
         descriptor pressure by evicting least-recently-active UDP flows."""
         now = self.scheduler.now_us()
         evicted: list[str] = []
-        removed: list[str] = []
-        for flow in list(self.flows.values()):
-            if isinstance(flow, UdpFlow):
-                timeout = self.config.dns_timeout_us if flow.shared_key is not None \
-                    else self.config.udp_timeout_us
-                if now - flow.last_activity > timeout:
-                    self._evict_udp(flow, "idle")
-                    evicted.append(str(flow.key))
-            elif flow.state is TcpState.CLOSED:
-                del self.flows[flow.key]
-                removed.append(str(flow.key))
+        for order, timeout in zip(self._activity, (self.config.udp_timeout_us,
+                                                   self.config.dns_timeout_us)):
+            while order and now - next(iter(order.values())) > timeout:
+                key = next(iter(order))
+                self._evict_udp(self.flows[key], "idle")
+                evicted.append(str(key))
+        for flow in self._closed:
+            del self.flows[flow.key]
+        removed, self._closed = [str(flow.key) for flow in self._closed], []
 
         threshold = 0.9 * self.config.socket_budget
-        if self.upstream.active_handle_count() > threshold:
-            lru = sorted((f for f in self.flows.values() if isinstance(f, UdpFlow)),
-                         key=lambda f: (f.last_activity, str(f.key)))
-            for flow in lru:
-                if self.upstream.active_handle_count() <= threshold:
-                    break
-                self._evict_udp(flow, "pressure")
-                evicted.append(str(flow.key))
+        while self.upstream.active_handle_count() > threshold and any(self._activity):
+            # the older front; on a tie, plain UDP's
+            order = min(filter(None, self._activity), key=lambda o: next(iter(o.values())))
+            key = next(iter(order))
+            self._evict_udp(self.flows[key], "pressure")
+            evicted.append(str(key))
 
         if evicted or removed:
             self.eviction_reports.append(

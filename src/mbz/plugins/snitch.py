@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import ipaddress
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -99,7 +100,10 @@ class SnitchPlugin(TrafficPlugin):
         self.first_party_orgs = frozenset(first_party_orgs or ())
         self.burst_gap_us = burst_gap_us
         self.tracker = DomainTracker()
-        self.records: dict[FlowKey, SnitchRecord] = {}
+        self.records: dict[FlowKey, SnitchRecord] = {}  # open flows
+        # closed flows, so a flow that reuses a closed flow's five-tuple is
+        # counted apart
+        self.closed: list[SnitchRecord] = []
 
     # -- events -------------------------------------------------------------
 
@@ -123,6 +127,12 @@ class SnitchPlugin(TrafficPlugin):
 
     def on_packet_in(self, event: PluginEvent, ctx: PluginContext):
         self.tracker.observe_in(event, ctx)
+        return None
+
+    def on_flow_close(self, event: PluginEvent, ctx: PluginContext):
+        rec = self.records.pop(ctx.key, None) if ctx.key else None
+        if rec is not None:
+            self.closed.append(rec)
         return None
 
     def _observe_out(self, event: PluginEvent, ctx: PluginContext,
@@ -149,7 +159,7 @@ class SnitchPlugin(TrafficPlugin):
         first_party_flows = 0
         org_of: dict[tuple[str, str], str] = {}  # (domain, address) -> org
 
-        for rec in self.records.values():
+        for rec in itertools.chain(self.closed, self.records.values()):
             where = (rec.sni or self.tracker.ip_to_name.get(rec.key.dst[0], ""), rec.key.dst[0])
             org = org_of.get(where)
             if org is None:

@@ -583,12 +583,13 @@ class TestSniForgottenOnClose:
         assert counters["blocked_packets"] == 1 and not run.engine.flows
         assert run.plugins["fw"].tracker.sni_by_key == {}
         # the snitch keeps the SNI of every flow it saw (the block ends the
-        # chain before it) in the flow's record, for its report at the end
-        # of the run, and keeps no map of its own
+        # chain before it) in the flow's record, which moves to its closed
+        # records at close, for its report at the end of the run, and keeps
+        # no map of its own
         snitch = run.plugins["snitch"]
-        assert snitch.tracker.sni_by_key == {}
-        assert [rec.sni for rec in snitch.records.values()] \
-            == ["a.good.example", "b.good.example", None]
+        assert snitch.tracker.sni_by_key == {} and snitch.records == {}
+        assert sorted((rec.key.src[1], rec.sni) for rec in snitch.closed) \
+            == [(30001, "a.good.example"), (30002, "b.good.example"), (30003, None)]
 
         # the firewall as it was before it forgot: every SNI kept for the run
         monkeypatch.delattr(FirewallPlugin, "on_flow_close")

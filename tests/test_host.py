@@ -951,7 +951,7 @@ class TestSubscriberTables:
         everything_but_close = {EventKind.FLOW_OPEN, EventKind.PACKET_OUT, EventKind.PACKET_IN}
         expected = {
             "fw": (FirewallPlugin([]), set(EventKind)),
-            "snitch": (SnitchPlugin(OrgMap.from_pairs([])), everything_but_close),
+            "snitch": (SnitchPlugin(OrgMap.from_pairs([])), set(EventKind)),
             "whatif": (WhatIfPlugin([("9.9.9.9", 53)]), everything_but_close),
             "advisor": (AdvisorPlugin(), set(EventKind)),
         }

@@ -91,6 +91,23 @@ class TestAggregation:
         assert report["third_party"]["total_flows"] == 16
         assert report["first_party_flows"] == 3  # the DNS queries themselves
 
+    def test_reused_five_tuple_counts_both_flows(self):
+        # the first flow is idle-evicted, then the app reopens the same five-tuple
+        engine = build_engine([ECHO_SCRIPT])
+        snitch = install_snitch(engine)
+        for at_us in (0, 31_000_000):
+            engine.scheduler.advance_to(at_us)
+            engine.sweep()
+            engine.conduit.inject(serialize_packet(make_udp_packet(
+                ("10.0.0.2", 6001), ("10.9.0.1", 9), payload=b"ping")), app_label="app")
+            engine.pump()
+        assert engine.counters["udp_flows_created"] == 2
+        assert engine.counters["udp_flows_evicted_idle"] == 1
+        report = snitch.report()
+        assert report["third_party"]["total_flows"] == 2
+        assert report["per_app"]["app"]["flows_per_org"] == [["unknown", 2]]
+        assert len(snitch.closed) == 1 and len(snitch.records) == 1
+
     def test_empty_store_empty_report(self):
         engine = build_engine([])
         snitch = install_snitch(engine)
