@@ -3,7 +3,10 @@
 Unknown keys are rejected outright so a typo ("speeed") fails loudly at
 load time instead of silently running with defaults. All referenced
 files must exist at load. Paths are resolved relative to the config
-file's directory.
+file's directory. Each plugin setting is checked and converted to its
+plugin constructor's argument at load, through `PLUGIN_TABLE`, and the
+rules and org-map files are parsed there too, so building the chain
+later cannot fail on the config.
 
 Every YAML file a run reads (this config, the upstream scripts, the
 firewall rules) goes through `load_yaml`: PyYAML's libyaml-backed
@@ -16,12 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
 from .engine import EngineConfig
 from .host import (Connectivity, DeviceContext, MalformedPermissions, Permission,
                    ResourceBudget, permissions_from_names)
+from .packet import ipv4_endpoint
+from .plugins import AdvisorPlugin, FirewallPlugin, OrgMap, SnitchPlugin, WhatIfPlugin
+from .plugins.firewall import rules_from_list
 
 
 class ConfigLoadError(Exception):
@@ -65,24 +72,6 @@ def load_yaml(path: str | Path):
         raise ParseError(f"{path}: not valid YAML: nested too deeply") from None
 
 
-PLUGIN_KINDS = ("snitch", "firewall", "dns-whatif", "protocol-advisor")
-
-DEFAULT_PERMISSIONS = {
-    "snitch": ["observe"],
-    "firewall": ["observe", "block_flow", "redirect_flow", "modify_payload"],
-    "dns-whatif": ["observe", "inject_packets"],
-    "protocol-advisor": ["observe"],
-}
-
-# per kind, each setting's type (object: checked when the plugin is built)
-_PLUGIN_SETTING_KEYS = {
-    "snitch": {"org_map": str, "first_party_orgs": list, "burst_gap_s": object},
-    "firewall": {"rules": str, "default_allow": bool},
-    "dns-whatif": {"resolvers": list, "probability": object, "timeout_s": object},
-    "protocol-advisor": {"loss_rate_threshold": object, "min_samples": object},
-}
-
-
 @dataclass
 class PluginSpec:
     id: str
@@ -114,7 +103,7 @@ def _require_keys(obj: dict, known: set[str] | dict[str, type], where: str) -> N
         raise ParseError(f"{where}: expected a mapping")
     unknown = set(obj) - set(known)
     if unknown:
-        raise ParseError(f"{where}: unknown key {sorted(unknown)[0]!r}")
+        raise ParseError(f"{where}: unknown key {min(unknown, key=str)!r}")
     for key, kind in known.items() if isinstance(known, dict) else ():
         if key in obj and not isinstance(obj[key], kind):
             raise ParseError(f"{where}: {key} must be {kind.__name__}, got {obj[key]!r}")
@@ -133,8 +122,11 @@ def _us(seconds) -> int:
 
 
 def _existing(base: Path, raw: str, what: str) -> Path:
-    path = (base / raw).resolve() if not Path(raw).is_absolute() else Path(raw)
-    if not path.exists():
+    try:
+        path = (base / raw).resolve() if not Path(raw).is_absolute() else Path(raw)
+    except ValueError as exc:  # a NUL in the name
+        raise ParseError(f"{what} file name {raw!r}: {exc}") from None
+    if not path.is_file():
         raise MissingFile(f"{what} file not found: {path}")
     return path
 
@@ -178,46 +170,100 @@ def _budget_from(obj: dict, where: str) -> ResourceBudget:
     return budget
 
 
+def _checked(convert, ok, rule: str):
+    """`convert`, then a ValueError unless `ok` holds for its result."""
+    def checked(value):
+        result = convert(value)
+        if not ok(result):
+            raise ValueError(f"must be {rule}")
+        return result
+    return checked
+
+
+def _typed(kind: type, convert=lambda value: value):
+    """`convert`, for a value of type `kind` only."""
+    def typed(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"must be {kind.__name__}")
+        return convert(value)
+    return typed
+
+
+_fraction = _checked(float, lambda x: 0 <= x <= 1, "from 0 to 1")
+
+
+class PluginKind(NamedTuple):
+    """A plugin kind: its class, an entry's permissions when it names
+    none, the report section `report()` fills, and each setting as config
+    key: (constructor parameter, conversion[, what the file it names
+    holds]). A file setting is required; its conversion parses the file."""
+    plugin: type
+    permissions: tuple[str, ...]
+    section: str | None
+    settings: dict[str, tuple]
+
+
+PLUGIN_TABLE = {
+    "snitch": PluginKind(SnitchPlugin, ("observe",), "snitch", {
+        "org_map": ("org_map", OrgMap.from_csv, "org map"),
+        "first_party_orgs": ("first_party_orgs", _typed(list, set)),
+        "burst_gap_s": ("burst_gap_us", _checked(_us, lambda us: us >= 0, "0 or more")),
+    }),
+    "firewall": PluginKind(
+        FirewallPlugin, ("observe", "block_flow", "redirect_flow", "modify_payload"), None, {
+            "rules": ("rules", lambda path: rules_from_list(load_yaml(path) or []),
+                      "firewall rules"),
+            "default_allow": ("default_allow", _typed(bool)),
+        }),
+    "dns-whatif": PluginKind(WhatIfPlugin, ("observe", "inject_packets"), "whatif", {
+        "resolvers": ("alt_resolvers", _typed(list, lambda targets: tuple(
+            ipv4_endpoint(target, min_port=1) for target in targets))),
+        "probability": ("probability", _fraction),
+        "timeout_s": ("timeout_us", _checked(_us, lambda us: us > 0, "more than 0")),
+    }),
+    "protocol-advisor": PluginKind(AdvisorPlugin, ("observe",), "advisor", {
+        "loss_rate_threshold": ("loss_rate_threshold", _fraction),
+        "min_samples": ("min_samples", _checked(int, lambda n: n >= 0, "0 or more")),
+    }),
+}
+
+
 def _plugin_from(obj: dict, base: Path, index: int) -> PluginSpec:
     where = f"plugins[{index}]"
-    common = {"id": object, "kind": object, "permissions": list, "budget": object,
-              "wifi_only_export": bool}
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected a mapping")
-    kind = obj.get("kind")
-    if kind not in PLUGIN_KINDS:
-        raise ParseError(f"{where}: unknown plugin kind {kind!r}")
-    _require_keys(obj, common | _PLUGIN_SETTING_KEYS[kind], where)
+    name = obj.get("kind")
+    if not isinstance(name, str) or name not in PLUGIN_TABLE:
+        raise ParseError(f"{where}: unknown plugin kind {name!r}")
+    kind = PLUGIN_TABLE[name]
+    common = {"id": object, "kind": str, "permissions": list, "budget": object,
+              "wifi_only_export": bool}
+    _require_keys(obj, common | dict.fromkeys(kind.settings, object), where)
     if "id" not in obj:
         raise ParseError(f"{where}: missing id")
+    plugin_id = str(obj["id"])
 
     try:
-        permissions = permissions_from_names(obj.get("permissions", DEFAULT_PERMISSIONS[kind]))
+        permissions = permissions_from_names(obj.get("permissions", kind.permissions))
     except MalformedPermissions as exc:
         raise ParseError(f"{where}: {exc}") from exc
-    settings = {k: obj[k] for k in _PLUGIN_SETTING_KEYS[kind] if k in obj}
-
-    if kind == "snitch":
-        if "org_map" not in settings:
-            raise ParseError(f"{where}: snitch requires org_map")
-        settings["org_map"] = _existing(base, settings["org_map"], "org map")
-    if kind == "firewall":
-        if "rules" not in settings:
-            raise ParseError(f"{where}: firewall requires rules")
-        settings["rules"] = _existing(base, settings["rules"], "firewall rules")
-    if kind == "dns-whatif":
-        resolvers = []
-        for target in settings.get("resolvers", []):
-            try:
-                host_part, port_part = str(target).rsplit(":", 1)
-                resolvers.append((host_part, int(port_part)))
-            except ValueError as exc:
-                raise ParseError(f"{where}: bad resolver {target!r}") from exc
-        settings["resolvers"] = resolvers
+    settings = {}
+    try:
+        for key, (param, convert, *file) in kind.settings.items():
+            if key not in obj:
+                if file:
+                    raise ParseError(f"{name} requires {key}")
+                continue
+            value = obj[key]
+            if file:
+                value = _convert(lambda raw: str(_existing(base, raw, file[0])), value, key)
+            settings[param] = _convert(convert, value, key)
+    except ParseError as exc:
+        raise ParseError(f"plugin {plugin_id!r}: {exc}") from exc
 
     return PluginSpec(
-        id=str(obj["id"]),
-        kind=kind,
+        id=plugin_id,
+        kind=name,
         permissions=permissions,
         budget=_budget_from(obj.get("budget", {}), f"{where}.budget"),
         wifi_only_export=obj.get("wifi_only_export", False),

@@ -90,6 +90,32 @@ def build_response(qid: int, qname: str, qtype: int, ips: list[str],
     return header + question + bytes(answers)
 
 
+def question_end(data: bytes) -> int:
+    """The offset just past a message's first question, so that
+    `data[12:question_end(data)]` is the question as sent; 12 (no
+    question) when the message has none or it does not parse."""
+    # walks the label lengths only: the engine calls this on every query
+    # and answer on a shared socket
+    size = len(data)
+    if size < 12 or data[4:6] == b"\0\0":
+        return 12
+    offset = 12
+    while offset < size:
+        length = data[offset]
+        if length == 0:
+            end = offset + 5  # the root label, then type and class
+            break
+        if length >= 0xC0:
+            end = offset + 6  # a compression pointer, then type and class
+            break
+        if length > 63:
+            return 12
+        offset += length + 1
+    else:
+        return 12
+    return end if end <= size else 12
+
+
 def parse_message(data: bytes) -> DnsMessage | None:
     """Parse a DNS message down to question + A-record answers; returns
     None when it is not parseable as DNS."""

@@ -17,6 +17,7 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from . import dnswire
 from .clock import Scheduler
 from .conduit import PacketConduit
 from .host import Block, BlockMode, EffectiveAction, EventKind, PluginHost
@@ -132,18 +133,22 @@ class _SharedDatagram:
     """One upstream socket for the DNS flows from one app address to one
     resolver. Each query goes out under an id no other query on the
     socket holds, so its answer finds its flow: `ids` maps the id on the
-    wire to (flow key, the app's id) until the answer comes back or the
-    flow is evicted, which bounds it to the 65536 ids."""
+    wire to (flow key, the app's id, the query's question) until the
+    answer comes back or the flow is evicted, which bounds it to the
+    65536 ids. An answer to another question under a held id (a late
+    answer to an evicted flow's query) leaves the id held; a query whose
+    question does not parse holds an empty one, which any answer fits."""
     handle: DatagramHandle
     refs: int = 0
-    ids: dict[int, tuple[FlowKey, int]] = field(default_factory=dict)
+    ids: dict[int, tuple[FlowKey, int, bytes]] = field(default_factory=dict)
 
-    def claim_id(self, key: FlowKey, app_id: int) -> int | None:
+    def claim_id(self, key: FlowKey, app_id: int, question: bytes) -> int | None:
         """The app's own id if free (or already this query's), else the
         next free one; None when every id awaits an answer."""
+        holder = (key, app_id, question)
         for n in range(0x10000):
             wire_id = (app_id + n) & 0xFFFF
-            if self.ids.setdefault(wire_id, (key, app_id)) == (key, app_id):
+            if self.ids.setdefault(wire_id, holder) == holder:
                 return wire_id
         return None
 
@@ -709,7 +714,8 @@ class Engine:
         payload = action.payload
         if flow.shared_key is not None and len(payload) >= 2:
             wire_id = self._dns_shared[flow.shared_key].claim_id(
-                key, int.from_bytes(payload[:2], "big"))
+                key, int.from_bytes(payload[:2], "big"),
+                payload[12:dnswire.question_end(payload)])
             if wire_id is None:
                 return  # no id left on the shared socket: drop, as a full queue would
             flow.wire_ids.add(wire_id)
@@ -762,8 +768,12 @@ class Engine:
             self.counters["udp_inbound_unroutable"] += 1
             return
         wire_id = int.from_bytes(data[:2], "big")
-        holder = shared.ids.pop(wire_id, None)
-        flow = self.flows.get(holder[0]) if holder is not None else None
+        holder = shared.ids.get(wire_id)
+        if holder is None or holder[2] and holder[2] != data[12:dnswire.question_end(data)]:
+            self.counters["udp_inbound_unroutable"] += 1
+            return
+        del shared.ids[wire_id]
+        flow = self.flows.get(holder[0])
         if not isinstance(flow, UdpFlow):
             self.counters["udp_inbound_unroutable"] += 1
             return

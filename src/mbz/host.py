@@ -490,7 +490,9 @@ class PluginHost:
     def probe_datagram(self, plugin_id: str, dst: tuple[str, int], payload: bytes,
                        on_reply, timeout_us: int) -> bool:
         """Send a plugin-originated datagram probe and deliver the reply
-        (or None on timeout) back as an event. Requires InjectPackets."""
+        (or None on timeout) back as an event. Requires InjectPackets.
+        A send that raises (a destination the upstream cannot parse)
+        closes the probe's handle and propagates to the plugin."""
         slot = self._slots[plugin_id]
         if not slot.enabled:
             return False
@@ -514,7 +516,11 @@ class PluginHost:
             on_reply(reply)
 
         handle.set_callback(lambda _addr, data: finish(data))
-        handle.send_to(dst, payload)
+        try:
+            handle.send_to(dst, payload)
+        except BaseException:
+            handle.close()
+            raise
         self._scheduler.call_later(timeout_us, lambda: finish(None))
         return True
 

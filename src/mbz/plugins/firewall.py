@@ -23,13 +23,13 @@ from ..host import (
     Block, BlockMode, Modify, PluginContext, PluginEvent, Redirect,
     TrafficPlugin, Verdict,
 )
-from ..packet import PROTO_TCP, PROTO_UDP
+from ..packet import PROTO_TCP, PROTO_UDP, ipv4_endpoint, port_set
 from .domains import DomainTracker, TLS_PORT
 
 _PROTO_BY_NAME = {"tcp": PROTO_TCP, "udp": PROTO_UDP, "any": None}
 
 
-class FirewallRuleError(Exception):
+class FirewallRuleError(ValueError):
     pass
 
 
@@ -68,6 +68,8 @@ class FirewallRule:
         dst = match.get("dst", "any")
         dst_suffix = dst_network = None
         if dst not in ("any", None):
+            if not isinstance(dst, str):
+                raise FirewallRuleError(f"bad dst {dst!r}")
             if "/" in dst:
                 try:
                     dst_network = ipaddress.IPv4Network(dst)
@@ -76,9 +78,10 @@ class FirewallRule:
             else:
                 dst_suffix = (dst if dst.startswith(".") else "." + dst).lower()
 
-        ports_val = match.get("ports", "any")
-        ports = None if ports_val in ("any", None) \
-            else frozenset(int(p) for p in ports_val)
+        try:
+            ports = port_set(match.get("ports", "any"))
+        except ValueError as exc:
+            raise FirewallRuleError(str(exc)) from None
 
         proto_name = str(match.get("protocol", "any")).lower()
         if proto_name not in _PROTO_BY_NAME:
@@ -103,23 +106,24 @@ class FirewallRule:
             self.action = "deny"
             self.deny_mode = mode
             notice = action.get("notice", "blocked by firewall policy\n")
+            if not isinstance(notice, (str, bytes)):
+                raise FirewallRuleError(f"bad notice {notice!r}")
             self.notice = notice.encode("utf-8") if isinstance(notice, str) else notice
         elif "switch" in action:
-            target = action["switch"]
             try:
-                host_part, port_part = target.rsplit(":", 1)
-                self.switch_to = (host_part, int(port_part))
-            except (ValueError, AttributeError) as exc:
-                raise FirewallRuleError(f"bad switch target {target!r}") from exc
+                self.switch_to = ipv4_endpoint(action["switch"])
+            except ValueError as exc:
+                raise FirewallRuleError(f"bad switch target: {exc}") from None
             self.action = "switch"
         elif "rewrite" in action:
             spec = action["rewrite"]
-            if "pattern_hex" in spec:
-                self.pattern = bytes.fromhex(spec["pattern_hex"])
-                self.replacement = bytes.fromhex(spec["replacement_hex"])
-            else:
-                self.pattern = spec["pattern"].encode("utf-8")
-                self.replacement = spec["replacement"].encode("utf-8")
+            hexed = isinstance(spec, dict) and "pattern_hex" in spec
+            names = ("pattern_hex", "replacement_hex") if hexed else ("pattern", "replacement")
+            texts = [spec.get(name) if isinstance(spec, dict) else None for name in names]
+            if not all(isinstance(text, str) for text in texts):
+                raise FirewallRuleError(f"rewrite needs {' and '.join(names)}, got {spec!r}")
+            self.pattern, self.replacement = (
+                bytes.fromhex(text) if hexed else text.encode("utf-8") for text in texts)
             if not self.pattern:
                 raise FirewallRuleError("empty rewrite pattern")
             if len(self.pattern) != len(self.replacement):

@@ -22,7 +22,7 @@ from .domains import TLS_PORT, DomainTracker, looks_like_quic
 UDP_BURST_GAP_US = 1_000_000
 
 
-class OrgMapError(Exception):
+class OrgMapError(ValueError):
     pass
 
 
@@ -55,12 +55,15 @@ class OrgMap:
     def from_csv(cls, path: str | Path, default: str = "unknown") -> "OrgMap":
         pairs = []
         with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].startswith("#"):
-                    continue
-                if len(row) != 2:
-                    raise OrgMapError(f"expected 'pattern,organization': {row}")
-                pairs.append((row[0], row[1].strip()))
+            try:
+                for row in csv.reader(fh):
+                    if not row or row[0].startswith("#"):
+                        continue
+                    if len(row) != 2:
+                        raise OrgMapError(f"expected 'pattern,organization': {row}")
+                    pairs.append((row[0], row[1].strip()))
+            except csv.Error as exc:  # a field over the csv module's size limit
+                raise OrgMapError(str(exc)) from None
         return cls.from_pairs(pairs, default=default)
 
     def lookup(self, domain: str, ip: str) -> str:

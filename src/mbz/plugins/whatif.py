@@ -9,6 +9,7 @@ original resolver told the app. Original traffic is never altered.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .. import dnswire
@@ -58,7 +59,7 @@ def classify(original: _Outcome, alternates: list[_Outcome]) -> str:
 
 
 class WhatIfPlugin(TrafficPlugin):
-    def __init__(self, alt_resolvers: list[tuple[str, int]],
+    def __init__(self, alt_resolvers: Sequence[tuple[str, int]] = (),
                  probability: float = 0.05, seed: int = 0,
                  timeout_us: int = 2_000_000):
         self.alt_resolvers = list(alt_resolvers)

@@ -6,16 +6,12 @@ import json
 from pathlib import Path
 
 from .clock import Scheduler
-from .config import ParseError, PluginSpec, RunConfig, load_yaml
+from .config import PLUGIN_TABLE, ParseError, RunConfig, load_yaml
 from .conduit import ReplayConduit
 from .engine import Engine
 from .host import PluginDescriptor, PluginHost
 from .pcapio import PcapSpool, pcap_read, pcap_write
-from .plugins import (
-    AdvisorPlugin, FirewallPlugin, OrgMap, SnitchPlugin, WhatIfPlugin,
-)
-from .plugins.firewall import FirewallRuleError, rules_from_list
-from .plugins.snitch import OrgMapError
+from .plugins import WhatIfPlugin
 from .trace import APP_TO_NET, TraceEvent, check_monotonic, read_trace
 from .upstream import ScriptError, SimEndpointScript, SimUpstream
 
@@ -53,52 +49,22 @@ def load_trace_events(config: RunConfig) -> list[TraceEvent]:
     raise ParseError("config has no trace or pcap input")
 
 
-def _build_plugin(spec: PluginSpec, seed: int):
-    s = spec.settings
-    if spec.kind == "snitch":
-        return SnitchPlugin(
-            OrgMap.from_csv(s["org_map"]),
-            first_party_orgs=set(s.get("first_party_orgs", [])),
-            burst_gap_us=int(float(s.get("burst_gap_s", 1.0)) * 1e6))
-    if spec.kind == "firewall":
-        rules = load_yaml(s["rules"]) or []
-        return FirewallPlugin(rules_from_list(rules),
-                              default_allow=s.get("default_allow", True))
-    if spec.kind == "dns-whatif":
-        return WhatIfPlugin(
-            s.get("resolvers", []),
-            probability=float(s.get("probability", 0.05)),
-            seed=seed,
-            timeout_us=int(float(s.get("timeout_s", 2.0)) * 1e6))
-    if spec.kind == "protocol-advisor":
-        return AdvisorPlugin(
-            loss_rate_threshold=float(s.get("loss_rate_threshold", 0.02)),
-            min_samples=int(s.get("min_samples", 20)))
-    raise ParseError(f"unknown plugin kind {spec.kind!r}")
-
-
 def install_plugins(config: RunConfig, host: PluginHost,
                     seed: int) -> dict[str, object]:
-    """Build and register the config's plugin chain on a host. A malformed
-    rules or org-map file, or a setting of the wrong type, is a ParseError
-    naming the plugin (and the file, if it has one)."""
+    """Build and register the config's plugin chain on a host, from the
+    constructor arguments `load_config` converted; the what-if plugin
+    gets `seed` and the host's probe service."""
     plugins: dict[str, object] = {}
     for spec in config.plugins:
-        try:
-            plugin = _build_plugin(spec, seed)
-        except ParseError as exc:  # names its file already
-            raise ParseError(f"plugin {spec.id!r}: {exc}") from exc
-        except (FirewallRuleError, OrgMapError,
-                ValueError, TypeError, OverflowError) as exc:
-            source = spec.settings.get("rules") or spec.settings.get("org_map")
-            where = f" ({source})" if source else ""
-            raise ParseError(f"plugin {spec.id!r}{where}: {exc}") from exc
+        cls = PLUGIN_TABLE[spec.kind].plugin
+        if cls is WhatIfPlugin:
+            plugin = WhatIfPlugin(seed=seed, **spec.settings).bind(host, spec.id)
+        else:
+            plugin = cls(**spec.settings)
         host.register(PluginDescriptor(
             id=spec.id, name=spec.kind, requested=spec.permissions,
             budget=spec.budget, wifi_only_export=spec.wifi_only_export),
             plugin)
-        if isinstance(plugin, WhatIfPlugin):
-            plugin.bind(host, spec.id)
         plugins[spec.id] = plugin
     return plugins
 
@@ -145,13 +111,10 @@ class ReplayRun:
             "governor": self.host.governor_events,
             "evictions": self.engine.eviction_reports,
         }
-        for pid, plugin in self.plugins.items():
-            if isinstance(plugin, SnitchPlugin):
-                report.setdefault("snitch", {})[pid] = plugin.report()
-            elif isinstance(plugin, WhatIfPlugin):
-                report.setdefault("whatif", {})[pid] = plugin.report()
-            elif isinstance(plugin, AdvisorPlugin):
-                report.setdefault("advisor", {})[pid] = plugin.report()
+        for spec in self.config.plugins:
+            section = PLUGIN_TABLE[spec.kind].section
+            if section is not None:
+                report.setdefault(section, {})[spec.id] = self.plugins[spec.id].report()
         return report
 
 

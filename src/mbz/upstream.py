@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from . import dnswire
 from .clock import Scheduler
+from .packet import port_set
 
 Addr = tuple[str, int]
 
@@ -98,14 +99,10 @@ class SimEndpointScript:
             network = ipaddress.IPv4Network(_typed(obj.get("cidr"), str, "cidr"))
         except ValueError as exc:
             raise ScriptError(f"bad script cidr: {exc}") from exc
-        ports_val = obj.get("ports", "any")
-        ports = None
-        if ports_val not in ("any", None):
-            if not (isinstance(ports_val, list)
-                    and all(type(p) is int and 0 <= p <= 0xFFFF for p in ports_val)):
-                raise ScriptError(f"ports must be 'any' or a list of port numbers, "
-                                  f"got {ports_val!r}")
-            ports = frozenset(ports_val)
+        try:
+            ports = port_set(obj.get("ports", "any"))
+        except ValueError as exc:
+            raise ScriptError(str(exc)) from None
         response = _typed(obj.get("response", ""), (str, bytes), "response")
         if isinstance(response, str):
             response = response.encode("utf-8")

@@ -6,11 +6,16 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, strategies as st
 
 from mbz.cli import main
+from mbz.clock import Scheduler
 from mbz.config import (
-    DuplicatePluginId, MissingFile, ParseError, load_config,
+    ConfigLoadError, DuplicatePluginId, MissingFile, ParseError, load_config,
 )
+from mbz.host import PluginHost
+from mbz.runner import install_plugins
+from mbz.upstream import SimUpstream
 from mbz.report import (
     BadReport, delta_cdf, format_report, load_report, summarize_deltas,
 )
@@ -54,6 +59,13 @@ class TestLoadConfig:
         cfg = tmp_path / "config.yaml"
         cfg.write_text("io: {trace: trace.jsonl, speeed: 1.0}\n")
         with pytest.raises(ParseError, match="speeed"):
+            load_config(cfg)
+
+    def test_unknown_keys_of_mixed_types_rejected(self, tmp_path):
+        (tmp_path / "trace.jsonl").write_text("")
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text("io: {trace: trace.jsonl, 5: 1, speeed: 1.0}\n")
+        with pytest.raises(ParseError, match="unknown key"):
             load_config(cfg)
 
     def test_missing_rules_file_named(self, tmp_path):
@@ -153,7 +165,18 @@ class TestCliExitCodes:
         "- {match: {dst: 10.0.0.0/33}, action: deny}\n",
         "- {match: {app: '*'}, action: {deny: loud}}\n",
         "- 42\n",
-    ], ids=["cidr-33", "deny-loud", "not-a-mapping"])
+        "- {match: {ports: '80'}, action: {deny: reset}}\n",
+        "- {match: {ports: [70000]}, action: {deny: reset}}\n",
+        "- {match: {ports: [true]}, action: {deny: reset}}\n",
+        "- {match: {dst: [10.0.0.1]}, action: {deny: reset}}\n",
+        "- {match: {app: '*'}, action: {switch: 'upstream.example:8080'}}\n",
+        "- {match: {app: '*'}, action: {switch: '10.5.5.5:70000'}}\n",
+        "- {match: {app: '*'}, action: {switch: '10.5.5.5'}}\n",
+        "- {match: {app: '*'}, action: {deny: inject, notice: 5}}\n",
+        "- {match: {app: '*'}, action: {rewrite: {pattern: abc}}}\n",
+    ], ids=["cidr-33", "deny-loud", "not-a-mapping", "ports-string", "port-out-of-range",
+            "port-bool", "dst-list", "switch-hostname", "switch-port-out-of-range",
+            "switch-no-port", "notice-int", "rewrite-no-replacement"])
     def test_malformed_firewall_rules_exit_2(self, tmp_path, capsys, rules):
         (tmp_path / "rules.yaml").write_text(rules)
         cfg = write_min_config(
@@ -201,6 +224,20 @@ class TestCliExitCodes:
         (("plugins", 0, "wifi_only_export"), "no"),
         (("plugins", 0, "first_party_orgs"), "resolver"),
         (("plugins", 1, "resolvers"), "9.9.9.9:53"),
+        (("plugins", 1, "resolvers"), ["dns.google:53"]),
+        (("plugins", 1, "resolvers"), ["9.9.9.9:99999"]),
+        (("plugins", 1, "resolvers"), ["9.9.9.9:0"]),
+        (("plugins", 1, "resolvers"), ["9.9.9.9"]),
+        (("plugins", 1, "probability"), 1.5),
+        (("plugins", 1, "probability"), -0.1),
+        (("plugins", 1, "probability"), float("nan")),
+        (("plugins", 1, "timeout_s"), -1),
+        (("plugins", 1, "timeout_s"), 0),
+        (("plugins", 2, "loss_rate_threshold"), 2),
+        (("plugins", 2, "loss_rate_threshold"), -0.5),
+        (("plugins", 2, "min_samples"), -1),
+        (("plugins", 0, "burst_gap_s"), -1),
+        (("plugins", 0, "org_map"), 7),
         (("engine", "mtu"), "lots"),
         (("engine", "udp_timeout_s"), "lots"),
         (("engine", "sweep_interval_s"), float("nan")),
@@ -211,6 +248,7 @@ class TestCliExitCodes:
         (("io", "device_timeline"), [{"at_us": "lots"}]),
         (("io", "device_timeline"), {"at_us": 0}),
         (("io", "scripts"), 7),
+        (("io", "scripts"), "scripts\x00.yaml"),
         (("host",), {"low_battery_throttle": "lots"}),
         (("report",), {"formats": "json"}),
         (("report",), {"path": 7}),
@@ -308,6 +346,17 @@ class TestCliExitCodes:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "PacketConduit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("plugin, org_map", [
+        ("{id: w1, kind: dns-whatif, probability: lots}", ""),
+        ("{id: w1, kind: snitch, org_map: orgs.csv}", ".x.example,x\na,b,c\n"),
+    ], ids=["probability-word", "org-map-three-columns"])
+    def test_run_checks_plugin_settings(self, tmp_path, capsys, plugin, org_map):
+        (tmp_path / "orgs.csv").write_text(org_map)
+        cfg = write_min_config(tmp_path, plugins=f"plugins:\n  - {plugin}\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "mbz: config error" in err and "plugin 'w1'" in err
+
     def test_bench_too_few_samples_exit_2(self, capsys):
         assert main(["bench", "--n", "10"]) == 2
 
@@ -329,6 +378,72 @@ class TestCliExitCodes:
         report = load_report(DATA / "golden" / "golden_report.json")
         orgs = report["snitch"]["snitch"]["third_party"]["requests_per_org"]
         assert len(lines) - 1 == len(orgs)
+
+
+# values wrong for most plugin settings: words, wrong types, negative and
+# non-finite numbers, lists, booleans and out-of-range ports; each setting
+# draws from these or from its own valid values (`_SETTINGS`)
+_ODD = st.one_of(
+    st.booleans(), st.none(), st.integers(-70_000, 70_000),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["lots", "", "-1", "0.5", "any", "9.9.9.9:53", "orgs.csv"]),
+    st.lists(st.one_of(st.integers(-1, 70_000), st.text(max_size=3)), max_size=3),
+    st.dictionaries(st.sampled_from(["a", "b"]), st.integers(), max_size=2),
+)
+_TARGETS = st.sampled_from(["9.9.9.9:53", "1.1.1.1:5353", "9.9.9.9:99999", "9.9.9.9:0",
+                            "dns.google:53", "9.9.9.9", "9.9.9.9:-53", ":53"])
+_SETTINGS = {
+    "snitch": {
+        "org_map": st.sampled_from(["orgs.csv", "orgs-3col.csv", "absent.csv"]),
+        "first_party_orgs": st.lists(st.sampled_from(["resolver", "x"]), max_size=2),
+        "burst_gap_s": st.floats(0, 5),
+    },
+    "firewall": {
+        "rules": st.sampled_from(["rules.yaml", "rules-bad.yaml", "absent.yaml"]),
+        "default_allow": st.booleans(),
+    },
+    "dns-whatif": {
+        "resolvers": st.lists(_TARGETS, max_size=3),
+        "probability": st.floats(0, 1),
+        "timeout_s": st.floats(0.001, 10),
+    },
+    "protocol-advisor": {
+        "loss_rate_threshold": st.floats(0, 1),
+        "min_samples": st.integers(0, 100),
+    },
+}
+_ENTRY = st.one_of([
+    st.fixed_dictionaries({"kind": st.just(kind)}, optional={
+        key: st.one_of(valid, _ODD) for key, valid in settings.items()})
+    for kind, settings in _SETTINGS.items()])
+
+
+class TestPluginSettingsCheckedAtLoad:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("settings")
+        (path / "trace.jsonl").write_text("")
+        (path / "orgs.csv").write_text(".x.example,x\n8.8.8.8/32,resolver\n")
+        (path / "orgs-3col.csv").write_text(".x.example,x\na,b,c\n")
+        (path / "rules.yaml").write_text(
+            "- {match: {ports: [53]}, action: {switch: '10.5.5.5:53'}}\n")
+        (path / "rules-bad.yaml").write_text("- {match: {ports: '80'}, action: allow}\n")
+        return path
+
+    @given(entries=st.lists(_ENTRY, min_size=1, max_size=4))
+    def test_a_loaded_config_installs(self, workdir, entries):
+        # every setting is checked in one phase: what `load_config`
+        # accepts, `install_plugins` builds
+        plugins = [dict(entry, id=f"p{i}") for i, entry in enumerate(entries)]
+        cfg = workdir / "config.yaml"
+        cfg.write_text(yaml.safe_dump({"io": {"trace": "trace.jsonl"}, "plugins": plugins}))
+        try:
+            config = load_config(cfg)
+        except ConfigLoadError:
+            return
+        scheduler = Scheduler()
+        host = PluginHost(scheduler, upstream=SimUpstream([], scheduler))
+        assert list(install_plugins(config, host, 0)) == [p["id"] for p in plugins]
 
 
 class TestReportFormats:

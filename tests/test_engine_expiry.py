@@ -227,8 +227,33 @@ class TestDnsIdsOnEviction:
                 engine.sweep()
                 pending = {w: p for w, p in pending.items() if p[0] in engine.flows}
             shared = engine._dns_shared.get(self.SHARED)
-            assert (shared.ids if shared else {}) == {w: p[:2] for w, p in pending.items()}
+            held = {w: h[:2] for w, h in shared.ids.items()} if shared else {}
+            assert held == {w: p[:2] for w, p in pending.items()}
         assert engine.counters["udp_inbound_unroutable"] == 0
+
+    def test_late_answer_to_an_evicted_flow_reaches_no_other_flow(self):
+        # the resolver answers after 12 s, past the 10 s DNS timeout: the
+        # sweep at 11 s evicts port 40000, port 40001 keeps the shared
+        # socket open, and port 40002 then asks under the freed id 0
+        slow = {"cidr": "8.8.8.8/32", "ports": [53], "behavior": "dns", "delay_us": 12_000_000,
+                "answers": {"a.example": ["10.9.0.1"], "b.example": ["10.9.0.2"],
+                            "c.example": ["10.9.0.3"]}}
+        engine = build_engine([slow])
+        for port, app_id, name, at_us in ((40000, 0, "a.example", 0),
+                                          (40001, 5, "b.example", 5_000_000),
+                                          (40002, 0, "c.example", 11_500_000)):
+            engine.conduit.inject(serialize_packet(make_udp_packet(
+                (self.APP, port), self.SHARED[1], payload=dnswire.build_query(app_id, name))),
+                at_us=at_us)
+        engine.run()
+        answers = [(pkt.transport.dst_port, dnswire.parse_message(pkt.payload).qname)
+                   for pkt in map(parse_packet, (data for _at, data in engine.conduit.emitted))]
+        # every flow is evicted before its own answer comes
+        assert answers == []
+        # a.example's answer at 12 s fits no held question, and b.example's
+        # at 17 s comes after port 40001's eviction at 16 s; the socket
+        # closes with port 40002's eviction at 22 s, before c.example's
+        assert engine.counters["udp_inbound_unroutable"] == 2
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -216,7 +216,7 @@ class TestDnsIdCollision:
         assert sorted(shared.ids) == [1, 2]
         engine.scheduler.advance_to(12_000_000)
         engine.sweep()  # evicts the first flow; the second still holds the socket
-        assert [k.src[1] for k, _app_id in shared.ids.values()] == [50001]
+        assert [k.src[1] for k, _app_id, _question in shared.ids.values()] == [50001]
         # every id awaiting an answer: a further query is dropped, not sent
         holder = next(iter(shared.ids.values()))
         shared.ids.update((i, holder) for i in range(0x10000))

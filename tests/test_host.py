@@ -28,7 +28,7 @@ from mbz.plugins.firewall import FirewallPlugin, FirewallRule
 from mbz.plugins.snitch import OrgMap, SnitchPlugin
 from mbz.plugins.whatif import WhatIfPlugin
 from mbz.runner import ReplayRun, report_json_bytes
-from mbz.upstream import SimUpstream
+from mbz.upstream import SimEndpointScript, SimUpstream
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 OBSERVE = Permission.OBSERVE
@@ -320,6 +320,24 @@ class TestGovernor:
         assert sent is False and upstream.active_handle_count() == 0
         assert not enabled(host, "exp")
         assert "Cellular" in host.governor_events[0]["detail"]
+
+    def test_probe_to_a_bad_destination_releases_its_handle(self):
+        # the simulator cannot parse the address when it looks for a
+        # script; the plugin's callback fails, and the probe's handle is
+        # closed all the same
+        sched = Scheduler()
+        upstream = SimUpstream([SimEndpointScript.from_dict(
+            {"cidr": "10.0.0.0/8", "behavior": "echo"})], sched, rng_seed=0)
+        host = PluginHost(sched, upstream=upstream)
+
+        class BadProbe(TrafficPlugin):
+            def on_packet_out(self, event, ctx):
+                host.probe_datagram("p", ("not-an-ip", 53), b"q", lambda _r: None, 1000)
+
+        reg(host, BadProbe(), "p")
+        apply_out(host)
+        assert [v["kind"] for v in host.violations] == ["callback-error"]
+        assert upstream.active_handle_count() == 0
 
     def test_violation_counts_never_decrease(self):
         host = make_host()

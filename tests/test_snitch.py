@@ -1,5 +1,6 @@
 """Snitch accounting: org attribution, request counting, QUIC flagging."""
 
+import pytest
 from helpers import AppPeer, Driver, build_engine
 
 from mbz import dnswire, tlswire
@@ -8,7 +9,7 @@ from mbz.host import (
     PluginEvent, PluginHost,
 )
 from mbz.packet import FlowKey, make_udp_packet, serialize_packet
-from mbz.plugins.snitch import OrgMap, SnitchPlugin
+from mbz.plugins.snitch import OrgMap, OrgMapError, SnitchPlugin
 
 ORG_CSV_PAIRS = [
     (".doubleclick.net", "doubleclick"),
@@ -58,6 +59,13 @@ class TestOrgMap:
         path.write_text("# comment\n.doubleclick.net,doubleclick\n8.8.8.8/32,resolver\n")
         org_map = OrgMap.from_csv(path)
         assert org_map.lookup("doubleclick.net", "1.2.3.4") == "doubleclick"
+
+
+    def test_csv_field_over_the_size_limit_is_an_org_map_error(self, tmp_path):
+        path = tmp_path / "orgs.csv"
+        path.write_text(".x.example," + "x" * 200_000 + "\n")
+        with pytest.raises(OrgMapError, match="field larger"):
+            OrgMap.from_csv(path)
 
 
 class TestAggregation:

@@ -265,3 +265,17 @@ class TestDnsWire:
     def test_garbage_returns_none(self):
         assert dnswire.parse_message(b"short") is None
         assert dnswire.parse_message(b"\x00" * 11) is None
+
+    def test_question_end_spans_the_first_question(self):
+        query = dnswire.build_query(7, "a.example")
+        answer = dnswire.build_response(7, "a.example", 1, ["1.2.3.4"])
+        # a query and its answer carry the same question bytes
+        assert query[12:dnswire.question_end(query)] == answer[12:dnswire.question_end(answer)]
+        assert dnswire.question_end(query) == len(query)
+        no_question = query[:4] + b"\x00\x00" + query[6:]
+        long_label = query[:12] + b"\x40" + b"a" * 64 + b"\x00\x00\x01\x00\x01"
+        for data in (b"short", no_question, long_label, *(query[:n] for n in range(len(query)))):
+            assert dnswire.question_end(data) == 12
+        # a name that ends in a compression pointer
+        pointed = query[:12] + b"\xc0\x0c\x00\x01\x00\x01"
+        assert dnswire.question_end(pointed) == len(pointed)
