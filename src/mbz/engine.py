@@ -121,7 +121,6 @@ class UdpFlow:
     effective_dst: Addr
     handle: DatagramHandle
     shared_key: tuple[str, Addr] | None = None  # set for DNS flows
-    wire_ids: set[int] = field(default_factory=set)  # DNS ids it holds on the shared socket
     out: Packet = field(init=False, repr=False, compare=False)  # datagrams toward the app
 
     def __post_init__(self) -> None:
@@ -137,10 +136,13 @@ class _SharedDatagram:
     answer comes back or the flow is evicted, which bounds it to the
     65536 ids. An answer to another question under a held id (a late
     answer to an evicted flow's query) leaves the id held; a query whose
-    question does not parse holds an empty one, which any answer fits."""
+    question does not parse holds an empty one, which any answer fits.
+    `held` is the reverse map, each flow's wire ids, with an entry only
+    while the flow holds one."""
     handle: DatagramHandle
     refs: int = 0
     ids: dict[int, tuple[FlowKey, int, bytes]] = field(default_factory=dict)
+    held: dict[FlowKey, set[int]] = field(default_factory=dict)
 
     def claim_id(self, key: FlowKey, app_id: int, question: bytes) -> int | None:
         """The app's own id if free (or already this query's), else the
@@ -149,8 +151,22 @@ class _SharedDatagram:
         for n in range(0x10000):
             wire_id = (app_id + n) & 0xFFFF
             if self.ids.setdefault(wire_id, holder) == holder:
+                self.held.setdefault(key, set()).add(wire_id)
                 return wire_id
         return None
+
+    def release_id(self, wire_id: int) -> None:
+        """Free an answered id."""
+        key = self.ids.pop(wire_id)[0]
+        ids = self.held[key]
+        ids.discard(wire_id)
+        if not ids:
+            del self.held[key]
+
+    def release_flow(self, key: FlowKey) -> None:
+        """Free every id an evicted flow holds."""
+        for wire_id in self.held.pop(key, ()):
+            del self.ids[wire_id]
 
 
 _COUNTER_KEYS = (
@@ -718,7 +734,6 @@ class Engine:
                 payload[12:dnswire.question_end(payload)])
             if wire_id is None:
                 return  # no id left on the shared socket: drop, as a full queue would
-            flow.wire_ids.add(wire_id)
             payload = wire_id.to_bytes(2, "big") + payload[2:]
         flow.handle.send_to(flow.effective_dst, payload)
 
@@ -772,12 +787,11 @@ class Engine:
         if holder is None or holder[2] and holder[2] != data[12:dnswire.question_end(data)]:
             self.counters["udp_inbound_unroutable"] += 1
             return
-        del shared.ids[wire_id]
+        shared.release_id(wire_id)
         flow = self.flows.get(holder[0])
         if not isinstance(flow, UdpFlow):
             self.counters["udp_inbound_unroutable"] += 1
             return
-        flow.wire_ids.discard(wire_id)
         self._deliver_udp(flow, holder[1].to_bytes(2, "big") + data[2:])
 
     def _touch(self, flow: UdpFlow) -> None:
@@ -802,8 +816,7 @@ class Engine:
                     shared.handle.close()
                     del self._dns_shared[flow.shared_key]
                 else:
-                    for wire_id in flow.wire_ids:
-                        del shared.ids[wire_id]
+                    shared.release_flow(flow.key)
         else:
             flow.handle.close()
         del self.flows[flow.key], self._activity[flow.shared_key is not None][flow.key]

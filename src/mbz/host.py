@@ -142,6 +142,10 @@ class EventKind(enum.Enum):
     PACKET_IN = "packet_in"
     FLOW_CLOSE = "flow_close"
 
+    # members are singletons compared by identity; Enum's own __hash__
+    # hashes the name in Python on every chain lookup
+    __hash__ = object.__hash__
+
 
 DIR_OUT = "out"
 DIR_IN = "in"
@@ -191,22 +195,28 @@ class PluginEvent:
         return self._sni[1]
 
 
-@dataclass
+@dataclass(slots=True)
 class EffectiveAction:
     """Outcome of a chain pass: the final short-circuiting verdict plus
-    the payload after all composed Modify verdicts."""
+    the payload after all composed Modify verdicts. `block` and
+    `redirect` are the verdict when it is a Block or a Redirect, else
+    None: fields set once here, since the engine reads them two or three
+    times per packet."""
     verdict: Verdict
     payload: bytes
     modified: bool = False
     decided_by: str | None = None
+    block: Block | None = field(init=False, repr=False, compare=False)
+    redirect: Redirect | None = field(init=False, repr=False, compare=False)
 
-    @property
-    def block(self) -> Block | None:
-        return self.verdict if isinstance(self.verdict, Block) else None
-
-    @property
-    def redirect(self) -> Redirect | None:
-        return self.verdict if isinstance(self.verdict, Redirect) else None
+    def __init__(self, verdict: Verdict, payload: bytes, modified: bool = False,
+                 decided_by: str | None = None):
+        self.verdict = verdict
+        self.payload = payload
+        self.modified = modified
+        self.decided_by = decided_by
+        self.block = verdict if isinstance(verdict, Block) else None
+        self.redirect = verdict if isinstance(verdict, Redirect) else None
 
 
 class TrafficPlugin:
@@ -243,6 +253,10 @@ _CALLBACKS = {
     EventKind.PACKET_IN: "on_packet_in",
     EventKind.FLOW_CLOSE: "on_flow_close",
 }
+
+# a module global: reading an Enum member off its class takes about ten
+# times as long on Python 3.11 (some 150 ns)
+_PACKET_IN = EventKind.PACKET_IN
 
 # permission bits as plain ints: enum.Flag arithmetic runs in Python
 _INJECT_PACKETS = Permission.INJECT_PACKETS.value
@@ -298,6 +312,7 @@ class PluginHost:
         # each with its overridden callback for the kind or None
         self._chains: dict[EventKind, tuple] = dict.fromkeys(_CALLBACKS, ())
         self.device = DeviceContext()
+        self._throttle = self._throttled()  # kept in step with `device`
         self.violations: list[dict] = []
         self.governor_events: list[dict] = []
 
@@ -322,6 +337,7 @@ class PluginHost:
 
     def update_context(self, device: DeviceContext) -> None:
         self.device = device
+        self._throttle = self._throttled()
 
     def _throttled(self) -> bool:
         return (self._low_battery_threshold is not None
@@ -361,8 +377,8 @@ class PluginHost:
                 now = start = clock()
                 event = PluginEvent(kind, payload, tcp_flags, tcp_seq)
                 ctx = PluginContext(key, app_label,
-                                    DIR_IN if kind is EventKind.PACKET_IN else DIR_OUT,
-                                    kind, self.device, now, self._throttled())
+                                    DIR_IN if kind is _PACKET_IN else DIR_OUT,
+                                    kind, self.device, now, self._throttle)
             else:
                 event.payload = payload
             try:
@@ -391,7 +407,7 @@ class PluginHost:
                 payload = verdict.payload
                 modified = True
                 continue
-            if kind is EventKind.PACKET_IN:
+            if kind is _PACKET_IN:
                 # bytes from upstream can be neither sent elsewhere nor answered
                 # in the upstream's place; the verdict past Redirect is a Block
                 if isinstance(verdict, Redirect):
@@ -474,7 +490,7 @@ class PluginHost:
         })
         ctx = PluginContext(key=None, app_label="", direction=DIR_OUT,
                             kind=EventKind.FLOW_CLOSE, device=self.device, now_us=now,
-                            throttle=self._throttled())
+                            throttle=self._throttle)
         try:
             slot.plugin.finalize(ctx)
         except Exception:

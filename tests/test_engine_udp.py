@@ -227,6 +227,38 @@ class TestDnsIdCollision:
         assert len(shared.ids) == 0x10000
 
 
+class TestDnsIdState:
+    """Only a DNS flow with an unanswered query holds id state, and it
+    is held on the shared socket, not on the flow."""
+
+    def test_plain_and_answered_flows_hold_no_id_state(self):
+        silent = ("203.0.113.53", 53)
+        engine = build_engine([RESOLVER, UDP_ECHO])
+        inject_udp(engine, ("10.0.0.2", 50000), ("10.3.0.1", 7))
+        inject_udp(engine, ("10.0.0.2", 50001), ("8.8.8.8", 53),
+                   dnswire.build_query(7, "example.com"))
+        inject_udp(engine, ("10.0.0.2", 50002), silent, dnswire.build_query(8, "a.example"))
+        engine.pump()
+        assert len(engine.conduit.take_emitted()) == 2  # the echo and the answer
+        assert not hasattr(engine.flows[next(iter(engine.flows))], "wire_ids")
+        answered = engine._dns_shared[("10.0.0.2", ("8.8.8.8", 53))]
+        assert (answered.ids, answered.held) == ({}, {})
+        # the unanswered query's flow holds its id until it is evicted
+        waiting = engine._dns_shared[("10.0.0.2", silent)]
+        key = next(k for k in engine.flows if k.src[1] == 50002)
+        assert (list(waiting.ids), waiting.held) == ([8], {key: {8}})
+        inject_udp(engine, ("10.0.0.2", 50003), silent, dnswire.build_query(8, "b.example"))
+        engine.pump()
+        assert sorted(waiting.ids) == [8, 9] and waiting.held[key] == {8}
+        engine.scheduler.advance_to(8_000_000)
+        inject_udp(engine, ("10.0.0.2", 50003), silent, dnswire.build_query(8, "b.example"))
+        engine.pump()
+        engine.scheduler.advance_to(12_000_000)
+        engine.sweep()  # evicts the DNS flows idle for 10 s: 50001 and 50002
+        assert [k.src[1] for k in engine.flows if k.dst[1] == 53] == [50003]
+        assert list(waiting.ids) == [9] and list(waiting.held.values()) == [{9}]
+
+
 class _InboundVerdict(TrafficPlugin):
     def __init__(self, verdict):
         self.verdict = verdict

@@ -5,6 +5,7 @@ import functools
 import itertools
 import json
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,36 @@ def invocations(host, pid):
 
 def enabled(host, pid):
     return plugin_state(host, pid)["enabled"]
+
+
+class TestEffectiveAction:
+    @pytest.mark.parametrize("verdict, block, redirect", [
+        (Pass(), False, False),
+        (Modify(b"m"), False, False),
+        (Block(BlockMode.RESET_APP), True, False),
+        (Block(BlockMode.INJECT_RESPONSE, b"r"), True, False),
+        (Redirect(("10.9.9.9", 80)), False, True),
+    ])
+    def test_block_and_redirect_follow_the_verdict(self, verdict, block, redirect):
+        # built by keyword, as the CallEverySlot oracle builds it
+        action = EffectiveAction(verdict=verdict, payload=b"p", modified=True,
+                                 decided_by="fw")
+        assert action.block is (verdict if block else None)
+        assert action.redirect is (verdict if redirect else None)
+        assert (action.verdict, action.payload, action.modified, action.decided_by) \
+            == (verdict, b"p", True, "fw")
+        assert EffectiveAction(verdict, b"p").modified is False
+        assert EffectiveAction(verdict, b"p").decided_by is None
+
+    def test_equal_verdict_and_payload_compare_equal(self):
+        for verdict in (Pass(), Modify(b"m"), Block(BlockMode.DROP_SILENT),
+                        Redirect(("10.9.9.9", 80))):
+            assert EffectiveAction(verdict=verdict, payload=b"p") \
+                == EffectiveAction(verdict=type(verdict)(*astuple(verdict)), payload=b"p")
+        assert EffectiveAction(verdict=Pass(), payload=b"p") \
+            != EffectiveAction(verdict=Pass(), payload=b"q")
+        assert EffectiveAction(verdict=Pass(), payload=b"p") \
+            != EffectiveAction(verdict=Block(BlockMode.DROP_SILENT), payload=b"p")
 
 
 class TestRegistration:
@@ -434,6 +465,15 @@ class TestContextAndServices:
             host.update_context(DeviceContext(battery_percent=battery))
             apply_out(host)
             assert rec.seen[0][1].throttle is expected, (threshold, battery)
+
+    def test_throttle_hint_follows_each_context_update(self):
+        host = make_host(low_battery_threshold=20)
+        rec = reg(host, RecordContext(), "rec", perms=OBSERVE)
+        for battery in (100, 10, 19, 20, 5, 100):
+            host.update_context(DeviceContext(battery_percent=battery))
+            apply_out(host)
+        assert [ctx.throttle for _event, ctx in rec.seen] \
+            == [False, True, True, False, True, False]
 
     def test_export_suspended_on_cellular_for_wifi_only(self):
         host = make_host()
