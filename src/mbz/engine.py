@@ -37,6 +37,13 @@ Addr = tuple[str, int]
 _SEQ_MOD = 1 << 32
 DNS_PORT = 53
 
+# module globals, read on every dispatch: reading an Enum member off its
+# class takes about ten times as long on Python 3.11 (some 150 ns)
+_FLOW_OPEN = EventKind.FLOW_OPEN
+_PACKET_OUT = EventKind.PACKET_OUT
+_PACKET_IN = EventKind.PACKET_IN
+_FLOW_CLOSE = EventKind.FLOW_CLOSE
+
 
 def seq_add(a: int, n: int) -> int:
     return (a + n) % _SEQ_MOD
@@ -151,7 +158,10 @@ class _SharedDatagram:
         for n in range(0x10000):
             wire_id = (app_id + n) & 0xFFFF
             if self.ids.setdefault(wire_id, holder) == holder:
-                self.held.setdefault(key, set()).add(wire_id)
+                held = self.held.get(key)
+                if held is None:
+                    held = self.held[key] = set()
+                held.add(wire_id)
                 return wire_id
         return None
 
@@ -308,7 +318,7 @@ class Engine:
         flow, else PACKET_OUT. Counts a block; otherwise records the packet
         in the sink, even one the engine then refuses or answers with an
         RST, and counts a redirect, honoured only on an open."""
-        kind = EventKind.FLOW_OPEN if creating else EventKind.PACKET_OUT
+        kind = _FLOW_OPEN if creating else _PACKET_OUT
         tcp_flags = tcp_seq = None
         if pkt.is_tcp:
             tcp_flags, tcp_seq = pkt.transport.flags, pkt.transport.seq
@@ -334,7 +344,7 @@ class Engine:
 
     def _offer_in(self, flow: TcpFlow | UdpFlow, payload: bytes) -> EffectiveAction:
         """Run the chain over bytes from upstream; counts a block or a rewrite."""
-        action = self.host.dispatch(EventKind.PACKET_IN, flow.key, flow.app_label, payload)
+        action = self.host.dispatch(_PACKET_IN, flow.key, flow.app_label, payload)
         if action.block is not None:
             self.counters["blocked_packets"] += 1
         elif action.modified:
@@ -477,7 +487,7 @@ class Engine:
         flow.acked_by_app = flow.next_seq_to_app
         self._emit_syn_ack(flow)
         # the engine's own control packets are observable, not actionable
-        self.host.dispatch(EventKind.PACKET_IN, flow.key, flow.app_label, tcp_flags=SYN | ACK)
+        self.host.dispatch(_PACKET_IN, flow.key, flow.app_label, tcp_flags=SYN | ACK)
         if flow.deferred_app_len:
             deferred, sent = flow.deferred_payload, flow.deferred_app_len
             flow.deferred_payload, flow.deferred_app_len = b"", 0
@@ -618,7 +628,7 @@ class Engine:
         self._emit_tcp(flow, FIN | ACK)
         flow.fin_sent = True
         flow.next_seq_to_app = seq_add(flow.next_seq_to_app, 1)
-        self.host.dispatch(EventKind.PACKET_IN, flow.key, flow.app_label, tcp_flags=FIN | ACK)
+        self.host.dispatch(_PACKET_IN, flow.key, flow.app_label, tcp_flags=FIN | ACK)
 
     def _maybe_finish(self, flow: TcpFlow) -> None:
         if flow.state is TcpState.CLOSED:
@@ -647,7 +657,7 @@ class Engine:
         self._closed.append(flow)
         flow.to_app.clear()
         flow.to_net.clear()
-        self.host.dispatch(EventKind.FLOW_CLOSE, flow.key, flow.app_label)
+        self.host.dispatch(_FLOW_CLOSE, flow.key, flow.app_label)
 
     def _rst_for_orphan(self, pkt: Packet, key: FlowKey) -> None:
         """Standard endpoint behavior: a segment with no matching state
@@ -824,7 +834,7 @@ class Engine:
             self.counters["udp_flows_evicted_idle"] += 1
         elif reason == "pressure":
             self.counters["udp_flows_evicted_pressure"] += 1
-        self.host.dispatch(EventKind.FLOW_CLOSE, flow.key, flow.app_label)
+        self.host.dispatch(_FLOW_CLOSE, flow.key, flow.app_label)
 
     # --------------------------------------------------------------- sweep
 

@@ -4,9 +4,10 @@ Reading accepts both byte orders and link types RAW (101), IPV4 (228),
 and Ethernet (1, IPv4 frames unwrapped, others skipped). Writing always
 emits little-endian RAW captures so output files are bit-reproducible.
 
-A capture is written as it happens: a `PcapSpool` appends each record to
-an anonymous temporary file, so no packet stays in memory, and
-`pcap_write` copies the finished file to wherever it is wanted.
+A capture is written as it happens: a `PcapSpool` gathers records in a
+buffer and writes it to an anonymous temporary file whenever it passes
+64 KiB, so at most that and one record stay in memory, and `pcap_write`
+copies the file to wherever it is wanted.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ _GLOBAL_HEADER = struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535, LINKTYPE
 # record header: seconds, microseconds, captured length, original length
 _RECORD = {"<": struct.Struct("<IIII"), ">": struct.Struct(">IIII")}
 _pack_record = _RECORD["<"].pack
+# one write per 64 KiB of records: a write per record header and per
+# packet, or one per record of the two joined, costs more than the copy
+# into the buffer
+_SPOOL_FLUSH_AT = 64 * 1024
 
 
 class PcapError(Exception):
@@ -113,26 +118,33 @@ def pcap_read(path: str | Path) -> list[tuple[int, bytes]]:
 
 class PcapSpool:
     """A RAW-linktype little-endian pcap being written to an anonymous
-    temporary file, one record per `append`. The file is closed when the
-    spool is dropped."""
+    temporary file, one record per `append`, through a buffer of about
+    64 KiB. The file is closed when the spool is dropped."""
 
     def __init__(self):
         self._file = tempfile.TemporaryFile()
         weakref.finalize(self, self._file.close)
-        self._write = self._file.write
-        self._write(_GLOBAL_HEADER)
+        self._buf = bytearray(_GLOBAL_HEADER)
 
     def append(self, record: tuple[int, bytes]) -> None:
-        """Write one (timestamp_us, ip_packet_bytes) record."""
+        """Add one (timestamp_us, ip_packet_bytes) record."""
         ts_us, pkt = record
         n = len(pkt)
-        self._write(_pack_record(ts_us // 1_000_000, ts_us % 1_000_000, n, n))
-        self._write(pkt)
+        buf = self._buf
+        buf += _pack_record(ts_us // 1_000_000, ts_us % 1_000_000, n, n)
+        buf += pkt
+        if len(buf) > _SPOOL_FLUSH_AT:
+            self._flush()
+
+    def _flush(self) -> None:
+        self._file.write(self._buf)
+        self._buf.clear()
 
 
 def pcap_write(path: str | Path, spool: PcapSpool) -> None:
     """Copy a spool's capture so far to `path`. The spool keeps it, and
     later appends go on after it."""
+    spool._flush()
     spool._file.seek(0)
     with open(path, "wb") as fh:
         shutil.copyfileobj(spool._file, fh)

@@ -53,7 +53,10 @@ class AdvisorPlugin(TrafficPlugin):
         self._seen: dict[FlowKey, set[tuple[int, int]]] = {}
 
     def _stats(self, key: FlowKey) -> PathStats:
-        return self.paths.setdefault(key.dst, PathStats())
+        stats = self.paths.get(key.dst)
+        if stats is None:
+            stats = self.paths[key.dst] = PathStats()
+        return stats
 
     def on_flow_open(self, event: PluginEvent, ctx: PluginContext):
         if ctx.key is not None and ctx.key.protocol == PROTO_TCP:
@@ -75,7 +78,9 @@ class AdvisorPlugin(TrafficPlugin):
                 or event.tcp_seq is None:
             return None
         stats = self._stats(key)
-        seen = self._seen.setdefault(key, set())
+        seen = self._seen.get(key)
+        if seen is None:
+            seen = self._seen[key] = set()
         sig = (event.tcp_seq, len(event.payload))
         if sig in seen:
             stats.retransmissions += 1

@@ -11,6 +11,11 @@ before it becomes an event: `ts_us` is a non-negative integer (not a
 boolean) that never decreases, `app` (default "") is a string, and
 `pkt_b64` is ASCII base64. Blank lines are skipped. Any other line,
 whatever its bytes, raises MalformedTrace naming the line.
+
+Each line is read as `json.loads` reads it: the C scanner
+(`JSONDecoder.raw_decode`) decodes the value after any leading JSON
+whitespace (space, tab, LF, CR; RFC 8259 section 2), and only JSON
+whitespace may follow the value.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from typing import NamedTuple
 
 APP_TO_NET = "out"
 NET_TO_APP = "in"
+
+_JSON_WHITESPACE = " \t\n\r"
 
 
 class MalformedTrace(Exception):
@@ -53,7 +60,8 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
     """Load a JSON-lines trace; timestamps must be non-decreasing."""
     events: list[TraceEvent] = []
     append = events.append
-    loads = json.loads
+    make = TraceEvent._make
+    raw_decode = json.JSONDecoder().raw_decode
     b64decode = base64.b64decode
     last_ts = 0
     lineno = 0
@@ -61,11 +69,13 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
         try:
             for lineno, line in enumerate(fh, start=1):
                 try:
-                    obj = loads(line)
+                    obj, end = raw_decode(line, len(line) - len(line.lstrip(_JSON_WHITESPACE)))
                 except (ValueError, RecursionError):
                     if not line.strip():
                         continue
                     raise MalformedTrace(f"line {lineno}: not valid JSON") from None
+                if line[end:].strip(_JSON_WHITESPACE):
+                    raise MalformedTrace(f"line {lineno}: not valid JSON")
                 if type(obj) is not dict:
                     raise MalformedTrace(f"line {lineno}: not a JSON object")
                 try:
@@ -89,7 +99,7 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
                 except (ValueError, TypeError):
                     raise MalformedTrace(f"line {lineno}: bad packet encoding") from None
                 last_ts = ts_us
-                append(TraceEvent(ts_us, direction, app, packet))
+                append(make((ts_us, direction, app, packet)))
         except UnicodeDecodeError:
             raise MalformedTrace(f"line {lineno + 1} or later: not valid UTF-8") from None
     return events

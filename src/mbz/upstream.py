@@ -359,12 +359,13 @@ class _SimDatagram(DatagramHandle):
     def send_to(self, addr: Addr, data: bytes) -> None:
         if self.closed:
             return
-        self._net.datagram_log.append((addr, bytes(data)))
+        data = bytes(data)
+        self._net.datagram_log.append((addr, data))
         script = self._net.find_script(addr)
         if script is None:
             return  # blackhole
         if script.behavior == BEHAVIOR_ECHO:
-            self._reply_later(script, addr, bytes(data))
+            self._reply_later(script, addr, data)
         elif script.behavior == BEHAVIOR_STATIC:
             self._reply_later(script, addr, bytes(script.response))
         elif script.behavior == BEHAVIOR_DNS:
@@ -384,28 +385,45 @@ class _SimDatagram(DatagramHandle):
                 self._cb(from_addr, data)
         self._net._later(script, deliver)
 
-    @staticmethod
-    def _dns_reply(script: SimEndpointScript, query: bytes) -> bytes | None:
+    def _dns_reply(self, script: SimEndpointScript, query: bytes) -> bytes | None:
+        """The reply `script` sends to `query`, or None. After its id a
+        reply depends only on the script and the question, so each one is
+        built once and then sent under the query's own id."""
         msg = dnswire.parse_message(query)
         if msg is None or msg.is_response:
             return None
-        tamper = script.tamper
-        if msg.qname in tamper.get("drop", ()):
-            return None
-        override = tamper.get("override", {})
-        if msg.qname in override:
-            ips = list(override[msg.qname])
-        elif msg.qname in script.answers:
-            ips = list(script.answers[msg.qname])
-        elif tamper.get("nxdomain_to"):
-            ips = list(tamper["nxdomain_to"])
-        else:
-            return dnswire.build_response(msg.qid, msg.qname, msg.qtype, [],
-                                          rcode=dnswire.RCODE_NXDOMAIN)
-        return dnswire.build_response(msg.qid, msg.qname, msg.qtype, ips)
+        replies = self._net._dns_replies
+        key = (id(script), msg.qname, msg.qtype)
+        try:
+            tail = replies[key]
+        except KeyError:
+            reply = _build_dns_reply(script, msg)
+            tail = None if reply is None else reply[2:]
+            if len(replies) >= _DNS_REPLY_STORE_SIZE:
+                replies.clear()
+            replies[key] = tail
+        return None if tail is None else query[:2] + tail
+
+
+def _build_dns_reply(script: SimEndpointScript, msg: dnswire.DnsMessage) -> bytes | None:
+    tamper = script.tamper
+    if msg.qname in tamper.get("drop", ()):
+        return None
+    override = tamper.get("override", {})
+    if msg.qname in override:
+        ips = list(override[msg.qname])
+    elif msg.qname in script.answers:
+        ips = list(script.answers[msg.qname])
+    elif tamper.get("nxdomain_to"):
+        ips = list(tamper["nxdomain_to"])
+    else:
+        return dnswire.build_response(msg.qid, msg.qname, msg.qtype, [],
+                                      rcode=dnswire.RCODE_NXDOMAIN)
+    return dnswire.build_response(msg.qid, msg.qname, msg.qtype, ips)
 
 
 _SCRIPT_CACHE_SIZE = 4096
+_DNS_REPLY_STORE_SIZE = 4096
 _UNSEEN = object()
 
 
@@ -433,6 +451,10 @@ class SimUpstream(UpstreamNetwork):
         # per connect batch in the benchmark) and creating an lru_cache
         # costs several microseconds
         self._script_of: dict[Addr, SimEndpointScript | None] = {}
+        # each DNS reply after its 2-byte id (None: no reply), by
+        # (id(script), qname, qtype); self.scripts holds every script for
+        # the simulator's life, so an id names one script
+        self._dns_replies: dict[tuple[int, str, int], bytes | None] = {}
         self._scheduler = scheduler
         self._rng = random.Random(rng_seed)
         self._active = 0

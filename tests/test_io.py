@@ -3,6 +3,7 @@
 import base64
 import binascii
 import json
+import random
 import struct
 import time
 
@@ -187,6 +188,17 @@ _trace_lines = (
 ).filter(lambda line: b"\n" not in line and b"\r" not in line)
 
 
+def _check_trace_line(tmp_path, line: bytes, expected) -> None:
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(line + b"\n")
+    try:
+        got = read_trace(path)
+    except MalformedTrace:
+        assert expected is None
+    else:
+        assert got == expected
+
+
 class TestHostileTraceLines:
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -197,15 +209,46 @@ class TestHostileTraceLines:
     @example(line=b"[" * 100_000)
     @example(line=b"\xff{}")
     def test_line_decodes_as_reference_or_is_malformed(self, tmp_path, line):
-        path = tmp_path / "t.jsonl"
-        path.write_bytes(line + b"\n")
-        expected = _reference_decode(line)
-        try:
-            got = read_trace(path)
-        except MalformedTrace:
-            assert expected is None
-        else:
-            assert got == expected
+        _check_trace_line(tmp_path, line, _reference_decode(line))
+
+
+def _reference_decode_split(line: bytes):
+    """`_reference_decode` of a line that may hold CRs: the reader splits
+    it at each CR, as it splits at LF."""
+    events = []
+    for part in line.split(b"\r"):
+        decoded = _reference_decode(part)
+        if decoded is None:
+            return None
+        events += decoded
+    return events
+
+
+# JSON's whitespace around a value, and characters that look like
+# whitespace but that JSON forbids there
+_json_space = st.text(alphabet=" \t\r", max_size=6)
+_lookalike_space = st.text(alphabet=" \t\r\x0b\x0c\xa0\u2028", max_size=6)
+
+
+@st.composite
+def _padded_lines(draw) -> bytes:
+    body = draw(_valid_fields.map(lambda obj: json.dumps(obj).encode("ascii")) | _trace_lines)
+    before = draw(st.sampled_from(["", "\ufeff"])) + draw(_json_space | _lookalike_space)
+    after = draw(_json_space | _lookalike_space)
+    return before.encode("utf-8") + body + after.encode("utf-8")
+
+
+class TestPaddedTraceLines:
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(line=_padded_lines())
+    @example(line=b"{} {}")
+    @example(line=b'{"ts_us": 0, "dir": "out", "pkt_b64": ""},')
+    @example(line=b'{"ts_us": 0, "dir": "out", "pkt_b64": ""} {"ts_us": 1, "dir": "out", "pkt_b64": ""}')
+    @example(line=b'{"ts_us": 0, "dir": "out", "pkt_b64": ""}\x0c')
+    @example(line=b'\xc2\xa0{"ts_us": 0, "dir": "out", "pkt_b64": ""}')
+    @example(line=b'\t\r {"ts_us": 0, "dir": "out", "pkt_b64": ""} \t\r')
+    def test_padded_line_decodes_as_reference_or_is_malformed(self, tmp_path, line):
+        _check_trace_line(tmp_path, line, _reference_decode_split(line))
 
 
 class TestPcap:
@@ -228,6 +271,17 @@ class TestPcap:
         pcap_write(tmp_path / "two.pcap", spool)
         assert (tmp_path / "one.pcap").read_bytes() == header + record
         assert (tmp_path / "two.pcap").read_bytes() == header + record + record
+
+    def test_copies_hold_every_record_across_buffer_flushes(self, tmp_path):
+        rng = random.Random(19)
+        records = [(i * 1_000_003, bytes([i % 256]) * rng.randint(40, 1500))
+                   for i in range(300)]  # about 230 KiB: several 64 KiB flushes
+        spool = PcapSpool()
+        for i, record in enumerate(records, start=1):
+            spool.append(record)
+            if i % 23 == 0 or i == len(records):
+                pcap_write(tmp_path / "copy.pcap", spool)
+                assert pcap_read(tmp_path / "copy.pcap") == records[:i]
 
     def test_big_endian_accepted(self, tmp_path):
         pkt = _pkt_bytes()

@@ -1,6 +1,7 @@
 """Simulated upstream endpoint tests."""
 
 import ipaddress
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from mbz import dnswire
 from mbz.clock import Scheduler
 from mbz.upstream import (
     EV_CONNECTED, EV_EOF, EV_READABLE, EV_REFUSED,
-    OverlappingScripts, SimEndpointScript, SimUpstream, _first_script,
+    OverlappingScripts, SimEndpointScript, SimUpstream, _build_dns_reply, _first_script,
 )
 
 
@@ -230,6 +231,46 @@ class TestDatagrams:
         handle.send_to(("8.8.8.8", 53), dnswire.build_query(1, "example.com"))
         sched.run_until_idle()
         assert got == []
+
+    @pytest.mark.parametrize("name, settings", [
+        ("example.com", {"answers": {"example.com": ["93.184.216.34", "1.2.3.4"]}}),
+        ("example.com", {"answers": {"example.com": ["1.2.3.4"]},
+                         "tamper": {"override": {"example.com": ["6.6.6.6"]}}}),
+        ("nosuch.test", {"tamper": {"nxdomain_to": ["10.9.9.9"]}}),
+        ("nosuch.test", {}),
+        ("example.com", {"answers": {"example.com": ["1.2.3.4"]},
+                         "tamper": {"drop": ["example.com"]}}),
+    ])
+    def test_stored_dns_replies_are_the_built_ones(self, name, settings):
+        resolver = script("8.8.8.8/32", "dns", ports=[53], **settings)
+        net, sched = make_net([resolver])
+        handle = net.open_datagram()
+        got = []
+        handle.set_callback(lambda addr, data: got.append(data))
+        queries = [dnswire.build_query(qid, name) for qid in (7, 0x1234, 7)]
+        for query in queries:
+            handle.send_to(("8.8.8.8", 53), query)
+        sched.run_until_idle()
+        built = [_build_dns_reply(resolver, dnswire.parse_message(query)) for query in queries]
+        assert got == [reply for reply in built if reply is not None]
+        assert len(net._dns_replies) == 1  # built once, sent three times
+
+    def test_query_whose_name_points_into_its_id_gets_its_own_reply(self):
+        resolver = script("8.8.8.8/32", "dns", ports=[53])
+        net, sched = make_net([resolver])
+        handle = net.open_datagram()
+        got = []
+        handle.set_callback(lambda addr, data: got.append(data))
+        # the name starts at offset 1, the id's low byte: ids 3 and 2 name
+        # different domains with the same bytes after the id
+        queries = [struct.pack("!HHHHHH", qid, 0x0100, 1, 0, 0, 0) + b"\xc0\x01\x00\x01\x00\x01"
+                   for qid in (3, 2)]
+        for query in queries:
+            handle.send_to(("8.8.8.8", 53), query)
+        sched.run_until_idle()
+        assert got == [_build_dns_reply(resolver, dnswire.parse_message(query))
+                       for query in queries]
+        assert got[0][2:] != got[1][2:]
 
     def test_deterministic_under_seed(self):
         def run():
