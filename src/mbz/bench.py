@@ -9,6 +9,7 @@ connect latency; the summary and CDF are what the report renders.
 
 from __future__ import annotations
 
+import ipaddress
 import time
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ from .engine import Engine, EngineConfig
 from .host import PluginHost
 from .packet import SYN, make_tcp_packet, parse_packet, serialize_packet
 from .report import delta_cdf, summarize_deltas
-from .upstream import EV_CONNECTED, SimEndpointScript, SimUpstream
+from .upstream import BEHAVIOR_ECHO, EV_CONNECTED, SimEndpointScript, SimUpstream
 
 LOOPBACK = "127.0.0.1"
 ECHO_PORT = 7777
@@ -49,8 +50,7 @@ class BenchResult:
 
 
 def _loopback_script() -> SimEndpointScript:
-    return SimEndpointScript.from_dict(
-        {"cidr": f"{LOOPBACK}/32", "behavior": "echo"})
+    return SimEndpointScript(ipaddress.IPv4Network(f"{LOOPBACK}/32"), None, BEHAVIOR_ECHO)
 
 
 def _direct_pass(n: int) -> list[int]:

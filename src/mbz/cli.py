@@ -15,13 +15,13 @@ from pathlib import Path
 
 from . import __version__
 from .bench import InsufficientSamples, BenchResult, bench_cdf, run_bench
-from .config import ConfigLoadError, load_config
+from .config import ConfigLoadError, load_config, load_scripts
 from .engine import ConfigError
 from .pcapio import PcapError
 from .report import BadReport, format_report, load_report
 from .runner import ReplayRun, report_json_bytes, write_outputs
 from .trace import MalformedTrace
-from .upstream import OverlappingScripts, ScriptError
+from .upstream import OverlappingScripts
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,7 +83,8 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    load_config(args.config)  # validate anyway, so mistakes surface now
+    # read the config and the scripts anyway, so mistakes surface now
+    load_scripts(load_config(args.config).scripts_path)
     sys.stderr.write(
         "mbz run: no live packet conduit is bundled with this build; "
         "attach one behind the PacketConduit contract or use `mbz replay`.\n")
@@ -123,8 +124,8 @@ _COMMANDS = {
     "report": _cmd_report,
 }
 
-_CONFIG_ERRORS = (ConfigLoadError, ConfigError, ScriptError,
-                  OverlappingScripts, InsufficientSamples)
+_CONFIG_ERRORS = (ConfigLoadError, ConfigError, OverlappingScripts,
+                  InsufficientSamples)
 _IO_ERRORS = (MalformedTrace, PcapError, BadReport, OSError)
 
 

@@ -16,11 +16,11 @@ WALL = "wall"
 
 
 class Scheduler:
-    def __init__(self, mode: str = VIRTUAL, origin_us: int = 0):
+    def __init__(self, mode: str = VIRTUAL):
         if mode not in (VIRTUAL, WALL):
             raise ValueError(f"unknown clock mode {mode!r}")
         self.mode = mode
-        self._now_us = origin_us
+        self._now_us = 0
         # [at_us, seq, fn] lists, which heapq compares in C; seq is unique, so
         # fn is never compared. fn becomes None once the entry ran or was cancelled.
         self._heap: list[list] = []
@@ -29,7 +29,7 @@ class Scheduler:
         if mode == WALL:
             # bound once here: the engine and the plugin governor read the
             # clock on every packet and callback
-            wall_origin_ns = time.perf_counter_ns() - origin_us * 1000
+            wall_origin_ns = time.perf_counter_ns()
             perf_counter_ns = time.perf_counter_ns
             self.now_us = lambda: (perf_counter_ns() - wall_origin_ns) // 1000
 

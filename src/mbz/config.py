@@ -6,7 +6,10 @@ files must exist at load. Paths are resolved relative to the config
 file's directory. Each plugin setting is checked and converted to its
 plugin constructor's argument at load, through `PLUGIN_TABLE`, and the
 rules and org-map files are parsed there too, so building the chain
-later cannot fail on the config.
+later cannot fail on the config. The upstream scripts (`load_scripts`)
+and the firewall rules (`rules_from_list`) are read here as well: each
+entry goes through a key table, as the engine section does, and becomes
+a `SimEndpointScript` or a `FirewallRule`.
 
 Every YAML file a run reads (this config, the upstream scripts, the
 firewall rules) goes through `load_yaml`: PyYAML's libyaml-backed
@@ -17,6 +20,8 @@ does not parse is a ParseError naming it.
 
 from __future__ import annotations
 
+import ipaddress
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -26,9 +31,10 @@ import yaml
 from .engine import EngineConfig
 from .host import (Connectivity, DeviceContext, MalformedPermissions, Permission,
                    ResourceBudget, permissions_from_names)
-from .packet import ipv4_endpoint
-from .plugins import AdvisorPlugin, FirewallPlugin, OrgMap, SnitchPlugin, WhatIfPlugin
-from .plugins.firewall import rules_from_list
+from .packet import PROTO_TCP, PROTO_UDP
+from .plugins import (AdvisorPlugin, FirewallPlugin, FirewallRule, OrgMap, SnitchPlugin,
+                      WhatIfPlugin)
+from .upstream import BEHAVIOR_BLACKHOLE, BEHAVIORS, SimEndpointScript
 
 
 class ConfigLoadError(Exception):
@@ -110,15 +116,13 @@ def _require_keys(obj: dict, known: set[str] | dict[str, type], where: str) -> N
 
 
 def _convert(convert, value, where: str):
-    """`convert(value)`, or a ParseError naming `where` if that fails."""
+    """`convert(value)`, or a ParseError naming `where` if that fails; a
+    long value is shortened, so a bad address in a large `answers` map
+    does not print the whole map."""
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where}: bad value {value!r} ({exc})") from None
-
-
-def _us(seconds) -> int:
-    return int(float(seconds) * 1e6)
+        raise ParseError(f"{where}: bad value {reprlib.repr(value)} ({exc})") from None
 
 
 def _existing(base: Path, raw: str, what: str) -> Path:
@@ -131,26 +135,136 @@ def _existing(base: Path, raw: str, what: str) -> Path:
     return path
 
 
+def _fields(obj: dict, table: dict, where: str, **fields) -> dict:
+    """`fields`, updated from the mapping `obj` through `table`: config
+    key: (field, conversion). A conversion that is itself a table reads a
+    nested mapping (empty when the value is false); a field of None takes
+    the several fields the conversion returns as a dict. A key outside
+    the table, or a value its conversion refuses, is a ParseError."""
+    _require_keys(obj, set(table), where)
+    for key, (name, convert) in table.items():
+        if key not in obj:
+            continue
+        if isinstance(convert, dict):
+            value = _fields(obj[key] or {}, convert, f"{where}.{key}")
+        else:
+            value = _convert(convert, obj[key], f"{where}.{key}")
+        if name is None:
+            fields.update(value)
+        else:
+            fields[name] = value
+    return fields
+
+
+def _checked(convert, ok, rule: str):
+    """`convert`, then a ValueError unless `ok` holds for its result."""
+    def checked(value):
+        result = convert(value)
+        if not ok(result):
+            raise ValueError(f"must be {rule}")
+        return result
+    return checked
+
+
+def _typed(kind: type, convert=lambda value: value):
+    """`convert`, for a value of exactly type `kind` only (so a bool is
+    not an int)."""
+    def typed(value):
+        if type(value) is not kind:
+            raise TypeError(f"must be {kind.__name__}")
+        return convert(value)
+    return typed
+
+
+def _one_of(choices):
+    """A value among `choices`; a dict of choices maps it to its entry."""
+    def one_of(value):
+        if value not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}")
+        return choices[value] if isinstance(choices, dict) else value
+    return one_of
+
+
+def _us(seconds) -> int:
+    return int(float(seconds) * 1e6)
+
+
+# A duration a run steps through idle ticks for (a timeout, the sweep
+# interval) is bounded, so one config value cannot make a replay run for
+# hours after its last packet.
+_HOUR_US = 3_600_000_000
+_duration = _checked(_us, lambda us: 0 < us <= _HOUR_US, "above 0 and at most 3600 s")
+_sweep_interval = _checked(_us, lambda us: 10_000 <= us <= _HOUR_US, "from 0.01 to 3600 s")
+_count = _checked(_typed(int), lambda n: n >= 0, "0 or more")
+_fraction = _checked(float, lambda x: 0 <= x <= 1, "from 0 to 1")
+_utf8 = _typed(str, str.encode)
+
+
+def _bytes(value) -> bytes:
+    """A string as UTF-8, or bytes (a YAML !!binary value) as they are."""
+    return value if type(value) is bytes else _utf8(value)
+
+
+def port_set(value) -> frozenset[int] | None:
+    """The ports a `ports` value names: None for `any` (or no value),
+    else a list of integers (not booleans) from 0 to 65535."""
+    if value in ("any", None):
+        return None
+    if not (isinstance(value, list)
+            and all(type(p) is int and 0 <= p <= 0xFFFF for p in value)):
+        raise ValueError("must be 'any' or a list of port numbers")
+    return frozenset(value)
+
+
+def ipv4_endpoint(text, min_port: int = 0) -> tuple[str, int]:
+    """(address, port) of an 'a.b.c.d:port' target: a dotted-quad IPv4
+    address and a decimal port from `min_port` to 65535."""
+    host, _, port = text.rpartition(":") if isinstance(text, str) else ("", "", "")
+    try:
+        ipaddress.IPv4Address(host)
+        if port.isascii() and port.isdigit() and min_port <= int(port) <= 0xFFFF:
+            return host, int(port)
+    except ValueError:
+        pass
+    raise ValueError(f"expected IPv4:port with a port from {min_port} to 65535, "
+                     f"got {text!r}")
+
+
+def _addresses(value) -> list[str]:
+    """A list of dotted-quad IPv4 addresses, as written."""
+    if type(value) is not list or not all(type(text) is str for text in value):
+        raise TypeError("must be a list of IPv4 addresses")
+    for text in value:
+        ipaddress.IPv4Address(text)
+    return list(value)
+
+
+def _answer_map(value) -> dict[str, list[str]]:
+    """{domain name: [IPv4 address, ...]}"""
+    return {str(name): _addresses(ips) for name, ips in _typed(dict)(value).items()}
+
+
+def _entries(read, objs, where: str) -> list:
+    """`read(entry, where)` for each entry of the YAML list `objs`."""
+    if not isinstance(objs, list):
+        raise ParseError(f"{where}: expected a list")
+    return [read(obj, f"{where}[{i}]") for i, obj in enumerate(objs)]
+
+
 # engine config key: (EngineConfig field, conversion)
 _ENGINE_KEYS = {
     "mtu": ("mtu", int),
     "socket_budget": ("socket_budget", int),
-    "udp_timeout_s": ("udp_timeout_us", _us),
-    "dns_timeout_s": ("dns_timeout_us", _us),
-    "sweep_interval_s": ("sweep_interval_us", _us),
+    "udp_timeout_s": ("udp_timeout_us", _duration),
+    "dns_timeout_s": ("dns_timeout_us", _duration),
+    "sweep_interval_s": ("sweep_interval_us", _sweep_interval),
     "buffer_capacity": ("buffer_capacity", int),
+    "local_isn": ("local_isn", lambda isn: None if isn == "random" else int(isn)),
 }
 
 
 def _engine_from(obj: dict) -> EngineConfig:
-    _require_keys(obj, set(_ENGINE_KEYS) | {"local_isn"}, "engine")
-    cfg = EngineConfig()
-    for key, (name, convert) in _ENGINE_KEYS.items():
-        if key in obj:
-            setattr(cfg, name, _convert(convert, obj[key], f"engine.{key}"))
-    isn = obj.get("local_isn", "random")
-    if isn != "random":
-        cfg.local_isn = _convert(int, isn, "engine.local_isn")
+    cfg = EngineConfig(**_fields(obj, _ENGINE_KEYS, "engine"))
     try:
         cfg.validate()
     except ValueError as exc:
@@ -170,26 +284,110 @@ def _budget_from(obj: dict, where: str) -> ResourceBudget:
     return budget
 
 
-def _checked(convert, ok, rule: str):
-    """`convert`, then a ValueError unless `ok` holds for its result."""
-    def checked(value):
-        result = convert(value)
-        if not ok(result):
-            raise ValueError(f"must be {rule}")
-        return result
-    return checked
+# upstream script key: (SimEndpointScript field, conversion); `cidr` is
+# required, and `response_hex` overrides `response`
+_SCRIPT_KEYS = {
+    "cidr": ("network", _typed(str, ipaddress.IPv4Network)),
+    "ports": ("ports", port_set),
+    "behavior": ("behavior", _one_of(BEHAVIORS)),
+    "delay_us": ("delay_us", _count),
+    "jitter_us": ("jitter_us", _count),
+    "response": ("response", _bytes),
+    "response_hex": ("response", _typed(str, bytes.fromhex)),
+    "answers": ("answers", lambda answers: _answer_map(answers or {})),
+    "tamper": ("tamper", {
+        "override": ("override", _answer_map),
+        "nxdomain_to": ("nxdomain_to", _addresses),
+        "drop": ("drop", _typed(list, lambda names: [_typed(str)(n) for n in names])),
+    }),
+    "recv_window": ("recv_window", lambda n: None if n is None else _count(n)),
+}
 
 
-def _typed(kind: type, convert=lambda value: value):
-    """`convert`, for a value of type `kind` only."""
-    def typed(value):
-        if not isinstance(value, kind):
-            raise TypeError(f"must be {kind.__name__}")
-        return convert(value)
-    return typed
+def script_from_dict(obj: dict, where: str = "script") -> SimEndpointScript:
+    """One upstream script from its YAML mapping."""
+    fields = _fields(obj, _SCRIPT_KEYS, where, ports=None, behavior=BEHAVIOR_BLACKHOLE)
+    if "network" not in fields:
+        raise ParseError(f"{where}: missing cidr")
+    return SimEndpointScript(**fields)
 
 
-_fraction = _checked(float, lambda x: 0 <= x <= 1, "from 0 to 1")
+def load_scripts(path: Path | None) -> list[SimEndpointScript]:
+    """The upstream scripts a YAML list holds (none without a file); a
+    malformed entry is a ParseError naming the file and its index."""
+    raw = None if path is None else load_yaml(path)
+    return [] if raw is None else _entries(script_from_dict, raw, f"{path}: scripts")
+
+
+def _destination(dst) -> dict:
+    """The FirewallRule fields of a `dst`: `any` (or no value), a CIDR,
+    or else a domain suffix."""
+    if dst in ("any", None):
+        return {}
+    if "/" in _typed(str)(dst):
+        return {"dst_network": ipaddress.IPv4Network(dst)}
+    return {"dst_suffix": (dst if dst.startswith(".") else "." + dst).lower()}
+
+
+def _rewrite(spec) -> dict:
+    """The FirewallRule fields of a `rewrite`: `pattern` and
+    `replacement` as text, or `pattern_hex` and `replacement_hex`; not
+    empty, and of one length."""
+    hexed = "pattern_hex" in _typed(dict)(spec)
+    convert = _typed(str, bytes.fromhex if hexed else str.encode)
+    pattern, replacement = (convert(spec.get(name)) for name in (
+        ("pattern_hex", "replacement_hex") if hexed else ("pattern", "replacement")))
+    if not pattern:
+        raise ValueError("empty rewrite pattern")
+    if len(pattern) != len(replacement):
+        raise ValueError(f"rewrite must be length-preserving: "
+                         f"{len(pattern)} != {len(replacement)}")
+    return {"action": "rewrite", "pattern": pattern, "replacement": replacement}
+
+
+_deny_mode = _one_of(("silent", "reset", "inject"))
+
+
+def _action(action) -> dict:
+    """The FirewallRule fields of an `action`: `allow`, or a mapping
+    whose first of `deny` (with an optional `notice`), `switch` and
+    `rewrite` sets the action; it may hold one other key."""
+    if action == "allow":
+        return {}
+    if not isinstance(action, dict) or len(action) > 2:
+        raise ValueError("must be allow or a mapping")
+    if "deny" in action:
+        return {"action": "deny", "deny_mode": _deny_mode(action["deny"]),
+                "notice": _bytes(action.get("notice", "blocked by firewall policy\n"))}
+    if "switch" in action:
+        return {"action": "switch", "switch_to": ipv4_endpoint(action["switch"])}
+    if "rewrite" in action:
+        return _rewrite(action["rewrite"])
+    raise ValueError("must hold deny, switch or rewrite")
+
+
+_protocol = _one_of({"tcp": PROTO_TCP, "udp": PROTO_UDP, "any": None})
+
+# firewall rule key: (FirewallRule field, conversion)
+_RULE_KEYS = {
+    "match": (None, {
+        "app": ("app", _typed(str)),
+        "dst": (None, _destination),
+        "ports": ("ports", port_set),
+        "protocol": ("protocol", lambda name: _protocol(str(name).lower())),
+    }),
+    "action": (None, _action),
+}
+
+
+def rule_from_dict(obj: dict, where: str = "rule") -> FirewallRule:
+    """One firewall rule from its YAML mapping."""
+    return FirewallRule(**_fields(obj, _RULE_KEYS, where))
+
+
+def rules_from_list(objs: list, where: str = "rules") -> list[FirewallRule]:
+    """The firewall rules a YAML list holds, in order."""
+    return _entries(rule_from_dict, objs, where)
 
 
 class PluginKind(NamedTuple):
@@ -211,15 +409,15 @@ PLUGIN_TABLE = {
     }),
     "firewall": PluginKind(
         FirewallPlugin, ("observe", "block_flow", "redirect_flow", "modify_payload"), None, {
-            "rules": ("rules", lambda path: rules_from_list(load_yaml(path) or []),
-                      "firewall rules"),
+            "rules": ("rules", lambda path: rules_from_list(
+                load_yaml(path) or [], f"{path}: rules"), "firewall rules"),
             "default_allow": ("default_allow", _typed(bool)),
         }),
     "dns-whatif": PluginKind(WhatIfPlugin, ("observe", "inject_packets"), "whatif", {
         "resolvers": ("alt_resolvers", _typed(list, lambda targets: tuple(
             ipv4_endpoint(target, min_port=1) for target in targets))),
         "probability": ("probability", _fraction),
-        "timeout_s": ("timeout_us", _checked(_us, lambda us: us > 0, "more than 0")),
+        "timeout_s": ("timeout_us", _duration),
     }),
     "protocol-advisor": PluginKind(AdvisorPlugin, ("observe",), "advisor", {
         "loss_rate_threshold": ("loss_rate_threshold", _fraction),
@@ -228,8 +426,7 @@ PLUGIN_TABLE = {
 }
 
 
-def _plugin_from(obj: dict, base: Path, index: int) -> PluginSpec:
-    where = f"plugins[{index}]"
+def _plugin_from(obj: dict, base: Path, where: str) -> PluginSpec:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected a mapping")
     name = obj.get("kind")
@@ -300,8 +497,8 @@ def load_config(path: str | Path) -> RunConfig:
     host_obj = raw.get("host") or {}
     _require_keys(host_obj, {"low_battery_throttle": int}, "host")
 
-    plugins = [_plugin_from(p, base, i)
-               for i, p in enumerate(raw.get("plugins") or [])]
+    plugins = _entries(lambda obj, where: _plugin_from(obj, base, where),
+                       raw.get("plugins") or [], "plugins")
     seen_ids = set()
     for spec in plugins:
         if spec.id in seen_ids:

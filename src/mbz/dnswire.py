@@ -14,9 +14,12 @@ from dataclasses import dataclass, field
 QTYPE_A = 1
 QCLASS_IN = 1
 RCODE_OK = 0
+RCODE_FORMERR = 1
 RCODE_NXDOMAIN = 3
 
 _FLAG_RESPONSE = 0x8000
+_RESPONSE_FLAGS = _FLAG_RESPONSE | 0x0100 | 0x0080  # QR, RD, RA
+_ANSWER_TTL = 60
 
 
 @dataclass
@@ -30,8 +33,11 @@ class DnsMessage:
 
 
 def encode_name(name: str) -> bytes:
+    """The wire form of a dotted name; "" and "." are the root. A label
+    that is empty, not ASCII or over 63 bytes is a ValueError."""
     out = bytearray()
-    for label in name.rstrip(".").split("."):
+    name = name.rstrip(".")
+    for label in name.split(".") if name else ():
         raw = label.encode("ascii")
         if not raw or len(raw) > 63:
             raise ValueError(f"bad DNS label in {name!r}")
@@ -79,15 +85,20 @@ def build_query(qid: int, qname: str, qtype: int = QTYPE_A) -> bytes:
 
 
 def build_response(qid: int, qname: str, qtype: int, ips: list[str],
-                   rcode: int = RCODE_OK, ttl: int = 60) -> bytes:
-    flags = _FLAG_RESPONSE | 0x0100 | 0x0080 | (rcode & 0x0F)  # QR, RD, RA
+                   rcode: int = RCODE_OK) -> bytes:
+    flags = _RESPONSE_FLAGS | (rcode & 0x0F)
     header = struct.pack("!HHHHHH", qid & 0xFFFF, flags, 1, len(ips), 0, 0)
     question = encode_name(qname) + struct.pack("!HH", qtype, QCLASS_IN)
     answers = bytearray()
     for ip in ips:
         rdata = bytes(int(p) for p in ip.split("."))
-        answers += struct.pack("!HHHIH", 0xC00C, QTYPE_A, QCLASS_IN, ttl, 4) + rdata
+        answers += struct.pack("!HHHIH", 0xC00C, QTYPE_A, QCLASS_IN, _ANSWER_TTL, 4) + rdata
     return header + question + bytes(answers)
+
+
+def build_error(qid: int, rcode: int) -> bytes:
+    """A response that carries only `rcode`: no question, no answer."""
+    return struct.pack("!HHHHHH", qid & 0xFFFF, _RESPONSE_FLAGS | (rcode & 0x0F), 0, 0, 0, 0)
 
 
 def question_end(data: bytes) -> int:

@@ -9,7 +9,6 @@ fragments are rejected up front.
 
 from __future__ import annotations
 
-import ipaddress
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -197,33 +196,6 @@ def flow_key_of(p: Packet) -> FlowKey:
     if t is None:
         raise NoTransport(f"protocol {ip.protocol} has no TCP/UDP transport")
     return FlowKey(ip.protocol, (ip.src_addr, t.src_port), (ip.dst_addr, t.dst_port))
-
-
-def port_set(value) -> frozenset[int] | None:
-    """The ports a config's `ports` value names: None for `any` (or no
-    value), else a list of integers (not booleans) from 0 to 65535.
-    Anything else is a ValueError."""
-    if value in ("any", None):
-        return None
-    if not (isinstance(value, list)
-            and all(type(p) is int and 0 <= p <= 0xFFFF for p in value)):
-        raise ValueError(f"ports must be 'any' or a list of port numbers, got {value!r}")
-    return frozenset(value)
-
-
-def ipv4_endpoint(text, min_port: int = 0) -> tuple[str, int]:
-    """(address, port) of an 'a.b.c.d:port' target: a dotted-quad IPv4
-    address and a decimal port from `min_port` to 65535. Anything else
-    is a ValueError."""
-    host, _, port = text.rpartition(":") if isinstance(text, str) else ("", "", "")
-    try:
-        ipaddress.IPv4Address(host)
-        if port.isascii() and port.isdigit() and min_port <= int(port) <= 0xFFFF:
-            return host, int(port)
-    except ValueError:
-        pass
-    raise ValueError(f"expected IPv4:port with a port from {min_port} to 65535, "
-                     f"got {text!r}")
 
 
 def parse_packet(data: bytes) -> Packet:

@@ -23,14 +23,7 @@ from ..host import (
     Block, BlockMode, Modify, PluginContext, PluginEvent, Redirect,
     TrafficPlugin, Verdict,
 )
-from ..packet import PROTO_TCP, PROTO_UDP, ipv4_endpoint, port_set
 from .domains import DomainTracker, TLS_PORT
-
-_PROTO_BY_NAME = {"tcp": PROTO_TCP, "udp": PROTO_UDP, "any": None}
-
-
-class FirewallRuleError(ValueError):
-    pass
 
 
 @dataclass
@@ -52,87 +45,6 @@ class FirewallRule:
     def __post_init__(self):
         self._app_match = None if self.app == "*" \
             else re.compile(fnmatch.translate(self.app)).match
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "FirewallRule":
-        known = {"match", "action"}
-        unknown = set(obj) - known
-        if unknown:
-            raise FirewallRuleError(f"unknown rule keys {sorted(unknown)}")
-        match = obj.get("match") or {}
-        mknown = {"app", "dst", "ports", "protocol"}
-        munknown = set(match) - mknown
-        if munknown:
-            raise FirewallRuleError(f"unknown match keys {sorted(munknown)}")
-
-        dst = match.get("dst", "any")
-        dst_suffix = dst_network = None
-        if dst not in ("any", None):
-            if not isinstance(dst, str):
-                raise FirewallRuleError(f"bad dst {dst!r}")
-            if "/" in dst:
-                try:
-                    dst_network = ipaddress.IPv4Network(dst)
-                except ValueError as exc:
-                    raise FirewallRuleError(f"bad dst CIDR {dst!r}") from exc
-            else:
-                dst_suffix = (dst if dst.startswith(".") else "." + dst).lower()
-
-        try:
-            ports = port_set(match.get("ports", "any"))
-        except ValueError as exc:
-            raise FirewallRuleError(str(exc)) from None
-
-        proto_name = str(match.get("protocol", "any")).lower()
-        if proto_name not in _PROTO_BY_NAME:
-            raise FirewallRuleError(f"bad protocol {proto_name!r}")
-
-        rule = cls(app=match.get("app", "*"), dst_suffix=dst_suffix,
-                   dst_network=dst_network, ports=ports,
-                   protocol=_PROTO_BY_NAME[proto_name])
-        rule._parse_action(obj.get("action", "allow"))
-        return rule
-
-    def _parse_action(self, action) -> None:
-        if action == "allow":
-            self.action = "allow"
-            return
-        if not isinstance(action, dict) or len(action) > 2:
-            raise FirewallRuleError(f"bad action {action!r}")
-        if "deny" in action:
-            mode = action["deny"]
-            if mode not in ("silent", "reset", "inject"):
-                raise FirewallRuleError(f"bad deny mode {mode!r}")
-            self.action = "deny"
-            self.deny_mode = mode
-            notice = action.get("notice", "blocked by firewall policy\n")
-            if not isinstance(notice, (str, bytes)):
-                raise FirewallRuleError(f"bad notice {notice!r}")
-            self.notice = notice.encode("utf-8") if isinstance(notice, str) else notice
-        elif "switch" in action:
-            try:
-                self.switch_to = ipv4_endpoint(action["switch"])
-            except ValueError as exc:
-                raise FirewallRuleError(f"bad switch target: {exc}") from None
-            self.action = "switch"
-        elif "rewrite" in action:
-            spec = action["rewrite"]
-            hexed = isinstance(spec, dict) and "pattern_hex" in spec
-            names = ("pattern_hex", "replacement_hex") if hexed else ("pattern", "replacement")
-            texts = [spec.get(name) if isinstance(spec, dict) else None for name in names]
-            if not all(isinstance(text, str) for text in texts):
-                raise FirewallRuleError(f"rewrite needs {' and '.join(names)}, got {spec!r}")
-            self.pattern, self.replacement = (
-                bytes.fromhex(text) if hexed else text.encode("utf-8") for text in texts)
-            if not self.pattern:
-                raise FirewallRuleError("empty rewrite pattern")
-            if len(self.pattern) != len(self.replacement):
-                raise FirewallRuleError(
-                    "rewrite must be length-preserving: "
-                    f"{len(self.pattern)} != {len(self.replacement)}")
-            self.action = "rewrite"
-        else:
-            raise FirewallRuleError(f"bad action {action!r}")
 
     def matches(self, protocol: int, dst_port: int, app_label: str, domain: str,
                 dst_ip: ipaddress.IPv4Address | None) -> bool:
@@ -174,12 +86,6 @@ def _first_rule(rules: tuple[FirewallRule, ...], any_cidr: bool, protocol: int,
         if rule.matches(protocol, dst[1], app_label, domain, dst_ip):
             return rule
     return None
-
-
-def rules_from_list(objs: list[dict]) -> list[FirewallRule]:
-    if not isinstance(objs, list) or not all(isinstance(o, dict) for o in objs):
-        raise FirewallRuleError("rules must be a list of mappings")
-    return [FirewallRule.from_dict(o) for o in objs]
 
 
 class FirewallPlugin(TrafficPlugin):

@@ -20,6 +20,7 @@ from ..packet import FlowKey, PROTO_TCP
 from .domains import TLS_PORT, DomainTracker, looks_like_quic
 
 UDP_BURST_GAP_US = 1_000_000
+UNKNOWN_ORG = "unknown"
 
 
 class OrgMapError(ValueError):
@@ -28,14 +29,13 @@ class OrgMapError(ValueError):
 
 class OrgMap:
     """Ordered (domain-suffix | CIDR) -> organization rules; first match
-    wins, unmatched lookups return the default."""
+    wins, unmatched lookups return UNKNOWN_ORG."""
 
-    def __init__(self, rules: list[tuple[str, object, str]], default: str = "unknown"):
+    def __init__(self, rules: list[tuple[str, object, str]]):
         self.rules = rules
-        self.default = default
 
     @classmethod
-    def from_pairs(cls, pairs: list[tuple[str, str]], default: str = "unknown") -> "OrgMap":
+    def from_pairs(cls, pairs: list[tuple[str, str]]) -> "OrgMap":
         rules: list[tuple[str, object, str]] = []
         for pattern, org in pairs:
             pattern = pattern.strip()
@@ -49,10 +49,10 @@ class OrgMap:
             else:
                 suffix = pattern if pattern.startswith(".") else "." + pattern
                 rules.append(("suffix", suffix.lower(), org))
-        return cls(rules, default=default)
+        return cls(rules)
 
     @classmethod
-    def from_csv(cls, path: str | Path, default: str = "unknown") -> "OrgMap":
+    def from_csv(cls, path: str | Path) -> "OrgMap":
         pairs = []
         with open(path, newline="", encoding="utf-8") as fh:
             try:
@@ -64,7 +64,7 @@ class OrgMap:
                     pairs.append((row[0], row[1].strip()))
             except csv.Error as exc:  # a field over the csv module's size limit
                 raise OrgMapError(str(exc)) from None
-        return cls.from_pairs(pairs, default=default)
+        return cls.from_pairs(pairs)
 
     def lookup(self, domain: str, ip: str) -> str:
         domain = domain.lower().rstrip(".")
@@ -81,7 +81,7 @@ class OrgMap:
                         addr = False
                 if addr and addr in pattern:
                     return org
-        return self.default
+        return UNKNOWN_ORG
 
 
 @dataclass

@@ -6,33 +6,14 @@ import json
 from pathlib import Path
 
 from .clock import Scheduler
-from .config import PLUGIN_TABLE, ParseError, RunConfig, load_yaml
+from .config import PLUGIN_TABLE, ParseError, RunConfig, load_scripts
 from .conduit import ReplayConduit
 from .engine import Engine
 from .host import PluginDescriptor, PluginHost
 from .pcapio import PcapSpool, pcap_read, pcap_write
 from .plugins import WhatIfPlugin
 from .trace import APP_TO_NET, TraceEvent, check_monotonic, read_trace
-from .upstream import ScriptError, SimEndpointScript, SimUpstream
-
-
-def load_scripts(path: Path | None) -> list[SimEndpointScript]:
-    """The upstream scripts a YAML list holds; a malformed entry is a
-    ScriptError naming the file and the entry's index."""
-    if path is None:
-        return []
-    raw = load_yaml(path)
-    if raw is None:
-        return []
-    if not isinstance(raw, list):
-        raise ScriptError(f"{path}: expected a list of scripts")
-    scripts = []
-    for i, obj in enumerate(raw):
-        try:
-            scripts.append(SimEndpointScript.from_dict(obj))
-        except ScriptError as exc:
-            raise ScriptError(f"{path}: scripts[{i}]: {exc}") from None
-    return scripts
+from .upstream import SimUpstream
 
 
 def load_trace_events(config: RunConfig) -> list[TraceEvent]:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from . import dnswire
 from .clock import Scheduler
-from .packet import port_set
 
 Addr = tuple[str, int]
 
@@ -33,15 +32,11 @@ BEHAVIOR_DNS = "dns"
 BEHAVIOR_BLACKHOLE = "blackhole"
 BEHAVIOR_RESET = "reset"
 
-_BEHAVIORS = (BEHAVIOR_ECHO, BEHAVIOR_STATIC, BEHAVIOR_DNS,
-              BEHAVIOR_BLACKHOLE, BEHAVIOR_RESET)
+BEHAVIORS = (BEHAVIOR_ECHO, BEHAVIOR_STATIC, BEHAVIOR_DNS,
+             BEHAVIOR_BLACKHOLE, BEHAVIOR_RESET)
 
 
 class OverlappingScripts(Exception):
-    pass
-
-
-class ScriptError(Exception):
     pass
 
 
@@ -67,10 +62,6 @@ class SimEndpointScript:
     tamper: dict = field(default_factory=dict)
     recv_window: int | None = None
 
-    def __post_init__(self):
-        if self.behavior not in _BEHAVIORS:
-            raise ScriptError(f"unknown behavior {self.behavior!r}")
-
     def matches(self, addr: Addr) -> bool:
         ip, port = addr
         if self.ports is not None and port not in self.ports:
@@ -83,91 +74,6 @@ class SimEndpointScript:
         if self.ports is None or other.ports is None:
             return True
         return bool(self.ports & other.ports)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SimEndpointScript":
-        """One script from its YAML mapping; ScriptError on any key or
-        value it cannot use."""
-        if not isinstance(obj, dict):
-            raise ScriptError(f"expected a mapping, got {obj!r}")
-        known = {"cidr", "ports", "behavior", "delay_us", "jitter_us",
-                 "response", "response_hex", "answers", "tamper", "recv_window"}
-        unknown = set(obj) - known
-        if unknown:
-            raise ScriptError(f"unknown script keys {sorted(unknown)}")
-        try:
-            network = ipaddress.IPv4Network(_typed(obj.get("cidr"), str, "cidr"))
-        except ValueError as exc:
-            raise ScriptError(f"bad script cidr: {exc}") from exc
-        try:
-            ports = port_set(obj.get("ports", "any"))
-        except ValueError as exc:
-            raise ScriptError(str(exc)) from None
-        response = _typed(obj.get("response", ""), (str, bytes), "response")
-        if isinstance(response, str):
-            response = response.encode("utf-8")
-        if "response_hex" in obj:
-            try:
-                response = bytes.fromhex(_typed(obj["response_hex"], str, "response_hex"))
-            except ValueError as exc:
-                raise ScriptError(f"bad response_hex: {exc}") from exc
-        tamper = dict(_typed(obj.get("tamper") or {}, dict, "tamper"))
-        unknown = set(tamper) - {"override", "nxdomain_to", "drop"}
-        if unknown:
-            raise ScriptError(f"unknown tamper keys {sorted(unknown)}")
-        if "override" in tamper:
-            tamper["override"] = _answer_map(tamper["override"], "tamper.override")
-        if "nxdomain_to" in tamper:
-            tamper["nxdomain_to"] = _ip_list(tamper["nxdomain_to"], "tamper.nxdomain_to")
-        if "drop" in tamper:
-            drop = _typed(tamper["drop"], list, "tamper.drop")
-            tamper["drop"] = [_typed(name, str, "tamper.drop") for name in drop]
-        recv_window = obj.get("recv_window")
-        return cls(
-            network=network,
-            ports=ports,
-            behavior=obj.get("behavior", BEHAVIOR_BLACKHOLE),
-            delay_us=_count(obj.get("delay_us", 0), "delay_us"),
-            jitter_us=_count(obj.get("jitter_us", 0), "jitter_us"),
-            response=response,
-            answers=_answer_map(obj.get("answers") or {}, "answers"),
-            tamper=tamper,
-            recv_window=None if recv_window is None else _count(recv_window, "recv_window"),
-        )
-
-
-def _typed(value, kind, name: str):
-    if not isinstance(value, kind):
-        raise ScriptError(f"{name}: unexpected value {value!r}")
-    return value
-
-
-def _count(value, name: str) -> int:
-    if type(value) is not int or value < 0:
-        raise ScriptError(f"{name} must be a non-negative integer, got {value!r}")
-    return value
-
-
-def _is_ipv4(text) -> bool:
-    if not isinstance(text, str):
-        return False
-    try:
-        ipaddress.IPv4Address(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _ip_list(value, name: str) -> list[str]:
-    if not (isinstance(value, list) and all(map(_is_ipv4, value))):
-        raise ScriptError(f"{name} must be a list of IPv4 addresses, got {value!r}")
-    return list(value)
-
-
-def _answer_map(value, name: str) -> dict[str, list[str]]:
-    """{domain name: [IPv4 address, ...]}"""
-    return {str(k): _ip_list(v, f"{name}[{k!r}]")
-            for k, v in _typed(value, dict, name).items()}
 
 
 @dataclass
@@ -410,6 +316,7 @@ def _build_dns_reply(script: SimEndpointScript, msg: dnswire.DnsMessage) -> byte
     if msg.qname in tamper.get("drop", ()):
         return None
     override = tamper.get("override", {})
+    rcode = dnswire.RCODE_OK
     if msg.qname in override:
         ips = list(override[msg.qname])
     elif msg.qname in script.answers:
@@ -417,9 +324,11 @@ def _build_dns_reply(script: SimEndpointScript, msg: dnswire.DnsMessage) -> byte
     elif tamper.get("nxdomain_to"):
         ips = list(tamper["nxdomain_to"])
     else:
-        return dnswire.build_response(msg.qid, msg.qname, msg.qtype, [],
-                                      rcode=dnswire.RCODE_NXDOMAIN)
-    return dnswire.build_response(msg.qid, msg.qname, msg.qtype, ips)
+        ips, rcode = [], dnswire.RCODE_NXDOMAIN
+    try:
+        return dnswire.build_response(msg.qid, msg.qname, msg.qtype, ips, rcode)
+    except ValueError:  # a label the parse decoded from non-ASCII bytes, or over 63 bytes
+        return dnswire.build_error(msg.qid, dnswire.RCODE_FORMERR)
 
 
 _SCRIPT_CACHE_SIZE = 4096

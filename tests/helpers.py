@@ -13,6 +13,7 @@ import random
 
 from mbz.clock import Scheduler
 from mbz.conduit import InMemoryConduit
+from mbz.config import script_from_dict
 from mbz.engine import Engine, EngineConfig, seq_add
 from mbz.host import PluginHost
 from mbz.packet import (
@@ -20,14 +21,14 @@ from mbz.packet import (
     flow_key_of, make_tcp_packet, mss_option, parse_packet, serialize_packet,
 )
 from mbz.pcapio import PcapSpool, pcap_read, pcap_write
-from mbz.upstream import SimEndpointScript, SimUpstream
+from mbz.upstream import SimUpstream
 
 
 def build_engine(scripts, config=None, host=None, seed=0, sink=None):
     sched = Scheduler()
     conduit = InMemoryConduit(sched)
     upstream = SimUpstream(
-        [SimEndpointScript.from_dict(s) if isinstance(s, dict) else s
+        [script_from_dict(s) if isinstance(s, dict) else s
          for s in scripts], sched, rng_seed=seed)
     host = host or PluginHost(sched, upstream=upstream)
     config = config or EngineConfig(local_isn=5000)

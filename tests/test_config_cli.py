@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,9 @@ from mbz.config import (
     ConfigLoadError, DuplicatePluginId, MissingFile, ParseError, load_config,
 )
 from mbz.host import PluginHost
+from mbz.packet import make_udp_packet, serialize_packet
 from mbz.runner import install_plugins
+from mbz.trace import APP_TO_NET, TraceEvent, write_trace
 from mbz.upstream import SimUpstream
 from mbz.report import (
     BadReport, delta_cdf, format_report, load_report, summarize_deltas,
@@ -133,6 +136,36 @@ class TestLoadConfig:
         csv_text = (tmp_path / "out" / "report.csv").read_text()
         assert csv_text.startswith("organization,requests\n")
 
+    @pytest.mark.parametrize("engine, plugin, key", [
+        ("{udp_timeout_s: 3601}", "", "udp_timeout_s"),
+        ("{udp_timeout_s: 3600, dns_timeout_s: 3601}", "", "dns_timeout_s"),
+        ("{sweep_interval_s: 3601}", "", "sweep_interval_s"),
+        ("{sweep_interval_s: 0.009}", "", "sweep_interval_s"),
+        ("{}", "{id: w1, kind: dns-whatif, timeout_s: 3601}", "timeout_s"),
+    ], ids=["udp-timeout", "dns-timeout", "sweep-interval-long", "sweep-interval-short",
+            "whatif-timeout"])
+    def test_durations_out_of_bounds_exit_2(self, tmp_path, capsys, engine, plugin, key):
+        # past these a replay steps through idle ticks long after its last packet
+        (tmp_path / "trace.jsonl").write_text("")
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(f"engine: {engine}\nio: {{trace: trace.jsonl}}\nplugins: [{plugin}]\n")
+        assert main(["replay", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "mbz: config error" in err and f"{key}: bad value" in err
+
+    def test_durations_at_their_bounds_load(self, tmp_path):
+        (tmp_path / "trace.jsonl").write_text("")
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(
+            "engine: {udp_timeout_s: 3600, dns_timeout_s: 3600, sweep_interval_s: 0.01}\n"
+            "io: {trace: trace.jsonl}\n"
+            "plugins: [{id: w1, kind: dns-whatif, timeout_s: 3600}]\n")
+        config = load_config(cfg)
+        engine = config.engine
+        assert (engine.udp_timeout_us, engine.dns_timeout_us, engine.sweep_interval_us) == (
+            3_600_000_000, 3_600_000_000, 10_000)
+        assert config.plugins[0].settings["timeout_us"] == 3_600_000_000
+
 
 class TestCliExitCodes:
     def test_replay_ok_and_outputs(self, tmp_path, capsys):
@@ -184,6 +217,12 @@ class TestCliExitCodes:
         assert main(["replay", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "mbz: config error" in err and "'fw1'" in err and "rules.yaml" in err
+
+    @pytest.mark.parametrize("plugins", ["5", "true", "abc", "{id: p0, kind: snitch}"])
+    def test_plugins_not_a_list_exit_2(self, tmp_path, capsys, plugins):
+        cfg = write_min_config(tmp_path, plugins=f"plugins: {plugins}\n")
+        assert main(["replay", "--config", str(cfg)]) == 2
+        assert "mbz: config error: plugins" in capsys.readouterr().err
 
     def test_malformed_org_map_exit_2(self, tmp_path, capsys):
         (tmp_path / "orgs.csv").write_text(".x.example,x\na,b,c\n")
@@ -345,6 +384,29 @@ class TestCliExitCodes:
         cfg = write_min_config(tmp_path)
         assert main(["run", "--config", str(cfg)]) == 2
         assert "PacketConduit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scripts", [
+        b"- {cidr: 10.200.0.0/16, behavior: teleport}\n",
+        b"- {cidr: 10.200.0.0/16, behavior: echo, delay_us: 1.5}\n",
+        b"{cidr: 10.200.0.0/16, behavior: echo}\n",
+        b"- {cidr: [unclosed\n",
+    ], ids=["behavior-unknown", "delay-float", "top-level-mapping", "not-yaml"])
+    def test_run_checks_the_scripts(self, tmp_path, capsys, scripts):
+        shutil.copytree(DATA / "golden", tmp_path, dirs_exist_ok=True)
+        (tmp_path / "scripts.yaml").write_bytes(scripts)
+        assert main(["run", "--config", str(tmp_path / "config.yaml")]) == 2
+        err = capsys.readouterr().err
+        assert "mbz: config error" in err and "scripts.yaml" in err
+
+    def test_root_name_query_replays(self, tmp_path, capsys):
+        # the resolver's reply to an NS query for the root names the root
+        shutil.copytree(DATA / "golden", tmp_path, dirs_exist_ok=True)
+        query = struct.pack("!HHHHHH", 1, 0x0100, 1, 0, 0, 0) + b"\x00\x00\x02\x00\x01"
+        packet = serialize_packet(make_udp_packet(("10.0.0.2", 40000), ("8.8.8.8", 53), query))
+        write_trace(tmp_path / "trace.jsonl", [TraceEvent(0, APP_TO_NET, "app", packet)])
+        assert main(["replay", "--config", str(tmp_path / "config.yaml")]) == 0
+        counters = json.loads(capsys.readouterr().out)["counters"]
+        assert counters["udp_inbound_unroutable"] == 0
 
     @pytest.mark.parametrize("plugin, org_map", [
         ("{id: w1, kind: dns-whatif, probability: lots}", ""),

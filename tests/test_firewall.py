@@ -16,14 +16,12 @@ from mbz.host import (
     Block, BlockMode, DeviceContext, EventKind, Modify, Permission,
     PluginContext, PluginDescriptor, PluginEvent, Redirect,
 )
-from mbz.config import load_config
+from mbz.config import ParseError, load_config, rule_from_dict, rules_from_list
 from mbz.packet import (
     FIN, PSH, RST, SYN, ACK, FlowKey, make_tcp_packet, make_udp_packet,
     parse_packet, serialize_packet,
 )
-from mbz.plugins.firewall import (
-    FirewallPlugin, FirewallRule, FirewallRuleError, rules_from_list,
-)
+from mbz.plugins.firewall import FirewallPlugin
 from mbz.plugins.domains import DomainTracker
 from mbz.plugins.snitch import OrgMap, SnitchPlugin
 from mbz.runner import ReplayRun, report_json_bytes
@@ -157,13 +155,13 @@ class TestRuleMatching:
         assert evaluate(fw, key) == expected
 
     def test_rewrite_validation(self):
-        with pytest.raises(FirewallRuleError):
-            FirewallRule.from_dict({"match": {}, "action": {
+        with pytest.raises(ParseError):
+            rule_from_dict({"match": {}, "action": {
                 "rewrite": {"pattern": "long", "replacement": "longer"}}})
-        with pytest.raises(FirewallRuleError):
-            FirewallRule.from_dict({"match": {}, "action": "explode"})
-        with pytest.raises(FirewallRuleError):
-            FirewallRule.from_dict({"match": {"weird": 1}, "action": "allow"})
+        with pytest.raises(ParseError):
+            rule_from_dict({"match": {}, "action": "explode"})
+        with pytest.raises(ParseError):
+            rule_from_dict({"match": {"weird": 1}, "action": "allow"})
 
 
 def substitute_oracle(data: bytes, pattern: bytes, replacement: bytes) -> bytes:
@@ -496,7 +494,7 @@ class TestMemoisedFirstMatch:
         fw = FirewallPlugin(rules)
         allowed = FlowKey(6, ("10.0.0.2", 1), ("198.51.100.5", 80))
         denied = FlowKey(6, ("10.0.0.2", 1), ("192.0.2.5", 80))
-        rules.insert(0, FirewallRule.from_dict({"match": {}, "action": {"deny": "silent"}}))
+        rules.insert(0, rule_from_dict({"match": {}, "action": {"deny": "silent"}}))
         rules.pop()
         assert evaluate(fw, allowed) is None
         assert evaluate(fw, denied) == Block(BlockMode.RESET_APP)

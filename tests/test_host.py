@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from mbz import dnswire, tlswire
 from mbz import host as host_module
 from mbz.clock import Scheduler
-from mbz.config import load_config
+from mbz.config import load_config, rule_from_dict, script_from_dict
 from mbz.host import (
     Block, BlockMode, Connectivity, DeviceContext, DuplicateId, EventKind,
     MalformedPermissions, Modify, Pass, Permission, PluginContext,
@@ -25,11 +25,11 @@ from mbz.host import (
 )
 from mbz.packet import FlowKey
 from mbz.plugins.advisor import AdvisorPlugin
-from mbz.plugins.firewall import FirewallPlugin, FirewallRule
+from mbz.plugins.firewall import FirewallPlugin
 from mbz.plugins.snitch import OrgMap, SnitchPlugin
 from mbz.plugins.whatif import WhatIfPlugin
 from mbz.runner import ReplayRun, report_json_bytes
-from mbz.upstream import SimEndpointScript, SimUpstream
+from mbz.upstream import SimUpstream
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 OBSERVE = Permission.OBSERVE
@@ -357,7 +357,7 @@ class TestGovernor:
         # script; the plugin's callback fails, and the probe's handle is
         # closed all the same
         sched = Scheduler()
-        upstream = SimUpstream([SimEndpointScript.from_dict(
+        upstream = SimUpstream([script_from_dict(
             {"cidr": "10.0.0.0/8", "behavior": "echo"})], sched, rng_seed=0)
         host = PluginHost(sched, upstream=upstream)
 
@@ -740,7 +740,7 @@ class TestFirewallAppGlob:
         ctx = PluginContext(key=key, app_label=label, direction=DIR_OUT,
                             kind=EventKind.PACKET_OUT, device=DeviceContext(), now_us=0)
         for pattern in self.PATTERNS:
-            rule = FirewallRule.from_dict({"match": {"app": pattern}})
+            rule = rule_from_dict({"match": {"app": pattern}})
             assert rule.matches(6, 80, label, "", None) == fnmatch.fnmatchcase(label, pattern), \
                 (pattern, label)
 

@@ -299,7 +299,8 @@ class TestEngineEdgeCounters:
 
     def test_udp_redirect_changes_upstream_target_only(self):
         from mbz.host import Permission, PluginDescriptor
-        from mbz.plugins.firewall import FirewallPlugin, rules_from_list
+        from mbz.config import rules_from_list
+        from mbz.plugins.firewall import FirewallPlugin
 
         engine = build_engine([{"cidr": "10.5.5.5/32", "behavior": "echo"}])
         fw = FirewallPlugin(rules_from_list([

@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from mbz import dnswire
 from mbz.clock import Scheduler
+from mbz.config import script_from_dict
 from mbz.upstream import (
     EV_CONNECTED, EV_EOF, EV_READABLE, EV_REFUSED,
-    OverlappingScripts, SimEndpointScript, SimUpstream, _build_dns_reply, _first_script,
+    OverlappingScripts, SimUpstream, _build_dns_reply, _first_script,
 )
 
 
 def script(cidr, behavior, ports="any", **kw):
-    return SimEndpointScript.from_dict(
+    return script_from_dict(
         {"cidr": cidr, "ports": ports, "behavior": behavior, **kw})
 
 
@@ -271,6 +272,34 @@ class TestDatagrams:
         assert got == [_build_dns_reply(resolver, dnswire.parse_message(query))
                        for query in queries]
         assert got[0][2:] != got[1][2:]
+
+    @staticmethod
+    def _answer_to(question: bytes, qid: int = 9) -> bytes:
+        """The reply a resolver with no names sends to one query holding
+        `question` (a name, then type and class)."""
+        net, sched = make_net([script("8.8.8.8/32", "dns", ports=[53])])
+        handle = net.open_datagram()
+        got = []
+        handle.set_callback(lambda addr, data: got.append(data))
+        handle.send_to(("8.8.8.8", 53), struct.pack("!HHHHHH", qid, 0x0100, 1, 0, 0, 0)
+                       + question)
+        sched.run_until_idle()
+        assert len(got) == 1
+        return got[0]
+
+    def test_root_name_query_is_answered_with_its_question(self):
+        question = b"\x00" + struct.pack("!HH", 2, dnswire.QCLASS_IN)  # NS for the root
+        reply = self._answer_to(question)
+        msg = dnswire.parse_message(reply)
+        assert (msg.qid, msg.is_response, msg.rcode, msg.qname, msg.qtype) == (
+            9, True, dnswire.RCODE_NXDOMAIN, "", 2)
+        assert reply[12:dnswire.question_end(reply)] == question
+
+    @pytest.mark.parametrize("label", [b"a\xffb", b"x" * 64], ids=["non-ascii", "64-bytes"])
+    def test_name_that_does_not_encode_back_gets_a_format_error(self, label):
+        reply = self._answer_to(bytes([len(label)]) + label + b"\x00\x00\x01\x00\x01")
+        assert reply == struct.pack("!HHHHHH", 9, 0x8181, 0, 0, 0, 0)  # FORMERR, no question
+        assert self._answer_to(b"\x03a\xfeb\x00\x00\x01\x00\x01", qid=10)[2:] == reply[2:]
 
     def test_deterministic_under_seed(self):
         def run():

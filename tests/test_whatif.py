@@ -169,11 +169,12 @@ class TestSamplingAndPassivity:
         from mbz.conduit import InMemoryConduit
         from mbz.engine import Engine, EngineConfig
         from mbz.host import DeviceContext, PluginHost
-        from mbz.upstream import SimEndpointScript, SimUpstream
+        from mbz.config import script_from_dict
+        from mbz.upstream import SimUpstream
 
         sched = Scheduler()
         conduit = InMemoryConduit(sched)
-        upstream = SimUpstream([SimEndpointScript.from_dict(
+        upstream = SimUpstream([script_from_dict(
             resolver_script("8.8.8.8/32", {"example.com": ["1.1.1.1"]}))],
             sched, rng_seed=0)
         host = PluginHost(sched, upstream=upstream, low_battery_threshold=20)
