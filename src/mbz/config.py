@@ -253,13 +253,13 @@ def _entries(read, objs, where: str) -> list:
 
 # engine config key: (EngineConfig field, conversion)
 _ENGINE_KEYS = {
-    "mtu": ("mtu", int),
-    "socket_budget": ("socket_budget", int),
+    "mtu": ("mtu", _count),
+    "socket_budget": ("socket_budget", _count),
     "udp_timeout_s": ("udp_timeout_us", _duration),
     "dns_timeout_s": ("dns_timeout_us", _duration),
     "sweep_interval_s": ("sweep_interval_us", _sweep_interval),
-    "buffer_capacity": ("buffer_capacity", int),
-    "local_isn": ("local_isn", lambda isn: None if isn == "random" else int(isn)),
+    "buffer_capacity": ("buffer_capacity", _count),
+    "local_isn": ("local_isn", lambda isn: None if isn == "random" else _count(isn)),
 }
 
 
@@ -272,11 +272,22 @@ def _engine_from(obj: dict) -> EngineConfig:
     return cfg
 
 
+# plugin budget key: (ResourceBudget field, conversion)
+_BUDGET_KEYS = {name: (name, _count) for name in (
+    "max_cpu_us_per_packet", "max_mem_bytes", "max_emitted_bytes_per_min", "violation_grace")}
+
+
+# device timeline entry key: (field, conversion); DeviceContext checks the
+# battery's range
+_TIMELINE_KEYS = {
+    "at_us": ("at_us", _typed(int)),
+    "connectivity": ("connectivity", _typed(str, Connectivity)),
+    "battery_percent": ("battery_percent", _typed(int)),
+}
+
+
 def _budget_from(obj: dict, where: str) -> ResourceBudget:
-    known = ("max_cpu_us_per_packet", "max_mem_bytes",
-             "max_emitted_bytes_per_min", "violation_grace")
-    _require_keys(obj, dict.fromkeys(known, int), where)
-    budget = ResourceBudget(**obj)
+    budget = ResourceBudget(**_fields(obj, _BUDGET_KEYS, where))
     try:
         budget.validate()
     except ValueError as exc:
@@ -349,13 +360,15 @@ _deny_mode = _one_of(("silent", "reset", "inject"))
 
 
 def _action(action) -> dict:
-    """The FirewallRule fields of an `action`: `allow`, or a mapping
-    whose first of `deny` (with an optional `notice`), `switch` and
-    `rewrite` sets the action; it may hold one other key."""
+    """The FirewallRule fields of an `action`: `allow`, or a mapping of
+    one key, `deny`, `switch` or `rewrite`, that sets the action; `deny`
+    may have a `notice` beside it."""
     if action == "allow":
         return {}
-    if not isinstance(action, dict) or len(action) > 2:
+    if not isinstance(action, dict):
         raise ValueError("must be allow or a mapping")
+    if len(action) > 1 and set(action) != {"deny", "notice"}:
+        raise ValueError("may hold only notice beside deny")
     if "deny" in action:
         return {"action": "deny", "deny_mode": _deny_mode(action["deny"]),
                 "notice": _bytes(action.get("notice", "blocked by firewall policy\n"))}
@@ -421,7 +434,7 @@ PLUGIN_TABLE = {
     }),
     "protocol-advisor": PluginKind(AdvisorPlugin, ("observe",), "advisor", {
         "loss_rate_threshold": ("loss_rate_threshold", _fraction),
-        "min_samples": ("min_samples", _checked(int, lambda n: n >= 0, "0 or more")),
+        "min_samples": ("min_samples", _count),
     }),
 }
 
@@ -489,13 +502,13 @@ def load_config(path: str | Path) -> RunConfig:
     timeline = []  # (at_us, device context)
     for i, entry in enumerate(io.get("device_timeline") or []):
         where = f"io.device_timeline[{i}]"
-        _require_keys(entry, {"at_us": int, "connectivity": str, "battery_percent": int}, where)
-        timeline.append((entry.get("at_us", 0), _convert(lambda e: DeviceContext(
-            Connectivity(e.get("connectivity", "wifi")), e.get("battery_percent", 100)),
-            entry, where)))
+        fields = _fields(entry, _TIMELINE_KEYS, where, at_us=0)
+        at_us = fields.pop("at_us")
+        timeline.append((at_us, _convert(lambda kw: DeviceContext(**kw), fields, where)))
 
-    host_obj = raw.get("host") or {}
-    _require_keys(host_obj, {"low_battery_throttle": int}, "host")
+    host = _fields(raw.get("host") or {},
+                   {"low_battery_throttle": ("low_battery_throttle", _count)}, "host",
+                   low_battery_throttle=None)
 
     plugins = _entries(lambda obj, where: _plugin_from(obj, base, where),
                        raw.get("plugins") or [], "plugins")
@@ -521,7 +534,7 @@ def load_config(path: str | Path) -> RunConfig:
         pcap_path=pcap_path,
         scripts_path=scripts_path,
         device_timeline=timeline,
-        low_battery_throttle=host_obj.get("low_battery_throttle"),
+        low_battery_throttle=host["low_battery_throttle"],
         report_path=(base / report["path"]) if "path" in report else None,
         report_formats=formats,
         out_pcap=(base / report["pcap"]) if "pcap" in report else None,

@@ -662,8 +662,13 @@ class Engine:
     def _rst_for_orphan(self, pkt: Packet, key: FlowKey) -> None:
         """Standard endpoint behavior: a segment with no matching state
         elicits a reset."""
-        tcp: TcpHeader = pkt.transport
         self.counters["tcp_rst_no_state"] += 1
+        self._rst_for_segment(pkt, key)
+
+    def _rst_for_segment(self, pkt: Packet, key: FlowKey) -> None:
+        """The reset RFC 9293 section 3.10.7.1 answers a segment with: its
+        ack as our seq if it has ACK set, else an ack of all it holds."""
+        tcp: TcpHeader = pkt.transport
         if tcp.has(ACK):
             self._emit_rst(key, 0, seq=tcp.ack, flags=RST)
         else:
@@ -673,15 +678,13 @@ class Engine:
 
     def _apply_tcp_block(self, pkt: Packet, key: FlowKey, app_label: str,
                          flow: TcpFlow | None, block: Block, creating: bool) -> None:
-        tcp: TcpHeader = pkt.transport
         if block.mode is BlockMode.DROP_SILENT:
             return
         if block.mode is BlockMode.RESET_APP:
             if flow is not None:
                 self._reset_flow(flow, "plugin")
             else:
-                self._emit_rst(key, seq_add(
-                    tcp.seq, len(pkt.payload) + (1 if tcp.has(SYN) else 0)))
+                self._rst_for_segment(pkt, key)
             return
         # inject response
         if flow is not None:

@@ -4,15 +4,16 @@ Counts requests per organization per app: one request per TCP flow
 open, and one per outbound UDP burst (a gap of more than a second
 starts a new request). Destinations are attributed to organizations
 through DNS-answer sniffing, TLS SNI, and an organization map of
-domain suffixes and CIDR blocks. Never touches the traffic.
+domain suffixes and CIDR blocks. A flow is folded into counts per (app,
+organization, protocol) when it closes, so the plugin keeps a record
+only for each open flow. Never touches the traffic.
 """
 
 from __future__ import annotations
 
 import csv
 import ipaddress
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..host import PluginContext, PluginEvent, TrafficPlugin
@@ -84,14 +85,14 @@ class OrgMap:
         return UNKNOWN_ORG
 
 
-@dataclass
+@dataclass(slots=True)
 class SnitchRecord:
     app_label: str
     key: FlowKey
     protocol: str  # TCP | UDP | QUIC-over-UDP
     request_count: int = 1
     sni: str | None = None  # the flow's first TLS server name
-    last_out_us: int = field(default=0)
+    last_out_us: int = 0
 
 
 class SnitchPlugin(TrafficPlugin):
@@ -104,9 +105,12 @@ class SnitchPlugin(TrafficPlugin):
         self.burst_gap_us = burst_gap_us
         self.tracker = DomainTracker()
         self.records: dict[FlowKey, SnitchRecord] = {}  # open flows
-        # closed flows, so a flow that reuses a closed flow's five-tuple is
-        # counted apart
-        self.closed: list[SnitchRecord] = []
+        # (app label, organization, protocol) -> [flows, requests] of the
+        # closed flows, each folded in at its close, so a flow that reuses a
+        # closed flow's five-tuple is counted apart
+        self.counts: dict[tuple[str, str, str], list[int]] = {}
+        # (domain, address) -> organization; emptied at 4096 entries
+        self._orgs: dict[tuple[str, str], str] = {}
 
     # -- events -------------------------------------------------------------
 
@@ -135,8 +139,25 @@ class SnitchPlugin(TrafficPlugin):
     def on_flow_close(self, event: PluginEvent, ctx: PluginContext):
         rec = self.records.pop(ctx.key, None) if ctx.key else None
         if rec is not None:
-            self.closed.append(rec)
+            self._fold(rec, self.counts)
         return None
+
+    def _fold(self, rec: SnitchRecord, counts: dict) -> None:
+        """Add a flow to `counts`, under the organization the names known
+        now give it."""
+        dst = rec.key.dst[0]
+        where = (rec.sni or self.tracker.ip_to_name.get(dst, ""), dst)
+        org = self._orgs.get(where)
+        if org is None:
+            if len(self._orgs) >= 4096:
+                self._orgs.clear()
+            org = self._orgs[where] = self.org_map.lookup(*where)
+        count = counts.get((rec.app_label, org, rec.protocol))
+        if count is None:
+            counts[rec.app_label, org, rec.protocol] = [1, rec.request_count]
+        else:
+            count[0] += 1
+            count[1] += rec.request_count
 
     def _observe_out(self, event: PluginEvent, ctx: PluginContext,
                      rec: SnitchRecord, new_flow: bool) -> None:
@@ -160,25 +181,23 @@ class SnitchPlugin(TrafficPlugin):
         third_flows: dict[str, int] = {}
         totals = {"TCP": 0, "UDP": 0, "QUIC-over-UDP": 0}
         first_party_flows = 0
-        org_of: dict[tuple[str, str], str] = {}  # (domain, address) -> org
+        # the closed flows' counts, with the open flows folded into a copy
+        folded = {triple: count[:] for triple, count in self.counts.items()}
+        for rec in self.records.values():
+            self._fold(rec, folded)
 
-        for rec in itertools.chain(self.closed, self.records.values()):
-            where = (rec.sni or self.tracker.ip_to_name.get(rec.key.dst[0], ""), rec.key.dst[0])
-            org = org_of.get(where)
-            if org is None:
-                org = org_of[where] = self.org_map.lookup(*where)
-            app = per_app.setdefault(rec.app_label, {
+        for (app_label, org, protocol), (flows, requests) in folded.items():
+            app = per_app.setdefault(app_label, {
                 "requests_per_org": {}, "flows_per_org": {}, "protocols": {}})
-            app["requests_per_org"][org] = \
-                app["requests_per_org"].get(org, 0) + rec.request_count
-            app["flows_per_org"][org] = app["flows_per_org"].get(org, 0) + 1
-            app["protocols"][rec.protocol] = app["protocols"].get(rec.protocol, 0) + 1
+            app["requests_per_org"][org] = app["requests_per_org"].get(org, 0) + requests
+            app["flows_per_org"][org] = app["flows_per_org"].get(org, 0) + flows
+            app["protocols"][protocol] = app["protocols"].get(protocol, 0) + flows
             if org in self.first_party_orgs:
-                first_party_flows += 1
+                first_party_flows += flows
                 continue
-            third_requests[org] = third_requests.get(org, 0) + rec.request_count
-            third_flows[org] = third_flows.get(org, 0) + 1
-            totals[rec.protocol] += 1
+            third_requests[org] = third_requests.get(org, 0) + requests
+            third_flows[org] = third_flows.get(org, 0) + flows
+            totals[protocol] += flows
 
         def ranked(counts: dict[str, int]) -> list[list]:
             return [[org, n] for org, n in

@@ -291,6 +291,23 @@ class TestCliExitCodes:
         (("host",), {"low_battery_throttle": "lots"}),
         (("report",), {"formats": "json"}),
         (("report",), {"path": 7}),
+        # integers only: not a boolean, a float or a numeric string
+        (("engine", "mtu"), "1500"),
+        (("engine", "mtu"), 1500.9),
+        (("engine", "socket_budget"), 16.0),
+        (("engine", "buffer_capacity"), "65536"),
+        (("engine", "local_isn"), True),
+        (("engine", "local_isn"), 5000.5),
+        (("plugins", 0, "budget"), {"max_cpu_us_per_packet": True}),
+        (("plugins", 0, "budget"), {"violation_grace": 3.5}),
+        (("plugins", 2, "min_samples"), True),
+        (("plugins", 2, "min_samples"), 20.5),
+        (("host",), {"low_battery_throttle": True}),
+        (("host",), {"low_battery_throttle": "20"}),
+        (("host",), {"low_battery_throttle": -1}),
+        (("io", "device_timeline"), [{"at_us": True}]),
+        (("io", "device_timeline"), [{"battery_percent": True}]),
+        (("io", "device_timeline"), [{"battery_percent": 50.5}]),
     ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else repr(v))
     def test_malformed_value_exit_2(self, tmp_path, capsys, path, value):
         # each case edits one value of a copy of the golden run's config

@@ -207,7 +207,7 @@ EXPECTED = {
         0),
     ('tcp_orphan', 'reset_app'): (
         {'blocked_packets': 1},
-        [('RA', 0, 4247, b'')],
+        [('R', 9999, 0, b'')],
         1),
     ('tcp_orphan', 'inject_response'): (
         {'tcp_rst_no_state': 1, 'blocked_packets': 1},

@@ -559,7 +559,8 @@ class TestSniForgottenOnClose:
     def replay(self, tmp_path):
         write_trace(tmp_path / "trace.jsonl", tls_echo_trace(self.FLOWS))
         (tmp_path / "scripts.yaml").write_text("- {cidr: 10.1.0.0/16, behavior: echo}\n")
-        (tmp_path / "orgs.csv").write_text(".good.example,goodorg\n")
+        (tmp_path / "orgs.csv").write_text(".good.example,goodorg\n"
+                                           ".blocked.example,blockedorg\n")
         (tmp_path / "rules.yaml").write_text(
             "- {match: {dst: .blocked.example}, action: {deny: reset}}\n"
             "- {match: {dst: .good.example, app: browser}, action: allow}\n")
@@ -581,13 +582,12 @@ class TestSniForgottenOnClose:
         assert counters["blocked_packets"] == 1 and not run.engine.flows
         assert run.plugins["fw"].tracker.sni_by_key == {}
         # the snitch keeps the SNI of every flow it saw (the block ends the
-        # chain before it) in the flow's record, which moves to its closed
-        # records at close, for its report at the end of the run, and keeps
-        # no map of its own
+        # chain before it) in the flow's record, which it folds into its
+        # counts at close, and keeps no map of its own
         snitch = run.plugins["snitch"]
         assert snitch.tracker.sni_by_key == {} and snitch.records == {}
-        assert sorted((rec.key.src[1], rec.sni) for rec in snitch.closed) \
-            == [(30001, "a.good.example"), (30002, "b.good.example"), (30003, None)]
+        assert snitch.report()["per_app"]["browser"]["flows_per_org"] \
+            == [["goodorg", 2], ["unknown", 1]]
 
         # the firewall as it was before it forgot: every SNI kept for the run
         monkeypatch.delattr(FirewallPlugin, "on_flow_close")

@@ -5,11 +5,16 @@ the readers they replaced, kept here verbatim as oracles: the classmethods
 
 Both readers must accept and reject the same inputs and build equal
 objects. Where the old reader crashed (an exception the config error
-path did not catch), the new one must reject with a ParseError. One
-difference is deliberate: the old rule reader passed any `app` to
-`fnmatch.translate`, so a list of strings (or an empty mapping, or empty
-bytes) was accepted as a glob of its items run together, `[mail, bank]`
-matching only the app `mailbank`; the new reader takes a string only.
+path did not catch), the new one must reject with a ParseError. Two
+differences are deliberate, and the new reader rejects what the old one
+accepted:
+- the old rule reader passed any `app` to `fnmatch.translate`, so a list
+  of strings (or an empty mapping, or empty bytes) was accepted as a glob
+  of its items run together, `[mail, bank]` matching only the app
+  `mailbank`; the new reader takes a string only;
+- the old action reader ignored any one key beside the one that sets the
+  action, so a misspelt `{deny: inject, notise: x}` loaded with the
+  default notice; the new reader takes `notice` beside `deny` only.
 """
 
 from __future__ import annotations
@@ -299,23 +304,29 @@ SCRIPT_REJECTIONS = ScriptError
 RULE_REJECTIONS = (TypeError, ValueError, OverflowError)
 
 
-def _non_str_app(objs) -> bool:
+def _newly_rejected(objs) -> bool:
     """Some rule among `objs` (one rule, or a list of them) has an `app`
-    that is not a string."""
+    that is not a string, or an action mapping with a key beside the one
+    that sets the action, other than a `notice` beside `deny`."""
     for obj in objs if isinstance(objs, list) else [objs]:
-        match = obj.get("match") if isinstance(obj, dict) else None
+        if not isinstance(obj, dict):
+            continue
+        match, action = obj.get("match"), obj.get("action")
         if isinstance(match, dict) and "app" in match and not isinstance(match["app"], str):
+            return True
+        if isinstance(action, dict) and len(action) > 1 \
+                and set(action) != {"deny", "notice"}:
             return True
     return False
 
 
-def assert_agree(old, new, non_str_app: bool = False) -> None:
+def assert_agree(old, new, newly_rejected: bool = False) -> None:
     if old is CRASHED:
         assert new is REJECTED
     elif old is REJECTED:
         assert new is REJECTED
-    elif non_str_app:
-        assert new is REJECTED  # the one deliberate difference (module docstring)
+    elif newly_rejected:
+        assert new is REJECTED  # the deliberate differences (module docstring)
     else:
         assert new == old
 
@@ -417,8 +428,8 @@ _DENY = (st.sampled_from(["silent", "reset", "inject"]),
 _ACTION = (
     st.one_of(
         st.just("allow"),
-        st.fixed_dictionaries({"deny": _DENY[0]}, optional={"notice": _TEXT[0], "x": _ODD}),
-        st.fixed_dictionaries({"switch": _TARGET[0]}, optional={"notice": _ODD}),
+        st.fixed_dictionaries({"deny": _DENY[0]}, optional={"notice": _TEXT[0]}),
+        st.fixed_dictionaries({"switch": _TARGET[0]}),
         st.fixed_dictionaries({"rewrite": _REWRITE[0]})),
     st.one_of(
         st.sampled_from(["deny", "explode", "Allow"]),
@@ -428,7 +439,8 @@ _ACTION = (
             {"rewrite": {"pattern": "a", "replacement": "b"}, "x": 1, "y": 2}]),
         st.fixed_dictionaries({"deny": st.one_of(*_DENY)},
                               optional={"notice": st.one_of(*_TEXT), "x": _ODD, "y": _ODD}),
-        st.fixed_dictionaries({"switch": st.one_of(*_TARGET)}, optional={"rewrite": _ODD}),
+        st.fixed_dictionaries({"switch": st.one_of(*_TARGET)},
+                              optional={"rewrite": _ODD, "notice": _ODD}),
         st.fixed_dictionaries({"rewrite": st.one_of(*_REWRITE)},
                               optional={"x": _ODD, "y": _ODD}),
         st.dictionaries(st.sampled_from(["deny", "switch", "rewrite", "notice", "x"]), _ODD,
@@ -487,32 +499,45 @@ class TestRuleReader:
     @given(obj=RULES)
     def test_agrees_with_the_old_reader(self, obj):
         assert_agree(old_outcome(old_rule_from_dict, RULE_REJECTIONS, obj),
-                     new_outcome(rule_from_dict, obj), _non_str_app(obj))
+                     new_outcome(rule_from_dict, obj), _newly_rejected(obj))
 
     @settings(deadline=None)
     @given(obj=RULE_FAULTS)
     def test_one_odd_key_is_judged_alike(self, obj):
         assert_agree(old_outcome(old_rule_from_dict, RULE_REJECTIONS, obj),
-                     new_outcome(rule_from_dict, obj), _non_str_app(obj))
+                     new_outcome(rule_from_dict, obj), _newly_rejected(obj))
 
     @settings(deadline=None)
     @given(objs=st.one_of(st.lists(RULES, max_size=3), _ODD))
     def test_lists_agree_with_the_old_reader(self, objs):
         assert_agree(old_outcome(old_rules_from_list, RULE_REJECTIONS, objs),
-                     new_outcome(rules_from_list, objs), _non_str_app(objs))
+                     new_outcome(rules_from_list, objs), _newly_rejected(objs))
 
     @pytest.mark.parametrize("obj", [
         {},
         {"match": None, "action": "allow"},
         {"match": {"app": "mail*", "dst": "Mail.Example", "protocol": "TCP", "ports": [993]},
          "action": {"deny": "inject", "notice": "no\n"}},
-        {"match": {"dst": "192.0.2.0/24"}, "action": {"switch": "10.5.5.5:8080", "x": 1}},
+        {"match": {"dst": "192.0.2.0/24"}, "action": {"switch": "10.5.5.5:8080"}},
         {"action": {"rewrite": {"pattern_hex": "00ff", "replacement_hex": "ff00"}}},
-        {"action": {"deny": "reset", "switch": "10.5.5.5:80"}},
+        {"action": {"notice": "go away\n", "deny": "inject"}},
     ])
     def test_accepted_examples_build_equal_rules(self, obj):
         old = old_rule_from_dict(obj)
         assert rule_from_dict(obj) == old
+
+    @pytest.mark.parametrize("action", [
+        {"deny": "inject", "notise": "x"},
+        {"switch": "10.5.5.5:8080", "x": 1},
+        {"switch": "10.5.5.5:80", "notice": "x"},
+        {"deny": "reset", "switch": "10.5.5.5:80"},
+        {"rewrite": {"pattern": "a", "replacement": "b"}, "notice": "x"},
+    ])
+    def test_a_second_key_beside_the_action_is_rejected(self, action):
+        # the old reader accepted these and ignored the second key
+        old_rule_from_dict({"action": action})
+        with pytest.raises(ParseError, match="notice beside deny"):
+            rule_from_dict({"action": action})
 
     @pytest.mark.parametrize("app", [["mail", "bank"], [], {}, b""])
     def test_an_app_that_is_not_a_string_is_rejected(self, app):

@@ -54,7 +54,7 @@ PINNED_PCAPS = {
     "golden/config.yaml":
         "58bb1563af0bab2377d04b33718400a2cf105a7135e24cfcabbfb3f79ad54ec1",
     "golden/config_deny.yaml":
-        "6203d4638ca59fb45c4bb796afc045d05de7f5ad1d534da99f264ede26d54f65",
+        "ef34e994dd9170c8fe28e332154f67e162e28ab44c6d773e17419a6ffc022fe1",
     "golden/config_rewrite.yaml":
         "83a99dd44061eebbc963279f60fed6e73a11e2c9b76b603f9d8aa8999c961727",
     "snitch/config.yaml":
