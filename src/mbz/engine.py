@@ -13,6 +13,7 @@ no flow state is ever touched concurrently.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -70,10 +71,13 @@ class EngineConfig:
     seed: int = 0
 
     def validate(self) -> "EngineConfig":
-        for name in ("mtu", "socket_budget", "udp_timeout_us", "dns_timeout_us",
+        for name in ("socket_budget", "udp_timeout_us", "dns_timeout_us",
                      "sweep_interval_us", "buffer_capacity"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"engine {name} must be positive")
+        # RFC 791's minimum datagram, and the most the total-length field holds
+        if not 68 <= self.mtu <= 65535:
+            raise ConfigError("engine mtu must be between 68 and 65535")
         if self.dns_timeout_us > self.udp_timeout_us:
             raise ConfigError("dns_timeout must not exceed udp_timeout")
         if self.local_isn is not None and not 0 <= self.local_isn < _SEQ_MOD:
@@ -209,14 +213,13 @@ class Engine:
         self.host = host
         self.scheduler = scheduler
         self.flows: dict[FlowKey, TcpFlow | UdpFlow] = {}
-        self.counters: dict[str, int] = {k: 0 for k in _COUNTER_KEYS}
+        self.counters: dict[str, int] = dict.fromkeys(_COUNTER_KEYS, 0)
         # where the owner records packets, if anywhere: any object with
         # `.append((ts_us, data))` (a replay's pcap spool, a test's list) gets
         # every app packet the chain passed (even one the engine then refuses
         # or answers itself) and every packet the engine wrote toward the app
         self.sink = sink
         self.eviction_reports: list[dict] = []
-        self._rng = random.Random(config.seed)
         self._dns_shared: dict[tuple[str, Addr], _SharedDatagram] = {}
         # each UDP flow's last activity, oldest first: plain UDP, then DNS
         self._activity: tuple[OrderedDict[FlowKey, int], ...] = (OrderedDict(), OrderedDict())
@@ -442,6 +445,11 @@ class Engine:
         stream.set_callback(lambda ev, f=flow: self._on_stream_event(f, ev))
         self._note_budget()
 
+    @functools.cached_property
+    def _rng(self) -> random.Random:
+        # seeded at the first draw, so a run with a fixed ISN never builds it
+        return random.Random(self.config.seed)
+
     def _pick_isn(self) -> int:
         if self.config.local_isn is not None:
             return self.config.local_isn
@@ -450,7 +458,7 @@ class Engine:
     def _clamp_mss(self, advertised: int | None) -> int:
         # segments toward the app must fit the virtual-interface MTU
         # regardless of what the SYN claimed
-        return min(advertised or 1460, max(1, self.config.mtu - 40))
+        return min(advertised or 1460, self.config.mtu - 40)
 
     def _handle_dup_syn(self, flow: TcpFlow, tcp: TcpHeader) -> None:
         self.counters["tcp_dup_syn"] += 1  # retransmit absorbed

@@ -136,6 +136,10 @@ class DeviceContext:
             raise ValueError(f"battery {self.battery_percent} out of range")
 
 
+# frozen, so every host can start from the same one
+_DEFAULT_DEVICE = DeviceContext()
+
+
 class EventKind(enum.Enum):
     FLOW_OPEN = "flow_open"
     PACKET_OUT = "packet_out"
@@ -311,7 +315,7 @@ class PluginHost:
         # per event kind, the enabled observing slots in registration order,
         # each with its overridden callback for the kind or None
         self._chains: dict[EventKind, tuple] = dict.fromkeys(_CALLBACKS, ())
-        self.device = DeviceContext()
+        self.device = _DEFAULT_DEVICE
         self._throttle = self._throttled()  # kept in step with `device`
         self.violations: list[dict] = []
         self.governor_events: list[dict] = []

@@ -168,6 +168,9 @@ class Packet:
         return isinstance(self.transport, UdpHeader)
 
 
+_PROTO_NAMES = {PROTO_TCP: "TCP", PROTO_UDP: "UDP"}
+
+
 class FlowKey(NamedTuple):
     """Protocol five-tuple. Oriented app->network for packets read from
     the app-side conduit; invert() yields the reverse direction. A plain
@@ -182,7 +185,7 @@ class FlowKey(NamedTuple):
 
     @property
     def proto_name(self) -> str:
-        return {PROTO_TCP: "TCP", PROTO_UDP: "UDP"}.get(self.protocol, str(self.protocol))
+        return _PROTO_NAMES.get(self.protocol) or str(self.protocol)
 
     def __str__(self) -> str:
         return "%s %s:%d>%s:%d" % (

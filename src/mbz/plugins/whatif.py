@@ -8,6 +8,7 @@ original resolver told the app. Original traffic is never altered.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -65,12 +66,18 @@ class WhatIfPlugin(TrafficPlugin):
         self.alt_resolvers = list(alt_resolvers)
         self.probability = probability
         self.timeout_us = timeout_us
-        self._rng = random.Random(seed)
+        self._seed = seed
         self._host = None
         self._plugin_id = None
         self._pending: dict[tuple[FlowKey, int], _PendingProbe] = {}
         self.probes: list[dict] = []
         self.sampled = 0
+
+    @functools.cached_property
+    def _rng(self) -> random.Random:
+        # seeded at the first sampling draw, so a plugin that sees no query
+        # never builds it
+        return random.Random(self._seed)
 
     def bind(self, host, plugin_id: str) -> "WhatIfPlugin":
         """Attach the host services used for probe I/O."""
@@ -90,10 +97,8 @@ class WhatIfPlugin(TrafficPlugin):
         pkey = (key, msg.qid)
         if pkey in self._pending:
             return None  # a retransmission of a query already under probe
-        if self.probability <= 0 or ctx.throttle \
-                or self._rng.random() >= self.probability:
-            return None
-        if self._host is None or not self.alt_resolvers:
+        if self.probability <= 0 or ctx.throttle or self._host is None \
+                or not self.alt_resolvers or self._rng.random() >= self.probability:
             return None
         pending = _PendingProbe(key=pkey, qname=msg.qname, qtype=msg.qtype,
                                 resolver=key.dst, sent_at_us=ctx.now_us)

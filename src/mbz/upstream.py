@@ -9,6 +9,7 @@ the whole middlebox runs unprivileged and deterministically.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import random
 from dataclasses import dataclass, field
@@ -365,7 +366,7 @@ class SimUpstream(UpstreamNetwork):
         # the simulator's life, so an id names one script
         self._dns_replies: dict[tuple[int, str, int], bytes | None] = {}
         self._scheduler = scheduler
-        self._rng = random.Random(rng_seed)
+        self._rng_seed = rng_seed
         self._active = 0
         self.transcripts: list[StreamTranscript] = []
         self.datagram_log: list[tuple[Addr, bytes]] = []
@@ -392,6 +393,11 @@ class SimUpstream(UpstreamNetwork):
 
     def _release(self) -> None:
         self._active -= 1
+
+    @functools.cached_property
+    def _rng(self) -> random.Random:
+        # seeded at the first draw, so a run with no jitter never builds it
+        return random.Random(self._rng_seed)
 
     def _later(self, script: SimEndpointScript, fn) -> None:
         delay = script.delay_us

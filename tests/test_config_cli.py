@@ -15,7 +15,10 @@ from mbz.config import (
     ConfigLoadError, DuplicatePluginId, MissingFile, ParseError, load_config,
 )
 from mbz.host import PluginHost
-from mbz.packet import make_udp_packet, serialize_packet
+from mbz.packet import (
+    ACK, PSH, SYN, make_tcp_packet, make_udp_packet, mss_option, serialize_packet,
+)
+from mbz.pcapio import pcap_read
 from mbz.runner import install_plugins
 from mbz.trace import APP_TO_NET, TraceEvent, write_trace
 from mbz.upstream import SimUpstream
@@ -457,6 +460,62 @@ class TestCliExitCodes:
         report = load_report(DATA / "golden" / "golden_report.json")
         orgs = report["snitch"]["snitch"]["third_party"]["requests_per_org"]
         assert len(lines) - 1 == len(orgs)
+
+
+def _golden_with_mtu(tmp_path: Path, mtu: int) -> Path:
+    shutil.copytree(DATA / "golden", tmp_path, dirs_exist_ok=True)
+    raw = yaml.safe_load((tmp_path / "config.yaml").read_text())
+    raw["engine"]["mtu"] = mtu
+    (tmp_path / "config.yaml").write_text(yaml.safe_dump(raw))
+    return tmp_path / "config.yaml"
+
+
+def _largest_reply_run(tmp_path: Path, mtu: int) -> Path:
+    """A flow whose SYN offers an MSS of 65535 to a server that answers
+    65,535 bytes, so each segment toward the app is as large as `mtu` allows."""
+    app, server = ("10.0.0.2", 40000), ("10.200.1.1", 8080)
+    packets = [make_tcp_packet(app, server, 1000, 0, SYN, options=mss_option(65535)),
+               make_tcp_packet(app, server, 1001, 5001, ACK),
+               make_tcp_packet(app, server, 1001, 5001, ACK | PSH, payload=b"GET")]
+    write_trace(tmp_path / "trace.jsonl", [
+        TraceEvent(1000 * i, APP_TO_NET, "app", serialize_packet(p))
+        for i, p in enumerate(packets)])
+    (tmp_path / "scripts.yaml").write_text(yaml.safe_dump([{
+        "cidr": "10.200.0.0/16", "ports": [8080], "behavior": "static",
+        "response": "x" * 65535}]))
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "engine": {"local_isn": 5000, "mtu": mtu},
+        "io": {"trace": "trace.jsonl", "scripts": "scripts.yaml"}, "plugins": []}))
+    return cfg
+
+
+class TestMtuBounds:
+    """`engine.mtu` runs from RFC 791's 68-byte minimum datagram to the
+    65,535 bytes the IPv4 total-length field holds; outside that range the
+    engine cannot write its own segments."""
+
+    @pytest.mark.parametrize("mtu", [39, 67, 65536])
+    def test_out_of_range_exit_2_naming_engine(self, tmp_path, capsys, mtu):
+        # 39: the MSS it implies is negative, which the MSS option cannot hold
+        assert main(["replay", "--config", str(_golden_with_mtu(tmp_path, mtu))]) == 2
+        assert "mbz: config error: engine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mtu", [68, 65535])
+    def test_bounds_load_and_replay(self, tmp_path, mtu):
+        cfg = _golden_with_mtu(tmp_path, mtu)
+        assert load_config(cfg).engine.mtu == mtu
+        assert main(["replay", "--config", str(cfg)]) == 0
+
+    def test_a_segment_past_the_total_length_field_is_refused(self, tmp_path, capsys):
+        cfg = _largest_reply_run(tmp_path, 70000)
+        assert main(["replay", "--config", str(cfg)]) == 2
+        assert "mbz: config error: engine" in capsys.readouterr().err
+
+    def test_largest_mtu_writes_full_size_segments(self, tmp_path):
+        cfg = _largest_reply_run(tmp_path, 65535)
+        assert main(["replay", "--config", str(cfg), "--out-pcap", str(tmp_path / "out.pcap")]) == 0
+        assert max(len(data) for _ts, data in pcap_read(tmp_path / "out.pcap")) == 65535
 
 
 # values wrong for most plugin settings: words, wrong types, negative and
