@@ -7,7 +7,6 @@ MBZ_LOG selects the log level.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -16,12 +15,10 @@ from pathlib import Path
 from . import __version__
 from .bench import InsufficientSamples, BenchResult, bench_cdf, run_bench
 from .config import ConfigLoadError, load_config, load_scripts
-from .engine import ConfigError
 from .pcapio import PcapError
 from .report import BadReport, format_report, load_report
-from .runner import ReplayRun, report_json_bytes, write_outputs
+from .runner import ReplayRun, write_outputs
 from .trace import MalformedTrace
-from .upstream import OverlappingScripts
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,13 +67,7 @@ def _cmd_replay(args) -> int:
     out_pcap = Path(args.out_pcap) if args.out_pcap else None
     written = write_outputs(run, report, out_pcap=out_pcap)
     if config.report_path is None:
-        sys.stdout.write(report_json_bytes(report).decode("utf-8"))
-    for fmt in config.report_formats:
-        if fmt == "json":
-            continue
-        target = config.report_path.with_suffix("." + fmt)
-        target.write_text(format_report(report, fmt), encoding="utf-8")
-        written.append(target)
+        sys.stdout.write(format_report(report, "json"))
     for path in written:
         log.info("wrote %s", path)
     return EXIT_OK
@@ -103,7 +94,7 @@ def _cmd_bench(args) -> int:
     sys.stdout.write(result.table() + "\n")
     payload = result.to_dict()
     payload["cdf"] = bench_cdf(result)
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = format_report(payload, "json")
     if args.json_out:
         Path(args.json_out).write_text(text, encoding="utf-8")
     else:
@@ -124,8 +115,7 @@ _COMMANDS = {
     "report": _cmd_report,
 }
 
-_CONFIG_ERRORS = (ConfigLoadError, ConfigError, OverlappingScripts,
-                  InsufficientSamples)
+_CONFIG_ERRORS = (ConfigLoadError, InsufficientSamples)
 _IO_ERRORS = (MalformedTrace, PcapError, BadReport, OSError)
 
 

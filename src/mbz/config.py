@@ -11,6 +11,10 @@ and the firewall rules (`rules_from_list`) are read here as well: each
 entry goes through a key table, as the engine section does, and becomes
 a `SimEndpointScript` or a `FirewallRule`.
 
+The loader builds the objects the runtime uses (`EngineConfig`, each
+`PluginDescriptor` and its `ResourceBudget`, each `DeviceContext`); each
+checks its own rules when built, and a value it refuses is a ParseError.
+
 Every YAML file a run reads (this config, the upstream scripts, the
 firewall rules) goes through `load_yaml`: PyYAML's libyaml-backed
 `CSafeLoader` when PyYAML was built with it, its pure-Python
@@ -29,12 +33,13 @@ from typing import NamedTuple
 import yaml
 
 from .engine import EngineConfig
-from .host import (Connectivity, DeviceContext, MalformedPermissions, Permission,
-                   ResourceBudget, permissions_from_names)
+from .host import (Connectivity, DeviceContext, PluginDescriptor, ResourceBudget,
+                   permissions_from_names)
 from .packet import PROTO_TCP, PROTO_UDP
 from .plugins import (AdvisorPlugin, FirewallPlugin, FirewallRule, OrgMap, SnitchPlugin,
                       WhatIfPlugin)
-from .upstream import BEHAVIOR_BLACKHOLE, BEHAVIORS, SimEndpointScript
+from .upstream import (BEHAVIOR_BLACKHOLE, BEHAVIORS, OverlappingScripts, SimEndpointScript,
+                       check_disjoint)
 
 
 class ConfigLoadError(Exception):
@@ -78,13 +83,10 @@ def load_yaml(path: str | Path):
         raise ParseError(f"{path}: not valid YAML: nested too deeply") from None
 
 
-@dataclass
-class PluginSpec:
-    id: str
-    kind: str
-    permissions: Permission
-    budget: ResourceBudget
-    wifi_only_export: bool
+class PluginSpec(NamedTuple):
+    """One plugin entry: what the host registers, and the plugin
+    constructor's arguments."""
+    descriptor: PluginDescriptor
     settings: dict
 
 
@@ -123,6 +125,15 @@ def _convert(convert, value, where: str):
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: bad value {reprlib.repr(value)} ({exc})") from None
+
+
+def _built(where: str, cls: type, **fields):
+    """`cls(**fields)`, or a ParseError naming `where` and the rule the
+    type's own check refused."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _existing(base: Path, raw: str, what: str) -> Path:
@@ -263,17 +274,9 @@ _ENGINE_KEYS = {
 }
 
 
-def _engine_from(obj: dict) -> EngineConfig:
-    cfg = EngineConfig(**_fields(obj, _ENGINE_KEYS, "engine"))
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ParseError(f"engine: {exc}") from exc
-    return cfg
-
-
-# plugin budget key: (ResourceBudget field, conversion)
-_BUDGET_KEYS = {name: (name, _count) for name in (
+# plugin budget key: (ResourceBudget field, conversion); ResourceBudget
+# checks each value
+_BUDGET_KEYS = {name: (name, lambda value: value) for name in (
     "max_cpu_us_per_packet", "max_mem_bytes", "max_emitted_bytes_per_min", "violation_grace")}
 
 
@@ -284,15 +287,6 @@ _TIMELINE_KEYS = {
     "connectivity": ("connectivity", _typed(str, Connectivity)),
     "battery_percent": ("battery_percent", _typed(int)),
 }
-
-
-def _budget_from(obj: dict, where: str) -> ResourceBudget:
-    budget = ResourceBudget(**_fields(obj, _BUDGET_KEYS, where))
-    try:
-        budget.validate()
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-    return budget
 
 
 # upstream script key: (SimEndpointScript field, conversion); `cidr` is
@@ -327,7 +321,12 @@ def load_scripts(path: Path | None) -> list[SimEndpointScript]:
     """The upstream scripts a YAML list holds (none without a file); a
     malformed entry is a ParseError naming the file and its index."""
     raw = None if path is None else load_yaml(path)
-    return [] if raw is None else _entries(script_from_dict, raw, f"{path}: scripts")
+    scripts = [] if raw is None else _entries(script_from_dict, raw, f"{path}: scripts")
+    try:
+        check_disjoint(scripts)
+    except OverlappingScripts as exc:
+        raise ParseError(f"{path}: scripts: {exc}") from None
+    return scripts
 
 
 def _destination(dst) -> dict:
@@ -453,10 +452,6 @@ def _plugin_from(obj: dict, base: Path, where: str) -> PluginSpec:
         raise ParseError(f"{where}: missing id")
     plugin_id = str(obj["id"])
 
-    try:
-        permissions = permissions_from_names(obj.get("permissions", kind.permissions))
-    except MalformedPermissions as exc:
-        raise ParseError(f"{where}: {exc}") from exc
     settings = {}
     try:
         for key, (param, convert, *file) in kind.settings.items():
@@ -471,14 +466,14 @@ def _plugin_from(obj: dict, base: Path, where: str) -> PluginSpec:
     except ParseError as exc:
         raise ParseError(f"plugin {plugin_id!r}: {exc}") from exc
 
-    return PluginSpec(
-        id=plugin_id,
-        kind=name,
-        permissions=permissions,
-        budget=_budget_from(obj.get("budget", {}), f"{where}.budget"),
-        wifi_only_export=obj.get("wifi_only_export", False),
-        settings=settings,
-    )
+    budget_at = f"{where}.budget"
+    budget = _built(budget_at, ResourceBudget,
+                    **_fields(obj.get("budget", {}), _BUDGET_KEYS, budget_at))
+    requested = _convert(permissions_from_names, obj.get("permissions", kind.permissions),
+                         f"{where}.permissions")
+    return PluginSpec(_built(f"plugin {plugin_id!r}", PluginDescriptor, id=plugin_id,
+                             name=name, requested=requested, budget=budget,
+                             wifi_only_export=obj.get("wifi_only_export", False)), settings)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -489,7 +484,8 @@ def load_config(path: str | Path) -> RunConfig:
     raw = load_yaml(path) or {}
 
     _require_keys(raw, {"engine", "seed", "io", "plugins", "host", "report"}, "config")
-    engine = _engine_from(raw.get("engine") or {})
+    engine = _built("engine", EngineConfig,
+                    **_fields(raw.get("engine") or {}, _ENGINE_KEYS, "engine"))
     engine.seed = _convert(int, raw.get("seed", 0), "seed")
 
     io = raw.get("io") or {}
@@ -504,7 +500,7 @@ def load_config(path: str | Path) -> RunConfig:
         where = f"io.device_timeline[{i}]"
         fields = _fields(entry, _TIMELINE_KEYS, where, at_us=0)
         at_us = fields.pop("at_us")
-        timeline.append((at_us, _convert(lambda kw: DeviceContext(**kw), fields, where)))
+        timeline.append((at_us, _built(where, DeviceContext, **fields)))
 
     host = _fields(raw.get("host") or {},
                    {"low_battery_throttle": ("low_battery_throttle", _count)}, "host",
@@ -513,10 +509,10 @@ def load_config(path: str | Path) -> RunConfig:
     plugins = _entries(lambda obj, where: _plugin_from(obj, base, where),
                        raw.get("plugins") or [], "plugins")
     seen_ids = set()
-    for spec in plugins:
-        if spec.id in seen_ids:
-            raise DuplicatePluginId(f"plugin id {spec.id!r} used twice")
-        seen_ids.add(spec.id)
+    for descriptor, _settings in plugins:
+        if descriptor.id in seen_ids:
+            raise DuplicatePluginId(f"plugin id {descriptor.id!r} used twice")
+        seen_ids.add(descriptor.id)
 
     report = raw.get("report") or {}
     _require_keys(report, {"path": str, "formats": list, "pcap": str}, "report")

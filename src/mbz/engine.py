@@ -70,19 +70,18 @@ class EngineConfig:
     local_isn: int | None = None  # None: random per flow; fixed value for tests
     seed: int = 0
 
-    def validate(self) -> "EngineConfig":
+    def __post_init__(self):
         for name in ("socket_budget", "udp_timeout_us", "dns_timeout_us",
                      "sweep_interval_us", "buffer_capacity"):
             if getattr(self, name) <= 0:
-                raise ConfigError(f"engine {name} must be positive")
+                raise ConfigError(f"{name} must be positive")
         # RFC 791's minimum datagram, and the most the total-length field holds
         if not 68 <= self.mtu <= 65535:
-            raise ConfigError("engine mtu must be between 68 and 65535")
+            raise ConfigError("mtu must be between 68 and 65535")
         if self.dns_timeout_us > self.udp_timeout_us:
             raise ConfigError("dns_timeout must not exceed udp_timeout")
         if self.local_isn is not None and not 0 <= self.local_isn < _SEQ_MOD:
             raise ConfigError("local_isn out of 32-bit range")
-        return self
 
 
 class TcpState(enum.Enum):
@@ -207,7 +206,7 @@ class Engine:
     def __init__(self, config: EngineConfig, conduit: PacketConduit,
                  upstream: UpstreamNetwork, host: PluginHost,
                  scheduler: Scheduler, sink=None):
-        self.config = config.validate()
+        self.config = config
         self.conduit = conduit
         self.upstream = upstream
         self.host = host

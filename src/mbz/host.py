@@ -52,27 +52,19 @@ def permissions_from_names(names: list[str]) -> Permission:
     return perms
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResourceBudget:
     max_cpu_us_per_packet: int = 500
     max_mem_bytes: int = 16 * 1024 * 1024
     max_emitted_bytes_per_min: int = 65536
     violation_grace: int = 3
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("max_cpu_us_per_packet", "max_mem_bytes",
                      "max_emitted_bytes_per_min", "violation_grace"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"budget {name} must be positive")
-
-
-@dataclass
-class PluginDescriptor:
-    id: str
-    name: str
-    requested: Permission
-    budget: ResourceBudget = field(default_factory=ResourceBudget)
-    wifi_only_export: bool = False
+            value = getattr(self, name)
+            if type(value) is not int or value <= 0:  # a bool is not a count
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 class HostError(Exception):
@@ -83,8 +75,22 @@ class DuplicateId(HostError):
     pass
 
 
-class MalformedPermissions(HostError):
+class MalformedPermissions(HostError, ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class PluginDescriptor:
+    """A plugin's id, kind (`name`) and grants; frozen, so hosts can share one."""
+    id: str
+    name: str
+    requested: Permission
+    budget: ResourceBudget = field(default_factory=ResourceBudget)
+    wifi_only_export: bool = False
+
+    def __post_init__(self):
+        if self.requested & ~Permission.OBSERVE and not self.requested & Permission.OBSERVE:
+            raise MalformedPermissions("any permission implies observe")
 
 
 # --- verdicts ---------------------------------------------------------------
@@ -133,7 +139,7 @@ class DeviceContext:
 
     def __post_init__(self):
         if not 0 <= self.battery_percent <= 100:
-            raise ValueError(f"battery {self.battery_percent} out of range")
+            raise ValueError(f"battery_percent must be from 0 to 100, got {self.battery_percent}")
 
 
 # frozen, so every host can start from the same one
@@ -326,10 +332,6 @@ class PluginHost:
         if descriptor.id in self._slots:
             raise DuplicateId(f"plugin id {descriptor.id!r} already registered")
         req = descriptor.requested
-        if req & ~Permission.OBSERVE and not (req & Permission.OBSERVE):
-            raise MalformedPermissions(
-                f"plugin {descriptor.id!r}: any permission implies observe")
-        descriptor.budget.validate()
         slot = _PluginSlot(descriptor=descriptor, plugin=plugin, granted=req.value)
         self._slots[descriptor.id] = slot
         if req & Permission.OBSERVE:

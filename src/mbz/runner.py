@@ -9,9 +9,10 @@ from .clock import Scheduler
 from .config import PLUGIN_TABLE, ParseError, RunConfig, load_scripts
 from .conduit import ReplayConduit
 from .engine import Engine
-from .host import PluginDescriptor, PluginHost
+from .host import PluginHost
 from .pcapio import PcapSpool, pcap_read, pcap_write
 from .plugins import WhatIfPlugin
+from .report import format_report
 from .trace import APP_TO_NET, TraceEvent, check_monotonic, read_trace
 from .upstream import SimUpstream
 
@@ -32,21 +33,18 @@ def load_trace_events(config: RunConfig) -> list[TraceEvent]:
 
 def install_plugins(config: RunConfig, host: PluginHost,
                     seed: int) -> dict[str, object]:
-    """Build and register the config's plugin chain on a host, from the
-    constructor arguments `load_config` converted; the what-if plugin
-    gets `seed` and the host's probe service."""
+    """Build the config's plugin chain from the constructor arguments
+    `load_config` converted, and register each plugin on a host under the
+    descriptor `load_config` built; the what-if plugin gets `seed` and the
+    host's probe service."""
     plugins: dict[str, object] = {}
-    for spec in config.plugins:
-        cls = PLUGIN_TABLE[spec.kind].plugin
+    for descriptor, settings in config.plugins:
+        cls = PLUGIN_TABLE[descriptor.name].plugin
         if cls is WhatIfPlugin:
-            plugin = WhatIfPlugin(seed=seed, **spec.settings).bind(host, spec.id)
+            plugin = WhatIfPlugin(seed=seed, **settings).bind(host, descriptor.id)
         else:
-            plugin = cls(**spec.settings)
-        host.register(PluginDescriptor(
-            id=spec.id, name=spec.kind, requested=spec.permissions,
-            budget=spec.budget, wifi_only_export=spec.wifi_only_export),
-            plugin)
-        plugins[spec.id] = plugin
+            plugin = cls(**settings)
+        plugins[host.register(descriptor, plugin)] = plugin
     return plugins
 
 
@@ -92,21 +90,23 @@ class ReplayRun:
             "governor": self.host.governor_events,
             "evictions": self.engine.eviction_reports,
         }
-        for spec in self.config.plugins:
-            section = PLUGIN_TABLE[spec.kind].section
+        for descriptor, _settings in self.config.plugins:
+            section = PLUGIN_TABLE[descriptor.name].section
             if section is not None:
-                report.setdefault(section, {})[spec.id] = self.plugins[spec.id].report()
+                report.setdefault(section, {})[descriptor.id] = \
+                    self.plugins[descriptor.id].report()
         return report
 
 
 def report_json_bytes(report: dict) -> bytes:
-    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return format_report(report, "json").encode("utf-8")
 
 
 def write_outputs(run: ReplayRun, report: dict,
                   out_pcap: Path | None = None) -> list[Path]:
-    """Write the report, the violation/governor JSON-lines logs, and the
-    optional capture of everything the engine forwarded or emitted."""
+    """Write the report, the violation/governor JSON-lines logs, the
+    optional capture of everything the engine forwarded or emitted, and
+    the report in each further format the config names."""
     written: list[Path] = []
     config = run.config
     report_path = config.report_path
@@ -128,4 +128,9 @@ def write_outputs(run: ReplayRun, report: dict,
         pcap_target.parent.mkdir(parents=True, exist_ok=True)
         pcap_write(pcap_target, run.capture)
         written.append(pcap_target)
+    for fmt in config.report_formats:
+        if fmt != "json":
+            target = report_path.with_suffix("." + fmt)
+            target.write_text(format_report(report, fmt), encoding="utf-8")
+            written.append(target)
     return written

@@ -337,6 +337,15 @@ _DNS_REPLY_STORE_SIZE = 4096
 _UNSEEN = object()
 
 
+def check_disjoint(scripts: list[SimEndpointScript]) -> None:
+    """OverlappingScripts unless each (address, port) matches one script
+    at most."""
+    for i, a in enumerate(scripts):
+        for b in scripts[i + 1:]:
+            if a.overlaps(b):
+                raise OverlappingScripts(f"{a.network} and {b.network} overlap")
+
+
 def _first_script(scripts: tuple[SimEndpointScript, ...],
                   addr: Addr) -> SimEndpointScript | None:
     for script in scripts:
@@ -350,10 +359,7 @@ class SimUpstream(UpstreamNetwork):
 
     def __init__(self, scripts: list[SimEndpointScript], scheduler: Scheduler,
                  rng_seed: int = 0):
-        for i, a in enumerate(scripts):
-            for b in scripts[i + 1:]:
-                if a.overlaps(b):
-                    raise OverlappingScripts(f"{a.network} and {b.network} overlap")
+        check_disjoint(scripts)
         # frozen, so the cached lookups below cannot go stale
         self.scripts = tuple(scripts)
         # the one script serving each destination seen (scripts never

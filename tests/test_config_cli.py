@@ -12,9 +12,10 @@ from hypothesis import given, strategies as st
 from mbz.cli import main
 from mbz.clock import Scheduler
 from mbz.config import (
-    ConfigLoadError, DuplicatePluginId, MissingFile, ParseError, load_config,
+    PLUGIN_TABLE, ConfigLoadError, DuplicatePluginId, MissingFile, ParseError, load_config,
 )
-from mbz.host import PluginHost
+from mbz.host import (PERMISSION_NAMES, HostError, PluginDescriptor, PluginHost,
+                      ResourceBudget, TrafficPlugin, permissions_from_names)
 from mbz.packet import (
     ACK, PSH, SYN, make_tcp_packet, make_udp_packet, mss_option, serialize_packet,
 )
@@ -28,6 +29,23 @@ from mbz.report import (
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 README = DATA.parent / "README.md"
+
+
+def _golden_with(tmp_path: Path, path: tuple, value) -> Path:
+    """The config of a copy of the golden run, with `value` at `path`."""
+    shutil.copytree(DATA / "golden", tmp_path, dirs_exist_ok=True)
+    raw = yaml.safe_load((tmp_path / "config.yaml").read_text())
+    parent = raw
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    (tmp_path / "config.yaml").write_text(yaml.safe_dump(raw))
+    return tmp_path / "config.yaml"
+
+
+def _mbz_lines(capsys) -> list[str]:
+    """The lines the command wrote to stderr itself (not log records)."""
+    return [line for line in capsys.readouterr().err.splitlines() if line.startswith("mbz")]
 
 
 def write_min_config(tmp_path: Path, extra: str = "", plugins: str = "plugins: []\n") -> Path:
@@ -58,7 +76,7 @@ class TestLoadConfig:
             (tmp_path / name).write_text("")
         (tmp_path / "config.yaml").write_text(example)
         config = load_config(tmp_path / "config.yaml")
-        assert [p.id for p in config.plugins] == [p["id"] for p in raw["plugins"]]
+        assert [p.descriptor.id for p in config.plugins] == [p["id"] for p in raw["plugins"]]
 
     def test_unknown_key_rejected(self, tmp_path):
         (tmp_path / "trace.jsonl").write_text("")
@@ -314,14 +332,7 @@ class TestCliExitCodes:
     ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else repr(v))
     def test_malformed_value_exit_2(self, tmp_path, capsys, path, value):
         # each case edits one value of a copy of the golden run's config
-        shutil.copytree(DATA / "golden", tmp_path, dirs_exist_ok=True)
-        raw = yaml.safe_load((tmp_path / "config.yaml").read_text())
-        parent = raw
-        for step in path[:-1]:
-            parent = parent[step]
-        parent[path[-1]] = value
-        (tmp_path / "config.yaml").write_text(yaml.safe_dump(raw))
-        assert main(["replay", "--config", str(tmp_path / "config.yaml")]) == 2
+        assert main(["replay", "--config", str(_golden_with(tmp_path, path, value))]) == 2
         assert "mbz: config error" in capsys.readouterr().err
 
     def test_non_numeric_snitch_gap_names_the_plugin(self, tmp_path, capsys):
@@ -462,14 +473,6 @@ class TestCliExitCodes:
         assert len(lines) - 1 == len(orgs)
 
 
-def _golden_with_mtu(tmp_path: Path, mtu: int) -> Path:
-    shutil.copytree(DATA / "golden", tmp_path, dirs_exist_ok=True)
-    raw = yaml.safe_load((tmp_path / "config.yaml").read_text())
-    raw["engine"]["mtu"] = mtu
-    (tmp_path / "config.yaml").write_text(yaml.safe_dump(raw))
-    return tmp_path / "config.yaml"
-
-
 def _largest_reply_run(tmp_path: Path, mtu: int) -> Path:
     """A flow whose SYN offers an MSS of 65535 to a server that answers
     65,535 bytes, so each segment toward the app is as large as `mtu` allows."""
@@ -498,12 +501,12 @@ class TestMtuBounds:
     @pytest.mark.parametrize("mtu", [39, 67, 65536])
     def test_out_of_range_exit_2_naming_engine(self, tmp_path, capsys, mtu):
         # 39: the MSS it implies is negative, which the MSS option cannot hold
-        assert main(["replay", "--config", str(_golden_with_mtu(tmp_path, mtu))]) == 2
+        assert main(["replay", "--config", str(_golden_with(tmp_path, ("engine", "mtu"), mtu))]) == 2
         assert "mbz: config error: engine" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mtu", [68, 65535])
     def test_bounds_load_and_replay(self, tmp_path, mtu):
-        cfg = _golden_with_mtu(tmp_path, mtu)
+        cfg = _golden_with(tmp_path, ("engine", "mtu"), mtu)
         assert load_config(cfg).engine.mtu == mtu
         assert main(["replay", "--config", str(cfg)]) == 0
 
@@ -582,6 +585,100 @@ class TestPluginSettingsCheckedAtLoad:
         scheduler = Scheduler()
         host = PluginHost(scheduler, upstream=SimUpstream([], scheduler))
         assert list(install_plugins(config, host, 0)) == [p["id"] for p in plugins]
+
+
+class TestEachRuleFailsAtLoad:
+    """Each config type checks its own rules when the loader builds it, so
+    a bad value is one config error that names its section once, exit 2,
+    on every command that reads the config."""
+
+    @pytest.mark.parametrize("path, value, line", [
+        (("engine", "mtu"), 39, "engine: mtu must be between 68 and 65535"),
+        (("plugins", 2, "budget"), {"violation_grace": 0},
+         "plugins[2].budget: violation_grace must be a positive integer, got 0"),
+        (("plugins", 2, "permissions"), ["block_flow"],
+         "plugin 'advisor': any permission implies observe"),
+    ], ids=["mtu", "budget", "permissions"])
+    def test_the_message_names_its_section_once(self, tmp_path, capsys, path, value, line):
+        assert main(["replay", "--config", str(_golden_with(tmp_path, path, value))]) == 2
+        assert _mbz_lines(capsys) == [f"mbz: config error: {line}"]
+
+    @pytest.mark.parametrize("argv", [
+        ["replay", "--config"], ["run", "--config"],
+        ["bench", "--n", "30", "--plugins-config"],
+    ], ids=["replay", "run", "bench"])
+    def test_a_permission_without_observe_exits_2(self, tmp_path, capsys, argv):
+        cfg = _golden_with(tmp_path, ("plugins", 2, "permissions"), ["block_flow"])
+        assert main(argv + [str(cfg)]) == 2
+        [line] = _mbz_lines(capsys)
+        assert line.startswith("mbz: config error:") and "'advisor'" in line
+
+    @pytest.mark.parametrize("command", ["replay", "run"])
+    def test_overlapping_scripts_exit_2(self, tmp_path, capsys, command):
+        shutil.copytree(DATA / "golden", tmp_path, dirs_exist_ok=True)
+        (tmp_path / "scripts.yaml").write_text(
+            "- {cidr: 8.8.8.8/32, ports: [53], behavior: dns}\n"
+            "- {cidr: 0.0.0.0/0, behavior: echo}\n")
+        assert main([command, "--config", str(tmp_path / "config.yaml")]) == 2
+        [line] = _mbz_lines(capsys)
+        assert line.startswith("mbz: config error:")
+        assert "scripts.yaml" in line and "overlap" in line
+
+
+# plugin entries whose permissions, budget and id decide whether they load:
+# subsets of the six permission names (empty among them) and named
+# permissions without observe; budget fields of 0, negative, boolean and
+# large values; ids drawn from three, so some repeat
+_NAMES = sorted(PERMISSION_NAMES)
+_BUDGET_FIELDS = ("max_cpu_us_per_packet", "max_mem_bytes", "max_emitted_bytes_per_min",
+                  "violation_grace")
+_HOST_ENTRY = st.fixed_dictionaries({
+    "id": st.sampled_from(["a", "b", "c"]),
+    "kind": st.sampled_from(["protocol-advisor", "dns-whatif"]),
+}, optional={
+    "permissions": st.one_of(
+        st.lists(st.sampled_from(_NAMES), unique=True),
+        st.lists(st.sampled_from([n for n in _NAMES if n != "observe"]), min_size=1,
+                 unique=True)),
+    "budget": st.dictionaries(st.sampled_from(_BUDGET_FIELDS), st.one_of(
+        st.integers(-3, 3), st.booleans(), st.integers(2**31, 2**70)), max_size=4),
+})
+
+
+def _registers(entries: list[dict]) -> bool:
+    """Whether a fresh host takes a descriptor built from each entry."""
+    host = PluginHost(Scheduler())
+    try:
+        for entry in entries:
+            names = entry.get("permissions", PLUGIN_TABLE[entry["kind"]].permissions)
+            host.register(PluginDescriptor(
+                id=entry["id"], name=entry["kind"], requested=permissions_from_names(names),
+                budget=ResourceBudget(**entry.get("budget", {}))), TrafficPlugin())
+    except (HostError, ValueError):
+        return False
+    return True
+
+
+class TestPluginEntriesLoadAsTheHostRegisters:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("entries")
+        (path / "trace.jsonl").write_text("")
+        return path
+
+    @given(entries=st.lists(_HOST_ENTRY, max_size=4))
+    def test_load_config_accepts_what_the_host_registers(self, workdir, entries):
+        cfg = workdir / "config.yaml"
+        cfg.write_text(yaml.safe_dump({"io": {"trace": "trace.jsonl"}, "plugins": entries}))
+        try:
+            config = load_config(cfg)
+        except ConfigLoadError:
+            assert not _registers(entries)
+            return
+        assert _registers(entries)
+        scheduler = Scheduler()
+        host = PluginHost(scheduler, upstream=SimUpstream([], scheduler))
+        assert list(install_plugins(config, host, 0)) == [entry["id"] for entry in entries]
 
 
 class TestReportFormats:

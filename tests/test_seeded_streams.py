@@ -115,7 +115,7 @@ class TestConstruction:
         config = load_config(GOLDEN)  # no script sets jitter_us
         config.engine.local_isn = local_isn
         if not whatif:
-            config.plugins = [p for p in config.plugins if p.kind != "dns-whatif"]
+            config.plugins = [p for p in config.plugins if p.descriptor.name != "dns-whatif"]
         monkeypatch.setattr(random, "Random", CountingRandom)
         CountingRandom.made = 0
         run = ReplayRun(config)
