@@ -21,11 +21,10 @@ class Scheduler:
             raise ValueError(f"unknown clock mode {mode!r}")
         self.mode = mode
         self._now_us = 0
-        # [at_us, seq, fn] lists, which heapq compares in C; seq is unique, so
-        # fn is never compared. fn becomes None once the entry ran or was cancelled.
-        self._heap: list[list] = []
+        # (at_us, seq, fn) tuples, which heapq compares in C; seq is unique, so
+        # fn is never compared
+        self._heap: list[tuple] = []
         self._seq = 0
-        self._live = 0  # entries still to run
         if mode == WALL:
             # bound once here: the engine and the plugin governor read the
             # clock on every packet and callback
@@ -38,47 +37,33 @@ class Scheduler:
         this with its own reading of the wall clock)."""
         return self._now_us
 
-    def call_at(self, at_us: int, fn) -> list:
-        entry = [max(at_us, self.now_us()), self._seq, fn]
+    def call_at(self, at_us: int, fn) -> None:
+        heapq.heappush(self._heap, (max(at_us, self.now_us()), self._seq, fn))
         self._seq += 1
-        heapq.heappush(self._heap, entry)
-        self._live += 1
-        return entry
 
-    def call_later(self, delay_us: int, fn) -> list:
-        return self.call_at(self.now_us() + max(0, delay_us), fn)
-
-    def cancel(self, entry: list) -> None:
-        """Drop an entry that has not run yet; a no-op once it has."""
-        if entry[2] is not None:
-            entry[2] = None
-            self._live -= 1
+    def call_later(self, delay_us: int, fn) -> None:
+        self.call_at(self.now_us() + max(0, delay_us), fn)
 
     def pending(self) -> int:
-        """Count of live scheduled entries."""
-        return self._live
+        """Count of scheduled entries."""
+        return len(self._heap)
 
     def peek_us(self) -> int | None:
-        """Timestamp of the earliest live entry, or None."""
-        while self._heap and self._heap[0][2] is None:
-            heapq.heappop(self._heap)
+        """Timestamp of the earliest entry, or None."""
         return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Run the earliest entry. In wall mode, waits until it is due.
         Returns False if the queue is empty."""
-        if self.peek_us() is None:
+        if not self._heap:
             return False
-        entry = heapq.heappop(self._heap)
-        at_us, _seq, fn = entry
+        at_us, _seq, fn = heapq.heappop(self._heap)
         if self.mode == WALL:
             wait_us = at_us - self.now_us()
             if wait_us > 0:
                 time.sleep(wait_us / 1e6)
         else:
             self._now_us = max(self._now_us, at_us)
-        entry[2] = None
-        self._live -= 1
         fn()
         return True
 

@@ -197,15 +197,12 @@ def _one_of(choices):
 
 
 def _us(seconds) -> int:
+    if isinstance(seconds, bool):  # float() would read true as 1 s
+        raise TypeError("must be a number of seconds")
     return int(float(seconds) * 1e6)
 
 
-# A duration a run steps through idle ticks for (a timeout, the sweep
-# interval) is bounded, so one config value cannot make a replay run for
-# hours after its last packet.
-_HOUR_US = 3_600_000_000
-_duration = _checked(_us, lambda us: 0 < us <= _HOUR_US, "above 0 and at most 3600 s")
-_sweep_interval = _checked(_us, lambda us: 10_000 <= us <= _HOUR_US, "from 0.01 to 3600 s")
+_duration = _checked(_us, lambda us: us > 0, "above 0")
 _count = _checked(_typed(int), lambda n: n >= 0, "0 or more")
 _fraction = _checked(float, lambda x: 0 <= x <= 1, "from 0 to 1")
 _utf8 = _typed(str, str.encode)
@@ -268,7 +265,7 @@ _ENGINE_KEYS = {
     "socket_budget": ("socket_budget", _count),
     "udp_timeout_s": ("udp_timeout_us", _duration),
     "dns_timeout_s": ("dns_timeout_us", _duration),
-    "sweep_interval_s": ("sweep_interval_us", _sweep_interval),
+    "sweep_interval_s": ("sweep_interval_us", _duration),
     "buffer_capacity": ("buffer_capacity", _count),
     "local_isn": ("local_isn", lambda isn: None if isn == "random" else _count(isn)),
 }
@@ -520,8 +517,12 @@ def load_config(path: str | Path) -> RunConfig:
     for fmt in formats:
         if fmt not in ("json", "csv", "plotdata"):
             raise ParseError(f"report: unknown format {fmt!r}")
-    if any(f != "json" for f in formats) and "path" not in report:
-        raise ParseError("report: formats beyond json require a path")
+    if any(f != "json" for f in formats):
+        if "path" not in report:
+            raise ParseError("report: formats beyond json require a path")
+        if not any(descriptor.name == "snitch" for descriptor, _settings in plugins):
+            # csv and plotdata project the snitch section
+            raise ParseError("report: formats beyond json require a snitch plugin")
 
     return RunConfig(
         engine=engine,

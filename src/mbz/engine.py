@@ -3,11 +3,13 @@
 Owns per-flow state, terminates TCP toward the app (SYN/ACK synthesis,
 sequence bookkeeping, teardown), proxies bytes to upstream streams,
 forwards UDP NAT-style with inactivity timeouts, and keeps the upstream
-handle count inside the descriptor budget with periodic sweeps.
+handle count inside the descriptor budget with sweeps.
 
-Everything runs on one logical event loop: conduit packets, upstream
-completions, and sweep ticks are serialized through the scheduler, so
-no flow state is ever touched concurrently.
+Everything runs on one logical event loop: conduit packets, scheduler
+timers (upstream completions, plugin probes) and sweeps are taken one
+at a time in time order, so no flow state is ever touched concurrently.
+A sweep runs only when one is due: no timer wakes the loop while
+nothing can expire.
 """
 
 from __future__ import annotations
@@ -223,74 +225,64 @@ class Engine:
         # each UDP flow's last activity, oldest first: plain UDP, then DNS
         self._activity: tuple[OrderedDict[FlowKey, int], ...] = (OrderedDict(), OrderedDict())
         self._closed: list[TcpFlow] = []  # closed since the last sweep
-        self._tick_timer = None
         self._mss_to_app = min(1460, config.mtu - 40)
 
     # ------------------------------------------------------------------ run
 
     def run(self) -> dict[str, int]:
         """Drive the conduit to exhaustion under the virtual clock, then
-        drain and shut down. Returns the counters."""
-        if self.scheduler.mode != "virtual":
+        shut down. Returns the counters.
+
+        Each step takes the earliest of the next app packet, the next
+        timer and the next sweep. Sweeps fall on a grid of whole sweep
+        intervals from the start: the next one at the first grid point
+        after the last sweep and at or after `_sweep_due_us`, behind every
+        packet and timer due at that time. The run ends when none is left."""
+        sched = self.scheduler
+        if sched.mode != "virtual":
             raise ConfigError("run() requires a virtual clock; use pump() under wall time")
-        self._schedule_tick()
+        interval = self.config.sweep_interval_us
+        grid = sched.now_us() + interval  # the first grid point the next sweep may take
         while True:
             t_pkt = self.conduit.next_ready_us()
-            if t_pkt is None and self._pending_work() == 0:
+            t_evt = sched.peek_us()
+            pkt_first = t_pkt is not None and (t_evt is None or t_pkt <= t_evt)
+            t_next = t_pkt if pkt_first else t_evt
+            if t_next is None or grid < t_next:  # else no sweep can come first
+                due = self._sweep_due_us(t_next is not None)
+                if due is not None:
+                    t_sweep = max(grid, due + (grid - due) % interval)
+                    if t_next is None or t_sweep < t_next:
+                        sched.advance_to(t_sweep)
+                        self.host.governor_tick()
+                        self.sweep()
+                        grid = t_sweep + interval
+                        continue
+            if pkt_first:
+                sched.advance_to(t_pkt)
+                self.on_app_packet(*self.conduit.read_packet())
+            elif not sched.step():
                 break
-            t_evt = self.scheduler.peek_us()
-            if t_pkt is not None and (t_evt is None or t_pkt <= t_evt):
-                self.scheduler.advance_to(t_pkt)
-                ts, data, label = self.conduit.read_packet()
-                self.on_app_packet(ts, data, label)
-            else:
-                self.scheduler.step()
-        self._drain_and_shutdown()
+        self._shutdown()
         return dict(self.counters)
 
-    def pump(self) -> None:
-        """Process everything currently runnable (bench / test driver)."""
-        while True:
-            t_pkt = self.conduit.next_ready_us()
-            if t_pkt is not None and t_pkt <= self.scheduler.now_us():
-                ts, data, label = self.conduit.read_packet()
-                self.on_app_packet(ts, data, label)
-                continue
-            if self._pending_work() > 0:
-                self.scheduler.step()
-                continue
-            break
-
-    def _pending_work(self) -> int:
-        """Scheduled entries other than the engine's own periodic tick."""
-        return self.scheduler.pending() - (self._tick_timer is not None)
-
-    def _schedule_tick(self) -> None:
-        """Every sweep interval: the plugin governor's tick, then a sweep."""
-        def tick():
-            self.host.governor_tick()
-            self.sweep()
-            self._tick_timer = self.scheduler.call_later(self.config.sweep_interval_us, tick)
-        self._tick_timer = self.scheduler.call_later(self.config.sweep_interval_us, tick)
-
-    def _drain_and_shutdown(self) -> None:
-        # let inactivity timeouts run their course, then close what's left
-        horizon = self.scheduler.now_us() + self.config.udp_timeout_us \
-            + 2 * self.config.sweep_interval_us
-        while True:
-            t = self.scheduler.peek_us()
-            if t is None or t > horizon:
-                break
-            self.scheduler.step()
-        if self._tick_timer is not None:
-            self.scheduler.cancel(self._tick_timer)
-            self._tick_timer = None
+    def _shutdown(self) -> None:
+        """Close every flow still open, then sweep them away."""
         for flow in list(self.flows.values()):
             if isinstance(flow, TcpFlow):
                 self._close_tcp(flow, "shutdown")
             else:
                 self._evict_udp(flow, "shutdown")
         self.sweep()
+
+    def pump(self) -> None:
+        """Process everything currently runnable (bench / test driver)."""
+        while True:
+            t_pkt = self.conduit.next_ready_us()
+            if t_pkt is not None and t_pkt <= self.scheduler.now_us():
+                self.on_app_packet(*self.conduit.read_packet())
+            elif not self.scheduler.step():
+                break
 
     # ------------------------------------------------------- packet ingress
 
@@ -874,6 +866,22 @@ class Engine:
         if evicted or removed:
             self.eviction_reports.append(
                 {"ts_us": now, "evicted": evicted, "removed_closed": removed})
+
+    def _sweep_due_us(self, busy: bool) -> int | None:
+        """The earliest time a sweep could act, or None: now while closed
+        TCP flows wait for removal, while the handle count is over the
+        pressure threshold with a UDP flow to evict, and, while `busy`
+        (packets or timers remain), while a plugin reports its memory to
+        the governor; else the first time an activity order's front is
+        past its timeout. The handle count is read afresh, since a plugin's
+        probe opens handles the engine never sees."""
+        activity = self._activity
+        if self._closed or (busy and self.host.memory_sampled) or (any(activity) and (
+                self.upstream.active_handle_count() > 0.9 * self.config.socket_budget)):
+            return self.scheduler.now_us()
+        timeouts = (self.config.udp_timeout_us, self.config.dns_timeout_us)
+        return min((next(iter(order.values())) + timeout + 1
+                    for order, timeout in zip(activity, timeouts) if order), default=None)
 
     def _note_budget(self) -> None:
         active = self.upstream.active_handle_count()

@@ -321,6 +321,9 @@ class PluginHost:
         # per event kind, the enabled observing slots in registration order,
         # each with its overridden callback for the kind or None
         self._chains: dict[EventKind, tuple] = dict.fromkeys(_CALLBACKS, ())
+        # the enabled slots whose plugin reports its memory (overrides
+        # memory_estimate): what governor_tick samples
+        self.memory_sampled: tuple[_PluginSlot, ...] = ()
         self.device = _DEFAULT_DEVICE
         self._throttle = self._throttled()  # kept in step with `device`
         self.violations: list[dict] = []
@@ -334,6 +337,8 @@ class PluginHost:
         req = descriptor.requested
         slot = _PluginSlot(descriptor=descriptor, plugin=plugin, granted=req.value)
         self._slots[descriptor.id] = slot
+        if _overridden(plugin, "memory_estimate"):
+            self.memory_sampled += (slot,)
         if req & Permission.OBSERVE:
             for kind, name in _CALLBACKS.items():
                 self._chains[kind] += ((slot, _overridden(plugin, name)),)
@@ -462,10 +467,9 @@ class PluginHost:
             slot.emit_overruns = 0
 
     def governor_tick(self) -> None:
-        """Periodic sampling of self-reported memory."""
-        for slot in self._slots.values():
-            if not slot.enabled:
-                continue
+        """Sample the self-reported memory of each plugin in
+        `memory_sampled` (the engine's run loop calls this at each sweep)."""
+        for slot in self.memory_sampled:
             budget = slot.descriptor.budget
             try:
                 mem = slot.plugin.memory_estimate()
@@ -487,6 +491,7 @@ class PluginHost:
         slot.disabled_reason = reason
         self._chains = {kind: tuple(entry for entry in chain if entry[0] is not slot)
                         for kind, chain in self._chains.items()}
+        self.memory_sampled = tuple(entry for entry in self.memory_sampled if entry is not slot)
         now = self._scheduler.now_us()
         self.governor_events.append({
             "ts_us": now,

@@ -20,7 +20,7 @@ from mbz.packet import (
     ACK, PSH, SYN, make_tcp_packet, make_udp_packet, mss_option, serialize_packet,
 )
 from mbz.pcapio import pcap_read
-from mbz.runner import install_plugins
+from mbz.runner import ReplayRun, install_plugins
 from mbz.trace import APP_TO_NET, TraceEvent, write_trace
 from mbz.upstream import SimUpstream
 from mbz.report import (
@@ -142,6 +142,17 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match="require a path"):
             load_config(cfg)
 
+    @pytest.mark.parametrize("fmt", ["csv", "plotdata"])
+    def test_projected_formats_require_a_snitch_plugin_exit_2(self, tmp_path, capsys, fmt):
+        # csv and plotdata project the snitch section; without a snitch
+        # plugin the config is refused before the replay runs
+        cfg = write_min_config(
+            tmp_path, extra=f"report: {{path: out/report.json, formats: [json, {fmt}]}}\n")
+        assert main(["replay", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "mbz: config error" in err and "require a snitch plugin" in err
+        assert not (tmp_path / "out").exists()
+
     def test_csv_format_written_alongside_report(self, tmp_path):
         data = Path(__file__).resolve().parent.parent / "data" / "golden"
         for name in ("trace.jsonl", "scripts.yaml", "orgs.csv"):
@@ -158,15 +169,17 @@ class TestLoadConfig:
         assert csv_text.startswith("organization,requests\n")
 
     @pytest.mark.parametrize("engine, plugin, key", [
-        ("{udp_timeout_s: 3601}", "", "udp_timeout_s"),
-        ("{udp_timeout_s: 3600, dns_timeout_s: 3601}", "", "dns_timeout_s"),
-        ("{sweep_interval_s: 3601}", "", "sweep_interval_s"),
-        ("{sweep_interval_s: 0.009}", "", "sweep_interval_s"),
-        ("{}", "{id: w1, kind: dns-whatif, timeout_s: 3601}", "timeout_s"),
+        ("{udp_timeout_s: 0}", "", "udp_timeout_s"),
+        ("{dns_timeout_s: -1}", "", "dns_timeout_s"),
+        ("{sweep_interval_s: .inf}", "", "sweep_interval_s"),
+        ("{sweep_interval_s: 0.0000004}", "", "sweep_interval_s"),  # 0 us
+        ("{}", "{id: w1, kind: dns-whatif, timeout_s: true}", "timeout_s"),
+        ("{udp_timeout_s: .nan}", "", "udp_timeout_s"),
+        ("{dns_timeout_s: false}", "", "dns_timeout_s"),
     ], ids=["udp-timeout", "dns-timeout", "sweep-interval-long", "sweep-interval-short",
-            "whatif-timeout"])
+            "whatif-timeout", "udp-timeout-nan", "dns-timeout-bool"])
     def test_durations_out_of_bounds_exit_2(self, tmp_path, capsys, engine, plugin, key):
-        # past these a replay steps through idle ticks long after its last packet
+        # a duration is a number of seconds that comes to 1 us or more
         (tmp_path / "trace.jsonl").write_text("")
         cfg = tmp_path / "config.yaml"
         cfg.write_text(f"engine: {engine}\nio: {{trace: trace.jsonl}}\nplugins: [{plugin}]\n")
@@ -178,14 +191,51 @@ class TestLoadConfig:
         (tmp_path / "trace.jsonl").write_text("")
         cfg = tmp_path / "config.yaml"
         cfg.write_text(
-            "engine: {udp_timeout_s: 3600, dns_timeout_s: 3600, sweep_interval_s: 0.01}\n"
+            "engine: {udp_timeout_s: 0.000001, dns_timeout_s: 0.000001,"
+            " sweep_interval_s: 0.000001}\n"
             "io: {trace: trace.jsonl}\n"
-            "plugins: [{id: w1, kind: dns-whatif, timeout_s: 3600}]\n")
+            "plugins: [{id: w1, kind: dns-whatif, timeout_s: 0.000001}]\n")
         config = load_config(cfg)
         engine = config.engine
         assert (engine.udp_timeout_us, engine.dns_timeout_us, engine.sweep_interval_us) == (
-            3_600_000_000, 3_600_000_000, 10_000)
-        assert config.plugins[0].settings["timeout_us"] == 3_600_000_000
+            1, 1, 1)
+        assert config.plugins[0].settings["timeout_us"] == 1
+
+    @pytest.mark.parametrize("engine, plugin, field, us", [
+        ("{udp_timeout_s: 3601}", "", "udp_timeout_us", 3_601_000_000),
+        ("{udp_timeout_s: 3601, dns_timeout_s: 3601}", "", "dns_timeout_us", 3_601_000_000),
+        ("{sweep_interval_s: 3601}", "", "sweep_interval_us", 3_601_000_000),
+        ("{sweep_interval_s: 0.009}", "", "sweep_interval_us", 9_000),
+        ("{}", "{id: w1, kind: dns-whatif, timeout_s: 3601}", "timeout_us", 3_601_000_000),
+    ], ids=["udp-timeout", "dns-timeout", "sweep-interval-long", "sweep-interval-short",
+            "whatif-timeout"])
+    def test_durations_past_an_hour_or_under_10_ms_load(self, tmp_path, engine, plugin,
+                                                        field, us):
+        # a replay sweeps only when a flow can expire, so a long duration costs no idle sweeps
+        (tmp_path / "trace.jsonl").write_text("")
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(f"engine: {engine}\nio: {{trace: trace.jsonl}}\nplugins: [{plugin}]\n")
+        config = load_config(cfg)
+        values = config.plugins[0].settings if plugin else vars(config.engine)
+        assert values[field] == us
+
+    def test_rfc_5382_idle_timeout_replays_in_few_sweeps(self, tmp_path):
+        # the golden run with flows idle for up to 7,440 s (2 h 4 min): the
+        # run sweeps only when a flow can expire or a closed flow waits
+        cfg = _golden_with(tmp_path, ("engine",),
+                           {"local_isn": 5000, "udp_timeout_s": 7440, "dns_timeout_s": 7440})
+        config = load_config(cfg)
+        run = ReplayRun(config)
+        sweeps = []
+        sweep = run.engine.sweep
+        run.engine.sweep = lambda: (sweeps.append(run.scheduler.now_us()), sweep())
+        report = run.execute()
+        assert len(sweeps) <= len(report["evictions"]) + 1
+        # the last UDP flow goes 7,440 s after its last activity, past the last packet
+        idle = [e for e in report["evictions"] if e["evicted"]]
+        assert idle and idle[-1]["ts_us"] > 7_440_000_000
+        assert report["counters"]["udp_flows_evicted_idle"] == \
+            report["counters"]["udp_flows_created"]
 
 
 class TestCliExitCodes:

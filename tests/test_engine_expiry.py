@@ -12,6 +12,10 @@ resets the test sends. The order rules it checks:
 - under pressure the least recently active flow goes first; on a tie a
   plain UDP flow goes before a DNS flow, and within one class the flow
   touched first goes first.
+
+`Engine.run` sweeps only when a sweep could act. A second property checks
+it against a reference driver that sweeps at every grid point; the two
+must leave the same counters, eviction reports, capture and handles.
 """
 
 from __future__ import annotations
@@ -23,11 +27,13 @@ from helpers import AppPeer, Driver, build_engine
 from hypothesis import given, settings, strategies as st
 
 from mbz import dnswire
-from mbz.engine import DNS_PORT, EngineConfig, TcpState
+from mbz.engine import DNS_PORT, EngineConfig, TcpFlow, TcpState
+from mbz.host import Permission, PluginDescriptor, ResourceBudget, TrafficPlugin
 from mbz.packet import (
-    PROTO_TCP, PROTO_UDP, RST, SYN, FlowKey, flow_key_of, make_tcp_packet,
+    ACK, FIN, PROTO_TCP, PROTO_UDP, PSH, RST, SYN, FlowKey, flow_key_of, make_tcp_packet,
     make_udp_packet, parse_packet, serialize_packet,
 )
+from mbz.plugins import WhatIfPlugin
 
 ECHO = {"cidr": "10.3.0.0/24", "behavior": "echo"}  # answers UDP and TCP at once
 RESOLVER_DELAY_US = 3_000_000
@@ -273,3 +279,151 @@ def test_black_holed_syns_release_their_handles():
     peer.syn()
     driver.drive()
     assert peer.established and engine.counters["tcp_refused_budget"] == 0
+
+
+# ------------------------------------------------------------- the run loop
+
+def sweep_at_every_grid_point(engine) -> None:
+    """`Engine.run` without skipping: a governor tick and a sweep at every
+    grid point, each behind the packets and timers due at its time, until
+    no packet or timer is left and every flow is an open TCP flow (which
+    no sweep removes); then the engine's shutdown."""
+    sched, conduit = engine.scheduler, engine.conduit
+    interval = engine.config.sweep_interval_us
+    grid = sched.now_us() + interval
+    while True:
+        t_pkt, t_evt = conduit.next_ready_us(), sched.peek_us()
+        if t_pkt is None and t_evt is None and all(
+                isinstance(flow, TcpFlow) and flow.state is not TcpState.CLOSED
+                for flow in engine.flows.values()):
+            break
+        if all(t is None or grid < t for t in (t_pkt, t_evt)):
+            sched.advance_to(grid)
+            engine.host.governor_tick()
+            engine.sweep()
+            grid += interval
+        elif t_pkt is not None and (t_evt is None or t_pkt <= t_evt):
+            sched.advance_to(t_pkt)
+            engine.on_app_packet(*conduit.read_packet())
+        else:
+            sched.step()
+    engine._shutdown()
+
+
+ALT_RESOLVER = ("9.9.9.9", 53)
+REFUSER = {"cidr": "10.4.0.0/24", "behavior": "reset", "delay_us": 700_000}
+LOOP_SCRIPTS = [ECHO, RESOLVER, REFUSER,
+                {"cidr": "9.9.9.9/32", "ports": [53], "behavior": "dns", "delay_us": 1_500_000}]
+LOOP_UDP = UDP_DESTINATIONS + [("10.4.0.1", 9)]
+LOOP_TCP = TCP_DESTINATIONS + [("10.4.0.1", 80)]
+
+
+# timeouts, sweep intervals and gaps are mostly whole quarter seconds, so
+# that a flow's expiry often falls on a grid point with a packet or timer;
+# a timeout 1 us short of one makes the first time a flow can go (1 us
+# past its timeout) a grid point
+quarters = st.integers(1, 8).map(lambda n: n * 250_000)
+
+
+@st.composite
+def loop_configs(draw):
+    udp_timeout = draw(quarters | quarters.map(lambda us: us - 1) | st.integers(1, 10_000_000))
+    return EngineConfig(
+        local_isn=1, socket_budget=draw(st.integers(2, 8)), udp_timeout_us=udp_timeout,
+        dns_timeout_us=draw(st.sampled_from([udp_timeout, max(1, udp_timeout - 250_000)])
+                            | st.integers(1, udp_timeout)),
+        sweep_interval_us=draw(st.sampled_from([250_000, 500_000])
+                               | st.integers(100_000, 3_000_000)))
+
+
+loop_apps = st.tuples(st.just("10.0.0.2"), st.integers(40000, 40001))
+loop_packets = st.lists(st.tuples(
+    st.just(0) | quarters | st.integers(0, 20_000_000),
+    st.one_of(
+        st.tuples(st.just("udp"), loop_apps, st.sampled_from(LOOP_UDP), st.integers(0, 2)),
+        st.tuples(st.sampled_from(["syn", "data", "fin", "rst"]), loop_apps,
+                  st.sampled_from(LOOP_TCP)),
+    )), min_size=1, max_size=40)
+
+
+def loop_engine(config: EngineConfig, probes: bool, packets):
+    """An engine, its capture list and, with `probes`, a what-if plugin
+    whose probes hold handles outside the engine's count, with the
+    packets queued on its conduit."""
+    engine = build_engine(LOOP_SCRIPTS, config, sink=[])
+    if probes:
+        plugin = WhatIfPlugin([ALT_RESOLVER], probability=1.0, seed=3, timeout_us=2_000_000)
+        engine.host.register(PluginDescriptor(
+            id="whatif", name="dns-whatif",
+            requested=Permission.OBSERVE | Permission.INJECT_PACKETS), plugin)
+        plugin.bind(engine.host, "whatif")
+    at_us = 0
+    for gap, (kind, src, dst, *rest) in packets:
+        at_us += gap
+        if kind == "udp":
+            name = "lost.example" if rest[0] == 2 else "example.com"
+            pkt = make_udp_packet(src, dst, payload=dnswire.build_query(rest[0], name))
+        elif kind == "syn":
+            pkt = make_tcp_packet(src, dst, seq=1, ack=0, flags=SYN)
+        elif kind == "data":
+            pkt = make_tcp_packet(src, dst, seq=2, ack=2, flags=PSH | ACK, payload=b"ping")
+        elif kind == "fin":
+            pkt = make_tcp_packet(src, dst, seq=6, ack=2, flags=FIN | ACK)
+        else:
+            pkt = make_tcp_packet(src, dst, seq=6, ack=0, flags=RST)
+        engine.conduit.inject(serialize_packet(pkt), at_us=at_us)
+    return engine
+
+
+class TestRunLoop:
+    @settings(deadline=None)
+    @given(loop_configs(), st.booleans(), loop_packets)
+    def test_same_run_as_a_sweep_at_every_grid_point(self, config, probes, packets):
+        engines = [loop_engine(config, probes, packets) for _ in range(2)]
+        engines[0].run()
+        sweep_at_every_grid_point(engines[1])
+        got, want = ((e.counters, e.eviction_reports, e.sink, e.conduit.emitted,
+                      e.upstream.active_handle_count(), e.host.plugin_states(),
+                      e.scheduler.now_us()) for e in engines)
+        assert got == want
+
+    def test_flows_still_open_close_at_the_last_event(self):
+        # a SYN to a black hole and a datagram at 0 s: the datagram's flow
+        # expires at the sweep at 31 s, the last event, and the shutdown
+        # that closes the connecting flow is stamped with that time
+        engine = build_engine([])
+        syn = FlowKey(PROTO_TCP, ("10.0.0.2", 40000), ("203.0.113.9", 80))
+        udp = FlowKey(PROTO_UDP, ("10.0.0.2", 40001), ("203.0.113.9", 9))
+        for pkt in (make_tcp_packet(syn.src, syn.dst, seq=1, ack=0, flags=SYN),
+                    make_udp_packet(udp.src, udp.dst, payload=b"x")):
+            engine.conduit.inject(serialize_packet(pkt), at_us=0)
+        engine.run()
+        assert engine.eviction_reports == [
+            {"ts_us": 31_000_000, "evicted": [str(udp)], "removed_closed": []},
+            {"ts_us": 31_000_000, "evicted": [], "removed_closed": [str(syn)]}]
+        assert engine.counters["shutdown_closed"] == 1
+
+    def test_tcp_only_run_samples_plugin_memory(self):
+        # no UDP flow to expire and no closed flow before 10 s: the
+        # governor's samples alone make each grid point due, so a plugin
+        # over its memory budget goes at the third interval past its grace
+        class Bloated(TrafficPlugin):
+            def memory_estimate(self):
+                return 1 << 20
+
+        engine = build_engine([ECHO], EngineConfig(local_isn=1))
+        engine.host.register(PluginDescriptor(
+            id="fat", name="fat", requested=Permission.OBSERVE,
+            budget=ResourceBudget(max_mem_bytes=1024, violation_grace=2)), Bloated())
+        for at_us, flags, seq in ((0, SYN, 1), (10_000_000, RST, 2)):
+            engine.conduit.inject(serialize_packet(make_tcp_packet(
+                ("10.0.0.2", 40000), ("10.3.0.1", 80), seq=seq, ack=0, flags=flags)),
+                at_us=at_us)
+        engine.run()
+        assert [(e["ts_us"], e["detail"].split(":")[0]) for e in engine.host.governor_events] \
+            == [(3_000_000, "MemOverrun")]
+        assert engine.counters["tcp_flows_reset"] == 1
+        # the grid point at 10 s sweeps behind the reset that falls on it
+        assert engine.eviction_reports == [
+            {"ts_us": 10_000_000, "evicted": [], "removed_closed": [
+                str(FlowKey(PROTO_TCP, ("10.0.0.2", 40000), ("10.3.0.1", 80)))]}]

@@ -41,28 +41,6 @@ class TestScheduler:
         sched.run_until_idle()
         assert seen == [0, 1, 2, 3, 4]
 
-    def test_cancellation(self):
-        sched = Scheduler()
-        seen = []
-        entry = sched.call_at(10, lambda: seen.append("no"))
-        sched.cancel(entry)
-        sched.run_until_idle()
-        assert seen == []
-        assert sched.pending() == 0
-
-    def test_cancel_after_run_is_a_no_op(self):
-        sched = Scheduler()
-        seen = []
-        entry = sched.call_at(10, lambda: seen.append("f"))
-        sched.run_until_idle()
-        sched.cancel(entry)
-        sched.cancel(entry)
-        assert sched.pending() == 0
-        sched.call_at(20, lambda: seen.append("g"))
-        assert sched.pending() == 1
-        sched.run_until_idle()
-        assert seen == ["f", "g"]
-
     def test_wall_mode_waits(self):
         sched = Scheduler(mode="wall")
         fired = []
