@@ -196,15 +196,19 @@ def _one_of(choices):
     return one_of
 
 
+def _real(value) -> float:
+    if isinstance(value, bool):  # float() would read true as 1.0
+        raise TypeError("must be a number")
+    return float(value)
+
+
 def _us(seconds) -> int:
-    if isinstance(seconds, bool):  # float() would read true as 1 s
-        raise TypeError("must be a number of seconds")
-    return int(float(seconds) * 1e6)
+    return int(_real(seconds) * 1e6)
 
 
 _duration = _checked(_us, lambda us: us > 0, "above 0")
 _count = _checked(_typed(int), lambda n: n >= 0, "0 or more")
-_fraction = _checked(float, lambda x: 0 <= x <= 1, "from 0 to 1")
+_fraction = _checked(_real, lambda x: 0 <= x <= 1, "from 0 to 1")
 _utf8 = _typed(str, str.encode)
 
 

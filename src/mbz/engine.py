@@ -207,7 +207,7 @@ _CLOSE_COUNTERS = {"teardown": "tcp_flows_closed", "shutdown": "shutdown_closed"
 class Engine:
     def __init__(self, config: EngineConfig, conduit: PacketConduit,
                  upstream: UpstreamNetwork, host: PluginHost,
-                 scheduler: Scheduler, sink=None):
+                 scheduler: Scheduler, sink=None, events=None):
         self.config = config
         self.conduit = conduit
         self.upstream = upstream
@@ -220,7 +220,10 @@ class Engine:
         # every app packet the chain passed (even one the engine then refuses
         # or answers itself) and every packet the engine wrote toward the app
         self.sink = sink
-        self.eviction_reports: list[dict] = []
+        # where the owner logs the run's events, if anywhere: any object with
+        # `.append(record)` (a replay's event spool, a test's list) gets a
+        # record for each sweep that evicted or removed a flow
+        self.events = events
         self._dns_shared: dict[tuple[str, Addr], _SharedDatagram] = {}
         # each UDP flow's last activity, oldest first: plain UDP, then DNS
         self._activity: tuple[OrderedDict[FlowKey, int], ...] = (OrderedDict(), OrderedDict())
@@ -863,9 +866,9 @@ class Engine:
             self._evict_udp(self.flows[key], "pressure")
             evicted.append(str(key))
 
-        if evicted or removed:
-            self.eviction_reports.append(
-                {"ts_us": now, "evicted": evicted, "removed_closed": removed})
+        if (evicted or removed) and self.events is not None:
+            self.events.append({"event": "eviction", "ts_us": now,
+                                "evicted": evicted, "removed_closed": removed})
 
     def _sweep_due_us(self, busy: bool) -> int | None:
         """The earliest time a sweep could act, or None: now while closed

@@ -301,6 +301,7 @@ class _PluginSlot:
     cpu_overruns: int = 0
     mem_overruns: int = 0
     emit_overruns: int = 0
+    violations: int = 0
     # (ts_us, n) for the last minute, oldest first, and the sum of the n
     emitted_window: deque = field(default_factory=deque)
     emitted_in_window: int = 0
@@ -312,6 +313,7 @@ class PluginHost:
         scheduler: Scheduler,
         upstream: UpstreamNetwork | None = None,
         low_battery_threshold: int | None = None,
+        events=None,
     ):
         self._scheduler = scheduler
         self._upstream = upstream
@@ -328,6 +330,9 @@ class PluginHost:
         self._throttle = self._throttled()  # kept in step with `device`
         self.violations: list[dict] = []
         self.governor_events: list[dict] = []
+        # the run's event log, if any (see `Engine.events`): where
+        # `record_probe` writes
+        self.events = events
 
     # -- registration ------------------------------------------------------
 
@@ -433,6 +438,7 @@ class PluginHost:
 
     def _violation(self, slot: _PluginSlot, kind: str, now_us: int,
                    verdict: Verdict | None = None, detail: str = "") -> None:
+        slot.violations += 1
         self.violations.append({
             "ts_us": now_us,
             "plugin": slot.descriptor.id,
@@ -551,6 +557,11 @@ class PluginHost:
         self._scheduler.call_later(timeout_us, lambda: finish(None))
         return True
 
+    def record_probe(self, plugin_id: str, probe: dict) -> None:
+        """Log one finished probe of a plugin to the event log."""
+        if self.events is not None:
+            self.events.append({**probe, "event": "probe", "plugin": plugin_id})
+
     def export_off_device(self, plugin_id: str, n_bytes: int) -> bool:
         """Gate a plugin's off-device export against its permission and
         the connectivity policy. Returns True when allowed."""
@@ -578,6 +589,7 @@ class PluginHost:
                 "enabled": s.enabled,
                 "disabled_reason": s.disabled_reason,
                 "invocations": s.invocations,
+                "violations": s.violations,
             }
             for s in self._slots.values()
         ]

@@ -4,19 +4,16 @@ Reading accepts both byte orders and link types RAW (101), IPV4 (228),
 and Ethernet (1, IPv4 frames unwrapped, others skipped). Writing always
 emits little-endian RAW captures so output files are bit-reproducible.
 
-A capture is written as it happens: a `PcapSpool` gathers records in a
-buffer and writes it to an anonymous temporary file whenever it passes
-64 KiB, so at most that and one record stay in memory, and `pcap_write`
-copies the file to wherever it is wanted.
+A capture is written as it happens: a `PcapSpool` is a `spool.Spool`
+of pcap records, and `pcap_write` copies it to wherever it is wanted.
 """
 
 from __future__ import annotations
 
-import shutil
 import struct
-import tempfile
-import weakref
 from pathlib import Path
+
+from .spool import FLUSH_AT, Spool
 
 PCAP_MAGIC = 0xA1B2C3D4
 LINKTYPE_ETHERNET = 1
@@ -30,10 +27,6 @@ _GLOBAL_HEADER = struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535, LINKTYPE
 # record header: seconds, microseconds, captured length, original length
 _RECORD = {"<": struct.Struct("<IIII"), ">": struct.Struct(">IIII")}
 _pack_record = _RECORD["<"].pack
-# one write per 64 KiB of records: a write per record header and per
-# packet, or one per record of the two joined, costs more than the copy
-# into the buffer
-_SPOOL_FLUSH_AT = 64 * 1024
 
 
 class PcapError(Exception):
@@ -116,15 +109,12 @@ def pcap_read(path: str | Path) -> list[tuple[int, bytes]]:
     return records
 
 
-class PcapSpool:
-    """A RAW-linktype little-endian pcap being written to an anonymous
-    temporary file, one record per `append`, through a buffer of about
-    64 KiB. The file is closed when the spool is dropped."""
+class PcapSpool(Spool):
+    """A RAW-linktype little-endian pcap being spooled, one record per
+    `append`."""
 
     def __init__(self):
-        self._file = tempfile.TemporaryFile()
-        weakref.finalize(self, self._file.close)
-        self._buf = bytearray(_GLOBAL_HEADER)
+        super().__init__(_GLOBAL_HEADER)
 
     def append(self, record: tuple[int, bytes]) -> None:
         """Add one (timestamp_us, ip_packet_bytes) record."""
@@ -133,18 +123,11 @@ class PcapSpool:
         buf = self._buf
         buf += _pack_record(ts_us // 1_000_000, ts_us % 1_000_000, n, n)
         buf += pkt
-        if len(buf) > _SPOOL_FLUSH_AT:
+        if len(buf) > FLUSH_AT:
             self._flush()
-
-    def _flush(self) -> None:
-        self._file.write(self._buf)
-        self._buf.clear()
 
 
 def pcap_write(path: str | Path, spool: PcapSpool) -> None:
     """Copy a spool's capture so far to `path`. The spool keeps it, and
     later appends go on after it."""
-    spool._flush()
-    spool._file.seek(0)
-    with open(path, "wb") as fh:
-        shutil.copyfileobj(spool._file, fh)
+    spool.copy_to(path)

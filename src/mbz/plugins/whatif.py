@@ -21,6 +21,8 @@ DIVERGENCE_NONE = "None"
 DIVERGENCE_MISMATCH = "AnswerMismatch"
 DIVERGENCE_NXDOMAIN_REWRITE = "NxdomainRewrite"
 DIVERGENCE_TIMEOUT = "Timeout"
+DIVERGENCES = (DIVERGENCE_NONE, DIVERGENCE_MISMATCH, DIVERGENCE_NXDOMAIN_REWRITE,
+               DIVERGENCE_TIMEOUT)
 
 
 @dataclass
@@ -70,8 +72,10 @@ class WhatIfPlugin(TrafficPlugin):
         self._host = None
         self._plugin_id = None
         self._pending: dict[tuple[FlowKey, int], _PendingProbe] = {}
-        self.probes: list[dict] = []
         self.sampled = 0
+        # finished probes per divergence class; each probe's record goes
+        # to the host's event log
+        self.divergences = dict.fromkeys(DIVERGENCES, 0)
 
     @functools.cached_property
     def _rng(self) -> random.Random:
@@ -169,8 +173,10 @@ class WhatIfPlugin(TrafficPlugin):
             return
         pending.done = True
         del self._pending[pending.key]
-        alternates = [pending.alternates[a] for a in self.alt_resolvers]
-        self.probes.append({
+        divergence = classify(pending.original,
+                              [pending.alternates[a] for a in self.alt_resolvers])
+        self.divergences[divergence] += 1
+        self._host.record_probe(self._plugin_id, {
             "qname": pending.qname,
             "qtype": pending.qtype,
             "resolver": f"{pending.resolver[0]}:{pending.resolver[1]}",
@@ -179,7 +185,7 @@ class WhatIfPlugin(TrafficPlugin):
                 f"{a[0]}:{a[1]}": self._outcome_dict(pending.alternates[a])
                 for a in self.alt_resolvers
             },
-            "divergence": classify(pending.original, alternates),
+            "divergence": divergence,
         })
 
     @staticmethod
@@ -193,4 +199,4 @@ class WhatIfPlugin(TrafficPlugin):
         }
 
     def report(self) -> dict:
-        return {"sampled_queries": self.sampled, "probes": self.probes}
+        return {"sampled_queries": self.sampled, "divergences": dict(self.divergences)}

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from .clock import Scheduler
@@ -13,6 +12,7 @@ from .host import PluginHost
 from .pcapio import PcapSpool, pcap_read, pcap_write
 from .plugins import WhatIfPlugin
 from .report import format_report
+from .spool import EventSpool, json_line
 from .trace import APP_TO_NET, TraceEvent, check_monotonic, read_trace
 from .upstream import SimUpstream
 
@@ -53,7 +53,9 @@ class ReplayRun:
 
     The engine records its packets into `capture`, a pcap spooled to a
     temporary file as the run goes, so `write_outputs` can still copy it
-    to a target named after `execute()`. Dropping the run closes the file.
+    to a target named after `execute()`. The engine's sweeps and the
+    plugins' probes go to `events`, a JSON-lines log spooled the same
+    way. Dropping the run closes both files.
     """
 
     def __init__(self, config: RunConfig, seed: int | None = None):
@@ -62,18 +64,20 @@ class ReplayRun:
             config.engine.seed = seed
         self.seed = config.engine.seed
         self.scheduler = Scheduler()
+        self.events = EventSpool()
         self.upstream = SimUpstream(load_scripts(config.scripts_path),
                                     self.scheduler, rng_seed=self.seed)
         self.host = PluginHost(
             self.scheduler, upstream=self.upstream,
-            low_battery_threshold=config.low_battery_throttle)
+            low_battery_threshold=config.low_battery_throttle, events=self.events)
         self.plugins = install_plugins(config, self.host, self.seed)
 
         events = load_trace_events(config)
         self.conduit = ReplayConduit(events)
         self.capture = PcapSpool()
         self.engine = Engine(config.engine, self.conduit, self.upstream,
-                             self.host, self.scheduler, sink=self.capture)
+                             self.host, self.scheduler, sink=self.capture,
+                             events=self.events)
         for at_us, device in config.device_timeline:
             self.scheduler.call_at(at_us, lambda d=device: self.host.update_context(d))
 
@@ -86,9 +90,6 @@ class ReplayRun:
             "seed": self.seed,
             "counters": self.engine.counters,
             "plugins": self.host.plugin_states(),
-            "violations": self.host.violations,
-            "governor": self.host.governor_events,
-            "evictions": self.engine.eviction_reports,
         }
         for descriptor, _settings in self.config.plugins:
             section = PLUGIN_TABLE[descriptor.name].section
@@ -104,24 +105,24 @@ def report_json_bytes(report: dict) -> bytes:
 
 def write_outputs(run: ReplayRun, report: dict,
                   out_pcap: Path | None = None) -> list[Path]:
-    """Write the report, the violation/governor JSON-lines logs, the
-    optional capture of everything the engine forwarded or emitted, and
-    the report in each further format the config names."""
+    """Write the report; beside it, the event log: the run's evictions
+    and probes as they happened, then its violations and governor
+    events; the optional capture of everything the engine forwarded or
+    emitted; and the report in each further format the config names."""
     written: list[Path] = []
     config = run.config
     report_path = config.report_path
     if report_path is not None:
         report_path.parent.mkdir(parents=True, exist_ok=True)
         report_path.write_bytes(report_json_bytes(report))
-        written.append(report_path)
-        stem = report_path.with_suffix("")
-        for name, rows in (("violations", run.host.violations),
-                           ("governor", run.host.governor_events)):
-            log_path = Path(f"{stem}.{name}.jsonl")
-            with open(log_path, "w", encoding="utf-8") as fh:
-                for row in rows:
-                    fh.write(json.dumps(row, sort_keys=True) + "\n")
-            written.append(log_path)
+        events_path = Path(f"{report_path.with_suffix('')}.events.jsonl")
+        run.events.copy_to(events_path)
+        with open(events_path, "ab") as fh:
+            for event, records in (("violation", run.host.violations),
+                                   ("governor", run.host.governor_events)):
+                for record in records:
+                    fh.write(json_line({**record, "event": event}))
+        written += [report_path, events_path]
     pcap_target = out_pcap or config.out_pcap
     if pcap_target is not None:
         pcap_target = Path(pcap_target)

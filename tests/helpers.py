@@ -25,15 +25,26 @@ from mbz.upstream import SimUpstream
 
 
 def build_engine(scripts, config=None, host=None, seed=0, sink=None):
+    """An engine over an in-memory conduit and a simulated upstream. Its
+    event log, `engine.events`, is a list, which a host built here
+    shares."""
     sched = Scheduler()
     conduit = InMemoryConduit(sched)
     upstream = SimUpstream(
         [script_from_dict(s) if isinstance(s, dict) else s
          for s in scripts], sched, rng_seed=seed)
-    host = host or PluginHost(sched, upstream=upstream)
+    events = []
+    host = host or PluginHost(sched, upstream=upstream, events=events)
     config = config or EngineConfig(local_isn=5000)
-    engine = Engine(config, conduit, upstream, host, sched, sink=sink)
+    engine = Engine(config, conduit, upstream, host, sched, sink=sink, events=events)
     return engine
+
+
+def logged(engine: Engine, event: str) -> list[dict]:
+    """The records of one kind in an engine's event log, in order, each
+    without its `event` key."""
+    return [{k: v for k, v in record.items() if k != "event"}
+            for record in engine.events if record["event"] == event]
 
 
 def spool_of(records) -> PcapSpool:

@@ -10,7 +10,8 @@ import random
 import time
 from pathlib import Path
 
-from helpers import AppPeer, Driver, build_engine, exchange, plugin_state, random_chunks
+from helpers import (AppPeer, Driver, build_engine, exchange, logged, plugin_state,
+                     random_chunks)
 
 from mbz import dnswire
 from mbz.clock import Scheduler
@@ -381,8 +382,8 @@ def test_whatif_classifier_matrix_and_noninterference():
             payload=dnswire.build_query(1, "q.example"))))
         engine.pump()
         emitted = [d for _t, d in engine.conduit.take_emitted()]
-        assert len(plugin.probes) == 1
-        return plugin.probes[0]["divergence"], emitted
+        assert len(logged(engine, "probe")) == 1
+        return logged(engine, "probe")[0]["divergence"], emitted
 
     alt = lambda answers: {"cidr": "9.9.9.9/32", "ports": [53],
                            "behavior": "dns", "answers": answers}

@@ -15,7 +15,7 @@ resets the test sends. The order rules it checks:
 
 `Engine.run` sweeps only when a sweep could act. A second property checks
 it against a reference driver that sweeps at every grid point; the two
-must leave the same counters, eviction reports, capture and handles.
+must leave the same counters, event log, capture and handles.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from helpers import AppPeer, Driver, build_engine
+from helpers import AppPeer, Driver, build_engine, logged
 from hypothesis import given, settings, strategies as st
 
 from mbz import dnswire
@@ -118,7 +118,7 @@ class Oracle:
             pressure.append(key)
 
         counters = dict(engine.counters)
-        reports = len(engine.eviction_reports)
+        reports = len(logged(engine, "eviction"))
         engine.sweep()
 
         counters["udp_flows_evicted_idle"] += len(idle)
@@ -127,11 +127,11 @@ class Oracle:
         assert engine.upstream.active_handle_count() == handles
         assert set(engine.flows) == before - set(idle) - set(pressure) - set(self.closed)
         if idle or pressure or self.closed:
-            assert engine.eviction_reports[reports:] == [{
+            assert logged(engine, "eviction")[reports:] == [{
                 "ts_us": now, "evicted": [str(key) for key in idle + pressure],
                 "removed_closed": [str(key) for key in self.closed]}]
         else:
-            assert len(engine.eviction_reports) == reports
+            assert len(logged(engine, "eviction")) == reports
         self.closed = []
 
 
@@ -382,7 +382,7 @@ class TestRunLoop:
         engines = [loop_engine(config, probes, packets) for _ in range(2)]
         engines[0].run()
         sweep_at_every_grid_point(engines[1])
-        got, want = ((e.counters, e.eviction_reports, e.sink, e.conduit.emitted,
+        got, want = ((e.counters, e.events, e.sink, e.conduit.emitted,
                       e.upstream.active_handle_count(), e.host.plugin_states(),
                       e.scheduler.now_us()) for e in engines)
         assert got == want
@@ -398,7 +398,7 @@ class TestRunLoop:
                     make_udp_packet(udp.src, udp.dst, payload=b"x")):
             engine.conduit.inject(serialize_packet(pkt), at_us=0)
         engine.run()
-        assert engine.eviction_reports == [
+        assert logged(engine, "eviction") == [
             {"ts_us": 31_000_000, "evicted": [str(udp)], "removed_closed": []},
             {"ts_us": 31_000_000, "evicted": [], "removed_closed": [str(syn)]}]
         assert engine.counters["shutdown_closed"] == 1
@@ -424,6 +424,6 @@ class TestRunLoop:
             == [(3_000_000, "MemOverrun")]
         assert engine.counters["tcp_flows_reset"] == 1
         # the grid point at 10 s sweeps behind the reset that falls on it
-        assert engine.eviction_reports == [
+        assert logged(engine, "eviction") == [
             {"ts_us": 10_000_000, "evicted": [], "removed_closed": [
                 str(FlowKey(PROTO_TCP, ("10.0.0.2", 40000), ("10.3.0.1", 80)))]}]

@@ -1,6 +1,6 @@
 """UDP forwarding: DNS socket reuse, key inversion, timeouts, pressure."""
 
-from helpers import build_engine
+from helpers import build_engine, logged
 
 from mbz import dnswire
 from mbz.engine import EngineConfig
@@ -130,7 +130,7 @@ class TestSweep:
             engine.pump()
         assert engine.upstream.active_handle_count() == 10
         engine.sweep()
-        report = engine.eviction_reports[-1]
+        report = logged(engine, "eviction")[-1]
         assert engine.counters["udp_flows_evicted_pressure"] >= 1
         assert engine.upstream.active_handle_count() <= 9  # 0.9 * budget
         # oldest flow (port 7000) evicted first

@@ -416,16 +416,16 @@ class TestGovernorClocks:
                 id="busy", name="busy", requested=OBSERVE), plugin)
             report = run.execute()
             return (plugin.calls, report_json_bytes(report),
-                    written_capture(run, tmp_path / "out.pcap"))
+                    written_capture(run, tmp_path / "out.pcap"), run.host.governor_events)
 
-        busy_calls, busy_report, busy_capture = replay(2000)
-        idle_calls, idle_report, idle_capture = replay(0)
+        busy_calls, busy_report, busy_capture, busy_governor = replay(2000)
+        idle_calls, idle_report, idle_capture, _ = replay(0)
         assert busy_calls == idle_calls > ResourceBudget().violation_grace + 1
         assert busy_report == idle_report and busy_capture == idle_capture
         report = json.loads(busy_report)
-        assert report["plugins"][-1] == {"id": "busy", "enabled": True,
-                                         "disabled_reason": None, "invocations": busy_calls}
-        assert report["governor"] == []
+        assert report["plugins"][-1] == {"id": "busy", "enabled": True, "disabled_reason": None,
+                                         "invocations": busy_calls, "violations": 0}
+        assert busy_governor == []
 
 
 class TestContextAndServices:

@@ -42,8 +42,7 @@ class TestIngestion:
         report = run.execute()
         written = write_outputs(run, report, out_pcap=tmp_path / "cap.pcap")
         names = {p.name for p in written}
-        assert names == {"report.json", "report.violations.jsonl",
-                         "report.governor.jsonl", "cap.pcap"}
+        assert names == {"report.json", "report.events.jsonl", "cap.pcap"}
         loaded = json.loads((tmp_path / "out" / "report.json").read_text())
         assert loaded["counters"] == report["counters"]
 

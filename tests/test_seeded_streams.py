@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import build_engine
+from helpers import build_engine, logged
 
 from mbz import dnswire
 from mbz.clock import Scheduler
@@ -126,5 +126,5 @@ class TestConstruction:
     def test_whatif_without_resolvers_never_samples(self, monkeypatch):
         monkeypatch.setattr(random, "Random", CountingRandom)
         CountingRandom.made = 0
-        _engine, plugin = whatif_run([], 0.5, 1, 5)
-        assert (CountingRandom.made, plugin.sampled, plugin.probes) == (0, 0, [])
+        engine, plugin = whatif_run([], 0.5, 1, 5)
+        assert (CountingRandom.made, plugin.sampled, logged(engine, "probe")) == (0, 0, [])

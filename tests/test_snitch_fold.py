@@ -220,12 +220,10 @@ class TestFoldOracle:
 
 # ----------------------------------------------------------- growth
 
-# containers that still hold one entry per event of the run: the engine's
-# eviction log, one what-if probe record per sampled query, the advisor's
+# containers that still hold one entry per event of the run: the advisor's
 # handshake RTT samples, and the simulator's stream transcripts and
 # datagram log
-STILL_GROWS = {"engine.eviction_reports", "whatif.probes", "advisor.syn_rtts_us",
-               "upstream.transcripts", "upstream.datagram_log"}
+STILL_GROWS = {"advisor.syn_rtts_us", "upstream.transcripts", "upstream.datagram_log"}
 
 
 def replay_copies(tmp_path: Path, copies: int) -> ReplayRun:
@@ -285,3 +283,14 @@ class TestGrowth:
         grown = {name for name in sizes if sizes[name] != sizes_long[name]}
         # each named container really grows, so the list stays current
         assert grown == STILL_GROWS
+
+        # the engine's evictions and the what-if probes go to the event
+        # spool as they happen: the log grows on disk instead
+        logged = []
+        for run in (short, long):
+            path = tmp_path / f"{len(logged)}.events.jsonl"
+            run.events.copy_to(path)
+            logged.append(collections.Counter(
+                json.loads(line)["event"] for line in path.read_text().splitlines()))
+        assert logged[0]["eviction"] and logged[0]["probe"]
+        assert logged[1] == {event: 2 * n for event, n in logged[0].items()}

@@ -1,6 +1,6 @@
 """DNS what-if probing: sampling, divergence classification, passivity."""
 
-from helpers import build_engine, plugin_state
+from helpers import build_engine, logged, plugin_state
 
 from mbz import dnswire
 from mbz.engine import EngineConfig
@@ -8,7 +8,7 @@ from mbz.host import Permission, PluginDescriptor
 from mbz.packet import make_udp_packet, serialize_packet
 from mbz.plugins.whatif import (
     DIVERGENCE_MISMATCH, DIVERGENCE_NONE, DIVERGENCE_NXDOMAIN_REWRITE,
-    DIVERGENCE_TIMEOUT, WhatIfPlugin, classify, _Outcome,
+    DIVERGENCE_TIMEOUT, DIVERGENCES, WhatIfPlugin, classify, _Outcome,
 )
 
 WHATIF_PERMS = Permission.OBSERVE | Permission.INJECT_PACKETS
@@ -72,8 +72,8 @@ class TestScriptedScenarios:
             resolver_script("9.9.9.9/32", {"example.com": ["93.184.216.34"]}),
         ])
         query(engine, "example.com")
-        assert len(plugin.probes) == 1
-        assert plugin.probes[0]["divergence"] == DIVERGENCE_NONE
+        assert len(logged(engine, "probe")) == 1
+        assert logged(engine, "probe")[0]["divergence"] == DIVERGENCE_NONE
 
     def test_mismatch_scenario(self):
         engine, plugin = setup([
@@ -81,7 +81,7 @@ class TestScriptedScenarios:
             resolver_script("9.9.9.9/32", {"example.com": ["6.6.6.6"]}),
         ])
         query(engine, "example.com")
-        assert plugin.probes[0]["divergence"] == DIVERGENCE_MISMATCH
+        assert logged(engine, "probe")[0]["divergence"] == DIVERGENCE_MISMATCH
 
     def test_nxdomain_rewrite_scenario(self):
         # the original resolver says NXDOMAIN; the alternate has an answer
@@ -90,7 +90,7 @@ class TestScriptedScenarios:
             resolver_script("9.9.9.9/32", {"censored.example": ["4.4.4.4"]}),
         ])
         query(engine, "censored.example")
-        assert plugin.probes[0]["divergence"] == DIVERGENCE_NXDOMAIN_REWRITE
+        assert logged(engine, "probe")[0]["divergence"] == DIVERGENCE_NXDOMAIN_REWRITE
 
     def test_timeout_scenario(self):
         # no script at the alternate address: the probe blackholes
@@ -98,8 +98,8 @@ class TestScriptedScenarios:
             resolver_script("8.8.8.8/32", {"example.com": ["93.184.216.34"]}),
         ])
         query(engine, "example.com")
-        assert plugin.probes[0]["divergence"] == DIVERGENCE_TIMEOUT
-        alt = plugin.probes[0]["alternates"]["9.9.9.9:53"]
+        assert logged(engine, "probe")[0]["divergence"] == DIVERGENCE_TIMEOUT
+        alt = logged(engine, "probe")[0]["alternates"]["9.9.9.9:53"]
         assert alt["timed_out"] is True
 
     def test_original_timeout_closes_probe(self):
@@ -109,8 +109,8 @@ class TestScriptedScenarios:
             resolver_script("9.9.9.9/32", {"example.com": ["1.1.1.1"]}),
         ])
         query(engine, "example.com")
-        assert plugin.probes[0]["original"]["timed_out"] is True
-        assert plugin.probes[0]["divergence"] == DIVERGENCE_TIMEOUT
+        assert logged(engine, "probe")[0]["original"]["timed_out"] is True
+        assert logged(engine, "probe")[0]["divergence"] == DIVERGENCE_TIMEOUT
 
 
     def test_retransmitted_query_probed_once(self):
@@ -127,9 +127,9 @@ class TestScriptedScenarios:
                 payload=dnswire.build_query(1, "example.com"))), at_us=at_us)
         engine.run()
         assert plugin.sampled == 1
-        assert len(plugin.probes) == 1
-        assert plugin.probes[0]["original"]["timed_out"] is True
-        assert plugin.probes[0]["divergence"] == DIVERGENCE_TIMEOUT
+        assert len(logged(engine, "probe")) == 1
+        assert logged(engine, "probe")[0]["original"]["timed_out"] is True
+        assert logged(engine, "probe")[0]["divergence"] == DIVERGENCE_TIMEOUT
 
 
 class TestSamplingAndPassivity:
@@ -141,7 +141,7 @@ class TestSamplingAndPassivity:
         for i in range(50):
             query(engine, "example.com", qid=i, src_port=50000 + i)
         assert plugin.sampled == 0
-        assert plugin.probes == []
+        assert logged(engine, "probe") == []
 
     def test_original_answers_identical_with_probing_on_and_off(self):
         def run(probability):
@@ -217,8 +217,11 @@ class TestRefusedProbes:
             query(engine, "example.com", qid=i, src_port=50000 + i)
         assert plugin.sampled == 0
         assert plugin._pending == {}
-        assert plugin.report() == {"sampled_queries": 0, "probes": []}
+        assert plugin.report() == {"sampled_queries": 0,
+                                   "divergences": dict.fromkeys(DIVERGENCES, 0)}
+        assert logged(engine, "probe") == []
         assert [v["kind"] for v in engine.host.violations] == ["permission-denied"] * 5
+        assert plugin_state(engine.host, "whatif")["violations"] == 5
 
     def test_disabled_by_emitted_bytes_budget(self):
         from mbz.host import ResourceBudget
@@ -232,7 +235,7 @@ class TestRefusedProbes:
         assert not plugin_state(engine.host, "whatif")["enabled"]
         assert plugin.sampled == 2
         assert plugin._pending == {}
-        assert [p["divergence"] for p in plugin.probes] == [DIVERGENCE_NONE] * 2
+        assert [p["divergence"] for p in logged(engine, "probe")] == [DIVERGENCE_NONE] * 2
 
     def test_disabled_between_two_probes_of_one_query(self):
         from mbz.host import ResourceBudget
@@ -247,4 +250,4 @@ class TestRefusedProbes:
         assert engine.scheduler.pending() == 0  # pump ran every timer
         assert plugin.sampled == 1
         assert plugin._pending == {}
-        assert len(plugin.probes) == 1
+        assert len(logged(engine, "probe")) == 1
