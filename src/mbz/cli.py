@@ -1,4 +1,4 @@
-"""Command line: mbz replay | run | bench | report.
+"""Command line: mbz replay | bench | report.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or data error.
 MBZ_LOG selects the log level.
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .bench import InsufficientSamples, BenchResult, bench_cdf, run_bench
-from .config import ConfigLoadError, load_config, load_scripts
+from .config import ConfigLoadError, load_config
 from .pcapio import PcapError
 from .report import BadReport, format_report, load_report
 from .runner import ReplayRun, write_outputs
@@ -42,9 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "copies it here at the end")
     replay.add_argument("--seed", type=int, default=None)
 
-    run = sub.add_parser("run", help="run against a live packet conduit")
-    run.add_argument("--config", required=True)
-
     bench = sub.add_parser("bench", help="measure engine-added connect latency")
     bench.add_argument("--n", type=int, default=1000)
     bench.add_argument("--concurrency", type=int, default=1)
@@ -71,15 +68,6 @@ def _cmd_replay(args) -> int:
     for path in written:
         log.info("wrote %s", path)
     return EXIT_OK
-
-
-def _cmd_run(args) -> int:
-    # read the config and the scripts anyway, so mistakes surface now
-    load_scripts(load_config(args.config).scripts_path)
-    sys.stderr.write(
-        "mbz run: no live packet conduit is bundled with this build; "
-        "attach one behind the PacketConduit contract or use `mbz replay`.\n")
-    return EXIT_CONFIG
 
 
 def _cmd_bench(args) -> int:
@@ -110,7 +98,6 @@ def _cmd_report(args) -> int:
 
 _COMMANDS = {
     "replay": _cmd_replay,
-    "run": _cmd_run,
     "bench": _cmd_bench,
     "report": _cmd_report,
 }

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import random
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -229,6 +230,9 @@ class Engine:
         self._activity: tuple[OrderedDict[FlowKey, int], ...] = (OrderedDict(), OrderedDict())
         self._closed: list[TcpFlow] = []  # closed since the last sweep
         self._mss_to_app = min(1460, config.mtu - 40)
+        # the host's probes open through the same gate, bound to a proxy so
+        # that the host keeps no reference cycle back to the engine
+        host.open_datagram = functools.partial(Engine._open, weakref.proxy(self))
 
     # ------------------------------------------------------------------ run
 
@@ -416,28 +420,28 @@ class Engine:
         """Open a flow toward upstream, or, given a plugin's notice, a flow
         that answers with the notice and needs no upstream handle."""
         tcp: TcpHeader = pkt.transport
-        if notice is None and self.upstream.active_handle_count() >= self.config.socket_budget:
-            self.counters["tcp_refused_budget"] += 1
-            self._emit_rst(key, seq_add(tcp.seq, 1))
-            return
+        effective_dst = redirect or key.dst
+        stream = None
+        if notice is None:
+            stream = self._open(effective_dst)
+            if stream is None:
+                self.counters["tcp_refused_budget"] += 1
+                self._emit_rst(key, seq_add(tcp.seq, 1))
+                return
         flow = TcpFlow(
             key=key, app_label=app_label, state=TcpState.UPSTREAM_CONNECTING,
-            app_isn=tcp.seq, local_isn=self._pick_isn(),
-            effective_dst=redirect or key.dst,
+            app_isn=tcp.seq, local_isn=self._pick_isn(), effective_dst=effective_dst,
             mss=self._clamp_mss(extract_mss(tcp.options)),
-            app_window=tcp.window,
+            app_window=tcp.window, stream=stream,
             deferred_payload=payload if pkt.payload else b"",
             deferred_app_len=len(pkt.payload), notice=notice,
         )
         self.flows[key] = flow
         self.counters["tcp_flows_created"] += 1
-        if notice is not None:
+        if stream is None:
             self._establish(flow)
             return
-        stream = self.upstream.open_stream(flow.effective_dst)
-        flow.stream = stream
         stream.set_callback(lambda ev, f=flow: self._on_stream_event(f, ev))
-        self._note_budget()
 
     @functools.cached_property
     def _rng(self) -> random.Random:
@@ -765,11 +769,10 @@ class Engine:
                 shared.refs += 1
                 handle = shared.handle
         if handle is None:
-            if self.upstream.active_handle_count() >= self.config.socket_budget:
+            handle = self._open()
+            if handle is None:
                 self.counters["udp_refused_budget"] += 1
                 return None
-            handle = self.upstream.open_datagram()
-            self._note_budget()
             if is_dns:
                 shared = _SharedDatagram(handle=handle, refs=1)
                 self._dns_shared[shared_key] = shared
@@ -858,8 +861,7 @@ class Engine:
             del self.flows[flow.key]
         removed, self._closed = [str(flow.key) for flow in self._closed], []
 
-        threshold = 0.9 * self.config.socket_budget
-        while self.upstream.active_handle_count() > threshold and any(self._activity):
+        while self._over_pressure() and any(self._activity):
             # the older front; on a tie, plain UDP's
             order = min(filter(None, self._activity), key=lambda o: next(iter(o.values())))
             key = next(iter(order))
@@ -876,17 +878,31 @@ class Engine:
         pressure threshold with a UDP flow to evict, and, while `busy`
         (packets or timers remain), while a plugin reports its memory to
         the governor; else the first time an activity order's front is
-        past its timeout. The handle count is read afresh, since a plugin's
-        probe opens handles the engine never sees."""
+        past its timeout. The handle count is the upstream's, read each
+        time: a probe's handle opens through `_open` but closes inside the
+        host, where the engine does not see it."""
         activity = self._activity
-        if self._closed or (busy and self.host.memory_sampled) or (any(activity) and (
-                self.upstream.active_handle_count() > 0.9 * self.config.socket_budget)):
+        if self._closed or (busy and self.host.memory_sampled) or (
+                any(activity) and self._over_pressure()):
             return self.scheduler.now_us()
         timeouts = (self.config.udp_timeout_us, self.config.dns_timeout_us)
         return min((next(iter(order.values())) + timeout + 1
                     for order, timeout in zip(activity, timeouts) if order), default=None)
 
-    def _note_budget(self) -> None:
-        active = self.upstream.active_handle_count()
+    def _over_pressure(self) -> bool:
+        """Whether the upstream's handle count is over 90 % of `socket_budget`."""
+        return self.upstream.active_handle_count() > 0.9 * self.config.socket_budget
+
+    def _open(self, dst: Addr | None = None) -> StreamHandle | DatagramHandle | None:
+        """The one gate for upstream handles, the host's probes' too: a
+        stream to `dst`, or a datagram handle when `dst` is None; None,
+        opening nothing, while `socket_budget` handles are open. Keeps
+        `budget_high_water`."""
+        upstream = self.upstream
+        if upstream.active_handle_count() >= self.config.socket_budget:
+            return None
+        handle = upstream.open_datagram() if dst is None else upstream.open_stream(dst)
+        active = upstream.active_handle_count()
         if active > self.counters["budget_high_water"]:
             self.counters["budget_high_water"] = active
+        return handle

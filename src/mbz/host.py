@@ -29,7 +29,6 @@ class Permission(enum.Flag):
     BLOCK_FLOW = enum.auto()
     REDIRECT_FLOW = enum.auto()
     INJECT_PACKETS = enum.auto()
-    EXPORT_OFF_DEVICE = enum.auto()
 
 
 PERMISSION_NAMES = {
@@ -38,7 +37,6 @@ PERMISSION_NAMES = {
     "block_flow": Permission.BLOCK_FLOW,
     "redirect_flow": Permission.REDIRECT_FLOW,
     "inject_packets": Permission.INJECT_PACKETS,
-    "export_off_device": Permission.EXPORT_OFF_DEVICE,
 }
 
 
@@ -270,7 +268,6 @@ _PACKET_IN = EventKind.PACKET_IN
 
 # permission bits as plain ints: enum.Flag arithmetic runs in Python
 _INJECT_PACKETS = Permission.INJECT_PACKETS.value
-_EXPORT_OFF_DEVICE = Permission.EXPORT_OFF_DEVICE.value
 _VERDICT_PERMISSION = {
     Modify: Permission.MODIFY_PAYLOAD.value,
     Block: Permission.BLOCK_FLOW.value,
@@ -316,7 +313,9 @@ class PluginHost:
         events=None,
     ):
         self._scheduler = scheduler
-        self._upstream = upstream
+        # how a probe opens its upstream handle: the upstream's own open
+        # until an engine replaces it with its budget gate (`Engine._open`)
+        self.open_datagram = None if upstream is None else upstream.open_datagram
         self._low_battery_threshold = low_battery_threshold
         # by id, in registration order
         self._slots: dict[str, _PluginSlot] = {}
@@ -524,6 +523,8 @@ class PluginHost:
                        on_reply, timeout_us: int) -> bool:
         """Send a plugin-originated datagram probe and deliver the reply
         (or None on timeout) back as an event. Requires InjectPackets.
+        False, with nothing sent, for a disabled plugin, a missing grant or
+        a full socket budget; a probe the budget refuses is not metered.
         A send that raises (a destination the upstream cannot parse)
         closes the probe's handle and propagates to the plugin."""
         slot = self._slots[plugin_id]
@@ -533,12 +534,15 @@ class PluginHost:
             self._violation(slot, "permission-denied", self._scheduler.now_us(),
                             detail="probe_datagram")
             return False
-        if self._upstream is None:
+        if self.open_datagram is None:
+            return False
+        handle = self.open_datagram()
+        if handle is None:  # the socket budget is full: nothing sent or metered
             return False
         self._meter_emitted(slot, len(payload))
         if not slot.enabled:
+            handle.close()
             return False
-        handle = self._upstream.open_datagram()
         done = {"fired": False}
 
         def finish(reply: bytes | None):
@@ -561,24 +565,6 @@ class PluginHost:
         """Log one finished probe of a plugin to the event log."""
         if self.events is not None:
             self.events.append({**probe, "event": "probe", "plugin": plugin_id})
-
-    def export_off_device(self, plugin_id: str, n_bytes: int) -> bool:
-        """Gate a plugin's off-device export against its permission and
-        the connectivity policy. Returns True when allowed."""
-        slot = self._slots[plugin_id]
-        if not slot.enabled:
-            return False
-        if not slot.granted & _EXPORT_OFF_DEVICE:
-            self._violation(slot, "permission-denied", self._scheduler.now_us(),
-                            detail="export_off_device")
-            return False
-        if (slot.descriptor.wifi_only_export
-                and self.device.connectivity is Connectivity.CELLULAR):
-            self._violation(slot, "export-suspended-on-cellular", self._scheduler.now_us(),
-                            detail=f"{n_bytes}B")
-            return False
-        self._meter_emitted(slot, n_bytes)
-        return slot.enabled
 
     # -- reporting ----------------------------------------------------------------
 

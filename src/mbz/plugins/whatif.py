@@ -113,7 +113,8 @@ class WhatIfPlugin(TrafficPlugin):
                     self._plugin_id, alt, query,
                     lambda reply, p=pending, a=alt: self._on_probe_reply(p, a, reply),
                     timeout_us=self.timeout_us):
-                # refused (no inject_packets, or disabled by the governor):
+                # refused (no inject_packets, disabled by the governor, or
+                # the socket budget full):
                 # abandon the query; replies to probes already sent find it done
                 pending.done = True
                 del self._pending[pkey]

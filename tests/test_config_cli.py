@@ -467,11 +467,6 @@ class TestCliExitCodes:
         cfg.write_text("io: {trace: trace.jsonl}\n")
         assert main(["replay", "--config", str(cfg)]) == 3
 
-    def test_run_is_an_extension_point(self, tmp_path, capsys):
-        cfg = write_min_config(tmp_path)
-        assert main(["run", "--config", str(cfg)]) == 2
-        assert "PacketConduit" in capsys.readouterr().err
-
     @pytest.mark.parametrize("scripts", [
         b"- {cidr: 10.200.0.0/16, behavior: teleport}\n",
         b"- {cidr: 10.200.0.0/16, behavior: echo, delay_us: 1.5}\n",
@@ -481,7 +476,7 @@ class TestCliExitCodes:
     def test_run_checks_the_scripts(self, tmp_path, capsys, scripts):
         shutil.copytree(DATA / "golden", tmp_path, dirs_exist_ok=True)
         (tmp_path / "scripts.yaml").write_bytes(scripts)
-        assert main(["run", "--config", str(tmp_path / "config.yaml")]) == 2
+        assert main(["replay", "--config", str(tmp_path / "config.yaml")]) == 2
         err = capsys.readouterr().err
         assert "mbz: config error" in err and "scripts.yaml" in err
 
@@ -502,7 +497,7 @@ class TestCliExitCodes:
     def test_run_checks_plugin_settings(self, tmp_path, capsys, plugin, org_map):
         (tmp_path / "orgs.csv").write_text(org_map)
         cfg = write_min_config(tmp_path, plugins=f"plugins:\n  - {plugin}\n")
-        assert main(["run", "--config", str(cfg)]) == 2
+        assert main(["replay", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "mbz: config error" in err and "plugin 'w1'" in err
 
@@ -663,16 +658,22 @@ class TestEachRuleFailsAtLoad:
         assert _mbz_lines(capsys) == [f"mbz: config error: {line}"]
 
     @pytest.mark.parametrize("argv", [
-        ["replay", "--config"], ["run", "--config"],
-        ["bench", "--n", "30", "--plugins-config"],
-    ], ids=["replay", "run", "bench"])
+        ["replay", "--config"], ["bench", "--n", "30", "--plugins-config"],
+    ], ids=["replay", "bench"])
     def test_a_permission_without_observe_exits_2(self, tmp_path, capsys, argv):
         cfg = _golden_with(tmp_path, ("plugins", 2, "permissions"), ["block_flow"])
         assert main(argv + [str(cfg)]) == 2
         [line] = _mbz_lines(capsys)
         assert line.startswith("mbz: config error:") and "'advisor'" in line
 
-    @pytest.mark.parametrize("command", ["replay", "run"])
+    def test_export_off_device_is_no_permission(self, tmp_path, capsys):
+        cfg = _golden_with(tmp_path, ("plugins", 2, "permissions"),
+                           ["observe", "export_off_device"])
+        assert main(["replay", "--config", str(cfg)]) == 2
+        [line] = _mbz_lines(capsys)
+        assert line.startswith("mbz: config error:") and "'export_off_device'" in line
+
+    @pytest.mark.parametrize("command", ["replay"])
     def test_overlapping_scripts_exit_2(self, tmp_path, capsys, command):
         shutil.copytree(DATA / "golden", tmp_path, dirs_exist_ok=True)
         (tmp_path / "scripts.yaml").write_text(
@@ -685,7 +686,7 @@ class TestEachRuleFailsAtLoad:
 
 
 # plugin entries whose permissions, budget and id decide whether they load:
-# subsets of the six permission names (empty among them) and named
+# subsets of the five permission names (empty among them) and named
 # permissions without observe; budget fields of 0, negative, boolean and
 # large values; ids drawn from three, so some repeat
 _NAMES = sorted(PERMISSION_NAMES)

@@ -34,8 +34,7 @@ from mbz.upstream import SimUpstream
 DATA = Path(__file__).resolve().parent.parent / "data"
 OBSERVE = Permission.OBSERVE
 ALL = (Permission.OBSERVE | Permission.MODIFY_PAYLOAD | Permission.BLOCK_FLOW
-       | Permission.REDIRECT_FLOW | Permission.INJECT_PACKETS
-       | Permission.EXPORT_OFF_DEVICE)
+       | Permission.REDIRECT_FLOW | Permission.INJECT_PACKETS)
 
 
 class ScriptedPlugin(TrafficPlugin):
@@ -69,6 +68,17 @@ class RecordContext(TrafficPlugin):
 
 def make_host(**kw):
     return PluginHost(Scheduler(), **kw)
+
+
+def probing_host():
+    """A host whose probes go to a simulator with no scripts (a black hole)."""
+    sched = Scheduler()
+    return PluginHost(sched, upstream=SimUpstream([], sched, rng_seed=0))
+
+
+def probe(host, pid, n_bytes):
+    """One probe of `n_bytes` from plugin `pid`; True when it was sent."""
+    return host.probe_datagram(pid, ("9.9.9.9", 53), b"q" * n_bytes, lambda _r: None, 1000)
 
 
 def reg(host, plugin, pid="p", perms=ALL, budget=None, wifi_only=False):
@@ -332,15 +342,15 @@ class TestGovernor:
 
     def test_emitted_bytes_overrun_with_grace(self):
         budget = ResourceBudget(max_emitted_bytes_per_min=100, violation_grace=2)
-        host = make_host()
+        host = probing_host()
         reg(host, ScriptedPlugin(), "chatty", budget=budget)
-        assert [host.export_off_device("chatty", 200) for _ in range(3)] \
+        assert [probe(host, "chatty", 200) for _ in range(3)] \
             == [True, True, False]
         assert not enabled(host, "chatty")
         assert "EmittedOverrun" in host.governor_events[0]["detail"]
 
     def test_cellular_wifi_only_emit_overrun_disables_immediately(self):
-        # a probe is metered on cellular too; export_off_device refuses first
+        # on cellular, wifi_only_export disables at a probe's first overrun
         budget = ResourceBudget(max_emitted_bytes_per_min=100, violation_grace=5)
         sched = Scheduler()
         upstream = SimUpstream([], sched, rng_seed=0)
@@ -474,21 +484,6 @@ class TestContextAndServices:
             apply_out(host)
         assert [ctx.throttle for _event, ctx in rec.seen] \
             == [False, True, True, False, True, False]
-
-    def test_export_suspended_on_cellular_for_wifi_only(self):
-        host = make_host()
-        reg(host, ScriptedPlugin(), "exp", wifi_only=True)
-        host.update_context(DeviceContext(connectivity=Connectivity.CELLULAR))
-        assert host.export_off_device("exp", 10) is False
-        assert host.violations[0]["kind"] == "export-suspended-on-cellular"
-        host.update_context(DeviceContext(connectivity=Connectivity.WIFI))
-        assert host.export_off_device("exp", 10) is True
-
-    def test_export_without_permission_is_violation(self):
-        host = make_host()
-        reg(host, ScriptedPlugin(), "noexp", perms=OBSERVE)
-        assert host.export_off_device("noexp", 10) is False
-        assert host.violations[0]["kind"] == "permission-denied"
 
     def test_battery_range_validated(self):
         with pytest.raises(ValueError):
@@ -708,7 +703,8 @@ class TestEmittedWindow:
         oracle, overruns = [], 0
         for delta, n in steps:
             sched.advance_to(sched.now_us() + delta)
-            assert host.export_off_device("e", n)
+            host._meter_emitted(slot, n)
+            assert slot.enabled
             oracle = _window_oracle(oracle, sched.now_us(), n)
             overruns = overruns + 1 if sum(m for _t, m in oracle) > limit else 0
             assert list(slot.emitted_window) == oracle
@@ -721,12 +717,12 @@ class TestEmittedWindow:
         reg(host, ScriptedPlugin(), "e", budget=ResourceBudget(
             max_emitted_bytes_per_min=100, violation_grace=5))
         slot = host._slots["e"]
-        host.export_off_device("e", 60)
+        host._meter_emitted(slot, 60)
         sched.advance_to(60_000_000)
-        host.export_off_device("e", 50)  # 110 B within the minute
+        host._meter_emitted(slot, 50)  # 110 B within the minute
         assert slot.emit_overruns == 1 and slot.emitted_in_window == 110
         sched.advance_to(60_000_001)
-        host.export_off_device("e", 0)  # the first 60 B have left
+        host._meter_emitted(slot, 0)  # the first 60 B have left
         assert slot.emit_overruns == 0 and slot.emitted_in_window == 50
 
 
@@ -960,14 +956,14 @@ class TestSubscriberTables:
         assert not enabled(host, "close")
 
     def test_plugin_disabled_earlier_in_the_event_is_skipped(self):
-        # a plugin can meter another plugin's id; a slot disabled that way
-        # mid-event neither runs nor counts the event
-        host = make_host()
+        # a plugin can probe under another plugin's id; a slot disabled that
+        # way mid-event neither runs nor counts the event
+        host = probing_host()
 
         class DisableNext(TrafficPlugin):
             def on_packet_out(self, event, ctx):
                 for _ in range(2):  # two overruns past a grace of one
-                    host.export_off_device("b", 1000)
+                    probe(host, "b", 1000)
 
         reg(host, DisableNext(), "a")
         b = reg(host, ScriptedPlugin(), "b", budget=ResourceBudget(
