@@ -119,12 +119,6 @@ class TcpFlow:
     # how many bytes the app sent for them (what the ACK covers)
     deferred_payload: bytes = b""
     deferred_app_len: int = 0
-    # every segment the engine writes toward the app: addresses and ports
-    # inverted once, the rest set before each write
-    out: Packet = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.out = make_tcp_packet(self.key.dst, self.key.src, 0, 0, 0)
 
 
 @dataclass(slots=True)
@@ -134,10 +128,6 @@ class UdpFlow:
     effective_dst: Addr
     handle: DatagramHandle
     shared_key: tuple[str, Addr] | None = None  # set for DNS flows
-    out: Packet = field(init=False, repr=False, compare=False)  # datagrams toward the app
-
-    def __post_init__(self) -> None:
-        self.out = make_udp_packet(self.key.dst, self.key.src)
 
 
 @dataclass
@@ -283,7 +273,12 @@ class Engine:
         self.sweep()
 
     def pump(self) -> None:
-        """Process everything currently runnable (bench / test driver)."""
+        """Drive the engine until it idles (bench / test driver). Each step
+        reads the next app packet if it is due by the scheduler's time,
+        else runs the next timer, whatever its due time: a virtual clock
+        jumps to it, a wall clock waits for it. Returns once no timer is
+        pending and no packet is due. Unlike `run`, it never sweeps and
+        never shuts down."""
         while True:
             t_pkt = self.conduit.next_ready_us()
             if t_pkt is not None and t_pkt <= self.scheduler.now_us():
@@ -314,45 +309,61 @@ class Engine:
             self._udp_ingress(pkt, key, app_label, data)
 
     def _offer_out(self, pkt: Packet, key: FlowKey, app_label: str, raw: bytes,
-                   flow: TcpFlow | UdpFlow | None, creating: bool) -> EffectiveAction:
+                   flow: TcpFlow | UdpFlow | None, creating: bool) -> EffectiveAction | None:
         """Run the chain over an app packet: FLOW_OPEN when it opens a
         flow, else PACKET_OUT. Counts a block; otherwise records the packet
         in the sink, even one the engine then refuses or answers with an
-        RST, and counts a redirect, honoured only on an open."""
+        RST, and counts a redirect, honoured only on an open. None, as
+        from `dispatch`, when the packet goes on untouched."""
         kind = _FLOW_OPEN if creating else _PACKET_OUT
         tcp_flags = tcp_seq = None
         if pkt.is_tcp:
             tcp_flags, tcp_seq = pkt.transport.flags, pkt.transport.seq
         action = self.host.dispatch(kind, key, app_label, pkt.payload, tcp_flags, tcp_seq)
-        if action.block is not None:
-            self.counters["blocked_flow_opens" if creating else "blocked_packets"] += 1
-            return action
-        if action.modified:
-            self.counters["modified_packets"] += 1
-            rebuilt = Packet(ip=pkt.ip, transport=pkt.transport, payload=action.payload)
-            try:
-                raw = serialize_packet(rebuilt, mtu=self.config.mtu)
-            except OversizedPacket:
-                raw = None  # forwarded upstream anyway; just not capturable
+        if action is not None:
+            if action.block is not None:
+                self.counters["blocked_flow_opens" if creating else "blocked_packets"] += 1
+                return action
+            if action.modified:
+                self.counters["modified_packets"] += 1
+                rebuilt = Packet(ip=pkt.ip, transport=pkt.transport, payload=action.payload)
+                try:
+                    raw = serialize_packet(rebuilt, mtu=self.config.mtu)
+                except OversizedPacket:
+                    raw = None  # forwarded upstream anyway; just not capturable
+            if action.redirect is not None:
+                if creating:
+                    self.counters["redirected_flows"] += 1
+                elif flow is not None:
+                    self.counters["redirects_ignored"] += 1
         if raw is not None and self.sink is not None:
             self.sink.append((self.scheduler.now_us(), raw))
-        if action.redirect is not None:
-            if creating:
-                self.counters["redirected_flows"] += 1
-            elif flow is not None:
-                self.counters["redirects_ignored"] += 1
         return action
 
-    def _offer_in(self, flow: TcpFlow | UdpFlow, payload: bytes) -> EffectiveAction:
-        """Run the chain over bytes from upstream; counts a block or a rewrite."""
+    def _offer_in(self, flow: TcpFlow | UdpFlow, payload: bytes) -> EffectiveAction | None:
+        """Run the chain over bytes from upstream; counts a block or a
+        rewrite. None, as from `dispatch`, when the bytes go on untouched."""
         action = self.host.dispatch(_PACKET_IN, flow.key, flow.app_label, payload)
-        if action.block is not None:
-            self.counters["blocked_packets"] += 1
-        elif action.modified:
-            self.counters["modified_packets"] += 1
+        if action is not None:
+            if action.block is not None:
+                self.counters["blocked_packets"] += 1
+            elif action.modified:
+                self.counters["modified_packets"] += 1
         return action
 
     # --------------------------------------------------------------- emit
+
+    # what the engine writes toward the app on a flow: one packet per
+    # protocol, stamped with the flow's inverted addresses and ports and
+    # the rest of the header before each write; each is built at its first
+    # use, so a stack that writes nothing never builds it
+    @functools.cached_property
+    def _tcp_out(self) -> Packet:
+        return make_tcp_packet(("0.0.0.0", 0), ("0.0.0.0", 0), 0, 0, 0)
+
+    @functools.cached_property
+    def _udp_out(self) -> Packet:
+        return make_udp_packet(("0.0.0.0", 0), ("0.0.0.0", 0))
 
     def _emit(self, pkt: Packet) -> None:
         try:
@@ -372,10 +383,13 @@ class Engine:
     def _emit_tcp(self, flow: TcpFlow, flags: int, payload: bytes = b"",
                   seq: int | None = None, ack: int | None = None,
                   options: bytes = b"") -> None:
-        """A segment on the flow's outbound packet; seq and ack default to
-        the flow's next byte toward the app and from it."""
-        out = flow.out
-        tcp = out.transport
+        """A segment on the engine's outbound TCP packet, stamped with the
+        flow's addresses and ports; seq and ack default to the flow's next
+        byte toward the app and from it."""
+        out = self._tcp_out
+        ip, tcp = out.ip, out.transport
+        # the key runs app to network; the segment the other way
+        _, (ip.dst_addr, tcp.dst_port), (ip.src_addr, tcp.src_port) = flow.key
         tcp.seq = flow.next_seq_to_app if seq is None else seq
         tcp.ack = flow.next_expected_from_app if ack is None else ack
         tcp.flags = flags
@@ -403,17 +417,21 @@ class Engine:
         syn_only = tcp.has(SYN) and not tcp.has(ACK)
         creating = flow is None and syn_only
         action = self._offer_out(pkt, key, app_label, raw, flow, creating)
-        if action.block is not None:
-            self._apply_tcp_block(pkt, key, app_label, flow, action.block, creating)
-        elif creating:
-            self._handle_syn(pkt, key, app_label, action.payload,
-                             action.redirect and action.redirect.dst)
+        payload, redirect = pkt.payload, None
+        if action is not None:
+            if action.block is not None:
+                self._apply_tcp_block(pkt, key, app_label, flow, action.block, creating)
+                return
+            payload = action.payload
+            redirect = action.redirect and action.redirect.dst
+        if creating:
+            self._handle_syn(pkt, key, app_label, payload, redirect)
         elif flow is None:
             self._rst_for_orphan(pkt, key)
         elif syn_only:
             self._handle_dup_syn(flow, tcp)
         else:
-            self._handle_tcp_segment(flow, pkt, action.payload)
+            self._handle_tcp_segment(flow, pkt, payload)
 
     def _handle_syn(self, pkt: Packet, key: FlowKey, app_label: str, payload: bytes,
                     redirect: Addr | None, notice: bytes | None = None) -> None:
@@ -441,7 +459,7 @@ class Engine:
         if stream is None:
             self._establish(flow)
             return
-        stream.set_callback(lambda ev, f=flow: self._on_stream_event(f, ev))
+        stream.set_callback(functools.partial(Engine._on_stream_event, self, flow))
 
     @functools.cached_property
     def _rng(self) -> random.Random:
@@ -605,10 +623,11 @@ class Engine:
                 if not chunk:
                     break
                 action = self._offer_in(flow, chunk)
-                block = action.block
-                if block is None:
+                if action is None:
+                    flow.to_app.extend(chunk)
+                elif action.block is None:
                     flow.to_app.extend(action.payload)
-                elif block.mode is BlockMode.RESET_APP:
+                elif action.block.mode is BlockMode.RESET_APP:
                     self._reset_flow(flow, "plugin")
                     return
         self._send_data_to_app(flow)
@@ -732,21 +751,24 @@ class Engine:
                      raw: bytes) -> None:
         flow = self.flows.get(key)
         action = self._offer_out(pkt, key, app_label, raw, flow, flow is None)
-        block = action.block
-        if block is not None:
-            if block.mode is BlockMode.INJECT_RESPONSE:
-                inv = key.invert()
-                self._emit(make_udp_packet(src=inv.src, dst=inv.dst,
-                                           payload=block.response))
-                self.counters["injected_responses"] += 1
-            return
+        payload, redirect = pkt.payload, None
+        if action is not None:
+            block = action.block
+            if block is not None:
+                if block.mode is BlockMode.INJECT_RESPONSE:
+                    inv = key.invert()
+                    self._emit(make_udp_packet(src=inv.src, dst=inv.dst,
+                                               payload=block.response))
+                    self.counters["injected_responses"] += 1
+                return
+            payload = action.payload
+            redirect = action.redirect and action.redirect.dst
         if flow is None:
-            flow = self._open_udp_flow(key, app_label, action.redirect and action.redirect.dst)
+            flow = self._open_udp_flow(key, app_label, redirect)
             if flow is None:
                 return
 
         self._touch(flow)
-        payload = action.payload
         if flow.shared_key is not None and len(payload) >= 2:
             wire_id = self._dns_shared[flow.shared_key].claim_id(
                 key, int.from_bytes(payload[:2], "big"),
@@ -776,11 +798,9 @@ class Engine:
             if is_dns:
                 shared = _SharedDatagram(handle=handle, refs=1)
                 self._dns_shared[shared_key] = shared
-                handle.set_callback(
-                    lambda addr, data, sk=shared_key: self._on_dns_datagram(sk, addr, data))
+                handle.set_callback(functools.partial(Engine._on_dns_datagram, self, shared_key))
             else:
-                handle.set_callback(
-                    lambda addr, data, k=key: self._on_udp_datagram(k, addr, data))
+                handle.set_callback(functools.partial(Engine._on_udp_datagram, self, key))
         flow = UdpFlow(key=key, app_label=app_label, effective_dst=effective_dst,
                        handle=handle, shared_key=shared_key)
         self.flows[key] = flow
@@ -818,12 +838,19 @@ class Engine:
         order.move_to_end(flow.key)
 
     def _deliver_udp(self, flow: UdpFlow, data: bytes) -> None:
+        """A datagram toward the app on the engine's outbound UDP packet,
+        stamped with the flow's addresses and ports."""
         self._touch(flow)
         action = self._offer_in(flow, data)
-        if action.block is not None:
-            return
-        flow.out.payload = action.payload
-        self._emit(flow.out)
+        if action is not None:
+            if action.block is not None:
+                return
+            data = action.payload
+        out = self._udp_out
+        ip, udp = out.ip, out.transport
+        _, (ip.dst_addr, udp.dst_port), (ip.src_addr, udp.src_port) = flow.key
+        out.payload = data
+        self._emit(out)
 
     def _evict_udp(self, flow: UdpFlow, reason: str) -> None:
         if flow.shared_key is not None:
@@ -850,27 +877,29 @@ class Engine:
         """Evict idle UDP flows, drop Closed TCP entries, and relieve
         descriptor pressure by evicting least-recently-active UDP flows."""
         now = self.scheduler.now_us()
-        evicted: list[str] = []
+        evicted: list[FlowKey] = []
         for order, timeout in zip(self._activity, (self.config.udp_timeout_us,
                                                    self.config.dns_timeout_us)):
             while order and now - next(iter(order.values())) > timeout:
                 key = next(iter(order))
                 self._evict_udp(self.flows[key], "idle")
-                evicted.append(str(key))
-        for flow in self._closed:
+                evicted.append(key)
+        closed, self._closed = self._closed, []
+        for flow in closed:
             del self.flows[flow.key]
-        removed, self._closed = [str(flow.key) for flow in self._closed], []
 
         while self._over_pressure() and any(self._activity):
             # the older front; on a tie, plain UDP's
             order = min(filter(None, self._activity), key=lambda o: next(iter(o.values())))
             key = next(iter(order))
             self._evict_udp(self.flows[key], "pressure")
-            evicted.append(str(key))
+            evicted.append(key)
 
-        if (evicted or removed) and self.events is not None:
+        # keys are formatted only for a log that keeps them
+        if (evicted or closed) and self.events is not None:
             self.events.append({"event": "eviction", "ts_us": now,
-                                "evicted": evicted, "removed_closed": removed})
+                                "evicted": [str(key) for key in evicted],
+                                "removed_closed": [str(flow.key) for flow in closed]})
 
     def _sweep_due_us(self, busy: bool) -> int | None:
         """The earliest time a sweep could act, or None: now while closed

@@ -205,8 +205,9 @@ class PluginEvent:
 
 @dataclass(slots=True)
 class EffectiveAction:
-    """Outcome of a chain pass: the final short-circuiting verdict plus
-    the payload after all composed Modify verdicts. `block` and
+    """Outcome of a chain pass in which a verdict took effect: the final
+    short-circuiting verdict (Pass when only Modify verdicts composed)
+    plus the payload after all composed Modify verdicts. `block` and
     `redirect` are the verdict when it is a Block or a Redirect, else
     None: fields set once here, since the engine reads them two or three
     times per packet."""
@@ -362,16 +363,19 @@ class PluginHost:
 
     def dispatch(self, kind: EventKind, key: FlowKey | None, app_label: str,
                  payload: bytes = b"", tcp_flags: int | None = None,
-                 tcp_seq: int | None = None) -> EffectiveAction:
+                 tcp_seq: int | None = None) -> EffectiveAction | None:
         """Offer one event to the plugins in registration order, with a
         context whose direction is `in` for PACKET_IN and `out` otherwise.
         Modify verdicts compose; the first permitted Block or Redirect
-        short-circuits. Verdicts a plugin lacks permission for, malformed
-        verdicts, callbacks that raise, and Redirect or an injected
-        response on PACKET_IN all downgrade to Pass with a violation
-        record. Every enabled observing plugin the event reaches counts an
-        invocation, but only the callbacks a plugin overrides run, and the
-        event and its context are built only when one does.
+        short-circuits. The outcome is an EffectiveAction only when a
+        verdict took effect (a Modify, a Block or a Redirect); None means
+        the event goes on untouched, with its own payload. Verdicts a
+        plugin lacks permission for, malformed verdicts, callbacks that
+        raise, and Redirect or an injected response on PACKET_IN all
+        downgrade to Pass with a violation record. Every enabled observing
+        plugin the event reaches counts an invocation, but only the
+        callbacks a plugin overrides run, and the event and its context are
+        built only when one does.
 
         CPU is metered on the scheduler clock, k + 1 reads for k callbacks:
         the read that stamps the context starts the first callback's meter
@@ -431,9 +435,10 @@ class PluginHost:
                 if verdict.mode is BlockMode.INJECT_RESPONSE:
                     self._violation(slot, "inject-on-inbound", now, verdict)
                     continue
-            return EffectiveAction(verdict=verdict, payload=payload,
-                                   modified=modified, decided_by=slot.descriptor.id)
-        return EffectiveAction(verdict=PASS, payload=payload, modified=modified)
+            return EffectiveAction(verdict, payload, modified, slot.descriptor.id)
+        if modified:
+            return EffectiveAction(PASS, payload, True)
+        return None
 
     def _violation(self, slot: _PluginSlot, kind: str, now_us: int,
                    verdict: Verdict | None = None, detail: str = "") -> None:

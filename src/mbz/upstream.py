@@ -77,7 +77,7 @@ class SimEndpointScript:
         return bool(self.ports & other.ports)
 
 
-@dataclass
+@dataclass(slots=True)
 class StreamTranscript:
     """Byte-level record of one simulated stream, for test oracles."""
     dst: Addr
@@ -100,6 +100,8 @@ class UpstreamNetwork:
 
 
 class StreamHandle:
+    __slots__ = ()
+
     def set_callback(self, cb) -> None:
         raise NotImplementedError
 
@@ -123,6 +125,8 @@ class StreamHandle:
 
 
 class DatagramHandle:
+    __slots__ = ()
+
     def set_callback(self, cb) -> None:
         raise NotImplementedError
 
@@ -134,6 +138,13 @@ class DatagramHandle:
 
 
 class _SimStream(StreamHandle):
+    # slotted, one per open TCP flow; `__dict__` stays, created only when
+    # something sets an attribute of its own on one handle (a tracer that
+    # wraps its methods)
+    __slots__ = ("_net", "_script", "_cb", "_to_engine", "_eof_pending",
+                 "_engine_half_closed", "_endpoint_closed_write", "_static_responded",
+                 "_capacity", "closed", "transcript", "__dict__")
+
     def __init__(self, net: "SimUpstream", dst: Addr, script: SimEndpointScript | None):
         self._net = net
         self._script = script
@@ -255,6 +266,8 @@ class _SimStream(StreamHandle):
 
 
 class _SimDatagram(DatagramHandle):
+    __slots__ = ("_net", "_cb", "closed", "__dict__")  # as _SimStream's
+
     def __init__(self, net: "SimUpstream"):
         self._net = net
         self._cb = None

@@ -61,6 +61,19 @@ def written_capture(run, path) -> list[tuple[int, bytes]]:
     return pcap_read(path)
 
 
+def counting(monkeypatch, module, name) -> list[tuple]:
+    """Replace `module.name` with a wrapper that records the positional
+    arguments of each call; returns the list of them."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def plugin_state(host: PluginHost, plugin_id: str) -> dict:
     """The plugin's entry in `host.plugin_states()`."""
     return next(s for s in host.plugin_states() if s["id"] == plugin_id)

@@ -1,8 +1,10 @@
-"""What the engine writes toward the app from each flow's outbound packet."""
+"""What the engine writes toward the app, on its one outbound packet per
+protocol, and what it records of the app's packets."""
 
-from helpers import AppPeer, Driver, build_engine
+from helpers import AppPeer, Driver, build_engine, counting
 
 from mbz import dnswire
+from mbz import host as host_module
 from mbz.engine import TcpState
 from mbz.host import Block, BlockMode, Permission, PluginDescriptor, TrafficPlugin
 from mbz.packet import (
@@ -74,6 +76,39 @@ class TestOutboundPacketPerFlow:
         written = [parse_packet(data) for _ts, data in final
                    if parse_packet(data).ip.src_addr == "10.1.0.1"]
         assert b"".join(p.payload for p in written) == bytes(peer.received)
+
+
+class TestUntouchedTraffic:
+    def test_no_outcome_object_and_every_app_packet_recorded(self, monkeypatch):
+        # with an empty chain no verdict takes effect: the engine goes on
+        # with each packet's own payload and still records every app packet
+        actions = counting(monkeypatch, host_module, "EffectiveAction")
+        sink = []
+        engine = build_engine([ECHO, RESOLVER], sink=sink)
+        read = []
+        read_packet = engine.conduit.read_packet
+
+        def recorded_read():
+            packet = read_packet()
+            read.append(packet[1])
+            return packet
+        monkeypatch.setattr(engine.conduit, "read_packet", recorded_read)
+        driver = Driver(engine)
+        peer = driver.add_peer(AppPeer(engine, APP, ("10.1.0.1", 80)))
+        peer.syn()
+        engine.conduit.inject(serialize_packet(make_udp_packet(
+            ("10.0.0.2", 50001), ("8.8.8.8", 53), payload=dnswire.build_query(9, "example.com"))))
+        driver.drive()
+        peer.send(b"q" * 3000)
+        driver.drive_with_retransmits(peer)
+        peer.fin()
+        driver.drive()
+        assert bytes(peer.received) == b"q" * 3000 and peer.engine_fin_seen
+        assert dnswire.parse_message(driver.unrouted[0].payload).answers \
+            == [("example.com", dnswire.QTYPE_A, "93.184.216.34")]
+        assert actions == []
+        from_app = [data for _ts, data in sink if data[12:14] == bytes([10, 0])]  # 10.0/16
+        assert len(read) > 5 and from_app == read
 
 
 class _ResetOnData(TrafficPlugin):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from helpers import AppPeer, Driver, build_engine, logged
+from helpers import AppPeer, Driver, build_engine, counting, logged
 from hypothesis import given, settings, strategies as st
 
 from mbz import dnswire
@@ -427,3 +427,38 @@ class TestRunLoop:
         assert logged(engine, "eviction") == [
             {"ts_us": 10_000_000, "evicted": [], "removed_closed": [
                 str(FlowKey(PROTO_TCP, ("10.0.0.2", 40000), ("10.3.0.1", 80)))]}]
+
+
+class TestPump:
+    def test_a_timer_far_in_the_future_runs_inside_one_pump(self):
+        # pump drives to idle: the clock jumps to a pending timer however
+        # far off, a packet the jump passed is read after it, and a packet
+        # due after every timer waits
+        engine = build_engine([ECHO])
+        sched = engine.scheduler
+        fired = []
+        sched.call_later(3_600_000_000, lambda: fired.append(sched.now_us()))
+        for at_us, port in ((1_000_000, 40000), (7_200_000_000, 40001)):
+            engine.conduit.inject(serialize_packet(make_udp_packet(
+                ("10.0.0.2", port), ("10.3.0.1", 7), payload=b"x")), at_us=at_us)
+        engine.pump()
+        assert fired == [3_600_000_000]
+        assert sched.pending() == 0 and sched.now_us() == 3_600_000_000
+        assert [key.src[1] for key in engine.flows] == [40000]
+        assert engine.conduit.next_ready_us() == 7_200_000_000
+        assert logged(engine, "eviction") == []  # and never sweeps
+
+
+class TestSweepWork:
+    def test_a_sweep_with_no_event_log_formats_no_key(self, monkeypatch):
+        engine = build_engine([ECHO])
+        engine.events = None
+        tcp = FlowKey(PROTO_TCP, ("10.0.0.2", 40000), ("10.3.0.1", 80))
+        send(engine, make_udp_packet(("10.0.0.2", 40001), ("10.3.0.1", 7), payload=b"x"))
+        send(engine, make_tcp_packet(tcp.src, tcp.dst, seq=1, ack=0, flags=SYN))
+        send(engine, make_tcp_packet(tcp.src, tcp.dst, seq=2, ack=0, flags=RST))
+        run_until(engine, 31_000_000)
+        formatted = counting(monkeypatch, FlowKey, "__str__")
+        engine.sweep()
+        assert engine.flows == {} and formatted == []
+        assert engine.counters["udp_flows_evicted_idle"] == 1

@@ -9,7 +9,7 @@ from dataclasses import astuple
 from pathlib import Path
 
 import pytest
-from helpers import plugin_state, written_capture
+from helpers import counting, plugin_state, written_capture
 from hypothesis import given, settings, strategies as st
 
 from mbz import dnswire, tlswire
@@ -92,10 +92,6 @@ def apply_out(host, payload=b"x"):
     return host.dispatch(EventKind.PACKET_OUT, None, "app", payload)
 
 
-def is_pass(action):
-    return isinstance(action.verdict, Pass)
-
-
 def invocations(host, pid):
     return plugin_state(host, pid)["invocations"]
 
@@ -165,15 +161,14 @@ class TestRegistration:
 
 class TestChain:
     def test_empty_chain_passes(self):
-        action = apply_out(make_host(), b"data")
-        assert is_pass(action) and action.payload == b"data"
+        # None: the packet goes on untouched, with its own payload
+        assert apply_out(make_host(), b"data") is None
 
     def test_observe_only_block_downgraded_with_violation(self):
         host = make_host()
         reg(host, ScriptedPlugin(Block(BlockMode.RESET_APP)), "watch",
             perms=OBSERVE)
-        action = apply_out(host)
-        assert is_pass(action)
+        assert apply_out(host) is None
         assert len(host.violations) == 1
         assert host.violations[0]["plugin"] == "watch"
         assert host.violations[0]["kind"] == "permission-denied"
@@ -208,16 +203,14 @@ class TestChain:
     def test_inject_response_invalid_on_inbound(self):
         host = make_host()
         reg(host, ScriptedPlugin(Block(BlockMode.INJECT_RESPONSE, b"no")), "inj")
-        action = host.dispatch(EventKind.PACKET_IN, None, "app", b"x")
-        assert is_pass(action)
+        assert host.dispatch(EventKind.PACKET_IN, None, "app", b"x") is None
         assert host.violations[0]["kind"] == "inject-on-inbound"
 
     def test_redirect_invalid_on_inbound_and_chain_continues(self):
         host = make_host()
         reg(host, ScriptedPlugin(Redirect(("10.9.9.9", 80))), "switch")
         rec = reg(host, RecordContext(), "rec", perms=OBSERVE)
-        action = host.dispatch(EventKind.PACKET_IN, None, "app", b"reply")
-        assert is_pass(action) and action.payload == b"reply"
+        assert host.dispatch(EventKind.PACKET_IN, None, "app", b"reply") is None
         assert [(v["plugin"], v["kind"], v["detail"]) for v in host.violations] \
             == [("switch", "redirect-on-inbound", "Redirect")]
         assert [event.payload for event, _ctx in rec.seen] == [b"reply"]
@@ -250,10 +243,14 @@ class TestChain:
                        for i, n in enumerate(names)]
             action = apply_out(host, b"x")
             kind, payload, invoked = oracle(names)
-            got_kind = ("block" if action.block else
-                        "redirect" if action.redirect else "pass")
-            assert got_kind == kind, names
-            assert action.payload == payload, names
+            if kind == "pass" and "modify" not in invoked:
+                assert action is None, names  # untouched: no outcome object
+            else:
+                got_kind = ("block" if action.block else
+                            "redirect" if action.redirect else "pass")
+                assert got_kind == kind, names
+                assert action.payload == payload, names
+                assert action.modified == ("modify" in invoked), names
             for i in range(3):
                 expected = 1 if i < len(invoked) else 0
                 assert invocations(host, f"p{i}") == expected, names
@@ -508,17 +505,6 @@ DNS_KEY = FlowKey(17, ("10.0.0.2", 50000), ("8.8.8.8", 53))
 TLS_KEY = FlowKey(6, ("10.0.0.2", 41000), ("93.184.216.34", 443))
 
 
-def counting(monkeypatch, module, name):
-    calls = []
-    real = getattr(module, name)
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 class RewriteDns(TrafficPlugin):
     """Reads the DNS answer, then replaces it with another one."""
 
@@ -605,8 +591,7 @@ class TestRegistrationTimeBinding:
         reg(host, ScriptedPlugin("not a verdict"), "odd")
         reg(host, ScriptedPlugin(Block(BlockMode.INJECT_RESPONSE, b"n")), "inj")
         sched.advance_to(5)
-        action = host.dispatch(EventKind.PACKET_IN, None, "app", b"x")
-        assert is_pass(action) and action.payload == b"x"
+        assert host.dispatch(EventKind.PACKET_IN, None, "app", b"x") is None
         assert host.violations == [
             {"ts_us": 5, "plugin": "bug", "kind": "callback-error",
              "detail": "RuntimeError('plugin bug')"},
@@ -762,7 +747,8 @@ class CallEverySlot(PluginHost):
     the event and the context up front and calls every callback of every
     enabled observing plugin, inherited no-ops included. Redirect on
     PACKET_IN is downgraded as in the host under test. CPU is metered by
-    two clock reads around each callback the plugin overrides."""
+    two clock reads around each callback the plugin overrides. An event
+    no verdict took effect on has no outcome object (None)."""
 
     def dispatch(self, kind, key, app_label, payload=b"", tcp_flags=None, tcp_seq=None):
         direction = DIR_IN if kind is EventKind.PACKET_IN else DIR_OUT
@@ -816,7 +802,9 @@ class CallEverySlot(PluginHost):
                 continue
             return EffectiveAction(verdict=verdict, payload=payload,
                                    modified=modified, decided_by=slot.descriptor.id)
-        return EffectiveAction(verdict=Pass(), payload=payload, modified=modified)
+        if modified:
+            return EffectiveAction(verdict=Pass(), payload=payload, modified=True)
+        return None
 
 
 GEN_VERDICTS = [
@@ -921,12 +909,26 @@ class TestSubscriberTables:
         reg(host, CloseOnly(), "close", perms=OBSERVE)
         reg(host, TrafficPlugin(), "nothing", perms=OBSERVE)
         for kind in (EventKind.FLOW_OPEN, EventKind.PACKET_OUT, EventKind.PACKET_IN):
-            action = host.dispatch(kind, TLS_KEY, "app", b"p")
-            assert is_pass(action) and action.payload == b"p" and not action.modified
+            assert host.dispatch(kind, TLS_KEY, "app", b"p") is None
         assert sched.reads == 0  # no subscriber: nothing called, nothing metered
         host.dispatch(EventKind.FLOW_CLOSE, TLS_KEY, "app")
         assert sched.reads == 2  # around the one overridden callback only
         assert [invocations(host, p) for p in ("close", "nothing")] == [4, 4]
+
+    def test_untouched_event_builds_no_outcome_object(self, monkeypatch):
+        actions = counting(monkeypatch, host_module, "EffectiveAction")
+        host = make_host()
+        reg(host, RecordContext(), "rec", perms=OBSERVE)
+        reg(host, ScriptedPlugin(Pass()), "pass")
+        reg(host, ScriptedPlugin(Block(BlockMode.RESET_APP)), "watch", perms=OBSERVE)
+        for kind in EventKind:
+            assert host.dispatch(kind, TLS_KEY, "app", b"p") is None
+        assert actions == [] and len(host.violations) == 2  # the refused Blocks
+        reg(host, ScriptedPlugin(Modify(b"m")), "mod")
+        action = apply_out(host, b"p")
+        assert (action.verdict, action.payload, action.modified, action.decided_by) \
+            == (Pass(), b"m", True, None)
+        assert len(actions) == 1
 
     def test_no_subscriber_builds_no_event_or_context(self, monkeypatch):
         events = counting(monkeypatch, host_module, "PluginEvent")
