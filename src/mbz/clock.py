@@ -38,7 +38,10 @@ class Scheduler:
         return self._now_us
 
     def call_at(self, at_us: int, fn) -> None:
-        heapq.heappush(self._heap, (max(at_us, self.now_us()), self._seq, fn))
+        """Run `fn` at `at_us`, or now if that has passed. Every timer
+        enters here."""
+        now = self.now_us()
+        heapq.heappush(self._heap, (at_us if at_us > now else now, self._seq, fn))
         self._seq += 1
 
     def call_later(self, delay_us: int, fn) -> None:

@@ -219,7 +219,12 @@ class Engine:
         # each UDP flow's last activity, oldest first: plain UDP, then DNS
         self._activity: tuple[OrderedDict[FlowKey, int], ...] = (OrderedDict(), OrderedDict())
         self._closed: list[TcpFlow] = []  # closed since the last sweep
-        self._mss_to_app = min(1460, config.mtu - 40)
+        # read on every segment: segments toward the app must fit the
+        # interface's MTU whatever MSS the app's SYN claimed, and every
+        # SYN/ACK carries the same MSS option
+        self._mtu = config.mtu
+        self._mss_clamp = config.mtu - 40
+        self._syn_ack_options = mss_option(min(1460, self._mss_clamp))
         # the host's probes open through the same gate, bound to a proxy so
         # that the host keeps no reference cycle back to the engine
         host.open_datagram = functools.partial(Engine._open, weakref.proxy(self))
@@ -303,7 +308,7 @@ class Engine:
         except NoTransport:
             self.counters["unsupported_transport_dropped"] += 1
             return
-        if pkt.is_tcp:
+        if key.protocol == PROTO_TCP:
             self._tcp_ingress(pkt, key, app_label, data)
         else:
             self._udp_ingress(pkt, key, app_label, data)
@@ -317,7 +322,7 @@ class Engine:
         from `dispatch`, when the packet goes on untouched."""
         kind = _FLOW_OPEN if creating else _PACKET_OUT
         tcp_flags = tcp_seq = None
-        if pkt.is_tcp:
+        if key.protocol == PROTO_TCP:
             tcp_flags, tcp_seq = pkt.transport.flags, pkt.transport.seq
         action = self.host.dispatch(kind, key, app_label, pkt.payload, tcp_flags, tcp_seq)
         if action is not None:
@@ -328,7 +333,7 @@ class Engine:
                 self.counters["modified_packets"] += 1
                 rebuilt = Packet(ip=pkt.ip, transport=pkt.transport, payload=action.payload)
                 try:
-                    raw = serialize_packet(rebuilt, mtu=self.config.mtu)
+                    raw = serialize_packet(rebuilt, self._mtu)
                 except OversizedPacket:
                     raw = None  # forwarded upstream anyway; just not capturable
             if action.redirect is not None:
@@ -367,7 +372,7 @@ class Engine:
 
     def _emit(self, pkt: Packet) -> None:
         try:
-            data = serialize_packet(pkt, mtu=self.config.mtu)
+            data = serialize_packet(pkt, self._mtu)
         except OversizedPacket:
             # nothing sensible to do at the tun boundary but drop
             self.counters["emit_oversized_dropped"] += 1
@@ -376,16 +381,13 @@ class Engine:
         if self.sink is not None:
             self.sink.append((self.scheduler.now_us(), data))
 
-    def _advertised_window(self, flow: TcpFlow) -> int:
-        # reflects spare receive capacity for app payload (the to_net queue)
-        return max(0, min(65535, self.config.buffer_capacity - len(flow.to_net)))
-
     def _emit_tcp(self, flow: TcpFlow, flags: int, payload: bytes = b"",
                   seq: int | None = None, ack: int | None = None,
                   options: bytes = b"") -> None:
         """A segment on the engine's outbound TCP packet, stamped with the
         flow's addresses and ports; seq and ack default to the flow's next
-        byte toward the app and from it."""
+        byte toward the app and from it. Callers pass every argument by
+        position, the cheaper call."""
         out = self._tcp_out
         ip, tcp = out.ip, out.transport
         # the key runs app to network; the segment the other way
@@ -393,7 +395,9 @@ class Engine:
         tcp.seq = flow.next_seq_to_app if seq is None else seq
         tcp.ack = flow.next_expected_from_app if ack is None else ack
         tcp.flags = flags
-        tcp.window = self._advertised_window(flow)
+        # the window advertises the spare room for app payload (to_net)
+        room = self.config.buffer_capacity - len(flow.to_net)
+        tcp.window = 0 if room < 0 else 65535 if room > 65535 else room
         tcp.options = options
         out.payload = payload
         self._emit(out)
@@ -414,7 +418,7 @@ class Engine:
             # no resurrection: nothing is emitted for a closed flow
             self.counters["closed_flow_drops"] += 1
             return
-        syn_only = tcp.has(SYN) and not tcp.has(ACK)
+        syn_only = (tcp.flags & (SYN | ACK)) == SYN
         creating = flow is None and syn_only
         action = self._offer_out(pkt, key, app_label, raw, flow, creating)
         payload, redirect = pkt.payload, None
@@ -444,12 +448,12 @@ class Engine:
             stream = self._open(effective_dst)
             if stream is None:
                 self.counters["tcp_refused_budget"] += 1
-                self._emit_rst(key, seq_add(tcp.seq, 1))
+                self._emit_rst(key, (tcp.seq + 1) % _SEQ_MOD)
                 return
         flow = TcpFlow(
             key=key, app_label=app_label, state=TcpState.UPSTREAM_CONNECTING,
             app_isn=tcp.seq, local_isn=self._pick_isn(), effective_dst=effective_dst,
-            mss=self._clamp_mss(extract_mss(tcp.options)),
+            mss=min(extract_mss(tcp.options) or 1460, self._mss_clamp),
             app_window=tcp.window, stream=stream,
             deferred_payload=payload if pkt.payload else b"",
             deferred_app_len=len(pkt.payload), notice=notice,
@@ -471,11 +475,6 @@ class Engine:
             return self.config.local_isn
         return self._rng.getrandbits(32)
 
-    def _clamp_mss(self, advertised: int | None) -> int:
-        # segments toward the app must fit the virtual-interface MTU
-        # regardless of what the SYN claimed
-        return min(advertised or 1460, self.config.mtu - 40)
-
     def _handle_dup_syn(self, flow: TcpFlow, tcp: TcpHeader) -> None:
         self.counters["tcp_dup_syn"] += 1  # retransmit absorbed
         if flow.state is TcpState.ESTABLISHED and not (flow.app_fin_seen or flow.fin_sent) \
@@ -483,8 +482,8 @@ class Engine:
             self._emit_syn_ack(flow)  # our SYN/ACK may have been lost
 
     def _emit_syn_ack(self, flow: TcpFlow) -> None:
-        self._emit_tcp(flow, SYN | ACK, seq=flow.local_isn, ack=seq_add(flow.app_isn, 1),
-                       options=mss_option(self._mss_to_app))
+        self._emit_tcp(flow, SYN | ACK, b"", flow.local_isn, (flow.app_isn + 1) % _SEQ_MOD,
+                       self._syn_ack_options)
 
     def _on_stream_event(self, flow: TcpFlow, event: str) -> None:
         if flow.state is TcpState.CLOSED:
@@ -506,8 +505,8 @@ class Engine:
         """Answer the app's SYN once the flow has somewhere to go: a
         connected upstream, or a plugin's notice in its place."""
         flow.state = TcpState.ESTABLISHED
-        flow.next_seq_to_app = seq_add(flow.local_isn, 1)
-        flow.next_expected_from_app = seq_add(flow.app_isn, 1)
+        flow.next_seq_to_app = (flow.local_isn + 1) % _SEQ_MOD
+        flow.next_expected_from_app = (flow.app_isn + 1) % _SEQ_MOD
         flow.acked_by_app = flow.next_seq_to_app
         self._emit_syn_ack(flow)
         # the engine's own control packets are observable, not actionable
@@ -521,9 +520,10 @@ class Engine:
     def _handle_tcp_segment(self, flow: TcpFlow, pkt: Packet,
                             effective_payload: bytes) -> None:
         tcp: TcpHeader = pkt.transport
+        flags = tcp.flags
         flow.app_window = tcp.window
 
-        if tcp.has(RST):
+        if flags & RST:
             self._close_tcp(flow, "reset_by_app")
             return
 
@@ -549,7 +549,7 @@ class Engine:
         if flow.notice is not None:
             self._answer_with_notice(flow)
 
-        if tcp.has(ACK):
+        if flags & ACK:
             self._note_app_ack(flow, tcp.ack)
 
         if pkt.payload:
@@ -563,7 +563,7 @@ class Engine:
                     self.counters["tcp_out_of_order_dropped"] += 1
                 self._emit_tcp(flow, ACK)  # duplicate ACK, app will retransmit
 
-        if tcp.has(FIN):
+        if flags & FIN:
             if not flow.app_fin_seen \
                     and seq_add(tcp.seq, len(pkt.payload)) == flow.next_expected_from_app:
                 flow.app_fin_seen = True
@@ -596,7 +596,7 @@ class Engine:
                 self._emit_tcp(flow, ACK)
                 return
             flow.to_net.extend(payload)
-        flow.next_expected_from_app = seq_add(flow.next_expected_from_app, advance)
+        flow.next_expected_from_app = (flow.next_expected_from_app + advance) % _SEQ_MOD
         self._emit_tcp(flow, ACK)
         self._flush_to_net(flow)
 
@@ -643,8 +643,8 @@ class Engine:
             if allowed <= 0:
                 break
             n = min(len(flow.to_app), flow.mss, allowed)
-            self._emit_tcp(flow, PSH | ACK, payload=flow.to_app[:n])
-            flow.next_seq_to_app = seq_add(flow.next_seq_to_app, n)
+            self._emit_tcp(flow, PSH | ACK, flow.to_app[:n])
+            flow.next_seq_to_app = (flow.next_seq_to_app + n) % _SEQ_MOD
             del flow.to_app[:n]
 
     def _send_fin(self, flow: TcpFlow) -> None:
@@ -666,7 +666,7 @@ class Engine:
             return
         if flow.state is TcpState.UPSTREAM_CONNECTING:
             # the app is in SYN-SENT and accepts only a reset that acks its SYN
-            self._emit_rst(flow.key, seq_add(flow.app_isn, 1))
+            self._emit_rst(flow.key, (flow.app_isn + 1) % _SEQ_MOD)
         else:
             self._emit_tcp(flow, RST | ACK)
         self._close_tcp(flow, reason)
@@ -694,12 +694,12 @@ class Engine:
         """The reset RFC 9293 section 3.10.7.1 answers a segment with: its
         ack as our seq if it has ACK set, else an ack of all it holds."""
         tcp: TcpHeader = pkt.transport
-        if tcp.has(ACK):
+        if tcp.flags & ACK:
             self._emit_rst(key, 0, seq=tcp.ack, flags=RST)
         else:
             self._emit_rst(key, seq_add(tcp.seq, len(pkt.payload)
-                                        + (1 if tcp.has(SYN) else 0)
-                                        + (1 if tcp.has(FIN) else 0)))
+                                        + (1 if tcp.flags & SYN else 0)
+                                        + (1 if tcp.flags & FIN else 0)))
 
     def _apply_tcp_block(self, pkt: Packet, key: FlowKey, app_label: str,
                          flow: TcpFlow | None, block: Block, creating: bool) -> None:

@@ -31,8 +31,9 @@ RST = 0x04
 PSH = 0x08
 ACK = 0x10
 URG = 0x20
+ECE = 0x40  # ECN-Echo (RFC 3168)
+CWR = 0x80  # Congestion Window Reduced (RFC 3168)
 
-_IPV4 = struct.Struct("!BBHHHBBH4s4s")
 _IPV4_IN = struct.Struct("!BBHHHBBHII")  # the reader takes addresses as integers
 _TCP = struct.Struct("!HHIIBBHHH")
 _UDP = struct.Struct("!HHHH")
@@ -198,7 +199,9 @@ def flow_key_of(p: Packet) -> FlowKey:
     ip = p.ip
     if t is None:
         raise NoTransport(f"protocol {ip.protocol} has no TCP/UDP transport")
-    return FlowKey(ip.protocol, (ip.src_addr, t.src_port), (ip.dst_addr, t.dst_port))
+    # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
+    return tuple.__new__(FlowKey, (ip.protocol, (ip.src_addr, t.src_port),
+                                   (ip.dst_addr, t.dst_port)))
 
 
 def parse_packet(data: bytes) -> Packet:
@@ -258,7 +261,7 @@ def parse_packet(data: bytes) -> Packet:
         if offset < 20 or offset > seg_len:
             raise Truncated(f"TCP data offset {offset} out of range")
         options = data[ihl + 20:ihl + offset] if offset > 20 else b""
-        transport = TcpHeader(sport, dport, seq, ack, flags & 0x3F, window, cksum,
+        transport = TcpHeader(sport, dport, seq, ack, flags, window, cksum,
                               urgent, options)
         payload = data[ihl + offset:total_length]
         start = (addr_sum + seg_len + sport + dport + seq + ack + (off_res << 8 | flags)
@@ -306,70 +309,92 @@ def _addr(addr: str) -> tuple[bytes, int]:
     return entry
 
 
+def _shapes(transport: str) -> tuple[struct.Struct | None, ...]:
+    """The IPv4 header, its options as one field and then the `transport`
+    header, as one struct for each header length; indexed by the IHL
+    field, the length in 32-bit words."""
+    return tuple(struct.Struct(f"!BBHHHBBH4s4s{4 * words - 20}s{transport}")
+                 if words >= 5 else None for words in range(16))
+
+
+_IPV4_TCP = _shapes(_TCP.format[1:])
+_IPV4_UDP = _shapes(_UDP.format[1:])
+_IPV4_ONLY = _shapes("")
+
+
 def serialize_packet(p: Packet, mtu: int = DEFAULT_MTU) -> bytes:
     """Serialize a Packet to wire bytes with freshly computed lengths and
     checksums; stale checksum fields in the input are ignored.
 
-    Each header is packed once with its checksum in place. Word sums are
-    taken modulo 0xFFFF, as in internet_checksum, so a 32-bit field adds
-    as one integer and a header's sum comes from its field values."""
+    The IP header, its options and the transport header are packed in
+    one call, checksums in place, after the MTU check. Word sums are taken
+    modulo 0xFFFF, as in internet_checksum, so a 32-bit field adds as one
+    integer and a header's sum comes from its field values."""
     ip = p.ip
     ip_options = ip.options
-    if len(ip_options) % 4:
-        ip_options = ip_options + b"\x00" * (4 - len(ip_options) % 4)
-    ihl = 20 + len(ip_options)
-    if ihl > 60:
-        raise PacketError(f"IPv4 header length {ihl} exceeds 60")
-    src_raw, src_sum = _addr(ip.src_addr)
-    dst_raw, dst_sum = _addr(ip.dst_addr)
+    if ip_options:
+        if len(ip_options) % 4:
+            ip_options = ip_options + b"\x00" * (4 - len(ip_options) % 4)
+        if len(ip_options) > 40:
+            raise PacketError(f"IPv4 header length {20 + len(ip_options)} exceeds 60")
+    words = 5 + (len(ip_options) >> 2)
+    src_raw, src_sum = _ADDRS.get(ip.src_addr) or _addr(ip.src_addr)
+    dst_raw, dst_sum = _ADDRS.get(ip.dst_addr) or _addr(ip.dst_addr)
     proto = ip.protocol
     addr_sum = src_sum + dst_sum + proto  # the pseudo-header, less its length
+    ver_ihl = 0x40 | words
+    dscp_ecn, ident, flags_frag, ttl = ip.dscp_ecn, ip.identification, ip.flags_fragment, ip.ttl
+    # the IP header's word sum, less its total length
+    hdr_sum = (ver_ihl << 8 | dscp_ecn) + ident + flags_frag + (ttl << 8) + addr_sum
+    if ip_options:
+        hdr_sum += int.from_bytes(ip_options, "big")
     t = p.transport
     payload = p.payload
 
     if isinstance(t, TcpHeader):
         opts = t.options
-        if len(opts) % 4:
-            opts = opts + b"\x00" * (4 - len(opts) % 4)
+        if opts:
+            if len(opts) % 4:
+                opts = opts + b"\x00" * (4 - len(opts) % 4)
+            if len(opts) > 40:
+                raise PacketError(f"TCP data offset {20 + len(opts)} exceeds 60")
+            rest = opts + payload
+        else:
+            rest = payload
         offset = 20 + len(opts)
-        if offset > 60:
-            raise PacketError(f"TCP data offset {offset} exceeds 60")
-        rest = opts + payload if opts else payload
+        seg_len = offset + len(payload)
+        total = 4 * words + seg_len
+        if total > mtu:
+            raise OversizedPacket(f"{total} bytes exceeds MTU {mtu}")
+        sport, dport, window, urgent = t.src_port, t.dst_port, t.window, t.urgent_ptr
         seq = t.seq & 0xFFFFFFFF
         ack = t.ack & 0xFFFFFFFF
-        flags = t.flags & 0x3F
-        seg_len = offset + len(payload)
-        cksum = internet_checksum(rest, addr_sum + seg_len + t.src_port + t.dst_port
-                                  + seq + ack + (offset << 10 | flags) + t.window
-                                  + t.urgent_ptr)
-        seg_hdr = _TCP.pack(t.src_port, t.dst_port, seq, ack, offset << 2, flags,
-                            t.window, cksum, t.urgent_ptr)
-    elif isinstance(t, UdpHeader):
-        rest = payload
+        flags = t.flags & 0xFF
+        cksum = internet_checksum(rest, addr_sum + seg_len + sport + dport + seq + ack
+                                  + (offset << 10 | flags) + window + urgent)
+        return _IPV4_TCP[words].pack(
+            ver_ihl, dscp_ecn, total, ident, flags_frag, ttl, proto,
+            0xFFFF - ((hdr_sum + total) % 0xFFFF or 0xFFFF), src_raw, dst_raw, ip_options,
+            sport, dport, seq, ack, offset << 2, flags, window, cksum, urgent) + rest
+    if isinstance(t, UdpHeader):
         seg_len = 8 + len(payload)
+        total = 4 * words + seg_len
+        if total > mtu:
+            raise OversizedPacket(f"{total} bytes exceeds MTU {mtu}")
+        sport, dport = t.src_port, t.dst_port
         # zero on the wire means "no checksum", so a zero sum goes out as 0xFFFF
-        cksum = internet_checksum(payload, addr_sum + 2 * seg_len + t.src_port
-                                  + t.dst_port) or 0xFFFF
-        seg_hdr = _UDP.pack(t.src_port, t.dst_port, seg_len, cksum)
-    else:
-        rest = payload
-        seg_len = len(payload)
-        seg_hdr = b""
-    total = ihl + seg_len
+        cksum = internet_checksum(payload, addr_sum + 2 * seg_len + sport + dport) or 0xFFFF
+        return _IPV4_UDP[words].pack(
+            ver_ihl, dscp_ecn, total, ident, flags_frag, ttl, proto,
+            0xFFFF - ((hdr_sum + total) % 0xFFFF or 0xFFFF), src_raw, dst_raw, ip_options,
+            sport, dport, seg_len, cksum) + payload
+    total = 4 * words + len(payload)
     if total > mtu:
         raise OversizedPacket(f"{total} bytes exceeds MTU {mtu}")
-
-    ver_ihl = 0x40 | ihl >> 2
-    hdr_sum = ((ver_ihl << 8 | ip.dscp_ecn) + total + ip.identification
-               + ip.flags_fragment + (ip.ttl << 8) + addr_sum)
-    if ip_options:
-        hdr_sum += int.from_bytes(ip_options, "big")
-    hdr = _IPV4.pack(ver_ihl, ip.dscp_ecn, total, ip.identification,
-                     ip.flags_fragment, ip.ttl, proto,
-                     0xFFFF - (hdr_sum % 0xFFFF or 0xFFFF), src_raw, dst_raw)
-    if ip_options:
-        hdr += ip_options
-    return hdr + seg_hdr + rest
+    return _IPV4_ONLY[words].pack(
+        ver_ihl, dscp_ecn, total, ident, flags_frag, ttl, proto,
+        0xFFFF - ((hdr_sum + total) % 0xFFFF or 0xFFFF), src_raw, dst_raw,
+        ip_options) + payload
 
 
 def extract_mss(options: bytes) -> int | None:

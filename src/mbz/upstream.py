@@ -181,8 +181,13 @@ class _SimStream(StreamHandle):
         return n
 
     def recv(self, max_bytes: int) -> bytes:
-        out = bytes(self._to_engine[:max_bytes])
-        del self._to_engine[:len(out)]
+        buf = self._to_engine
+        if len(buf) <= max_bytes:  # drained with one copy
+            out = bytes(buf)
+            buf.clear()
+        else:
+            out = bytes(buf[:max_bytes])
+            del buf[:max_bytes]
         return out
 
     def readable_bytes(self) -> int:
@@ -422,4 +427,5 @@ class SimUpstream(UpstreamNetwork):
         delay = script.delay_us
         if script.jitter_us:
             delay += self._rng.randint(0, script.jitter_us)
-        self._scheduler.call_later(delay, fn)
+        scheduler = self._scheduler
+        scheduler.call_at(scheduler.now_us() + delay, fn)

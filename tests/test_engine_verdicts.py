@@ -15,7 +15,7 @@ from mbz.host import (
     TrafficPlugin,
 )
 from mbz.packet import (
-    ACK, FIN, PSH, PROTO_TCP, PROTO_UDP, RST, SYN, FlowKey, make_tcp_packet,
+    ACK, CWR, ECE, FIN, PSH, PROTO_TCP, PROTO_UDP, RST, SYN, FlowKey, make_tcp_packet,
     make_udp_packet, parse_packet, serialize_packet,
 )
 
@@ -375,3 +375,29 @@ def test_verdict_bookkeeping(site, verdict):
 
 def test_table_covers_every_site_and_verdict():
     assert set(EXPECTED) == {(s, v) for s in SITES for v in VERDICTS}
+
+
+def test_modified_segment_keeps_its_ecn_flags():
+    # RFC 3168's ECE and CWR are the top two of TCP's 8 flag bits: the
+    # chain sees them, and a segment a plugin rewrote is captured with them
+    flags = PSH | ACK | ECE | CWR
+    seen = []
+
+    def hit(event, _ctx):
+        if event.payload == b"GET":
+            seen.append(event.tcp_flags)
+            return True
+        return False
+
+    captured = []
+    engine = build_engine(SCRIPTS, EngineConfig(local_isn=5000), sink=captured)
+    engine.host.register(PluginDescriptor(
+        id="site", name="site", requested=Permission.OBSERVE | Permission.MODIFY_PAYLOAD),
+        _OneVerdict(hit, VERDICTS["modify"]))
+    for data in HANDSHAKE + [_tcp(1001, flags, ack=5001, payload=b"GET")]:
+        engine.conduit.inject(data)
+        engine.pump()
+    from_app = [pkt for pkt in (parse_packet(data) for _ts, data in captured)
+                if (pkt.ip.src_addr, pkt.transport.src_port) == APP]
+    assert seen == [flags]
+    assert [(pkt.payload, pkt.transport.flags) for pkt in from_app][-1] == (b"MODIFIED", flags)

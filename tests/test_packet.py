@@ -263,7 +263,7 @@ def serialize_oracle(p: Packet) -> bytes:
         offset = 20 + len(opts)
         seg = struct.pack(
             "!HHIIBBHHH", t.src_port, t.dst_port, t.seq & 0xFFFFFFFF,
-            t.ack & 0xFFFFFFFF, (offset // 4) << 4, t.flags & 0x3F, t.window, 0,
+            t.ack & 0xFFFFFFFF, (offset // 4) << 4, t.flags & 0xFF, t.window, 0,
             t.urgent_ptr,
         ) + opts + p.payload
         cksum = struct_checksum(_oracle_pseudo(ip, len(seg)) + seg)

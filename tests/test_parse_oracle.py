@@ -80,7 +80,7 @@ def oracle_parse(data: bytes) -> Packet:
             raise Truncated(f"TCP data offset {offset} out of range")
         transport = TcpHeader(
             src_port=sport, dst_port=dport, seq=seq, ack=ack,
-            flags=flags & 0x3F, window=window,
+            flags=flags, window=window,
             checksum=cksum, urgent_ptr=urgent, options=bytes(rest[20:offset]),
         )
         payload = bytes(rest[offset:])

@@ -4,11 +4,15 @@
 a zero checksum, then folded and patched. The property test asserts the
 one-pack serializer gives the same bytes, or raises the same exception,
 on TCP, UDP and transport-less packets, including the edge cases a
-one-pack header sum could get wrong.
+one-pack header sum could get wrong: with IP options and without them
+(the serializer packs a struct per header length), and with subclasses
+of the transport headers.
 """
 
+import dataclasses
 import struct
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -53,7 +57,7 @@ def oracle_serialize(p: Packet, mtu: int = DEFAULT_MTU) -> bytes:
             raise PacketError(f"TCP data offset {offset} exceeds 60")
         seg = struct.pack(
             "!HHIIBBHHH", t.src_port, t.dst_port, t.seq & 0xFFFFFFFF, t.ack & 0xFFFFFFFF,
-            (offset // 4) << 4, t.flags & 0x3F, t.window, 0, t.urgent_ptr,
+            (offset // 4) << 4, t.flags & 0xFF, t.window, 0, t.urgent_ptr,
         ) + opts + p.payload
         total = ihl + len(seg)
         if total > mtu:
@@ -115,19 +119,38 @@ tcp_headers = st.builds(
     options=st.binary(max_size=44))  # unpadded, and past the 40-byte limit
 udp_headers = st.builds(UdpHeader, src_port=u16, dst_port=u16, length=u16, checksum=u16)
 payloads = st.one_of(st.binary(max_size=64), st.binary(min_size=1400, max_size=1500))
+ip_options = st.binary(max_size=44)  # 0-40 bytes fit; some not a multiple of 4
+
+
+class _TcpSubclass(TcpHeader):
+    pass
+
+
+class _UdpSubclass(UdpHeader):
+    pass
+
+
+def _as(cls):
+    """A header's fields in an instance of `cls`, a subclass of its type."""
+    return lambda header: cls(*dataclasses.astuple(header))
 
 
 @st.composite
-def packets(draw):
-    transport = draw(st.one_of(tcp_headers, udp_headers, st.none()))
-    protocol = {TcpHeader: PROTO_TCP, UdpHeader: PROTO_UDP}.get(
-        type(transport), draw(st.sampled_from([1, 47, PROTO_TCP, PROTO_UDP])))
+def packets(draw, transports=st.one_of(tcp_headers, udp_headers, st.none()),
+            options=ip_options):
+    transport = draw(transports)
+    if isinstance(transport, TcpHeader):
+        protocol = PROTO_TCP
+    elif isinstance(transport, UdpHeader):
+        protocol = PROTO_UDP
+    else:
+        protocol = draw(st.sampled_from([1, 47, PROTO_TCP, PROTO_UDP]))
     ip = Ipv4Header(
         src_addr=draw(addresses), dst_addr=draw(addresses), protocol=protocol,
         dscp_ecn=draw(octet), identification=draw(u16),
         flags_fragment=draw(st.sampled_from([0, 0x4000, 0x2000, 0x1FFF, 0xFFFF])),
         ttl=draw(octet), header_checksum=draw(u16),
-        options=draw(st.binary(max_size=44)))  # 0-40 bytes fit; some not a multiple of 4
+        options=draw(options))
     return Packet(ip=ip, transport=transport, payload=draw(payloads))
 
 
@@ -135,6 +158,20 @@ class TestSerializeMatchesOracle:
     @settings(max_examples=600, deadline=None)
     @given(packets())
     def test_same_bytes_or_same_exception(self, pkt):
+        same_outcome(pkt, DEFAULT_MTU)
+
+    @pytest.mark.parametrize("transports", [tcp_headers, udp_headers, st.none()],
+                             ids=["tcp", "udp", "none"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_bytes_without_ip_options(self, transports, data):
+        # the shape every packet the engine writes takes
+        same_outcome(data.draw(packets(transports, st.just(b""))), DEFAULT_MTU)
+
+    @settings(max_examples=200, deadline=None)
+    @given(packets(st.one_of(tcp_headers.map(_as(_TcpSubclass)),
+                             udp_headers.map(_as(_UdpSubclass)))))
+    def test_header_subclasses_serialize_as_their_base(self, pkt):
         same_outcome(pkt, DEFAULT_MTU)
 
     @settings(max_examples=300, deadline=None)
