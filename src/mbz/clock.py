@@ -70,11 +70,6 @@ class Scheduler:
         fn()
         return True
 
-    def run_until_idle(self) -> None:
-        """Step until nothing is scheduled."""
-        while self.pending() > 0:
-            self.step()
-
     def advance_to(self, at_us: int) -> None:
         """Virtual mode only: move the clock forward without events."""
         if self.mode != VIRTUAL:

@@ -47,6 +47,14 @@ _FLOW_OPEN = EventKind.FLOW_OPEN
 _PACKET_OUT = EventKind.PACKET_OUT
 _PACKET_IN = EventKind.PACKET_IN
 _FLOW_CLOSE = EventKind.FLOW_CLOSE
+_DROP_SILENT = BlockMode.DROP_SILENT
+_RESET_APP = BlockMode.RESET_APP
+_INJECT_RESPONSE = BlockMode.INJECT_RESPONSE
+
+_SYN_ACK = SYN | ACK
+_FIN_ACK = FIN | ACK
+_PSH_ACK = PSH | ACK
+_RST_ACK = RST | ACK
 
 
 def seq_add(a: int, n: int) -> int:
@@ -93,8 +101,17 @@ class TcpState(enum.Enum):
     CLOSED = "closed"
 
 
+# the engine reads the states only through these (see `_FLOW_OPEN`)
+_CONNECTING = TcpState.UPSTREAM_CONNECTING
+_ESTABLISHED = TcpState.ESTABLISHED
+_CLOSED = TcpState.CLOSED
+
+
 @dataclass(slots=True)
 class TcpFlow:
+    """One proxied TCP flow. The engine builds it positionally, the cheaper
+    call, in the order of the fields: the first twelve as the SYN sets
+    them, the rest at their defaults."""
     key: FlowKey
     app_label: str
     state: TcpState
@@ -103,22 +120,22 @@ class TcpFlow:
     effective_dst: Addr
     mss: int
     app_window: int
+    # None on an open flow that a plugin's notice answers in the upstream's place
+    stream: StreamHandle | None = None
+    notice: bytes | None = None  # a plugin's answer, sent on the app's next segment
+    # app bytes that came before our SYN/ACK, as the chain left them, and
+    # how many bytes the app sent for them (what the ACK covers)
+    deferred_payload: bytes = b""
+    deferred_app_len: int = 0
     next_seq_to_app: int = 0
     next_expected_from_app: int = 0
     acked_by_app: int = 0
-    # None on an open flow that a plugin's notice answers in the upstream's place
-    stream: StreamHandle | None = None
     to_app: bytearray = field(default_factory=bytearray)
     to_net: bytearray = field(default_factory=bytearray)
     app_fin_seen: bool = False
     fin_sent: bool = False
     fin_acked: bool = False
     upstream_eof: bool = False
-    notice: bytes | None = None  # a plugin's answer, sent on the app's next segment
-    # app bytes that came before our SYN/ACK, as the chain left them, and
-    # how many bytes the app sent for them (what the ACK covers)
-    deferred_payload: bytes = b""
-    deferred_app_len: int = 0
 
 
 @dataclass(slots=True)
@@ -403,10 +420,9 @@ class Engine:
         self._emit(out)
 
     def _emit_rst(self, key: FlowKey, ack: int, seq: int = 0,
-                  flags: int = RST | ACK) -> None:
+                  flags: int = _RST_ACK) -> None:
         """Reset toward the app from outside any flow's sequence space."""
-        self._emit(make_tcp_packet(src=key.dst, dst=key.src, seq=seq, ack=ack,
-                                   flags=flags, window=0))
+        self._emit(make_tcp_packet(key.dst, key.src, seq, ack, flags, 0))
 
     # ----------------------------------------------------------- TCP path
 
@@ -414,7 +430,7 @@ class Engine:
                      raw: bytes) -> None:
         tcp: TcpHeader = pkt.transport
         flow = self.flows.get(key)
-        if isinstance(flow, TcpFlow) and flow.state is TcpState.CLOSED:
+        if isinstance(flow, TcpFlow) and flow.state is _CLOSED:
             # no resurrection: nothing is emitted for a closed flow
             self.counters["closed_flow_drops"] += 1
             return
@@ -450,14 +466,10 @@ class Engine:
                 self.counters["tcp_refused_budget"] += 1
                 self._emit_rst(key, (tcp.seq + 1) % _SEQ_MOD)
                 return
-        flow = TcpFlow(
-            key=key, app_label=app_label, state=TcpState.UPSTREAM_CONNECTING,
-            app_isn=tcp.seq, local_isn=self._pick_isn(), effective_dst=effective_dst,
-            mss=min(extract_mss(tcp.options) or 1460, self._mss_clamp),
-            app_window=tcp.window, stream=stream,
-            deferred_payload=payload if pkt.payload else b"",
-            deferred_app_len=len(pkt.payload), notice=notice,
-        )
+        sent = len(pkt.payload)
+        flow = TcpFlow(key, app_label, _CONNECTING, tcp.seq, self._pick_isn(), effective_dst,
+                       min(extract_mss(tcp.options) or 1460, self._mss_clamp), tcp.window,
+                       stream, notice, payload if sent else b"", sent)
         self.flows[key] = flow
         self.counters["tcp_flows_created"] += 1
         if stream is None:
@@ -477,23 +489,24 @@ class Engine:
 
     def _handle_dup_syn(self, flow: TcpFlow, tcp: TcpHeader) -> None:
         self.counters["tcp_dup_syn"] += 1  # retransmit absorbed
-        if flow.state is TcpState.ESTABLISHED and not (flow.app_fin_seen or flow.fin_sent) \
+        if flow.state is _ESTABLISHED and not (flow.app_fin_seen or flow.fin_sent) \
                 and tcp.seq == flow.app_isn:
             self._emit_syn_ack(flow)  # our SYN/ACK may have been lost
 
     def _emit_syn_ack(self, flow: TcpFlow) -> None:
-        self._emit_tcp(flow, SYN | ACK, b"", flow.local_isn, (flow.app_isn + 1) % _SEQ_MOD,
+        self._emit_tcp(flow, _SYN_ACK, b"", flow.local_isn, (flow.app_isn + 1) % _SEQ_MOD,
                        self._syn_ack_options)
 
     def _on_stream_event(self, flow: TcpFlow, event: str) -> None:
-        if flow.state is TcpState.CLOSED:
+        state = flow.state
+        if state is _CLOSED:
             return
         if event == EV_CONNECTED:
-            if flow.state is TcpState.UPSTREAM_CONNECTING:
+            if state is _CONNECTING:
                 self._establish(flow)
         elif event == EV_REFUSED:
             self._reset_flow(flow, "refused")
-        elif event in (EV_READABLE, EV_WRITABLE):
+        elif event == EV_READABLE or event == EV_WRITABLE:
             self._pump_flow(flow)
         elif event == EV_EOF:
             flow.upstream_eof = True
@@ -504,32 +517,32 @@ class Engine:
     def _establish(self, flow: TcpFlow) -> None:
         """Answer the app's SYN once the flow has somewhere to go: a
         connected upstream, or a plugin's notice in its place."""
-        flow.state = TcpState.ESTABLISHED
+        flow.state = _ESTABLISHED
         flow.next_seq_to_app = (flow.local_isn + 1) % _SEQ_MOD
         flow.next_expected_from_app = (flow.app_isn + 1) % _SEQ_MOD
         flow.acked_by_app = flow.next_seq_to_app
         self._emit_syn_ack(flow)
         # the engine's own control packets are observable, not actionable
-        self.host.dispatch(_PACKET_IN, flow.key, flow.app_label, tcp_flags=SYN | ACK)
+        self.host.dispatch(_PACKET_IN, flow.key, flow.app_label, b"", _SYN_ACK)
         if flow.deferred_app_len:
             deferred, sent = flow.deferred_payload, flow.deferred_app_len
             flow.deferred_payload, flow.deferred_app_len = b"", 0
-            self._accept_app_bytes(flow, deferred, original_len=sent)
+            self._accept_app_bytes(flow, deferred, sent)
         self._pump_flow(flow)
 
     def _handle_tcp_segment(self, flow: TcpFlow, pkt: Packet,
                             effective_payload: bytes) -> None:
         tcp: TcpHeader = pkt.transport
         flags = tcp.flags
-        flow.app_window = tcp.window
 
         if flags & RST:
             self._close_tcp(flow, "reset_by_app")
             return
 
-        if flow.state is TcpState.UPSTREAM_CONNECTING:
+        if flow.state is _CONNECTING:
             # data racing ahead of our SYN/ACK: defer in order while it fits
             # the buffer, drop the rest; the app retransmits after the SYN/ACK
+            flow.app_window = tcp.window
             if not pkt.payload:
                 return
             expected = seq_add(flow.app_isn, 1 + flow.deferred_app_len)
@@ -546,16 +559,26 @@ class Engine:
                 flow.deferred_app_len += len(pkt.payload)
             return
 
+        if flags & ACK:
+            ack = tcp.ack
+            if 0 < (ack - flow.next_seq_to_app) % _SEQ_MOD < 1 << 31:
+                # RFC 9293 section 3.10.7.4: an ACK of bytes never sent is
+                # answered with an ACK, and its window, data and FIN unused
+                self._emit_tcp(flow, ACK)
+                return
+            if 0 < (ack - flow.acked_by_app) % _SEQ_MOD < 1 << 31:
+                flow.acked_by_app = ack
+            if flow.fin_sent and ack == flow.next_seq_to_app:
+                flow.fin_acked = True
+                self._maybe_finish(flow)
+        flow.app_window = tcp.window
+
         if flow.notice is not None:
             self._answer_with_notice(flow)
 
-        if flags & ACK:
-            self._note_app_ack(flow, tcp.ack)
-
         if pkt.payload:
             if tcp.seq == flow.next_expected_from_app:
-                self._accept_app_bytes(flow, effective_payload,
-                                       original_len=len(pkt.payload))
+                self._accept_app_bytes(flow, effective_payload, len(pkt.payload))
             else:
                 if seq_diff(tcp.seq, flow.next_expected_from_app) < 0:
                     self.counters["tcp_retransmissions"] += 1
@@ -565,9 +588,9 @@ class Engine:
 
         if flags & FIN:
             if not flow.app_fin_seen \
-                    and seq_add(tcp.seq, len(pkt.payload)) == flow.next_expected_from_app:
+                    and (tcp.seq + len(pkt.payload)) % _SEQ_MOD == flow.next_expected_from_app:
                 flow.app_fin_seen = True
-                flow.next_expected_from_app = seq_add(flow.next_expected_from_app, 1)
+                flow.next_expected_from_app = (flow.next_expected_from_app + 1) % _SEQ_MOD
                 self._emit_tcp(flow, ACK)
                 if flow.stream is not None and not flow.to_net:
                     flow.stream.half_close()
@@ -576,19 +599,10 @@ class Engine:
 
         self._pump_flow(flow)
 
-    def _note_app_ack(self, flow: TcpFlow, ack: int) -> None:
-        if seq_diff(ack, flow.acked_by_app) > 0:
-            flow.acked_by_app = ack
-        if flow.fin_sent and not flow.fin_acked \
-                and seq_diff(ack, flow.next_seq_to_app) >= 0:
-            flow.fin_acked = True
-        self._maybe_finish(flow)
-
-    def _accept_app_bytes(self, flow: TcpFlow, payload: bytes,
-                          original_len: int | None = None) -> None:
+    def _accept_app_bytes(self, flow: TcpFlow, payload: bytes, advance: int) -> None:
         """In-order app payload: queue toward upstream and ACK it. The ACK
-        covers the original bytes even if a plugin rewrote them."""
-        advance = len(payload) if original_len is None else original_len
+        advances over the `advance` bytes the app sent, even if a plugin
+        rewrote them."""
         if flow.stream is not None:  # a notice flow drops what the app sends
             if len(flow.to_net) + len(payload) > self.config.buffer_capacity:
                 # backpressure: withhold ACK advancement, app will retransmit
@@ -610,9 +624,13 @@ class Engine:
             flow.stream.half_close()
 
     def _pump_flow(self, flow: TcpFlow) -> None:
-        if flow.state in (TcpState.CLOSED, TcpState.UPSTREAM_CONNECTING):
+        """Move what can move: app bytes to upstream, upstream bytes through
+        the chain toward the app, then our FIN and the close. Each helper
+        is called only when it has work."""
+        if flow.state is not _ESTABLISHED:
             return
-        self._flush_to_net(flow)
+        if flow.to_net:
+            self._flush_to_net(flow)
         stream = flow.stream
         if stream is not None:
             while stream.readable_bytes():
@@ -627,58 +645,61 @@ class Engine:
                     flow.to_app.extend(chunk)
                 elif action.block is None:
                     flow.to_app.extend(action.payload)
-                elif action.block.mode is BlockMode.RESET_APP:
+                elif action.block.mode is _RESET_APP:
                     self._reset_flow(flow, "plugin")
                     return
-        self._send_data_to_app(flow)
+        if flow.to_app:
+            self._send_data_to_app(flow)
         if flow.upstream_eof and not flow.to_app and not flow.fin_sent \
                 and (stream is None or (not stream.readable_bytes() and stream.at_eof())):
             self._send_fin(flow)
-        self._maybe_finish(flow)
+        if flow.fin_acked:
+            self._maybe_finish(flow)
 
     def _send_data_to_app(self, flow: TcpFlow) -> None:
         while flow.to_app:
-            in_flight = seq_diff(flow.next_seq_to_app, flow.acked_by_app)
-            allowed = flow.app_window - max(0, in_flight)
+            # never negative: an ACK past what was sent is dropped unused
+            allowed = flow.app_window - (flow.next_seq_to_app - flow.acked_by_app) % _SEQ_MOD
             if allowed <= 0:
                 break
             n = min(len(flow.to_app), flow.mss, allowed)
-            self._emit_tcp(flow, PSH | ACK, flow.to_app[:n])
+            self._emit_tcp(flow, _PSH_ACK, flow.to_app[:n])
             flow.next_seq_to_app = (flow.next_seq_to_app + n) % _SEQ_MOD
             del flow.to_app[:n]
 
     def _send_fin(self, flow: TcpFlow) -> None:
         if flow.fin_sent:
             return
-        self._emit_tcp(flow, FIN | ACK)
+        self._emit_tcp(flow, _FIN_ACK)
         flow.fin_sent = True
-        flow.next_seq_to_app = seq_add(flow.next_seq_to_app, 1)
-        self.host.dispatch(_PACKET_IN, flow.key, flow.app_label, tcp_flags=FIN | ACK)
+        flow.next_seq_to_app = (flow.next_seq_to_app + 1) % _SEQ_MOD
+        self.host.dispatch(_PACKET_IN, flow.key, flow.app_label, b"", _FIN_ACK)
 
     def _maybe_finish(self, flow: TcpFlow) -> None:
-        if flow.state is TcpState.CLOSED:
+        if flow.state is _CLOSED:
             return
         if flow.app_fin_seen and flow.fin_sent and flow.fin_acked:
             self._close_tcp(flow, "teardown")
 
     def _reset_flow(self, flow: TcpFlow, reason: str) -> None:
-        if flow.state is TcpState.CLOSED:
+        state = flow.state
+        if state is _CLOSED:
             return
-        if flow.state is TcpState.UPSTREAM_CONNECTING:
+        if state is _CONNECTING:
             # the app is in SYN-SENT and accepts only a reset that acks its SYN
             self._emit_rst(flow.key, (flow.app_isn + 1) % _SEQ_MOD)
         else:
-            self._emit_tcp(flow, RST | ACK)
+            self._emit_tcp(flow, _RST_ACK)
         self._close_tcp(flow, reason)
 
     def _close_tcp(self, flow: TcpFlow, reason: str) -> None:
-        if flow.state is TcpState.CLOSED:
+        if flow.state is _CLOSED:
             return
         self.counters[_CLOSE_COUNTERS.get(reason, "tcp_flows_reset")] += 1
         if flow.stream is not None:
             flow.stream.close()
             flow.stream = None
-        flow.state = TcpState.CLOSED
+        flow.state = _CLOSED
         self._closed.append(flow)
         flow.to_app.clear()
         flow.to_net.clear()
@@ -703,9 +724,10 @@ class Engine:
 
     def _apply_tcp_block(self, pkt: Packet, key: FlowKey, app_label: str,
                          flow: TcpFlow | None, block: Block, creating: bool) -> None:
-        if block.mode is BlockMode.DROP_SILENT:
+        mode = block.mode
+        if mode is _DROP_SILENT:
             return
-        if block.mode is BlockMode.RESET_APP:
+        if mode is _RESET_APP:
             if flow is not None:
                 self._reset_flow(flow, "plugin")
             else:
@@ -720,7 +742,7 @@ class Engine:
             self._rst_for_orphan(pkt, key)
 
     def _inject_on_flow(self, flow: TcpFlow, pkt: Packet, notice: bytes) -> None:
-        if flow.state is TcpState.UPSTREAM_CONNECTING:
+        if flow.state is _CONNECTING:
             # cannot deliver a payload before establishment; fall back to reset
             self._reset_flow(flow, "plugin")
             return
@@ -755,10 +777,8 @@ class Engine:
         if action is not None:
             block = action.block
             if block is not None:
-                if block.mode is BlockMode.INJECT_RESPONSE:
-                    inv = key.invert()
-                    self._emit(make_udp_packet(src=inv.src, dst=inv.dst,
-                                               payload=block.response))
+                if block.mode is _INJECT_RESPONSE:
+                    self._emit(make_udp_packet(key.dst, key.src, block.response))
                     self.counters["injected_responses"] += 1
                 return
             payload = action.payload
@@ -796,13 +816,12 @@ class Engine:
                 self.counters["udp_refused_budget"] += 1
                 return None
             if is_dns:
-                shared = _SharedDatagram(handle=handle, refs=1)
+                shared = _SharedDatagram(handle, 1)
                 self._dns_shared[shared_key] = shared
                 handle.set_callback(functools.partial(Engine._on_dns_datagram, self, shared_key))
             else:
                 handle.set_callback(functools.partial(Engine._on_udp_datagram, self, key))
-        flow = UdpFlow(key=key, app_label=app_label, effective_dst=effective_dst,
-                       handle=handle, shared_key=shared_key)
+        flow = UdpFlow(key, app_label, effective_dst, handle, shared_key)
         self.flows[key] = flow
         self.counters["udp_flows_created"] += 1
         return flow

@@ -263,9 +263,11 @@ _CALLBACKS = {
     EventKind.FLOW_CLOSE: "on_flow_close",
 }
 
-# a module global: reading an Enum member off its class takes about ten
+# module globals: reading an Enum member off its class takes about ten
 # times as long on Python 3.11 (some 150 ns)
 _PACKET_IN = EventKind.PACKET_IN
+_INJECT_RESPONSE = BlockMode.INJECT_RESPONSE
+_CELLULAR = Connectivity.CELLULAR
 
 # permission bits as plain ints: enum.Flag arithmetic runs in Python
 _INJECT_PACKETS = Permission.INJECT_PACKETS.value
@@ -432,7 +434,7 @@ class PluginHost:
                 if isinstance(verdict, Redirect):
                     self._violation(slot, "redirect-on-inbound", now, verdict)
                     continue
-                if verdict.mode is BlockMode.INJECT_RESPONSE:
+                if verdict.mode is _INJECT_RESPONSE:
                     self._violation(slot, "inject-on-inbound", now, verdict)
                     continue
             return EffectiveAction(verdict, payload, modified, slot.descriptor.id)
@@ -464,7 +466,7 @@ class PluginHost:
             slot.emitted_in_window -= window.popleft()[1]
         rate = slot.emitted_in_window
         if rate > budget.max_emitted_bytes_per_min:
-            on_cellular = self.device.connectivity is Connectivity.CELLULAR
+            on_cellular = self.device.connectivity is _CELLULAR
             if slot.descriptor.wifi_only_export and on_cellular:
                 self._disable(slot, "EmittedOverrunOnCellular",
                               f"{rate}B/min > {budget.max_emitted_bytes_per_min}B/min")

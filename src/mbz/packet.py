@@ -142,9 +142,6 @@ class TcpHeader:
     urgent_ptr: int = 0
     options: bytes = b""  # opaque except MSS extraction on SYN
 
-    def has(self, flag_bits: int) -> bool:
-        return bool(self.flags & flag_bits)
-
 
 @dataclass(slots=True)
 class UdpHeader:
@@ -159,14 +156,6 @@ class Packet:
     ip: Ipv4Header
     transport: TcpHeader | UdpHeader | None
     payload: bytes = b""
-
-    @property
-    def is_tcp(self) -> bool:
-        return isinstance(self.transport, TcpHeader)
-
-    @property
-    def is_udp(self) -> bool:
-        return isinstance(self.transport, UdpHeader)
 
 
 _PROTO_NAMES = {PROTO_TCP: "TCP", PROTO_UDP: "UDP"}
@@ -414,7 +403,7 @@ def extract_mss(options: bytes) -> int | None:
         if length < 2 or i + length > len(options):
             return None
         if kind == 2 and length == 4:
-            return struct.unpack("!H", options[i + 2:i + 4])[0]
+            return options[i + 2] << 8 | options[i + 3]
         i += length
     return None
 

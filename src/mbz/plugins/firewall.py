@@ -25,6 +25,12 @@ from ..host import (
 )
 from .domains import DomainTracker, TLS_PORT
 
+# verdicts are frozen, so a deny shares one; and the Enum member is read
+# once here, not off its class on every packet (see `mbz.engine`)
+_DROP = Block(BlockMode.DROP_SILENT)
+_RESET = Block(BlockMode.RESET_APP)
+_INJECT_RESPONSE = BlockMode.INJECT_RESPONSE
+
 
 @dataclass
 class FirewallRule:
@@ -125,7 +131,7 @@ class FirewallPlugin(TrafficPlugin):
             return self._apply(rule, event, ctx, outbound)
         if self.default_allow:
             return None
-        return Block(BlockMode.DROP_SILENT)
+        return _DROP
 
     def _apply(self, rule: FirewallRule, event: PluginEvent, ctx: PluginContext,
                outbound: bool) -> Verdict | None:
@@ -133,13 +139,13 @@ class FirewallPlugin(TrafficPlugin):
             return None
         if rule.action == "deny":
             if rule.deny_mode == "silent":
-                return Block(BlockMode.DROP_SILENT)
+                return _DROP
             if rule.deny_mode == "reset":
-                return Block(BlockMode.RESET_APP)
+                return _RESET
             # a notice cannot be injected into an encrypted flow
             if ctx.key is not None and (ctx.key.dst[1] == TLS_PORT or not outbound):
-                return Block(BlockMode.RESET_APP)
-            return Block(BlockMode.INJECT_RESPONSE, rule.notice)
+                return _RESET
+            return Block(_INJECT_RESPONSE, rule.notice)
         if rule.action == "switch":
             # only a flow's way out can be switched; its replies pass
             return Redirect(rule.switch_to) if outbound else None

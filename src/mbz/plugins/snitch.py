@@ -118,10 +118,8 @@ class SnitchPlugin(TrafficPlugin):
         key = ctx.key
         if key is None:
             return None
-        rec = SnitchRecord(
-            app_label=ctx.app_label, key=key,
-            protocol="TCP" if key.protocol == PROTO_TCP else "UDP",
-            last_out_us=ctx.now_us)
+        rec = SnitchRecord(ctx.app_label, key, "TCP" if key.protocol == PROTO_TCP else "UDP",
+                           1, None, ctx.now_us)
         self.records[key] = rec
         self._observe_out(event, ctx, rec, new_flow=True)
         return None

@@ -25,6 +25,7 @@ DIVERGENCES = (DIVERGENCE_NONE, DIVERGENCE_MISMATCH, DIVERGENCE_NXDOMAIN_REWRITE
                DIVERGENCE_TIMEOUT)
 
 
+# both built positionally, in the order of their fields
 @dataclass
 class _Outcome:
     answered: bool = False
@@ -104,8 +105,7 @@ class WhatIfPlugin(TrafficPlugin):
         if self.probability <= 0 or ctx.throttle or self._host is None \
                 or not self.alt_resolvers or self._rng.random() >= self.probability:
             return None
-        pending = _PendingProbe(key=pkey, qname=msg.qname, qtype=msg.qtype,
-                                resolver=key.dst, sent_at_us=ctx.now_us)
+        pending = _PendingProbe(pkey, msg.qname, msg.qtype, key.dst, ctx.now_us)
         self._pending[pkey] = pending
         query = dnswire.build_query(msg.qid, msg.qname, msg.qtype)
         for alt in self.alt_resolvers:
@@ -137,10 +137,9 @@ class WhatIfPlugin(TrafficPlugin):
         pending = self._pending.get((key, msg.qid))
         if pending is None or pending.original.answered:
             return None
-        pending.original = _Outcome(
-            answered=True, rcode=msg.rcode,
-            answers=frozenset(ip for _n, _t, ip in msg.answers),
-            rtt_us=ctx.now_us - pending.sent_at_us)
+        pending.original = _Outcome(True, False, msg.rcode,
+                                    frozenset(ip for _n, _t, ip in msg.answers),
+                                    ctx.now_us - pending.sent_at_us)
         self._maybe_finish(pending)
         return None
 
@@ -148,21 +147,17 @@ class WhatIfPlugin(TrafficPlugin):
 
     def _on_probe_reply(self, pending: _PendingProbe, alt: tuple[str, int],
                         reply: bytes | None) -> None:
-        if reply is None:
-            pending.alternates[alt] = _Outcome(timed_out=True)
+        msg = None if reply is None else dnswire.parse_message(reply)
+        if msg is None:
+            pending.alternates[alt] = _Outcome(False, True)
         else:
-            msg = dnswire.parse_message(reply)
-            if msg is None:
-                pending.alternates[alt] = _Outcome(timed_out=True)
-            else:
-                pending.alternates[alt] = _Outcome(
-                    answered=True, rcode=msg.rcode,
-                    answers=frozenset(ip for _n, _t, ip in msg.answers))
+            pending.alternates[alt] = _Outcome(
+                True, False, msg.rcode, frozenset(ip for _n, _t, ip in msg.answers))
         self._maybe_finish(pending)
 
     def _on_original_timeout(self, pending: _PendingProbe) -> None:
         if not pending.done and not pending.original.answered:
-            pending.original = _Outcome(timed_out=True)
+            pending.original = _Outcome(False, True)
             self._maybe_finish(pending)
 
     def _maybe_finish(self, pending: _PendingProbe) -> None:

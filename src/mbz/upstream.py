@@ -156,7 +156,7 @@ class _SimStream(StreamHandle):
         self._static_responded = False
         self._capacity = script.recv_window if script else None
         self.closed = False
-        self.transcript = StreamTranscript(dst=dst)
+        self.transcript = StreamTranscript(dst)
         net.transcripts.append(self.transcript)
         self._start()
 

@@ -17,7 +17,7 @@ from mbz.config import script_from_dict
 from mbz.engine import Engine, EngineConfig, seq_add
 from mbz.host import PluginHost
 from mbz.packet import (
-    ACK, FIN, PSH, RST, SYN,
+    ACK, FIN, PSH, RST, SYN, TcpHeader, UdpHeader,
     flow_key_of, make_tcp_packet, mss_option, parse_packet, serialize_packet,
 )
 from mbz.pcapio import PcapSpool, pcap_read, pcap_write
@@ -38,6 +38,12 @@ def build_engine(scripts, config=None, host=None, seed=0, sink=None):
     config = config or EngineConfig(local_isn=5000)
     engine = Engine(config, conduit, upstream, host, sched, sink=sink, events=events)
     return engine
+
+
+def drain_timers(sched: Scheduler) -> None:
+    """Run every scheduled timer, in time order, until none is left."""
+    while sched.step():
+        pass
 
 
 def logged(engine: Engine, event: str) -> list[dict]:
@@ -184,14 +190,14 @@ class AppPeer:
         tcp = pkt.transport
         self.packets_seen.append(pkt)
         self.last_window = tcp.window
-        if tcp.has(RST):
-            if self.established or not tcp.has(ACK):
+        if tcp.flags & RST:
+            if self.established or not tcp.flags & ACK:
                 self.reset_seen = True
             else:
                 self._refused = True
                 self.reset_seen = True
             return
-        if tcp.has(SYN) and tcp.has(ACK):
+        if tcp.flags & SYN and tcp.flags & ACK:
             if self.established:
                 self.ack_now()  # duplicate SYN/ACK
                 return
@@ -200,7 +206,7 @@ class AppPeer:
             self.established = True
             self.ack_now()
             return
-        if tcp.has(ACK):
+        if tcp.flags & ACK:
             # ACK sanity: never beyond what this endpoint has sent
             # (SYN + in-order bytes + FIN)
             sent = (self.snd_nxt - self.isn) % (1 << 32)
@@ -218,7 +224,7 @@ class AppPeer:
                 self.ack_now()
             else:
                 self.ack_now()  # engine should not reorder; dup-ack anyway
-        if tcp.has(FIN):
+        if tcp.flags & FIN:
             fin_at = seq_add(tcp.seq, len(pkt.payload))
             if fin_at == self.rcv_nxt:
                 self.rcv_nxt = seq_add(self.rcv_nxt, 1)
@@ -252,7 +258,7 @@ class Driver:
                 return
             for _ts, data in emitted:
                 pkt = parse_packet(data)
-                if pkt.is_tcp or pkt.is_udp:
+                if isinstance(pkt.transport, (TcpHeader, UdpHeader)):
                     dst = (pkt.ip.dst_addr, pkt.transport.dst_port)
                     peer = self.peers.get(dst)
                     if peer is not None:

@@ -110,7 +110,7 @@ class TestWindowEdges:
         out = [parse_packet(d) for _t, d in engine.conduit.take_emitted()]
         synack = out[0].transport
         assert synack.flags & (SYN | ACK) == SYN | ACK
-        acks = [p.transport.ack for p in out if p.transport.has(ACK)]
+        acks = [p.transport.ack for p in out if p.transport.flags & ACK]
         assert 1006 in acks  # the deferred bytes were consumed
 
     def test_syn_with_payload_deferred_until_established(self):

@@ -30,8 +30,8 @@ from mbz import dnswire
 from mbz.engine import DNS_PORT, EngineConfig, TcpFlow, TcpState
 from mbz.host import Permission, PluginDescriptor, ResourceBudget, TrafficPlugin
 from mbz.packet import (
-    ACK, FIN, PROTO_TCP, PROTO_UDP, PSH, RST, SYN, FlowKey, flow_key_of, make_tcp_packet,
-    make_udp_packet, parse_packet, serialize_packet,
+    ACK, FIN, PROTO_TCP, PROTO_UDP, PSH, RST, SYN, FlowKey, UdpHeader, flow_key_of,
+    make_tcp_packet, make_udp_packet, parse_packet, serialize_packet,
 )
 from mbz.plugins import WhatIfPlugin
 
@@ -83,7 +83,7 @@ class Oracle:
         emitted = self.engine.conduit.emitted
         for at_us, data in emitted[self.seen:]:
             pkt = parse_packet(data)
-            if pkt.is_udp:
+            if isinstance(pkt.transport, UdpHeader):
                 self.touch(flow_key_of(pkt).invert(), at_us)
         self.seen = len(emitted)
 

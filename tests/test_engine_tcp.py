@@ -44,7 +44,7 @@ class TestHandshake:
         peer.syn()
         driver.drive()
         rst = peer.packets_seen[0]
-        assert rst.transport.has(RST)
+        assert rst.transport.flags & RST
         assert rst.transport.ack == 1001
         assert not peer.established
 
@@ -77,7 +77,7 @@ class TestHandshake:
         driver.drive()
         assert engine.counters["tcp_refused_budget"] == 1
         rst = third.packets_seen[0]
-        assert rst.transport.has(RST) and rst.transport.ack == 778
+        assert rst.transport.flags & RST and rst.transport.ack == 778
 
 
 class TestDataPath:
@@ -90,7 +90,7 @@ class TestDataPath:
         peer.send(b"0123456789")
         driver.drive()
         # ACK advanced over exactly those 10 bytes
-        acks = [p.transport.ack for p in peer.packets_seen if p.transport.has(ACK)]
+        acks = [p.transport.ack for p in peer.packets_seen if p.transport.flags & ACK]
         assert 1011 in acks
         transcript = engine.upstream.transcripts[0]
         assert bytes(transcript.received) == b"0123456789"
@@ -111,7 +111,7 @@ class TestDataPath:
         driver.drive()
         assert engine.counters["tcp_out_of_order_dropped"] == 1
         dup_acks = [p.transport.ack for p in peer.packets_seen
-                    if p.transport.has(ACK) and not p.payload]
+                    if p.transport.flags & ACK and not p.payload]
         assert dup_acks[-1] == 1001
         # retransmission from the ACK point converges
         driver.drive_with_retransmits(peer)
@@ -183,7 +183,7 @@ class TestTeardown:
         driver.drive()
         peer.fin()  # fin at seq 2000
         driver.drive()
-        fin_acks = [p.transport.ack for p in peer.packets_seen if p.transport.has(ACK)]
+        fin_acks = [p.transport.ack for p in peer.packets_seen if p.transport.flags & ACK]
         assert 2001 in fin_acks
         assert engine.upstream.transcripts[0].saw_eof
 
@@ -193,7 +193,7 @@ class TestTeardown:
         peer = driver.add_peer(AppPeer(engine, APP, SRV))
         exchange(driver, peer, b"ping", ending="fin")
         assert peer.engine_fin_seen
-        fin_pkt = next(p for p in peer.packets_seen if p.transport.has(FIN))
+        fin_pkt = next(p for p in peer.packets_seen if p.transport.flags & FIN)
         assert fin_pkt.transport.seq == 5001 + 4  # after the 4 echoed bytes
 
     def test_full_teardown_closes_flow_and_sweep_removes(self):
@@ -246,7 +246,7 @@ class TestOrphanSegments:
         pkts = [parse_packet(d) for _t, d in engine.conduit.take_emitted()]
         assert len(pkts) == 1
         # standard endpoint behavior: reset seq mirrors the segment's ack
-        assert pkts[0].transport.has(RST)
+        assert pkts[0].transport.flags & RST
         assert pkts[0].transport.seq == 0
         assert engine.counters["tcp_rst_no_state"] == 1
 
@@ -256,7 +256,7 @@ class TestOrphanSegments:
             APP, SRV, seq=100, ack=0, flags=FIN, payload=b"")))
         engine.pump()
         pkt = parse_packet(engine.conduit.take_emitted()[0][1])
-        assert pkt.transport.has(RST) and pkt.transport.has(ACK)
+        assert pkt.transport.flags & RST and pkt.transport.flags & ACK
         assert pkt.transport.ack == 101  # FIN occupies one sequence number
 
 
@@ -331,7 +331,7 @@ class TestSynthesizedResets:
             engine.conduit.inject(seg)
         engine.pump()
         out = [parse_packet(d).transport for _t, d in engine.conduit.take_emitted()]
-        rsts = [t for t in out if t.has(RST)]
+        rsts = [t for t in out if t.flags & RST]
         assert len(rsts) == 1, out
         rst = rsts[0]
         assert (rst.seq, rst.ack, rst.flags, rst.window) == expected
@@ -521,3 +521,52 @@ class TestVerdictsOnOpenFlow:
         assert engine.upstream.active_handle_count() == 0
         assert engine.counters["injected_responses"] == 0
         assert engine.counters["tcp_flows_reset"] == 1
+
+
+class TestAckOfUnsentData:
+    """RFC 9293 section 3.10.7.4: a segment that acks bytes the engine
+    never sent is answered with an ACK and dropped, its window, data and
+    FIN unused."""
+
+    def _open_with_900_unacked(self):
+        # the app's SYN offers a 900 B window, and the upstream's 5000 B
+        # answer to the request fills it: 900 B sent, none acked
+        engine = build_engine(
+            [{"cidr": "10.1.0.1/32", "behavior": "static", "response": "x" * 5000}])
+        inject = engine.conduit.inject
+        inject(serialize_packet(make_tcp_packet(APP, SRV, seq=1000, ack=0, flags=SYN,
+                                                window=900)))
+        engine.pump()
+        inject(serialize_packet(make_tcp_packet(APP, SRV, seq=1001, ack=5001,
+                                                flags=PSH | ACK, window=900,
+                                                payload=b"GET /")))
+        engine.pump()
+        sent = [parse_packet(d) for _t, d in engine.conduit.take_emitted()]
+        assert [p.payload for p in sent if p.payload] == [b"x" * 900]
+        return engine
+
+    def _wire_out(self, engine):
+        return _wire([parse_packet(d) for _t, d in engine.conduit.take_emitted()])
+
+    def test_answered_with_an_ack_and_dropped(self):
+        engine = self._open_with_900_unacked()
+        engine.conduit.inject(serialize_packet(make_tcp_packet(
+            APP, SRV, seq=1006, ack=5901 + 100_000, flags=PSH | ACK | FIN,
+            window=1000, payload=b"more")))
+        engine.pump()
+        # no byte past the 900 B window, and neither the data nor the FIN taken
+        assert self._wire_out(engine) == [(ACK, 5901, 1006, b"")]
+        assert bytes(engine.upstream.transcripts[0].received) == b"GET /"
+        assert not engine.flows[flow_key_of(parse_packet(syn_bytes()))].app_fin_seen
+
+    def test_the_window_holds_after_it(self):
+        engine = self._open_with_900_unacked()
+        engine.conduit.inject(serialize_packet(make_tcp_packet(
+            APP, SRV, seq=1006, ack=5901 + 100_000, flags=ACK, window=1000)))
+        engine.pump()
+        engine.conduit.take_emitted()
+        # a true ACK of 800 B with a 1000 B window leaves room for 900 B more
+        engine.conduit.inject(serialize_packet(make_tcp_packet(
+            APP, SRV, seq=1006, ack=5801, flags=ACK, window=1000)))
+        engine.pump()
+        assert self._wire_out(engine) == [(PSH | ACK, 5901, 1006, b"x" * 900)]

@@ -15,8 +15,8 @@ from mbz.host import (
     TrafficPlugin,
 )
 from mbz.packet import (
-    ACK, CWR, ECE, FIN, PSH, PROTO_TCP, PROTO_UDP, RST, SYN, FlowKey, make_tcp_packet,
-    make_udp_packet, parse_packet, serialize_packet,
+    ACK, CWR, ECE, FIN, PSH, PROTO_TCP, PROTO_UDP, RST, SYN, FlowKey, TcpHeader,
+    make_tcp_packet, make_udp_packet, parse_packet, serialize_packet,
 )
 
 APP = ("10.0.0.2", 40001)
@@ -111,7 +111,7 @@ def run_case(site, verdict_name):
         engine.pump()
         for _ts, out in engine.conduit.take_emitted():
             pkt = parse_packet(out)
-            if pkt.is_tcp:
+            if isinstance(pkt.transport, TcpHeader):
                 t = pkt.transport
                 written.append((_flags(t.flags), t.seq, t.ack, pkt.payload))
             else:

@@ -244,7 +244,7 @@ class TestEngineIntegration:
         peer.syn()
         driver.drive()
         rst = peer.packets_seen[0]
-        assert rst.transport.has(RST)
+        assert rst.transport.flags & RST
         assert rst.transport.ack == 1001  # app ISN + 1
         assert [t.dst for t in engine.upstream.transcripts] == []  # never opened upstream
         assert engine.counters["blocked_flow_opens"] == 1

@@ -8,7 +8,7 @@ import struct
 import time
 
 import pytest
-from helpers import spool_of
+from helpers import drain_timers, spool_of
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mbz.clock import Scheduler
@@ -30,7 +30,7 @@ class TestScheduler:
         seen = []
         sched.call_at(5_000, lambda: seen.append(sched.now_us()))
         sched.call_at(1_000, lambda: seen.append(sched.now_us()))
-        sched.run_until_idle()
+        drain_timers(sched)
         assert seen == [1_000, 5_000]
 
     def test_tie_break_is_insertion_order(self):
@@ -38,7 +38,7 @@ class TestScheduler:
         seen = []
         for i in range(5):
             sched.call_at(100, lambda i=i: seen.append(i))
-        sched.run_until_idle()
+        drain_timers(sched)
         assert seen == [0, 1, 2, 3, 4]
 
     def test_wall_mode_waits(self):
@@ -46,7 +46,7 @@ class TestScheduler:
         fired = []
         sched.call_later(20_000, lambda: fired.append(sched.now_us()))
         start = time.perf_counter()
-        sched.run_until_idle()
+        drain_timers(sched)
         assert time.perf_counter() - start >= 0.019
         assert fired
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mbz.packet import (
     ACK, FIN, PSH, RST, SYN,
     BadChecksum, FlowKey, FragmentedPacket, NoTransport, OversizedPacket,
-    Packet, PacketError, TcpHeader, Truncated, UnsupportedVersion,
+    Packet, PacketError, TcpHeader, Truncated, UdpHeader, UnsupportedVersion,
     extract_mss, flow_key_of, internet_checksum, make_tcp_packet,
     make_udp_packet, mss_option, parse_packet, serialize_packet,
 )
@@ -63,7 +63,7 @@ class TestParse:
     def test_minimal_udp_datagram(self):
         wire = serialize_packet(make_udp_packet(("10.0.0.2", 5353), ("8.8.8.8", 53)))
         pkt = parse_packet(wire)
-        assert pkt.is_udp
+        assert isinstance(pkt.transport, UdpHeader)
         assert pkt.transport.length == 8
         assert pkt.payload == b""
         assert pkt.ip.total_length == 28
@@ -293,7 +293,7 @@ def full_size_packets(draw):
     pkt.ip.ttl = draw(st.integers(1, 255))
     pkt.ip.dscp_ecn = draw(st.integers(0, 255))
     pkt.ip.options = draw(st.sampled_from([b"", b"\x01", b"\x01\x01\x01\x01"]))
-    if pkt.is_tcp:
+    if isinstance(pkt.transport, TcpHeader):
         pkt.transport.options = draw(st.sampled_from([b"", b"\x01", mss_option(1400)]))
     return pkt
 

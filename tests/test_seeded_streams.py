@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import build_engine, logged
+from helpers import build_engine, drain_timers, logged
 
 from mbz import dnswire
 from mbz.clock import Scheduler
@@ -81,7 +81,7 @@ class TestStreamsMatchAnEagerGenerator:
         handle.set_callback(lambda _addr, data: arrival.setdefault(data, sched.now_us()))
         for i in range(n):  # each echoed datagram draws once, when it is sent
             handle.send_to(("10.0.0.1", 9), i.to_bytes(2, "big"))
-        sched.run_until_idle()
+        drain_timers(sched)
         eager = random.Random(seed)
         assert [arrival[i.to_bytes(2, "big")] for i in range(n)] \
             == [delay_us + eager.randint(0, jitter_us) for _ in range(n)]

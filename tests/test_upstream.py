@@ -4,6 +4,7 @@ import ipaddress
 import struct
 
 import pytest
+from helpers import drain_timers
 from hypothesis import given, settings, strategies as st
 
 from mbz import dnswire
@@ -85,7 +86,7 @@ class TestStreams:
         events = []
         handle = net.open_stream(("9.9.9.9", 443))
         handle.set_callback(events.append)
-        sched.run_until_idle()
+        drain_timers(sched)
         assert events == [EV_REFUSED]
 
     def test_echo_stream(self):
@@ -93,10 +94,10 @@ class TestStreams:
         events = []
         handle = net.open_stream(("10.0.0.1", 7))
         handle.set_callback(events.append)
-        sched.run_until_idle()
+        drain_timers(sched)
         assert events == [EV_CONNECTED]
         handle.send(b"abc")
-        sched.run_until_idle()
+        drain_timers(sched)
         assert EV_READABLE in events
         assert handle.recv(100) == b"abc"
 
@@ -105,10 +106,10 @@ class TestStreams:
         events = []
         handle = net.open_stream(("10.0.0.1", 7))
         handle.set_callback(events.append)
-        sched.run_until_idle()
+        drain_timers(sched)
         handle.send(b"hi")
         handle.half_close()
-        sched.run_until_idle()
+        drain_timers(sched)
         assert EV_EOF in events
         assert handle.recv(100) == b"hi"
         assert handle.at_eof()
@@ -119,9 +120,9 @@ class TestStreams:
         handle = net.open_stream(("10.0.0.1", 80))
         events = []
         handle.set_callback(events.append)
-        sched.run_until_idle()
+        drain_timers(sched)
         handle.send(b"ping")
-        sched.run_until_idle()
+        drain_timers(sched)
         assert handle.recv(100) == b"pong"
         assert handle.at_eof()
 
@@ -130,7 +131,7 @@ class TestStreams:
         events = []
         handle = net.open_stream(("203.0.113.5", 80))
         handle.set_callback(events.append)
-        sched.run_until_idle()
+        drain_timers(sched)
         assert events == []
         handle.close()
 
@@ -151,9 +152,9 @@ class TestStreams:
         net, sched = make_net([script("10.0.0.1/32", "echo")])
         handle = net.open_stream(("10.0.0.1", 7))
         handle.set_callback(lambda e: None)
-        sched.run_until_idle()
+        drain_timers(sched)
         handle.send(b"abc")
-        sched.run_until_idle()
+        drain_timers(sched)
         t = net.transcripts[0]
         assert bytes(t.received) == b"abc"
         assert handle.recv(10) == b"abc"
@@ -163,9 +164,9 @@ class TestStreams:
             [script("10.0.0.1/32", "echo", recv_window=4, delay_us=1000)])
         handle = net.open_stream(("10.0.0.1", 7))
         handle.set_callback(lambda e: None)
-        sched.run_until_idle()
+        drain_timers(sched)
         assert handle.send(b"abcdefgh") == 4  # endpoint window is full
-        sched.run_until_idle()
+        drain_timers(sched)
         assert handle.send(b"efgh") == 4  # freed after endpoint consumed
 
 
@@ -176,7 +177,7 @@ class TestDatagrams:
         got = []
         handle.set_callback(lambda addr, data: got.append((addr, data)))
         handle.send_to(("10.0.0.1", 9), b"boom")
-        sched.run_until_idle()
+        drain_timers(sched)
         assert got == [(("10.0.0.1", 9), b"boom")]
 
     def test_dns_responder_answers_after_delay(self):
@@ -189,7 +190,7 @@ class TestDatagrams:
         got = []
         handle.set_callback(lambda addr, data: got.append((sched.now_us(), data)))
         handle.send_to(("8.8.8.8", 53), dnswire.build_query(7, "example.com"))
-        sched.run_until_idle()
+        drain_timers(sched)
         assert len(got) == 1
         ts, data = got[0]
         assert ts >= 20_000  # one-way delay each direction under the virtual clock
@@ -204,7 +205,7 @@ class TestDatagrams:
         got = []
         handle.set_callback(lambda addr, data: got.append(data))
         handle.send_to(("8.8.8.8", 53), dnswire.build_query(9, "nosuch.test"))
-        sched.run_until_idle()
+        drain_timers(sched)
         msg = dnswire.parse_message(got[0])
         assert msg.rcode == dnswire.RCODE_NXDOMAIN
         assert msg.answers == []
@@ -218,7 +219,7 @@ class TestDatagrams:
         got = []
         handle.set_callback(lambda addr, data: got.append(data))
         handle.send_to(("8.8.8.8", 53), dnswire.build_query(1, "example.com"))
-        sched.run_until_idle()
+        drain_timers(sched)
         assert dnswire.parse_message(got[0]).answers[0][2] == "6.6.6.6"
 
     def test_dns_drop_rule(self):
@@ -230,7 +231,7 @@ class TestDatagrams:
         got = []
         handle.set_callback(lambda addr, data: got.append(data))
         handle.send_to(("8.8.8.8", 53), dnswire.build_query(1, "example.com"))
-        sched.run_until_idle()
+        drain_timers(sched)
         assert got == []
 
     @pytest.mark.parametrize("name, settings", [
@@ -251,7 +252,7 @@ class TestDatagrams:
         queries = [dnswire.build_query(qid, name) for qid in (7, 0x1234, 7)]
         for query in queries:
             handle.send_to(("8.8.8.8", 53), query)
-        sched.run_until_idle()
+        drain_timers(sched)
         built = [_build_dns_reply(resolver, dnswire.parse_message(query)) for query in queries]
         assert got == [reply for reply in built if reply is not None]
         assert len(net._dns_replies) == 1  # built once, sent three times
@@ -268,7 +269,7 @@ class TestDatagrams:
                    for qid in (3, 2)]
         for query in queries:
             handle.send_to(("8.8.8.8", 53), query)
-        sched.run_until_idle()
+        drain_timers(sched)
         assert got == [_build_dns_reply(resolver, dnswire.parse_message(query))
                        for query in queries]
         assert got[0][2:] != got[1][2:]
@@ -283,7 +284,7 @@ class TestDatagrams:
         handle.set_callback(lambda addr, data: got.append(data))
         handle.send_to(("8.8.8.8", 53), struct.pack("!HHHHHH", qid, 0x0100, 1, 0, 0, 0)
                        + question)
-        sched.run_until_idle()
+        drain_timers(sched)
         assert len(got) == 1
         return got[0]
 
@@ -312,7 +313,7 @@ class TestDatagrams:
             handle.set_callback(lambda addr, data: got.append((sched.now_us(), data)))
             for i in range(5):
                 handle.send_to(("10.0.0.1", 9), bytes([i]))
-            sched.run_until_idle()
+            drain_timers(sched)
             return got
         assert run() == run()
 
