@@ -72,6 +72,13 @@ def _direct_pass(n: int) -> list[int]:
     return times
 
 
+def app_endpoint(i: int) -> tuple[str, int]:
+    """The app address and port of the engine pass's connection `i`:
+    ports 1024 to 51023 on each address, addresses from 10.0.0.2 up."""
+    block = i // 50_000
+    return (f"10.{block >> 8 & 0xFF}.{block & 0xFF}.2", 1024 + i % 50_000)
+
+
 def _engine_pass(n: int, concurrency: int, install_plugins=None) -> list[int]:
     """SYN write to SYN/ACK read through the engine. The chain is empty
     unless a plugin installer is supplied (isolates engine overhead by
@@ -86,17 +93,15 @@ def _engine_pass(n: int, concurrency: int, install_plugins=None) -> list[int]:
     engine = Engine(config, conduit, net, host, sched)
 
     times: list[int] = []
-    port = 20000
-    remaining = n
-    while remaining > 0:
-        batch = min(concurrency, remaining)
-        starts: dict[int, int] = {}
-        for _ in range(batch):
-            port += 1
+    done = 0
+    while done < n:
+        batch = min(concurrency, n - done)
+        starts: dict[tuple[str, int], int] = {}
+        for i in range(done, done + batch):
+            app = app_endpoint(i)
             syn = serialize_packet(make_tcp_packet(
-                ("10.0.0.2", port), (LOOPBACK, ECHO_PORT),
-                seq=1, ack=0, flags=SYN))
-            starts[port] = time.perf_counter_ns()
+                app, (LOOPBACK, ECHO_PORT), seq=1, ack=0, flags=SYN))
+            starts[app] = time.perf_counter_ns()
             conduit.inject(syn)
         got = 0
         while got < batch:
@@ -104,11 +109,11 @@ def _engine_pass(n: int, concurrency: int, install_plugins=None) -> list[int]:
             for _ts, data in conduit.take_emitted():
                 t1 = time.perf_counter_ns()
                 pkt = parse_packet(data)
-                app_port = pkt.transport.dst_port
-                if app_port in starts:
-                    times.append((t1 - starts.pop(app_port)) // 1000)
+                app = (pkt.ip.dst_addr, pkt.transport.dst_port)
+                if app in starts:
+                    times.append((t1 - starts.pop(app)) // 1000)
                     got += 1
-        remaining -= batch
+        done += batch
     return times
 
 

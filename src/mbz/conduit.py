@@ -20,10 +20,11 @@ class PacketConduit:
 
     next_ready_us() tells the engine when the next app packet becomes
     available (None when the source is exhausted); read_packet() pops it
-    once the clock has reached that time. write_packet() delivers a
-    packet to the app; a conduit need not keep it. The engine hands
-    everything it writes to its owner's sink as well (`Engine.sink`; a
-    replay spools it to a temporary pcap file).
+    once the clock has reached that time. The engine's loop asks again
+    only after it reads a packet, so packets are added between its calls.
+    write_packet() delivers a packet to the app; a conduit need not keep
+    it. The engine hands everything it writes to its owner's sink as well
+    (`Engine.sink`; a replay spools it to a temporary pcap file).
     """
 
     def next_ready_us(self) -> int | None:

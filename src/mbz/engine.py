@@ -5,11 +5,11 @@ sequence bookkeeping, teardown), proxies bytes to upstream streams,
 forwards UDP NAT-style with inactivity timeouts, and keeps the upstream
 handle count inside the descriptor budget with sweeps.
 
-Everything runs on one logical event loop: conduit packets, scheduler
-timers (upstream completions, plugin probes) and sweeps are taken one
-at a time in time order, so no flow state is ever touched concurrently.
-A sweep runs only when one is due: no timer wakes the loop while
-nothing can expire.
+Everything runs on one event loop, `pump`, under either clock: conduit
+packets, scheduler timers (upstream completions, plugin probes) and
+sweeps are taken one at a time in time order, so no flow state is ever
+touched concurrently. A sweep runs only when one is due: no timer
+wakes the loop while nothing can expire.
 """
 
 from __future__ import annotations
@@ -236,6 +236,7 @@ class Engine:
         # each UDP flow's last activity, oldest first: plain UDP, then DNS
         self._activity: tuple[OrderedDict[FlowKey, int], ...] = (OrderedDict(), OrderedDict())
         self._closed: list[TcpFlow] = []  # closed since the last sweep
+        self._grid = scheduler.reached_us + config.sweep_interval_us  # sweep grid's lower bound
         # read on every segment: segments toward the app must fit the
         # interface's MTU whatever MSS the app's SYN claimed, and every
         # SYN/ACK carries the same MSS option
@@ -249,39 +250,11 @@ class Engine:
     # ------------------------------------------------------------------ run
 
     def run(self) -> dict[str, int]:
-        """Drive the conduit to exhaustion under the virtual clock, then
-        shut down. Returns the counters.
-
-        Each step takes the earliest of the next app packet, the next
-        timer and the next sweep. Sweeps fall on a grid of whole sweep
-        intervals from the start: the next one at the first grid point
-        after the last sweep and at or after `_sweep_due_us`, behind every
-        packet and timer due at that time. The run ends when none is left."""
-        sched = self.scheduler
-        if sched.mode != "virtual":
-            raise ConfigError("run() requires a virtual clock; use pump() under wall time")
-        interval = self.config.sweep_interval_us
-        grid = sched.now_us() + interval  # the first grid point the next sweep may take
-        while True:
-            t_pkt = self.conduit.next_ready_us()
-            t_evt = sched.peek_us()
-            pkt_first = t_pkt is not None and (t_evt is None or t_pkt <= t_evt)
-            t_next = t_pkt if pkt_first else t_evt
-            if t_next is None or grid < t_next:  # else no sweep can come first
-                due = self._sweep_due_us(t_next is not None)
-                if due is not None:
-                    t_sweep = max(grid, due + (grid - due) % interval)
-                    if t_next is None or t_sweep < t_next:
-                        sched.advance_to(t_sweep)
-                        self.host.governor_tick()
-                        self.sweep()
-                        grid = t_sweep + interval
-                        continue
-            if pkt_first:
-                sched.advance_to(t_pkt)
-                self.on_app_packet(*self.conduit.read_packet())
-            elif not sched.step():
-                break
+        """`pump`, kept going while a sweep is due, then the shutdown that
+        closes every flow still open. Returns the counters."""
+        self.pump()
+        while self._sweep_before(None):
+            self.pump()
         self._shutdown()
         return dict(self.counters)
 
@@ -295,18 +268,44 @@ class Engine:
         self.sweep()
 
     def pump(self) -> None:
-        """Drive the engine until it idles (bench / test driver). Each step
-        reads the next app packet if it is due by the scheduler's time,
-        else runs the next timer, whatever its due time: a virtual clock
-        jumps to it, a wall clock waits for it. Returns once no timer is
-        pending and no packet is due. Unlike `run`, it never sweeps and
-        never shuts down."""
-        while True:
-            t_pkt = self.conduit.next_ready_us()
-            if t_pkt is not None and t_pkt <= self.scheduler.now_us():
-                self.on_app_packet(*self.conduit.read_packet())
-            elif not self.scheduler.step():
-                break
+        """The engine's one loop, under either clock: each step takes the
+        earliest of the next app packet, the next timer and the next sweep
+        (`_sweep_before`), in that order at equal times, once the clock is at
+        its time (`Scheduler.advance_to`). Returns once no packet and no timer
+        is left, leaving a sweep still due for a later call."""
+        sched, conduit, timers = self.scheduler, self.conduit, self.scheduler.timers
+        t_pkt = conduit.next_ready_us()  # changed by reading a packet only
+        while timers or t_pkt is not None:
+            if timers and (t_pkt is None or timers[0][0] < t_pkt):
+                t_evt = timers[0][0]
+                if self._grid < t_evt and self._sweep_before(t_evt):
+                    continue
+                sched.step()
+            else:
+                if self._grid < t_pkt and self._sweep_before(t_pkt):
+                    continue
+                if t_pkt > sched.reached_us:
+                    sched.advance_to(t_pkt)
+                self.on_app_packet(*conduit.read_packet())
+                t_pkt = conduit.next_ready_us()
+
+    def _sweep_before(self, t_next: int | None) -> bool:
+        """Sweep, behind a governor tick, at the first grid point after the last
+        sweep and at or after `_sweep_due_us` if it comes before `t_next` (None:
+        no work is left), and return True; else move the grid's lower bound up."""
+        grid, interval = self._grid, self.config.sweep_interval_us
+        due = self._sweep_due_us(t_next is not None)
+        if due is not None:
+            t_sweep = max(grid, due + (grid - due) % interval)
+            if t_next is None or t_sweep < t_next:
+                self.scheduler.advance_to(t_sweep)
+                self.host.governor_tick()
+                self.sweep()
+                self._grid = t_sweep + interval
+                return True
+        if t_next is not None:
+            self._grid = t_next + (grid - t_next) % interval
+        return False
 
     # ------------------------------------------------------- packet ingress
 

@@ -387,7 +387,7 @@ class PluginHost:
         against a 500 us budget."""
         ctx = None
         modified = False
-        clock = self._scheduler.now_us
+        scheduler = self._scheduler
         for slot, callback in self._chains[kind]:
             if not slot.enabled:  # disabled earlier in this same event
                 continue
@@ -395,7 +395,7 @@ class PluginHost:
             if callback is None:
                 continue
             if ctx is None:
-                now = start = clock()
+                now = start = scheduler.now_us()
                 event = PluginEvent(kind, payload, tcp_flags, tcp_seq)
                 ctx = PluginContext(key, app_label,
                                     DIR_IN if kind is _PACKET_IN else DIR_OUT,
@@ -407,7 +407,7 @@ class PluginHost:
             except Exception as exc:  # plugin failure must not hurt the packet path
                 self._violation(slot, "callback-error", now, detail=repr(exc))
                 verdict = None
-            end = clock()
+            end = scheduler.now_us()
             budget = slot.descriptor.budget
             if end - start <= budget.max_cpu_us_per_packet:
                 slot.cpu_overruns = 0

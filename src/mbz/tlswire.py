@@ -14,8 +14,9 @@ _EXT_SERVER_NAME = 0x0000
 
 
 def extract_sni(payload: bytes) -> str | None:
-    """Server name from a TLS ClientHello, or None if this is not one
-    (or the hello is truncated past the extension)."""
+    """Server name from a TLS ClientHello, or None if this is not one,
+    the hello is truncated past the extension, or the name is not ASCII
+    (RFC 6066 section 3: HostName is ASCII)."""
     try:
         if len(payload) < 5 or payload[0] != _HANDSHAKE or payload[1] != 0x03:
             return None
@@ -44,7 +45,7 @@ def extract_sni(payload: bytes) -> str | None:
                 return name.decode("ascii") if len(name) == name_len else None
             i += elen
         return None
-    except (IndexError, struct.error):
+    except (IndexError, struct.error, UnicodeDecodeError):
         return None
 
 

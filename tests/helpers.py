@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from mbz.clock import Scheduler
+from mbz.clock import VIRTUAL, Scheduler
 from mbz.conduit import InMemoryConduit
 from mbz.config import script_from_dict
 from mbz.engine import Engine, EngineConfig, seq_add
@@ -24,11 +24,11 @@ from mbz.pcapio import PcapSpool, pcap_read, pcap_write
 from mbz.upstream import SimUpstream
 
 
-def build_engine(scripts, config=None, host=None, seed=0, sink=None):
-    """An engine over an in-memory conduit and a simulated upstream. Its
-    event log, `engine.events`, is a list, which a host built here
-    shares."""
-    sched = Scheduler()
+def build_engine(scripts, config=None, host=None, seed=0, sink=None, clock=VIRTUAL):
+    """An engine over an in-memory conduit and a simulated upstream, on a
+    virtual clock unless `clock` is `WALL`. Its event log,
+    `engine.events`, is a list, which a host built here shares."""
+    sched = Scheduler(clock)
     conduit = InMemoryConduit(sched)
     upstream = SimUpstream(
         [script_from_dict(s) if isinstance(s, dict) else s

@@ -15,7 +15,9 @@ resets the test sends. The order rules it checks:
 
 `Engine.run` sweeps only when a sweep could act. A second property checks
 it against a reference driver that sweeps at every grid point; the two
-must leave the same counters, event log, capture and handles.
+must leave the same counters, event log, capture and handles. A third
+feeds a case's packets through several `Engine.pump` calls before `run`:
+the sweep grid carries over between calls, so that must match one `run`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from helpers import AppPeer, Driver, build_engine, counting, logged
 from hypothesis import given, settings, strategies as st
 
 from mbz import dnswire
-from mbz.engine import DNS_PORT, EngineConfig, TcpFlow, TcpState
+from mbz.clock import WALL
+from mbz.engine import DNS_PORT, Engine, EngineConfig, TcpFlow, TcpState
 from mbz.host import Permission, PluginDescriptor, ResourceBudget, TrafficPlugin
 from mbz.packet import (
     ACK, FIN, PROTO_TCP, PROTO_UDP, PSH, RST, SYN, FlowKey, UdpHeader, flow_key_of,
@@ -50,7 +53,7 @@ BUDGET = 6
 def run_until(engine, at_us: int) -> None:
     """Run what falls due up to `at_us`, then move the clock there."""
     sched = engine.scheduler
-    while (due := sched.peek_us()) is not None and due <= at_us:
+    while sched.timers and sched.timers[0][0] <= at_us:
         sched.step()
     sched.advance_to(at_us)
 
@@ -292,7 +295,7 @@ def sweep_at_every_grid_point(engine) -> None:
     interval = engine.config.sweep_interval_us
     grid = sched.now_us() + interval
     while True:
-        t_pkt, t_evt = conduit.next_ready_us(), sched.peek_us()
+        t_pkt, t_evt = conduit.next_ready_us(), sched.timers[0][0] if sched.timers else None
         if t_pkt is None and t_evt is None and all(
                 isinstance(flow, TcpFlow) and flow.state is not TcpState.CLOSED
                 for flow in engine.flows.values()):
@@ -346,10 +349,10 @@ loop_packets = st.lists(st.tuples(
     )), min_size=1, max_size=40)
 
 
-def loop_engine(config: EngineConfig, probes: bool, packets):
+def loop_engine(config: EngineConfig, probes: bool, timed=()):
     """An engine, its capture list and, with `probes`, a what-if plugin
     whose probes hold handles outside the engine's count, with the
-    packets queued on its conduit."""
+    `timed` (time, packet) pairs queued on its conduit."""
     engine = build_engine(LOOP_SCRIPTS, config, sink=[])
     if probes:
         plugin = WhatIfPlugin([ALT_RESOLVER], probability=1.0, seed=3, timeout_us=2_000_000)
@@ -357,6 +360,14 @@ def loop_engine(config: EngineConfig, probes: bool, packets):
             id="whatif", name="dns-whatif",
             requested=Permission.OBSERVE | Permission.INJECT_PACKETS), plugin)
         plugin.bind(engine.host, "whatif")
+    for at_us, data in timed:
+        engine.conduit.inject(data, at_us=at_us)
+    return engine
+
+
+def timed_packets(packets) -> list[tuple[int, bytes]]:
+    """The packets of a `loop_packets` case, serialized, each with its time."""
+    timed = []
     at_us = 0
     for gap, (kind, src, dst, *rest) in packets:
         at_us += gap
@@ -371,21 +382,50 @@ def loop_engine(config: EngineConfig, probes: bool, packets):
             pkt = make_tcp_packet(src, dst, seq=6, ack=2, flags=FIN | ACK)
         else:
             pkt = make_tcp_packet(src, dst, seq=6, ack=0, flags=RST)
-        engine.conduit.inject(serialize_packet(pkt), at_us=at_us)
-    return engine
+        timed.append((at_us, serialize_packet(pkt)))
+    return timed
+
+
+def run_state(engine) -> tuple:
+    """What a run leaves that two runs of one case must share."""
+    return (engine.counters, engine.events, engine.sink, engine.conduit.emitted,
+            engine.upstream.active_handle_count(), engine.host.plugin_states(),
+            engine.scheduler.now_us())
 
 
 class TestRunLoop:
     @settings(deadline=None)
     @given(loop_configs(), st.booleans(), loop_packets)
     def test_same_run_as_a_sweep_at_every_grid_point(self, config, probes, packets):
-        engines = [loop_engine(config, probes, packets) for _ in range(2)]
+        engines = [loop_engine(config, probes, timed_packets(packets)) for _ in range(2)]
         engines[0].run()
         sweep_at_every_grid_point(engines[1])
-        got, want = ((e.counters, e.events, e.sink, e.conduit.emitted,
-                      e.upstream.active_handle_count(), e.host.plugin_states(),
-                      e.scheduler.now_us()) for e in engines)
+        got, want = (run_state(e) for e in engines)
         assert got == want
+
+    @settings(deadline=None)
+    @given(loop_configs(), st.booleans(), loop_packets, st.sets(st.integers(1, 39), max_size=4))
+    def test_pumps_over_split_packets_then_run_match_one_run(self, config, probes, packets, cuts):
+        # the packets go in chunks, each pumped once it is queued; a chunk
+        # is moved later if need be, so that it starts after the time its
+        # predecessor's pump ended at, and the single run gets the packets
+        # at the same times. Sweeps still due when a pump returns are the
+        # next pump's, or run's, on the same grid.
+        timed = timed_packets(packets)
+        split = loop_engine(config, probes)
+        bounds = [0, *sorted(c for c in cuts if c < len(timed)), len(timed)]
+        shift, sent = 0, []
+        for start, end in zip(bounds, bounds[1:]):
+            if start:
+                shift = max(shift, split.scheduler.now_us() + 1 - timed[start][0])
+            for at_us, data in timed[start:end]:
+                split.conduit.inject(data, at_us=at_us + shift)
+                sent.append((at_us + shift, data))
+            split.pump()
+        split.run()
+        whole = loop_engine(config, probes, sent)
+        whole.run()
+        assert run_state(split) == run_state(whole)
 
     def test_flows_still_open_close_at_the_last_event(self):
         # a SYN to a black hole and a datagram at 0 s: the datagram's flow
@@ -431,22 +471,49 @@ class TestRunLoop:
 
 class TestPump:
     def test_a_timer_far_in_the_future_runs_inside_one_pump(self):
-        # pump drives to idle: the clock jumps to a pending timer however
-        # far off, a packet the jump passed is read after it, and a packet
-        # due after every timer waits
+        # pump takes packets, timers and sweeps in time order: the clock
+        # jumps to each, the idle flow of the packet at 1 s is evicted at
+        # the grid point at 32 s while later work is pending, and the pump
+        # returns once the packet at 2 h is read, its flow's sweep still due
         engine = build_engine([ECHO])
         sched = engine.scheduler
-        fired = []
-        sched.call_later(3_600_000_000, lambda: fired.append(sched.now_us()))
-        for at_us, port in ((1_000_000, 40000), (7_200_000_000, 40001)):
+        seen = []
+        for at_us in (500_000, 1_500_000, 3_600_000_000):
+            sched.call_at(at_us, lambda: seen.append(
+                (sched.now_us(), [key.src[1] for key in engine.flows])))
+        keys = [FlowKey(PROTO_UDP, ("10.0.0.2", port), ("10.3.0.1", 7)) for port in (40000, 40001)]
+        for at_us, key in zip((1_000_000, 7_200_000_000), keys):
             engine.conduit.inject(serialize_packet(make_udp_packet(
-                ("10.0.0.2", port), ("10.3.0.1", 7), payload=b"x")), at_us=at_us)
+                key.src, key.dst, payload=b"x")), at_us=at_us)
         engine.pump()
-        assert fired == [3_600_000_000]
-        assert sched.pending() == 0 and sched.now_us() == 3_600_000_000
-        assert [key.src[1] for key in engine.flows] == [40000]
-        assert engine.conduit.next_ready_us() == 7_200_000_000
-        assert logged(engine, "eviction") == []  # and never sweeps
+        assert seen == [(500_000, []), (1_500_000, [40000]), (3_600_000_000, [])]
+        assert logged(engine, "eviction") == [
+            {"ts_us": 32_000_000, "evicted": [str(keys[0])], "removed_closed": []}]
+        assert list(engine.flows) == [keys[1]] and sched.now_us() == 7_200_000_000
+        assert sched.pending() == 0 and engine.conduit.next_ready_us() is None
+        engine.run()  # the sweep grid carries over: 7,200 s + 30 s idle, on the next point
+        assert logged(engine, "eviction")[1:] == [
+            {"ts_us": 7_231_000_000, "evicted": [str(keys[1])], "removed_closed": []}]
+
+    def test_a_wall_clock_pump_evicts_on_the_grid_while_a_reply_is_pending(self):
+        # a datagram's flow may go 2 ms after its echo; a SYN's connect
+        # completes some 50 ms later, and pump waits for it
+        slow = {"cidr": "10.5.0.0/24", "behavior": "echo", "delay_us": 25_000}
+        engine = build_engine([ECHO, slow], EngineConfig(
+            local_isn=1, udp_timeout_us=2_000, dns_timeout_us=2_000, sweep_interval_us=1_000),
+            clock=WALL)
+        udp = FlowKey(PROTO_UDP, ("10.0.0.2", 40000), ("10.3.0.1", 7))
+        sent_us = engine.scheduler.now_us()
+        engine.conduit.inject(serialize_packet(make_udp_packet(udp.src, udp.dst, payload=b"x")))
+        engine.conduit.inject(serialize_packet(make_tcp_packet(
+            ("10.0.0.2", 40001), ("10.5.0.1", 80), seq=1, ack=0, flags=SYN)))
+        engine.pump()
+        (_, echo), (syn_ack_us, syn_ack) = engine.conduit.take_emitted()
+        assert parse_packet(echo).payload == b"x"
+        assert parse_packet(syn_ack).transport.flags == SYN | ACK
+        (eviction,) = logged(engine, "eviction")
+        assert eviction["evicted"] == [str(udp)] and udp not in engine.flows
+        assert sent_us + 2_000 < eviction["ts_us"] < syn_ack_us
 
 
 class TestSweepWork:
@@ -462,3 +529,15 @@ class TestSweepWork:
         engine.sweep()
         assert engine.flows == {} and formatted == []
         assert engine.counters["udp_flows_evicted_idle"] == 1
+
+    def test_the_sweep_check_runs_once_per_grid_point_crossed(self, monkeypatch):
+        # 100 datagrams and their echoes from 1.5 s to 2.5 s cross the grid
+        # points at 1 s and 2 s; no flow can go before 31.5 s
+        engine = build_engine([ECHO])
+        for i in range(100):
+            engine.conduit.inject(serialize_packet(make_udp_packet(
+                ("10.0.0.2", 40000 + i), ("10.3.0.1", 7), payload=b"x")),
+                at_us=1_500_000 + 10_000 * i)
+        checks = counting(monkeypatch, Engine, "_sweep_due_us")
+        engine.pump()
+        assert len(engine.flows) == 100 and len(checks) == 2

@@ -217,6 +217,24 @@ class TestBoundedBench:
         assert engine.sink is None
         assert self.retained(engine) == []
 
+    def test_every_connection_gets_its_own_valid_endpoint(self):
+        from mbz.bench import app_endpoint
+        # the 45,536th connection was the first whose port passed 65535
+        indices = [45_534, 45_535, 45_536, 45_537, 1_000_000]
+        endpoints = [app_endpoint(i) for i in indices]
+        assert len(set(endpoints)) == len(indices)
+        for app in endpoints:
+            syn = parse_packet(serialize_packet(make_tcp_packet(
+                app, ("127.0.0.1", 7777), seq=1, ack=0, flags=SYN)))
+            assert (syn.ip.src_addr, syn.transport.src_port) == app
+
+    def test_connections_across_an_address_boundary_are_each_timed(self, monkeypatch):
+        from mbz import bench
+        endpoint = bench.app_endpoint
+        # 10 connections on 10.0.19.2, then 20 on 10.0.20.2
+        monkeypatch.setattr(bench, "app_endpoint", lambda i: endpoint(999_990 + i))
+        assert bench.run_bench(30, concurrency=4).summary["count"] == 30
+
 
 class TestRandomIsnSeeding:
     def _config(self, tmp_path):
